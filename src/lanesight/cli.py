@@ -35,6 +35,7 @@ from .evaluation import (
 from .fusion import write_results_csv
 from .geometry import iou
 from .pipeline import (
+    REPORT_IOU,
     build_dataset,
     build_fuse_corpus,
     closed_loop_pair,
@@ -74,16 +75,14 @@ def _load_model_for(cfg: RunConfig, required: bool):
 
 
 def cmd_simulate(cfg: RunConfig, out: Path, model) -> int:
-    mount = cfg.camera_mount()
-    period = cfg["sensing"]["frame_period"]
     for seed in cfg.seeds:
-        art = simulate_run(cfg.scenario(seed), cfg.channel(), model=model)
+        art = simulate_run(replace(cfg.scenario, seed=seed), cfg.channel, model=model)
         sdir = _seed_dir(out, seed)
         write_trajectory_csv(art.log, sdir / "trajectory.csv")
         write_maneuvers_csv(art.log.plans, sdir / "maneuvers.csv")
         write_channel_csv(art.store, sdir / "twin_channel.csv")
         if art.log.times[-1] > 0:
-            frames = render_frames(art.log, mount, cfg.noise(seed), period=period)
+            frames = render_frames(art.log, cfg.camera, replace(cfg.sensing, seed=seed))
         else:
             frames = []
         write_detections_csv(frames, sdir / "detections.csv")
@@ -95,11 +94,11 @@ def cmd_simulate(cfg: RunConfig, out: Path, model) -> int:
 
 
 def cmd_fuse_eval(cfg: RunConfig, out: Path, model) -> int:
-    thresholds = cfg["fuse_eval"]["thresholds"]
     for seed in cfg.seeds:
-        result = build_fuse_corpus(cfg.corpus(), cfg.camera_mount(),
-                                   cfg.noise(seed), cfg.fusion_params(seed), seed)
-        curves = identification_accuracy(result.scored, thresholds)
+        result = build_fuse_corpus(cfg.fuse_eval, cfg.camera,
+                                   replace(cfg.sensing, seed=seed),
+                                   replace(cfg.fusion, seed=seed), seed)
+        curves = identification_accuracy(result.scored, cfg.fuse_eval.thresholds)
         sdir = _seed_dir(out, seed)
         write_curve_csv(curves, sdir / "curve.csv")
         rows = []
@@ -110,8 +109,8 @@ def cmd_fuse_eval(cfg: RunConfig, out: Path, model) -> int:
             rows.append((res.t, res.method, chosen_id, frame.truth_id, overlap,
                          res.candidate_count))
         write_results_csv(rows, sdir / "identifications.csv")
-        fused_07 = curves["fused"].at(0.7)
-        base_07 = curves["baseline"].at(0.7)
+        fused_07 = curves["fused"].at(REPORT_IOU)
+        base_07 = curves["baseline"].at(REPORT_IOU)
         summary = {
             "frames": result.frame_count,
             "overlap_pair_fraction": result.overlap_pair_frames / result.frame_count,
@@ -125,10 +124,9 @@ def cmd_fuse_eval(cfg: RunConfig, out: Path, model) -> int:
 
 
 def cmd_train(cfg: RunConfig, out: Path, model) -> int:
-    window = cfg.window(rate=cfg["training"]["window_rate"])
-    dataset = build_dataset(cfg.scenario(0), window, cfg.seeds, cfg.channel(),
-                            include_nonchangers=cfg["training"]["include_nonchangers"])
-    model = train(dataset, cfg.train_config())
+    dataset = build_dataset(cfg.scenario, cfg.window, cfg.seeds, cfg.channel,
+                            include_nonchangers=cfg.training.include_nonchangers)
+    model = train(dataset, cfg.training)
     out.mkdir(parents=True, exist_ok=True)
     save_model(model, out / "model.json")
     write_dataset_csv(dataset, out / "dataset.csv")
@@ -136,8 +134,8 @@ def cmd_train(cfg: RunConfig, out: Path, model) -> int:
         "samples": len(dataset),
         "positives": int(sum(s.label for s in dataset)),
         "train_seeds": list(cfg.seeds),
-        "hidden": cfg["training"]["hidden"],
-        "epochs": cfg["training"]["epochs"],
+        "hidden": cfg.training.hidden,
+        "epochs": cfg.training.epochs,
     }
     with open(out / "training_summary.json", "w") as fh:
         json.dump(summary, fh, indent=1, sort_keys=True)
@@ -145,20 +143,16 @@ def cmd_train(cfg: RunConfig, out: Path, model) -> int:
 
 
 def cmd_predict_eval(cfg: RunConfig, out: Path, model) -> int:
-    tau = cfg["window"]["tau"]
-    tau_a = cfg["filters"]["tau_a"]
-    tau_c = cfg["filters"]["tau_c"]
-    thres = cfg["filters"]["thres"]
     combined = {"raw": ([], []), "aggressive": ([], []), "conservative": ([], [])}
     for seed in cfg.seeds:
-        scenario = cfg.scenario(seed).with_policy("baseline")
-        art = simulate_run(scenario, cfg.channel(), model=model)
+        scenario = replace(cfg.scenario, seed=seed).with_policy("baseline")
+        art = simulate_run(scenario, cfg.channel, model=model)
         rows = []
         for vid in sorted(art.traces):
             trace = art.traces[vid]
-            agg = aggressive_filter(trace, tau_a)
-            cons = conservative_filter(trace, tau_c, thres)
-            truth = ground_truth_bits(trace, art.log.plans, tau)
+            agg = aggressive_filter(trace, cfg.filters.tau_a)
+            cons = conservative_filter(trace, cfg.filters.tau_c, cfg.filters.thres)
+            truth = ground_truth_bits(trace, art.log.plans, cfg.window.tau)
             for name, filtered in (("raw", trace), ("aggressive", agg),
                                    ("conservative", cons)):
                 combined[name][0].extend(filtered.binary.tolist())
@@ -181,8 +175,7 @@ def cmd_predict_eval(cfg: RunConfig, out: Path, model) -> int:
 def cmd_closed_loop(cfg: RunConfig, out: Path, model) -> int:
     guided_reports, baseline_reports = [], []
     for seed in cfg.seeds:
-        guided, baseline = closed_loop_pair(cfg.scenario(seed), model, seed,
-                                            cfg.channel())
+        guided, baseline = closed_loop_pair(cfg.scenario, model, seed, cfg.channel)
         sdir = _seed_dir(out, seed)
         write_safety_report_json(guided, sdir / "report_guided.json")
         write_safety_report_json(baseline, sdir / "report_baseline.json")
@@ -227,8 +220,6 @@ def main(argv=None) -> int:
                 cfg = replace(cfg, seeds=[int(s) for s in args.seeds.split(",") if s])
             except ValueError as exc:
                 raise ConfigError(f"--seeds: {exc}") from exc
-            if not cfg.seeds:
-                raise ConfigError("--seeds: empty seed list")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -1,20 +1,29 @@
 """Run configuration: a single JSON document with strict validation.
 
-Unknown keys are rejected and every value is range-checked, with errors
-reporting the dotted path of the offending key. The resolved (defaults
-merged) document is echoed next to command outputs so a run can be
-reproduced from its own artifacts.
+The domain dataclasses are the schema. Each section of the document is one
+``RunConfig`` field, and its keys are the fields of that field's dataclass:
+the annotation gives the type, the default the default, and the
+``field(metadata=...)`` rule the range (see ``params``). A nested dataclass
+shares its parent's section (``scenario.lanes``, ``camera.intrinsics``)
+unless it is named in ``OWN_SECTION``. Unknown keys are rejected, errors
+report the dotted path of the offending key, and every domain object is built
+here, so an invalid config fails before a command writes anything. The
+resolved (defaults merged) document is echoed next to command outputs so a
+run can be reproduced from its own artifacts.
 """
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields, is_dataclass
+from operator import attrgetter
+from typing import get_args, get_origin, get_type_hints
 
 from .fusion import FusionParams
-from .geometry import CameraIntrinsics
-from .pipeline import CameraMount, FuseCorpusConfig
-from .prediction import TrainConfig, WindowParams
-from .scene import DriverParams, IdmParams, LaneSpec, ScenarioConfig
+from .pipeline import INFER_PERIOD, CameraMount, FuseCorpusConfig
+from .prediction import FilterParams, TrainConfig, WindowParams
+from .scene import LOG_PERIOD, ScenarioConfig, grid_stride
 from .sensing import DetectorNoiseModel
 from .twinlink import ChannelConfig
 
@@ -23,262 +32,129 @@ class ConfigError(Exception):
     pass
 
 
-def _positive(x):
-    return x > 0
+# Nested objects read from a top-level section of their own.
+OWN_SECTION = ("idm", "driver")
 
 
-def _nonnegative(x):
-    return x >= 0
-
-
-def _fraction(x):
-    return 0.0 <= x <= 1.0
-
-
-_NUM = (int, float)
-
-# section -> key -> (types, default, validator or None)
-SCHEMA = {
-    "scenario": {
-        "dt_sim": (_NUM, 0.01, _positive),
-        "duration": (_NUM, 30.0, _nonnegative),
-        "lane_count": (int, 3, lambda x: x >= 2),
-        "lane_width": (_NUM, 3.5, _positive),
-        "road_length": (_NUM, 300.0, _positive),
-        "neighbor_count": (int, 6, _nonnegative),
-        "potential_changer_count": (int, 3, _nonnegative),
-        "ego_v0": (_NUM, 19.0, _nonnegative),
-        "neighbor_v0": (_NUM, 17.0, _nonnegative),
-        "accident_s": (_NUM, 260.0, _positive),
-        "spawn_min_s": (_NUM, 20.0, _nonnegative),
-        "spawn_max_s": (_NUM, 80.0, _positive),
-        "lane_change_duration": (_NUM, 4.0, _positive),
-        "trigger_distance": (_NUM, 80.0, _positive),
-        "min_lead_gap": (_NUM, 15.0, _nonnegative),
-        "min_lag_gap": (_NUM, 10.0, _nonnegative),
-        "min_spawn_gap": (_NUM, 10.0, _nonnegative),
-    },
-    "idm": {
-        "time_headway": (_NUM, 1.2, _positive),
-        "a_max": (_NUM, 2.0, _positive),
-        "comfort_decel": (_NUM, 2.5, _positive),
-        "a_min": (_NUM, -8.0, lambda x: x < 0),
-        "jam_gap": (_NUM, 2.0, _positive),
-        "delta": (_NUM, 4.0, _positive),
-    },
-    "driver": {
-        "policy": (str, "baseline", lambda x: x in ("guided", "baseline")),
-        "p_trigger": (_NUM, 0.5, _fraction),
-        "react_range": (_NUM, 60.0, _positive),
-        "guided_decel": (_NUM, -2.0, lambda x: x < 0),
-        "guided_margin": (_NUM, 1.5, _nonnegative),
-        "caution_drop": (_NUM, 5.0, _nonnegative),
-        "aware_headway": (_NUM, 1.8, _positive),
-        "aware_gap_min": (_NUM, 5.0, _nonnegative),
-        "aware_ttc_min": (_NUM, 3.5, _nonnegative),
-        "late_decel": (_NUM, -6.0, lambda x: x < 0),
-        "reaction_time": (_NUM, 0.75, _nonnegative),
-        "startle_overshoot": (_NUM, 3.0, _nonnegative),
-    },
-    "camera": {
-        "focal_length": (_NUM, 0.005, _positive),
-        "pixel_size_x": (_NUM, 5e-6, _positive),
-        "pixel_size_y": (_NUM, 5e-6, _positive),
-        "u0": (_NUM, 480.0, _nonnegative),
-        "v0": (_NUM, 270.0, _nonnegative),
-        "width": (int, 960, _positive),
-        "height": (int, 540, _positive),
-        "near_plane": (_NUM, 0.5, _positive),
-        "mount_forward": (_NUM, 2.0, None),
-        "mount_up": (_NUM, 1.4, _positive),
-        "mount_left": (_NUM, 0.0, None),
-    },
-    "sensing": {
-        "edge_jitter_sigma": (_NUM, 2.0, _nonnegative),
-        "miss_prob": (_NUM, 0.0, _fraction),
-        "depth_noise_sigma": (_NUM, 0.1, _nonnegative),
-        "false_positive_rate": (_NUM, 0.0, _fraction),
-        "far_value": (_NUM, 1000.0, _positive),
-        "frame_period": (_NUM, 0.1, _positive),
-    },
-    "channel": {
-        "publish_period": (_NUM, 0.1, _positive),
-        "latency": (_NUM, 0.0, _nonnegative),
-    },
-    "fusion": {
-        "shrink": (_NUM, 0.8, lambda x: 0 < x <= 1),
-        "samples": (int, 16, _positive),
-    },
-    "window": {
-        "tau": (_NUM, 5.0, _positive),
-        "tau_g": (_NUM, 3.0, _nonnegative),
-        "sample_rate": (_NUM, 1.0, _positive),
-    },
-    "filters": {
-        "tau_a": (int, 3, _nonnegative),
-        "tau_c": (int, 3, _nonnegative),
-        "thres": (_NUM, 0.5, _fraction),
-    },
-    "training": {
-        "hidden": (int, 48, _positive),
-        "learning_rate": (_NUM, 0.01, _positive),
-        "epochs": (int, 300, _positive),
-        "batch_size": (int, 32, _positive),
-        "seed": (int, 0, None),
-        "include_nonchangers": (bool, True, None),
-        "window_rate": (_NUM, 2.0, _positive),
-    },
-    "fuse_eval": {
-        "frames": (int, 500, _positive),
-        "overlap_fraction": (_NUM, 0.55, _fraction),
-        "abreast_fraction": (_NUM, 0.9, _fraction),
-        "gnss_sigma": (list, [0.4, 0.55, 0.45], None),
-        "target_range": (list, [14.0, 26.0], None),
-        "occluder_gap": (list, [4.5, 10.0], None),
-        "stagger_range": (list, [0.25, 0.85], None),
-        "abreast_separation": (list, [0.75, 1.05], None),
-        "abreast_gap": (list, [1.0, 2.5], None),
-        "clutter_max": (int, 2, _nonnegative),
-        "thresholds": (list, [0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95],
-                       None),
-    },
-}
-
-TOP_LEVEL = {"seeds", "model_path"} | set(SCHEMA)
-
-
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    seeds: list[int]
-    model_path: str | None
-    sections: dict[str, dict] = field(default_factory=dict)
+    """Run seeds, model path, and one domain object per top-level section."""
 
-    def __getitem__(self, section: str) -> dict:
-        return self.sections[section]
+    seeds: list[int] = field(default_factory=lambda: [1])
+    model_path: str | None = None
+    scenario: ScenarioConfig = field(default_factory=ScenarioConfig)
+    camera: CameraMount = field(default_factory=CameraMount)
+    sensing: DetectorNoiseModel = field(default_factory=DetectorNoiseModel)
+    channel: ChannelConfig = field(default_factory=ChannelConfig)
+    fusion: FusionParams = field(default_factory=FusionParams)
+    window: WindowParams = field(default_factory=WindowParams)
+    filters: FilterParams = field(default_factory=FilterParams)
+    training: TrainConfig = field(default_factory=TrainConfig)
+    fuse_eval: FuseCorpusConfig = field(default_factory=FuseCorpusConfig)
 
-    def scenario(self, seed: int) -> ScenarioConfig:
-        s = self.sections["scenario"]
-        idm = IdmParams(**self.sections["idm"])
-        driver = DriverParams(**self.sections["driver"])
-        lanes = LaneSpec(lane_count=s["lane_count"], lane_width=s["lane_width"],
-                         length=s["road_length"])
-        return ScenarioConfig(
-            seed=seed, dt_sim=s["dt_sim"], duration=s["duration"], lanes=lanes,
-            neighbor_count=s["neighbor_count"],
-            potential_changer_count=s["potential_changer_count"],
-            ego_v0=s["ego_v0"], neighbor_v0=s["neighbor_v0"],
-            accident_s=s["accident_s"], spawn_min_s=s["spawn_min_s"],
-            spawn_max_s=s["spawn_max_s"],
-            lane_change_duration=s["lane_change_duration"],
-            trigger_distance=s["trigger_distance"], min_lead_gap=s["min_lead_gap"],
-            min_lag_gap=s["min_lag_gap"], min_spawn_gap=s["min_spawn_gap"],
-            idm=idm, driver=driver)
-
-    def camera_mount(self) -> CameraMount:
-        c = self.sections["camera"]
-        intr = CameraIntrinsics(f=c["focal_length"], d_x=c["pixel_size_x"],
-                                d_y=c["pixel_size_y"], u0=c["u0"], v0=c["v0"],
-                                width=c["width"], height=c["height"],
-                                near_plane=c["near_plane"])
-        return CameraMount(intrinsics=intr, forward=c["mount_forward"],
-                           up=c["mount_up"], left=c["mount_left"])
-
-    def noise(self, seed: int) -> DetectorNoiseModel:
-        s = self.sections["sensing"]
-        return DetectorNoiseModel(edge_jitter_sigma=s["edge_jitter_sigma"],
-                                  miss_prob=s["miss_prob"],
-                                  depth_noise_sigma=s["depth_noise_sigma"],
-                                  false_positive_rate=s["false_positive_rate"],
-                                  seed=seed)
-
-    def channel(self) -> ChannelConfig:
-        return ChannelConfig(**self.sections["channel"])
-
-    def fusion_params(self, seed: int = 0) -> FusionParams:
-        f = self.sections["fusion"]
-        return FusionParams(shrink=f["shrink"], samples=f["samples"], seed=seed)
-
-    def window(self, rate: float | None = None) -> WindowParams:
-        w = self.sections["window"]
-        return WindowParams(tau=w["tau"], tau_g=w["tau_g"],
-                            sample_rate=rate if rate is not None else w["sample_rate"])
-
-    def train_config(self) -> TrainConfig:
-        t = self.sections["training"]
-        return TrainConfig(hidden=t["hidden"], learning_rate=t["learning_rate"],
-                           epochs=t["epochs"], batch_size=t["batch_size"],
-                           seed=t["seed"])
-
-    def corpus(self) -> FuseCorpusConfig:
-        c = self.sections["fuse_eval"]
-        return FuseCorpusConfig(
-            frames=c["frames"], overlap_fraction=c["overlap_fraction"],
-            abreast_fraction=c["abreast_fraction"],
-            gnss_sigma=tuple(c["gnss_sigma"]),
-            target_range=tuple(c["target_range"]),
-            occluder_gap=tuple(c["occluder_gap"]),
-            stagger_range=tuple(c["stagger_range"]),
-            abreast_separation=tuple(c["abreast_separation"]),
-            abreast_gap=tuple(c["abreast_gap"]), clutter_max=c["clutter_max"])
+    def __post_init__(self):
+        if (not isinstance(self.seeds, list) or not self.seeds
+                or not all(isinstance(s, int) and not isinstance(s, bool) and s >= 0
+                           for s in self.seeds)):
+            raise ValueError("seeds: expected a non-empty list of nonnegative integers")
+        if self.model_path is not None and not isinstance(self.model_path, str):
+            raise ValueError("model_path: expected a string or null")
+        for period in (self.channel.publish_period, self.sensing.frame_period,
+                       INFER_PERIOD, LOG_PERIOD):
+            try:
+                grid_stride(period, self.scenario.dt_sim)
+            except ValueError as exc:
+                raise ValueError(f"scenario.dt_sim: {exc}") from exc
 
     def effective_dict(self) -> dict:
         doc = {"seeds": list(self.seeds), "model_path": self.model_path}
-        for section in sorted(SCHEMA):
-            doc[section] = dict(sorted(self.sections[section].items()))
+        for section, keys in _SCHEMA.items():
+            doc[section] = {key: attrgetter(path)(self) for key, (path, _) in keys.items()}
         return doc
 
 
-def _check_value(path: str, value, types, validator):
-    if types is _NUM:
-        if isinstance(value, bool) or not isinstance(value, _NUM):
-            raise ConfigError(f"{path}: expected a number, got {value!r}")
-    elif types is int:
+@functools.cache
+def _fields(cls) -> tuple:
+    """(field, resolved annotation) for each field of cls a config can set."""
+    hints = get_type_hints(cls)
+    return tuple((f, hints[f.name]) for f in fields(cls) if not f.metadata.get("run_seed"))
+
+
+def _section_of(name: str, parent: str | None) -> str:
+    return name if parent is None or name in OWN_SECTION else parent
+
+
+def _schema(cls, section: str | None, prefix: str, schema: dict) -> dict:
+    """Add the keys cls reads to schema: section -> key -> (attribute path, type)."""
+    for f, kind in _fields(cls):
+        if is_dataclass(kind):
+            _schema(kind, _section_of(f.name, section), f"{prefix}{f.name}.", schema)
+        elif section is not None:
+            schema.setdefault(section, {})[f.name] = (prefix + f.name, kind)
+    return schema
+
+
+_SCHEMA = _schema(RunConfig, None, "", {})
+
+
+def _typed(value, kind, path: str):
+    """The JSON value checked against a field annotation; lists become tuples."""
+    if get_origin(kind) is tuple:
+        args = get_args(kind)
+        size = None if args[-1] is Ellipsis else len(args)
+        if not isinstance(value, list) or not value or size not in (None, len(value)):
+            raise ConfigError(f"{path}: expected a list of {size or 'one or more'} "
+                              f"numbers, got {value!r}")
+        return tuple(_typed(v, args[0], f"{path}[{i}]") for i, v in enumerate(value))
+    if kind is float:
+        try:
+            finite = not isinstance(value, bool) and math.isfinite(value)
+        except (TypeError, OverflowError):  # not a number, or an int past float range
+            finite = False
+        if not finite:
+            raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+    elif kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{path}: expected an integer, got {value!r}")
-    elif not isinstance(value, types):
-        raise ConfigError(f"{path}: expected {getattr(types, '__name__', types)}, "
-                          f"got {value!r}")
-    if validator is not None and not validator(value):
-        raise ConfigError(f"{path}: value {value!r} out of range")
+    elif not isinstance(value, kind):
+        raise ConfigError(f"{path}: expected {kind.__name__}, got {value!r}")
+    return value
+
+
+def _build(cls, given: dict, section: str | None):
+    """Construct cls from the checked values; its rule errors become ConfigError."""
+    kwargs = {}
+    for f, kind in _fields(cls):
+        if is_dataclass(kind):
+            kwargs[f.name] = _build(kind, given, _section_of(f.name, section))
+        elif f.name in given[section]:
+            kwargs[f.name] = given[section][f.name]
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{section}.{exc}" if section else str(exc)) from exc
 
 
 def resolve_config(doc: dict) -> RunConfig:
-    """Validate a parsed JSON document and merge it over the defaults."""
+    """Validate a parsed JSON document, merge it over the defaults, build objects."""
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
-    unknown = set(doc) - TOP_LEVEL
+    top = {"seeds", "model_path"}
+    unknown = set(doc) - top - set(_SCHEMA)
     if unknown:
         raise ConfigError(f"unknown key: {sorted(unknown)[0]}")
 
-    seeds = doc.get("seeds", [1])
-    if (not isinstance(seeds, list) or not seeds
-            or not all(isinstance(s, int) and not isinstance(s, bool) for s in seeds)):
-        raise ConfigError("seeds: expected a non-empty list of integers")
-    model_path = doc.get("model_path")
-    if model_path is not None and not isinstance(model_path, str):
-        raise ConfigError("model_path: expected a string or null")
-
-    sections = {}
-    for section, keys in SCHEMA.items():
-        given = doc.get(section, {})
-        if not isinstance(given, dict):
+    given = {None: {key: value for key, value in doc.items() if key in top}}
+    for section, keys in _SCHEMA.items():
+        values = doc.get(section, {})
+        if not isinstance(values, dict):
             raise ConfigError(f"{section}: expected an object")
-        unknown = set(given) - set(keys)
+        unknown = set(values) - set(keys)
         if unknown:
             raise ConfigError(f"unknown key: {section}.{sorted(unknown)[0]}")
-        resolved = {}
-        for key, (types, default, validator) in keys.items():
-            value = given.get(key, default)
-            _check_value(f"{section}.{key}", value, types, validator)
-            resolved[key] = value
-        sections[section] = resolved
-
-    s = sections["scenario"]
-    if s["potential_changer_count"] > s["neighbor_count"]:
-        raise ConfigError("scenario.potential_changer_count exceeds neighbor_count")
-    if s["spawn_max_s"] <= s["spawn_min_s"]:
-        raise ConfigError("scenario.spawn_max_s must exceed spawn_min_s")
-    return RunConfig(seeds=list(seeds), model_path=model_path, sections=sections)
+        given[section] = {key: _typed(value, keys[key][1], f"{section}.{key}")
+                          for key, value in values.items()}
+    return _build(RunConfig, given, None)
 
 
 def load_config(path) -> RunConfig:

@@ -19,7 +19,8 @@ import numpy as np
 
 from .fusion import IdentificationResult
 from .geometry import Box2D, iou
-from .scene import TrajectoryLog
+from .prediction import UnknownVehicle
+from .scene import LOG_PERIOD, TrajectoryLog
 
 
 class EmptyResults(Exception):
@@ -34,10 +35,6 @@ class LengthMismatch(Exception):
     pass
 
 
-class UnknownVehicle(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class ScoredFrame:
     """An identification outcome plus the ground truth it is scored against."""
@@ -47,14 +44,19 @@ class ScoredFrame:
     truth_id: int
 
 
+def check_thresholds(thresholds):
+    """ValueError unless the IoU thresholds strictly increase."""
+    if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
+        raise ValueError("thresholds must be strictly increasing")
+
+
 @dataclass(frozen=True)
 class AccuracyCurve:
     thresholds: tuple[float, ...]
     accuracies: tuple[float, ...]
 
     def __post_init__(self):
-        if any(b <= a for a, b in zip(self.thresholds, self.thresholds[1:])):
-            raise ValueError("thresholds must be strictly increasing")
+        check_thresholds(self.thresholds)
         if any(not 0.0 <= a <= 1.0 for a in self.accuracies):
             raise ValueError("accuracies must lie in [0, 1]")
 
@@ -135,7 +137,7 @@ def ttc_series(log: TrajectoryLog, ego_id: int, target_id: int,
 
 
 def accel_jerk_metrics(log: TrajectoryLog, vehicle_id: int,
-                       grid: float = 0.1) -> tuple[float, float]:
+                       grid: float = LOG_PERIOD) -> tuple[float, float]:
     """(mean |a|, max |da/dt|) for one vehicle on the resampled grid."""
     if vehicle_id not in log.data:
         raise UnknownVehicle(f"vehicle {vehicle_id} not in log")

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import seeding
 from .geometry import BehindCamera, Box2D, PixelPoint, project_anchor
+from .params import POSITIVE, RUN_SEED, check_fields, rule
 from .sensing import Detection, DepthMap, SensorFrame
 from .twinlink import TwinRecord
 
@@ -49,15 +50,12 @@ class IdentificationResult:
 
 @dataclass(frozen=True)
 class FusionParams:
-    shrink: float = 0.8
-    samples: int = 16
-    seed: int = 0
+    shrink: float = field(default=0.8, metadata=rule(lambda x: 0.0 < x <= 1.0))
+    samples: int = field(default=16, metadata=POSITIVE)
+    seed: int = field(default=0, metadata=RUN_SEED)
 
     def __post_init__(self):
-        if not 0.0 < self.shrink <= 1.0:
-            raise ValueError("shrink factor must be in (0, 1]")
-        if self.samples < 1:
-            raise ValueError("need at least one sample point")
+        check_fields(self)
 
 
 def shrink_box(b: Box2D, th: float) -> Box2D:
@@ -81,8 +79,8 @@ def _sample_region(b: Box2D, th: float) -> tuple[int, int, int, int] | None:
     return u_lo, u_hi, v_lo, v_hi
 
 
-def depth_evaluate(img_d: DepthMap, boxes: list[Box2D], th: float = 0.8,
-                   n: int = 16, seed: int = 0) -> list[DepthEstimate]:
+def depth_evaluate(img_d: DepthMap, boxes: list[Box2D], th: float = FusionParams.shrink,
+                   n: int = FusionParams.samples, seed: int = 0) -> list[DepthEstimate]:
     """Average n seeded uniform depth samples per box, in input order."""
     if n < 1:
         raise ValueError("need at least one sample point")

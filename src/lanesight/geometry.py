@@ -18,9 +18,11 @@ Image frame:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+
+from .params import NONNEGATIVE, POSITIVE, check_fields
 
 
 class BehindCamera(Exception):
@@ -87,32 +89,29 @@ class CameraExtrinsics:
 class CameraIntrinsics:
     """Pinhole intrinsics: focal length in meters, pixel pitch in m/px."""
 
-    f: float
-    d_x: float
-    d_y: float
-    u0: float
-    v0: float
-    width: int
-    height: int
-    near_plane: float = 0.5
+    focal_length: float = field(default=0.005, metadata=POSITIVE)
+    pixel_size_x: float = field(default=5e-6, metadata=POSITIVE)
+    pixel_size_y: float = field(default=5e-6, metadata=POSITIVE)
+    u0: float = field(default=480.0, metadata=NONNEGATIVE)
+    v0: float = field(default=270.0, metadata=NONNEGATIVE)
+    width: int = field(default=960, metadata=POSITIVE)
+    height: int = field(default=540, metadata=POSITIVE)
+    near_plane: float = field(default=0.5, metadata=POSITIVE)
 
     def __post_init__(self):
-        if self.f <= 0 or self.d_x <= 0 or self.d_y <= 0:
-            raise ValueError("focal length and pixel sizes must be positive")
-        if not (0 <= self.u0 < self.width and 0 <= self.v0 < self.height):
-            raise ValueError("principal point must lie inside the image")
-        if self.near_plane <= 0:
-            raise ValueError("near_plane must be positive")
+        check_fields(self)
+        if not (self.u0 < self.width and self.v0 < self.height):
+            raise ValueError("u0/v0: principal point must lie inside the image")
 
     @property
     def fx(self) -> float:
         """Focal length in horizontal pixels."""
-        return self.f / self.d_x
+        return self.focal_length / self.pixel_size_x
 
     @property
     def fy(self) -> float:
         """Focal length in vertical pixels."""
-        return self.f / self.d_y
+        return self.focal_length / self.pixel_size_y
 
 
 @dataclass(frozen=True)

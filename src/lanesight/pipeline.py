@@ -7,17 +7,19 @@ the ego's guidance view refreshes every guidance tick subject to latency.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import seeding
-from .evaluation import SafetyReport, ScoredFrame, safety_report
+from .evaluation import SafetyReport, ScoredFrame, check_thresholds, safety_report
 from .fusion import FusionParams, identify
 from .geometry import Camera, CameraExtrinsics, CameraIntrinsics, WorldPoint, iou
-from .prediction import MlpModel, PredictionTrace, WindowParams, \
-    features_from_states, infer, label_windows
+from .params import FRACTION, NONNEGATIVE, POSITIVE, check_fields
+from .prediction import MlpModel, PredictionTrace, TrainConfig, WindowParams, \
+    features_from_states, infer, label_windows, nonchanger_negatives
 from .scene import (
+    LOG_PERIOD,
     LaneSpec,
     ManeuverPlan,
     Scenario,
@@ -26,14 +28,16 @@ from .scene import (
     VehicleState,
     build_scenario,
     extract_lane_changes,
+    grid_stride,
     step,
 )
-from .sensing import DetectorNoiseModel, SensorFrame, render_depth_map, \
-    render_truth_boxes
-from .twinlink import ChannelConfig, CloudAdvisory, NoData, TwinStore, gnss_distance, \
-    publish, publish_advisory, query_advisory, query_target
+from .sensing import DetectorNoiseModel, SensorFrame, emulate_detections, \
+    render_depth_map, render_truth_boxes
+from .twinlink import ChannelConfig, CloudAdvisory, NoData, TwinRecord, TwinStore, \
+    gnss_distance, publish, publish_advisory, query_advisory, query_target
 
 INFER_PERIOD = 1.0  # seconds between per-vehicle predictions
+REPORT_IOU = 0.7  # fuse-eval summaries report accuracy at this IoU threshold
 CAR_WIDTH, CAR_HEIGHT = 1.8, 1.5
 
 
@@ -41,20 +45,18 @@ CAR_WIDTH, CAR_HEIGHT = 1.8, 1.5
 class CameraMount:
     """Intrinsics plus the camera's pose offset from the ego body center."""
 
-    intrinsics: CameraIntrinsics
-    forward: float = 2.0
-    up: float = 1.4
-    left: float = 0.0
+    intrinsics: CameraIntrinsics = field(default_factory=CameraIntrinsics)
+    mount_forward: float = 2.0
+    mount_up: float = field(default=1.4, metadata=POSITIVE)
+    mount_left: float = 0.0
+
+    def __post_init__(self):
+        check_fields(self)
 
     def camera_for(self, ego: VehicleState) -> Camera:
-        position = WorldPoint(ego.s + self.forward, ego.y + self.left, self.up)
+        position = WorldPoint(ego.s + self.mount_forward, ego.y + self.mount_left,
+                              self.mount_up)
         return Camera(CameraExtrinsics.looking_along_road(position), self.intrinsics)
-
-
-def default_mount() -> CameraMount:
-    intr = CameraIntrinsics(f=0.005, d_x=5e-6, d_y=5e-6, u0=480.0, v0=270.0,
-                            width=960, height=540)
-    return CameraMount(intrinsics=intr)
 
 
 @dataclass
@@ -63,13 +65,6 @@ class RunArtifacts:
     store: TwinStore
     traces: dict[int, PredictionTrace]
     scenario: Scenario
-
-
-def _grid_stride(period: float, dt: float) -> int:
-    stride = int(round(period / dt))
-    if stride < 1 or abs(stride * dt - period) > 1e-9:
-        raise ValueError(f"period {period} must be a multiple of dt {dt}")
-    return stride
 
 
 def _twin_snapshot(store: TwinStore, t: float, channel: ChannelConfig,
@@ -94,8 +89,8 @@ def simulate_run(cfg: ScenarioConfig, channel: ChannelConfig = ChannelConfig(),
     scn = build_scenario(cfg)
     store = TwinStore()
     n_steps = int(round(cfg.duration / cfg.dt_sim))
-    publish_stride = _grid_stride(channel.publish_period, cfg.dt_sim)
-    infer_stride = _grid_stride(INFER_PERIOD, cfg.dt_sim)
+    publish_stride = grid_stride(channel.publish_period, cfg.dt_sim)
+    infer_stride = grid_stride(INFER_PERIOD, cfg.dt_sim)
     guided = cfg.driver.policy == "guided"
 
     trace_rows: dict[int, list[tuple[float, float, int]]] = {
@@ -136,10 +131,10 @@ def simulate_run(cfg: ScenarioConfig, channel: ChannelConfig = ChannelConfig(),
     return RunArtifacts(log=scn.build_log(), store=store, traces=traces, scenario=scn)
 
 
-def render_frames(log: TrajectoryLog, mount: CameraMount, noise: DetectorNoiseModel,
-                  period: float = 0.1) -> list[SensorFrame]:
-    """Post-hoc sensor frames at the given cadence from a finished log."""
-    sampled = log.resample(period)
+def render_frames(log: TrajectoryLog, mount: CameraMount,
+                  noise: DetectorNoiseModel) -> list[SensorFrame]:
+    """Post-hoc sensor frames every noise.frame_period from a finished log."""
+    sampled = log.resample(noise.frame_period)
     frames = []
     for i, t in enumerate(sampled.times):
         states = sampled.states_at(i)
@@ -149,7 +144,6 @@ def render_frames(log: TrajectoryLog, mount: CameraMount, noise: DetectorNoiseMo
         frame_noise = noise.for_frame(i)
         truth = render_truth_boxes(others, camera)
         depth = render_depth_map(others, camera, noise=frame_noise)
-        from .sensing import emulate_detections
         dets = emulate_detections(truth, frame_noise, mount.intrinsics.width,
                                   mount.intrinsics.height)
         frames.append(SensorFrame(t=float(t), detections=dets, depth=depth,
@@ -159,19 +153,18 @@ def render_frames(log: TrajectoryLog, mount: CameraMount, noise: DetectorNoiseMo
 
 def build_dataset(cfg: ScenarioConfig, window: WindowParams, seeds,
                   channel: ChannelConfig = ChannelConfig(),
-                  include_nonchangers: bool = True):
+                  include_nonchangers: bool = TrainConfig.include_nonchangers):
     """Labeled samples from fresh baseline runs over the given seeds.
 
     include_nonchangers augments the shifted-window negatives with samples
     from vehicles that never maneuver (queued or free-flowing traffic), so
     the classifier sees the full range of stay-put behavior.
     """
-    from .prediction import nonchanger_negatives
     samples = []
     for seed in seeds:
         run_cfg = replace(cfg, seed=int(seed)).with_policy("baseline")
         art = simulate_run(run_cfg, channel)
-        log = art.log.resample(0.1)
+        log = art.log.resample(LOG_PERIOD)
         events = extract_lane_changes(log)
         samples.extend(label_windows(events, log, window))
         if include_nonchangers:
@@ -199,7 +192,7 @@ def closed_loop_pair(cfg: ScenarioConfig, model: MlpModel, seed: int,
     for policy in ("guided", "baseline"):
         run_cfg = replace(cfg, seed=seed).with_policy(policy)
         art = simulate_run(run_cfg, channel, model=model if policy == "guided" else None)
-        reports[policy] = safety_report(art.log.resample(0.1), art.log.ego_id)
+        reports[policy] = safety_report(art.log.resample(LOG_PERIOD), art.log.ego_id)
     return reports["guided"], reports["baseline"]
 
 
@@ -215,16 +208,25 @@ class FuseCorpusConfig:
     and D_g are consistently wrong together, as they would be live.
     """
 
-    frames: int = 500
-    overlap_fraction: float = 0.55
-    abreast_fraction: float = 0.9  # of overlap frames; the rest are in-line
+    frames: int = field(default=500, metadata=POSITIVE)
+    overlap_fraction: float = field(default=0.55, metadata=FRACTION)
+    # of overlap frames; the rest are in-line
+    abreast_fraction: float = field(default=0.9, metadata=FRACTION)
     gnss_sigma: tuple[float, float, float] = (0.4, 0.55, 0.45)
     target_range: tuple[float, float] = (14.0, 26.0)
     occluder_gap: tuple[float, float] = (4.5, 10.0)  # in-line: distance behind target
     stagger_range: tuple[float, float] = (0.25, 0.85)
     abreast_separation: tuple[float, float] = (0.75, 1.05)
     abreast_gap: tuple[float, float] = (1.0, 2.5)
-    clutter_max: int = 2
+    clutter_max: int = field(default=2, metadata=NONNEGATIVE)
+    # IoU thresholds of the accuracy curves
+    thresholds: tuple[float, ...] = (0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95)
+
+    def __post_init__(self):
+        check_fields(self)
+        check_thresholds(self.thresholds)
+        if not any(abs(th - REPORT_IOU) < 1e-9 for th in self.thresholds):
+            raise ValueError(f"thresholds must include the summary's {REPORT_IOU}")
 
 
 @dataclass
@@ -253,7 +255,7 @@ def build_fuse_corpus(corpus: FuseCorpusConfig, mount: CameraMount,
     frame_count = 0
 
     for index in range(corpus.frames):
-        ego = _corpus_vehicle(-1, s=-mount.forward, y=ego_y)
+        ego = _corpus_vehicle(-1, s=-mount.mount_forward, y=ego_y)
         camera = mount.camera_for(ego)
         cam_center = camera.extrinsics.camera_center()
 
@@ -290,7 +292,6 @@ def build_fuse_corpus(corpus: FuseCorpusConfig, mount: CameraMount,
             overlap_pair_frames += 1
         frame_noise = noise.for_frame(index)
         depth = render_depth_map(states, camera, noise=frame_noise)
-        from .sensing import emulate_detections
         dets = emulate_detections(list(truth.items()), frame_noise,
                                   intr.width, intr.height)
         frame = SensorFrame(t=float(index), detections=dets, depth=depth,
@@ -298,7 +299,6 @@ def build_fuse_corpus(corpus: FuseCorpusConfig, mount: CameraMount,
 
         gnss_rng = seeding.rng_for(seed, seeding.GNSS, index)
         err = gnss_rng.normal(0.0, 1.0, 3) * np.asarray(corpus.gnss_sigma)
-        from .twinlink import TwinRecord
         reported = WorldPoint(target.s + err[0], target.y + err[1],
                               0.5 * CAR_HEIGHT + err[2])
         twin = TwinRecord(1, reported, target.v, float(index))

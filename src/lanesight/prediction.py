@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import seeding
+from .params import FRACTION, NONNEGATIVE, POSITIVE, check_fields
 from .scene import TrajectoryLog, VehicleState
 
 SENTINEL_GAP = 200.0
@@ -39,13 +40,12 @@ class DimensionMismatch(Exception):
 
 @dataclass(frozen=True)
 class WindowParams:
-    tau: float = 5.0
-    tau_g: float = 3.0
-    sample_rate: float = 1.0
+    tau: float = field(default=5.0, metadata=POSITIVE)
+    tau_g: float = field(default=3.0, metadata=NONNEGATIVE)
+    sample_rate: float = field(default=2.0, metadata=POSITIVE)  # samples per second
 
     def __post_init__(self):
-        if self.tau <= 0 or self.tau_g < 0 or self.sample_rate <= 0:
-            raise ValueError("invalid window parameters")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -161,11 +161,16 @@ def nonchanger_negatives(log: TrajectoryLog, events, w: WindowParams,
 
 @dataclass(frozen=True)
 class TrainConfig:
-    hidden: int = 32
-    learning_rate: float = 1e-2
-    epochs: int = 200
-    batch_size: int = 32
-    seed: int = 0
+    hidden: int = field(default=48, metadata=POSITIVE)
+    learning_rate: float = field(default=0.01, metadata=POSITIVE)
+    epochs: int = field(default=300, metadata=POSITIVE)
+    batch_size: int = field(default=32, metadata=POSITIVE)
+    seed: int = field(default=0, metadata=NONNEGATIVE)
+    # add negatives from vehicles that never change lanes (nonchanger_negatives)
+    include_nonchangers: bool = True
+
+    def __post_init__(self):
+        check_fields(self)
 
 
 @dataclass
@@ -269,6 +274,18 @@ def infer(model: MlpModel, features) -> float:
     return float(prob[0])
 
 
+@dataclass(frozen=True)
+class FilterParams:
+    """Smoothing windows for aggressive_filter and conservative_filter."""
+
+    tau_a: int = field(default=3, metadata=NONNEGATIVE)
+    tau_c: int = field(default=3, metadata=NONNEGATIVE)
+    thres: float = field(default=0.5, metadata=FRACTION)
+
+    def __post_init__(self):
+        check_fields(self)
+
+
 def aggressive_filter(trace: PredictionTrace, tau_a: int) -> PredictionTrace:
     """Propagate each positive prediction over the following tau_a timesteps."""
     if tau_a < 0:
@@ -283,7 +300,7 @@ def aggressive_filter(trace: PredictionTrace, tau_a: int) -> PredictionTrace:
 
 
 def conservative_filter(trace: PredictionTrace, tau_c: int,
-                        thres: float = 0.5) -> PredictionTrace:
+                        thres: float) -> PredictionTrace:
     """Positive only where the trailing (tau_c + 1)-wide mean exceeds thres."""
     if tau_c < 0:
         raise ValueError("tau_c must be nonnegative")
@@ -335,16 +352,6 @@ def write_dataset_csv(dataset: list[LabeledSample], path):
         for s in dataset:
             w.writerow([s.vehicle_id, f"{s.t:.2f}", s.label]
                        + [repr(v) for v in s.features])
-
-
-def read_dataset_csv(path) -> list[LabeledSample]:
-    out = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            feats = tuple(float(row[f"f{i}"]) for i in range(1, 14))
-            out.append(LabeledSample(feats, int(row["label"]), float(row["t"]),
-                                     int(row["vehicle_id"])))
-    return out
 
 
 def write_traces_csv(rows, path):

@@ -26,9 +26,11 @@ import numpy as np
 
 from . import seeding
 from .geometry import Cuboid3D, WorldPoint
+from .params import FRACTION, NEGATIVE, NONNEGATIVE, POSITIVE, RUN_SEED, check_fields, rule
 
 CAR_DIMS = (4.5, 1.8, 1.5)
 TRUCK_DIMS = (10.0, 2.5, 3.5)
+LOG_PERIOD = 0.1  # seconds; exported logs, datasets and safety metrics use this grid
 
 
 class InfeasiblePlacement(Exception):
@@ -37,15 +39,12 @@ class InfeasiblePlacement(Exception):
 
 @dataclass(frozen=True)
 class LaneSpec:
-    lane_count: int = 3
-    lane_width: float = 3.5
-    length: float = 300.0
+    lane_count: int = field(default=3, metadata=rule(lambda x: x >= 2))
+    lane_width: float = field(default=3.5, metadata=POSITIVE)
+    road_length: float = field(default=300.0, metadata=POSITIVE)
 
     def __post_init__(self):
-        if self.lane_count < 2:
-            raise ValueError("need at least two lanes")
-        if self.lane_width <= 0 or self.length <= 0:
-            raise ValueError("lane_width and length must be positive")
+        check_fields(self)
 
     def center(self, lane: int) -> float:
         return (lane + 0.5) * self.lane_width
@@ -94,60 +93,70 @@ class ManeuverPlan:
 
 @dataclass(frozen=True)
 class IdmParams:
-    time_headway: float = 1.2
-    a_max: float = 2.0
-    comfort_decel: float = 2.5
-    a_min: float = -8.0
-    jam_gap: float = 2.0
-    delta: float = 4.0
+    time_headway: float = field(default=1.2, metadata=POSITIVE)
+    a_max: float = field(default=2.0, metadata=POSITIVE)
+    comfort_decel: float = field(default=2.5, metadata=POSITIVE)
+    a_min: float = field(default=-8.0, metadata=NEGATIVE)
+    jam_gap: float = field(default=2.0, metadata=POSITIVE)
+    delta: float = field(default=4.0, metadata=POSITIVE)
+
+    def __post_init__(self):
+        check_fields(self)
 
 
 @dataclass(frozen=True)
 class DriverParams:
-    policy: str = "baseline"  # "guided" | "baseline"
-    p_trigger: float = 0.5
-    react_range: float = 60.0
-    guided_decel: float = -2.0
-    guided_margin: float = 1.5  # keep this much closing speed over a flagged threat
-    caution_drop: float = 5.0   # never ease more than this below the desired speed
-    aware_headway: float = 1.8  # time headway kept behind a leader that was flagged
-    aware_gap_min: float = 5.0  # an expected merge closer than this stays an emergency
-    aware_ttc_min: float = 3.5  # ... as does one with less projected time to contact
-    late_decel: float = -6.0
-    reaction_time: float = 0.75
-    startle_overshoot: float = 3.0  # surprised braking sheds this much extra speed
+    policy: str = field(default="baseline",
+                        metadata=rule(lambda x: x in ("guided", "baseline")))
+    p_trigger: float = field(default=0.5, metadata=FRACTION)
+    react_range: float = field(default=60.0, metadata=POSITIVE)
+    guided_decel: float = field(default=-2.0, metadata=NEGATIVE)
+    # keep this much closing speed over a flagged threat
+    guided_margin: float = field(default=1.5, metadata=NONNEGATIVE)
+    # never ease more than this below the desired speed
+    caution_drop: float = field(default=5.0, metadata=NONNEGATIVE)
+    # time headway kept behind a leader that was flagged
+    aware_headway: float = field(default=1.8, metadata=POSITIVE)
+    # an expected merge closer than this stays an emergency ...
+    aware_gap_min: float = field(default=5.0, metadata=NONNEGATIVE)
+    # ... as does one with less projected time to contact
+    aware_ttc_min: float = field(default=3.5, metadata=NONNEGATIVE)
+    late_decel: float = field(default=-6.0, metadata=NEGATIVE)
+    reaction_time: float = field(default=0.75, metadata=NONNEGATIVE)
+    # surprised braking sheds this much extra speed
+    startle_overshoot: float = field(default=3.0, metadata=NONNEGATIVE)
+
+    def __post_init__(self):
+        check_fields(self)
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    seed: int = 0
-    dt_sim: float = 0.01
-    duration: float = 30.0
+    seed: int = field(default=0, metadata=RUN_SEED)
+    dt_sim: float = field(default=0.01, metadata=POSITIVE)
+    duration: float = field(default=30.0, metadata=NONNEGATIVE)
     lanes: LaneSpec = field(default_factory=LaneSpec)
-    neighbor_count: int = 6
-    potential_changer_count: int = 3
-    ego_v0: float = 19.0
-    neighbor_v0: float = 17.0
-    accident_s: float = 260.0
-    spawn_min_s: float = 20.0
-    spawn_max_s: float = 80.0
-    lane_change_duration: float = 4.0
-    trigger_distance: float = 80.0
-    min_lead_gap: float = 15.0
-    min_lag_gap: float = 10.0
-    min_spawn_gap: float = 10.0
+    neighbor_count: int = field(default=6, metadata=NONNEGATIVE)
+    potential_changer_count: int = field(default=3, metadata=NONNEGATIVE)
+    ego_v0: float = field(default=19.0, metadata=NONNEGATIVE)
+    neighbor_v0: float = field(default=17.0, metadata=NONNEGATIVE)
+    accident_s: float = field(default=260.0, metadata=POSITIVE)
+    spawn_min_s: float = field(default=20.0, metadata=NONNEGATIVE)
+    spawn_max_s: float = field(default=80.0, metadata=POSITIVE)
+    lane_change_duration: float = field(default=4.0, metadata=POSITIVE)
+    trigger_distance: float = field(default=80.0, metadata=POSITIVE)
+    min_lead_gap: float = field(default=15.0, metadata=NONNEGATIVE)
+    min_lag_gap: float = field(default=10.0, metadata=NONNEGATIVE)
+    min_spawn_gap: float = field(default=10.0, metadata=NONNEGATIVE)
     idm: IdmParams = field(default_factory=IdmParams)
     driver: DriverParams = field(default_factory=DriverParams)
 
     def __post_init__(self):
-        if self.dt_sim <= 0:
-            raise ValueError("dt_sim must be positive")
-        if self.duration < 0:
-            raise ValueError("duration must be nonnegative")
-        if self.neighbor_count < 0 or self.potential_changer_count < 0:
-            raise ValueError("counts must be nonnegative")
+        check_fields(self)
         if self.potential_changer_count > self.neighbor_count:
-            raise ValueError("more changers than neighbors")
+            raise ValueError("potential_changer_count exceeds neighbor_count")
+        if self.spawn_max_s <= self.spawn_min_s:
+            raise ValueError("spawn_max_s must exceed spawn_min_s")
 
     def with_policy(self, policy: str) -> "ScenarioConfig":
         return replace(self, driver=replace(self.driver, policy=policy))
@@ -554,9 +563,7 @@ class TrajectoryLog:
         return [self.state_at(vid, i) for vid in self.vehicle_ids]
 
     def resample(self, period: float) -> "TrajectoryLog":
-        stride = int(round(period / self.dt))
-        if stride < 1 or abs(stride * self.dt - period) > 1e-9:
-            raise ValueError(f"period {period} is not a multiple of dt {self.dt}")
+        stride = grid_stride(period, self.dt)
         if stride == 1:
             return self
         data = {vid: tuple(col[::stride] for col in cols)
@@ -564,6 +571,14 @@ class TrajectoryLog:
         return TrajectoryLog(times=self.times[::stride], dt=period, meta=self.meta,
                              data=data, plans=self.plans, ego_id=self.ego_id,
                              collisions=self.collisions, lanes=self.lanes)
+
+
+def grid_stride(period: float, dt: float) -> int:
+    """Steps of dt per period; ValueError unless period is a whole multiple of dt."""
+    stride = int(round(period / dt))
+    if stride < 1 or abs(stride * dt - period) > 1e-9:
+        raise ValueError(f"period {period} must be a multiple of dt {dt}")
+    return stride
 
 
 def extract_lane_changes(log: TrajectoryLog, settle_tol: float = 1e-6,
@@ -606,7 +621,7 @@ def extract_lane_changes(log: TrajectoryLog, settle_tol: float = 1e-6,
     return events
 
 
-def write_trajectory_csv(log: TrajectoryLog, path, period: float = 0.1):
+def write_trajectory_csv(log: TrajectoryLog, path, period: float = LOG_PERIOD):
     sampled = log.resample(period)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import csv
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import seeding
 from .geometry import BehindCamera, Box2D, Camera, project_cuboid_hull, world_to_camera
+from .params import FRACTION, NONNEGATIVE, POSITIVE, RUN_SEED, check_fields
 from .scene import VehicleState
 
 
@@ -32,8 +33,8 @@ class DepthMap:
         self.values = np.asarray(self.values, dtype=float).reshape(self.height, self.width)
 
     @classmethod
-    def background(cls, width: int, height: int, far_value: float = 1000.0) -> "DepthMap":
-        return cls(width, height, np.full((height, width), far_value), far_value)
+    def background(cls, width: int, height: int) -> "DepthMap":
+        return cls(width, height, np.full((height, width), cls.far_value))
 
 
 @dataclass(frozen=True)
@@ -45,17 +46,18 @@ class Detection:
 
 @dataclass(frozen=True)
 class DetectorNoiseModel:
-    edge_jitter_sigma: float = 2.0
-    miss_prob: float = 0.0
-    depth_noise_sigma: float = 0.1
-    false_positive_rate: float = 0.0
-    seed: int = 0
+    """The sensor: detector and depth noise, and the period between frames."""
+
+    edge_jitter_sigma: float = field(default=2.0, metadata=NONNEGATIVE)
+    miss_prob: float = field(default=0.0, metadata=FRACTION)
+    depth_noise_sigma: float = field(default=0.1, metadata=NONNEGATIVE)
+    # mean spurious boxes per frame (Poisson), not a probability
+    false_positive_rate: float = field(default=0.0, metadata=NONNEGATIVE)
+    frame_period: float = field(default=0.1, metadata=POSITIVE)
+    seed: int = field(default=0, metadata=RUN_SEED)
 
     def __post_init__(self):
-        if self.edge_jitter_sigma < 0 or self.depth_noise_sigma < 0:
-            raise ValueError("noise sigmas must be nonnegative")
-        if not 0.0 <= self.miss_prob <= 1.0:
-            raise ValueError("miss_prob must be a probability")
+        check_fields(self)
 
     def for_frame(self, frame_index: int) -> "DetectorNoiseModel":
         return replace(self, seed=seeding.derived_seed(self.seed, seeding.DETECTOR,
@@ -93,15 +95,14 @@ def _nearest_face_depth(state: VehicleState, camera: Camera) -> float:
 
 
 def render_depth_map(states: list[VehicleState], camera: Camera,
-                     noise: DetectorNoiseModel | None = None,
-                     far_value: float = 1000.0) -> DepthMap:
+                     noise: DetectorNoiseModel | None = None) -> DepthMap:
     """Planar depth raster: hull pixels get the vehicle's nearest-face depth.
 
-    Overlaps resolve nearest-wins; background pixels carry far_value. With a
-    noise model, per-pixel Gaussian noise is added on vehicle regions only.
+    Overlaps resolve nearest-wins; background pixels carry DepthMap.far_value.
+    With a noise model, per-pixel Gaussian noise is added on vehicle regions only.
     """
     intr = camera.intrinsics
-    dm = DepthMap.background(intr.width, intr.height, far_value)
+    dm = DepthMap.background(intr.width, intr.height)
     layers = []
     for state in states:
         box = _visible_hull(state, camera)

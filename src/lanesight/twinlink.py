@@ -11,6 +11,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .geometry import WorldPoint
+from .params import NONNEGATIVE, POSITIVE, check_fields
 from .scene import VehicleState
 
 
@@ -28,14 +29,11 @@ class TwinRecord:
 
 @dataclass(frozen=True)
 class ChannelConfig:
-    publish_period: float = 0.1
-    latency: float = 0.0
+    publish_period: float = field(default=0.1, metadata=POSITIVE)
+    latency: float = field(default=0.0, metadata=NONNEGATIVE)
 
     def __post_init__(self):
-        if self.publish_period <= 0:
-            raise ValueError("publish_period must be positive")
-        if self.latency < 0:
-            raise ValueError("latency must be nonnegative")
+        check_fields(self)
 
 
 @dataclass(frozen=True)

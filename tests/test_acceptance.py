@@ -13,8 +13,8 @@ from lanesight.fusion import FusionParams, depth_evaluate, match_target, \
     match_target_baseline
 from lanesight.geometry import Box2D, CameraExtrinsics, CameraIntrinsics, PixelPoint, \
     WorldPoint, project_anchor
-from lanesight.pipeline import FuseCorpusConfig, build_dataset, build_fuse_corpus, \
-    closed_loop_pair, default_mount
+from lanesight.pipeline import CameraMount, FuseCorpusConfig, build_dataset, \
+    build_fuse_corpus, closed_loop_pair
 from lanesight.prediction import (
     FEATURE_SIZE,
     LabeledSample,
@@ -80,7 +80,7 @@ def test_criterion_3_identification_accuracy_ordering():
     start = time.time()
     corpus = FuseCorpusConfig(frames=500)
     noise = DetectorNoiseModel(edge_jitter_sigma=2.0, depth_noise_sigma=0.1, seed=1)
-    result = build_fuse_corpus(corpus, default_mount(), noise, FusionParams(), seed=1)
+    result = build_fuse_corpus(corpus, CameraMount(), noise, FusionParams(), seed=1)
     overlap_fraction = result.overlap_pair_frames / result.frame_count
     thresholds = (0.5, 0.6, 0.7, 0.8, 0.9)
     curves = identification_accuracy(result.scored, thresholds)
@@ -95,8 +95,8 @@ def test_criterion_3_identification_accuracy_ordering():
 
 
 def test_criterion_4_projection_matches_matrix_oracle():
-    intr = CameraIntrinsics(f=0.005, d_x=5e-6, d_y=5e-6, u0=480.0, v0=270.0,
-                            width=960, height=540)
+    intr = CameraIntrinsics(focal_length=0.005, pixel_size_x=5e-6, pixel_size_y=5e-6,
+                            u0=480.0, v0=270.0, width=960, height=540)
     rng = np.random.default_rng(104)
     start = time.time()
     worst = 0.0
@@ -108,8 +108,8 @@ def test_criterion_4_projection_matches_matrix_oracle():
         if (r @ w + t)[2] <= intr.near_plane + 0.05:
             continue
         got = project_anchor(WorldPoint(*w), CameraExtrinsics(r, t), intr)
-        u, v, _ = project_point_oracle(r, t, w, intr.f, intr.d_x, intr.d_y,
-                                       intr.u0, intr.v0)
+        u, v, _ = project_point_oracle(r, t, w, intr.focal_length, intr.pixel_size_x,
+                                       intr.pixel_size_y, intr.u0, intr.v0)
         scale = max(abs(u), abs(v), 1.0)
         worst = max(worst, abs(got.u - u) / scale, abs(got.v - v) / scale)
         checked += 1
@@ -194,12 +194,12 @@ def test_criterion_6_mlp_verification():
     grad_ok = worst < 1e-4
 
     data = separable_dataset()
-    trained = train(data[:700], TrainConfig(epochs=60, seed=3))
+    trained = train(data[:700], TrainConfig(hidden=32, epochs=60, seed=3))
     correct = sum((infer(trained, s.features) >= 0.5) == bool(s.label)
                   for s in data[700:])
     heldout = correct / 300
 
-    again = train(data[:700], TrainConfig(epochs=60, seed=3))
+    again = train(data[:700], TrainConfig(hidden=32, epochs=60, seed=3))
     deterministic = (np.array_equal(trained.w1, again.w1)
                      and np.array_equal(trained.b1, again.b1)
                      and np.array_equal(trained.w2, again.w2)

@@ -64,11 +64,25 @@ class TestSimulate:
         assert len(rows) == 3  # initial state only: ego + two trucks
 
     def test_malformed_config_no_partial_outputs(self, tmp_path):
+        # besides the bad JSON, each document used to pass validation and fail
+        # only once a command ran, after config.echo.json had been written
+        docs = ["{not json"] + [json.dumps(doc) for doc in (
+            {"camera": {"u0": 2000}},
+            {"fuse_eval": {"thresholds": [0.9, 0.5]}},
+            {"fuse_eval": {"thresholds": [0.5, 0.6]}},
+            {"fuse_eval": {"gnss_sigma": ["a"]}},
+            {"fuse_eval": {"target_range": [1]}},
+            {"scenario": {"dt_sim": 0.03}},
+            {"sensing": {"frame_period": 0.15}, "scenario": {"dt_sim": 0.1}},
+            {"training": {"seed": -1}},
+        )]
         cfg = tmp_path / "c.json"
-        cfg.write_text("{not json")
         out = tmp_path / "out"
-        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
-        assert not out.exists()
+        for text in docs:
+            cfg.write_text(text)
+            for command in ("simulate", "fuse-eval", "train"):
+                assert main([command, "--config", str(cfg), "--out", str(out)]) == 2, text
+                assert not out.exists(), text
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "c.json"

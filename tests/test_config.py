@@ -1,8 +1,12 @@
 import json
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lanesight.config import ConfigError, load_config, resolve_config, write_echo
+from lanesight.evaluation import AccuracyCurve
+from lanesight.scene import VehicleState
 
 
 def write(tmp_path, doc):
@@ -15,20 +19,22 @@ class TestResolve:
     def test_empty_document_uses_defaults(self):
         cfg = resolve_config({})
         assert cfg.seeds == [1]
-        assert cfg["scenario"]["dt_sim"] == 0.01
-        assert cfg["scenario"]["neighbor_count"] == 6
-        assert cfg["channel"]["publish_period"] == 0.1
-        assert cfg["filters"]["tau_a"] == 3
+        assert cfg.scenario.dt_sim == 0.01
+        assert cfg.scenario.neighbor_count == 6
+        assert cfg.channel.publish_period == 0.1
+        assert cfg.filters.tau_a == 3
 
     def test_override_and_typed_accessors(self):
         cfg = resolve_config({"seeds": [7, 8],
                               "scenario": {"duration": 5.0, "neighbor_count": 2,
                                            "potential_changer_count": 1},
-                              "driver": {"policy": "guided"}})
-        sc = cfg.scenario(seed=7)
+                              "driver": {"policy": "guided"},
+                              "sensing": {"false_positive_rate": 1.5}})
+        sc = replace(cfg.scenario, seed=7)
         assert sc.seed == 7 and sc.duration == 5.0
         assert sc.driver.policy == "guided"
-        assert cfg.camera_mount().intrinsics.width == 960
+        assert cfg.camera.intrinsics.width == 960
+        assert cfg.sensing.false_positive_rate == 1.5  # a Poisson mean, not a fraction
 
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError, match="unknown key: bogus"):
@@ -78,3 +84,74 @@ class TestLoad:
         write_echo(original, echo_path)
         reloaded = load_config(echo_path)
         assert reloaded.effective_dict() == original.effective_dict()
+
+
+DEFAULTS = resolve_config({}).effective_dict()
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=8)
+numbers = st.integers(-3, 600) | st.floats(-10.0, 1000.0) | st.sampled_from(
+    [0, 0.0, 0.01, 0.03, 0.1, 0.7, 1.0, 5e-324, 1e300, 10**400,
+     float("inf"), float("nan")])
+
+
+def near(default):
+    """Values of the default's JSON type, weighted toward ones a run might use."""
+    if isinstance(default, bool):
+        plausible = st.booleans()
+    elif isinstance(default, str):
+        plausible = st.sampled_from(["guided", "baseline", "manual"])
+    elif isinstance(default, list):
+        plausible = st.lists(numbers, max_size=12) | st.just(default)
+    else:
+        plausible = numbers | st.just(default) | st.just(default * 2)
+    return st.one_of(st.just(default), plausible, plausible, json_values)
+
+
+KEYS = [(section, key, default) for section, keys in DEFAULTS.items()
+        if isinstance(keys, dict) for key, default in keys.items()]
+
+
+@st.composite
+def overrides(draw):
+    """A few keys set to values near their defaults, sometimes seeds or model_path."""
+    doc = {}
+    for section, key, default in draw(st.lists(st.sampled_from(KEYS), max_size=4)):
+        doc.setdefault(section, {})[key] = draw(near(default))
+    if draw(st.booleans()):
+        doc["seeds"] = draw(st.lists(st.integers(-2, 5), max_size=3) | json_values)
+    if draw(st.booleans()):
+        doc["model_path"] = draw(st.none() | st.text(max_size=4) | json_values)
+    return doc
+
+
+documents = st.one_of(json_values, overrides(), overrides())
+
+
+def build_command_objects(cfg):
+    """Every domain object the five commands construct, without running them."""
+    lanes = cfg.scenario.lanes
+    ego = VehicleState(id=0, kind="ego", s=0.0, y=lanes.center(lanes.lane_count - 1),
+                       v=cfg.scenario.ego_v0, a=0.0, lane=lanes.lane_count - 1,
+                       length=4.5, width=1.8, height=1.5, v_desired=cfg.scenario.ego_v0)
+    cfg.camera.camera_for(ego)
+    for seed in cfg.seeds:
+        for policy in ("guided", "baseline"):
+            replace(cfg.scenario, seed=seed).with_policy(policy)
+        replace(cfg.sensing, seed=seed).for_frame(0)
+        replace(cfg.fusion, seed=seed)
+    AccuracyCurve(cfg.fuse_eval.thresholds, (0.0,) * len(cfg.fuse_eval.thresholds))
+
+
+@settings(max_examples=300, deadline=None)
+@given(documents)
+def test_any_json_resolves_or_raises_config_error(doc):
+    try:
+        cfg = resolve_config(doc)
+    except ConfigError:
+        return
+    build_command_objects(cfg)
+    echoed = json.loads(json.dumps(cfg.effective_dict()))
+    assert resolve_config(echoed) == cfg

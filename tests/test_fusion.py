@@ -30,8 +30,8 @@ from lanesight.sensing import (
 )
 from lanesight.twinlink import TwinRecord, gnss_distance
 
-INTR = CameraIntrinsics(f=0.005, d_x=5e-6, d_y=5e-6, u0=480.0, v0=270.0,
-                        width=960, height=540)
+INTR = CameraIntrinsics(focal_length=0.005, pixel_size_x=5e-6, pixel_size_y=5e-6,
+                        u0=480.0, v0=270.0, width=960, height=540)
 CAM = Camera(CameraExtrinsics.looking_along_road(WorldPoint(0.0, 5.25, 1.4)), INTR)
 
 

@@ -21,8 +21,8 @@ from lanesight.geometry import (
 )
 from oracles import project_point_oracle, rodrigues
 
-INTR = CameraIntrinsics(f=0.005, d_x=5e-6, d_y=5e-6, u0=480.0, v0=270.0,
-                        width=960, height=540)  # fx = fy = 1000 px
+INTR = CameraIntrinsics(focal_length=0.005, pixel_size_x=5e-6, pixel_size_y=5e-6,
+                        u0=480.0, v0=270.0, width=960, height=540)  # fx = fy = 1000 px
 IDENTITY = CameraExtrinsics(np.eye(3), np.zeros(3))
 
 
@@ -116,7 +116,8 @@ class TestProjectAnchor:
             if z_c <= INTR.near_plane + 0.05:
                 continue
             got = project_anchor(WorldPoint(*w), e, INTR)
-            u, v, depth = project_point_oracle(r, t, w, INTR.f, INTR.d_x, INTR.d_y,
+            u, v, depth = project_point_oracle(r, t, w, INTR.focal_length,
+                                               INTR.pixel_size_x, INTR.pixel_size_y,
                                                INTR.u0, INTR.v0)
             assert got.u == pytest.approx(u, rel=1e-9, abs=1e-9)
             assert got.v == pytest.approx(v, rel=1e-9, abs=1e-9)

@@ -4,11 +4,11 @@ import pytest
 from lanesight.evaluation import identification_accuracy
 from lanesight.fusion import FusionParams
 from lanesight.pipeline import (
+    CameraMount,
     FuseCorpusConfig,
     build_dataset,
     build_fuse_corpus,
     closed_loop_pair,
-    default_mount,
     ground_truth_bits,
     render_frames,
     simulate_run,
@@ -38,7 +38,7 @@ class TestSimulateRun:
         assert art.traces == {}
 
     def test_trace_cadence_with_model(self):
-        data = build_dataset(small_cfg(duration=16.0), WindowParams(),
+        data = build_dataset(small_cfg(duration=16.0), WindowParams(sample_rate=1.0),
                              seeds=[31, 32, 33])
         model = train(data, TrainConfig(hidden=8, epochs=20))
         art = simulate_run(small_cfg(duration=5.0), model=model)
@@ -56,8 +56,8 @@ class TestSimulateRun:
 class TestRenderFrames:
     def test_frame_count_and_contents(self):
         art = simulate_run(small_cfg(duration=2.0))
-        frames = render_frames(art.log, default_mount(),
-                               DetectorNoiseModel(seed=0), period=0.5)
+        frames = render_frames(art.log, CameraMount(),
+                               DetectorNoiseModel(seed=0, frame_period=0.5))
         assert len(frames) == 5
         for frame in frames:
             assert frame.depth.width == 960
@@ -66,9 +66,9 @@ class TestRenderFrames:
 
     def test_detections_reflect_vehicles_ahead(self):
         art = simulate_run(small_cfg(duration=1.0))
-        frames = render_frames(art.log, default_mount(),
-                               DetectorNoiseModel(edge_jitter_sigma=0.0, seed=0),
-                               period=1.0)
+        frames = render_frames(art.log, CameraMount(),
+                               DetectorNoiseModel(edge_jitter_sigma=0.0, seed=0,
+                                                  frame_period=1.0))
         # neighbors spawn ahead of the ego, so the first frame sees some
         assert len(frames[0].detections) >= 1
 
@@ -90,15 +90,15 @@ class TestGroundTruthBits:
 
 class TestBuildDataset:
     def test_includes_both_classes_and_balances(self):
-        data = build_dataset(small_cfg(duration=16.0), WindowParams(),
+        data = build_dataset(small_cfg(duration=16.0), WindowParams(sample_rate=1.0),
                              seeds=[41, 42, 43])
         labels = [s.label for s in data]
         assert 0 < sum(labels) < len(labels)
 
     def test_nonchanger_flag_off_reduces_negatives(self):
-        with_extra = build_dataset(small_cfg(duration=16.0), WindowParams(),
+        with_extra = build_dataset(small_cfg(duration=16.0), WindowParams(sample_rate=1.0),
                                    seeds=[41], include_nonchangers=True)
-        without = build_dataset(small_cfg(duration=16.0), WindowParams(),
+        without = build_dataset(small_cfg(duration=16.0), WindowParams(sample_rate=1.0),
                                 seeds=[41], include_nonchangers=False)
         neg_with = sum(1 for s in with_extra if s.label == 0)
         neg_without = sum(1 for s in without if s.label == 0)
@@ -109,8 +109,8 @@ class TestFuseCorpus:
     def test_deterministic(self):
         corpus = FuseCorpusConfig(frames=60)
         noise = DetectorNoiseModel(seed=5)
-        a = build_fuse_corpus(corpus, default_mount(), noise, FusionParams(), seed=5)
-        b = build_fuse_corpus(corpus, default_mount(), noise, FusionParams(), seed=5)
+        a = build_fuse_corpus(corpus, CameraMount(), noise, FusionParams(), seed=5)
+        b = build_fuse_corpus(corpus, CameraMount(), noise, FusionParams(), seed=5)
         assert a.frame_count == b.frame_count
         for fa, fb in zip(a.scored, b.scored):
             assert fa.result.method == fb.result.method
@@ -123,7 +123,7 @@ class TestFuseCorpus:
     def test_fused_and_baseline_agree_on_unique_candidates(self):
         corpus = FuseCorpusConfig(frames=120)
         noise = DetectorNoiseModel(seed=2)
-        result = build_fuse_corpus(corpus, default_mount(), noise, FusionParams(),
+        result = build_fuse_corpus(corpus, CameraMount(), noise, FusionParams(),
                                    seed=2)
         by_frame = {}
         for frame in result.scored:
@@ -136,7 +136,7 @@ class TestFuseCorpus:
     def test_accuracy_monotone_in_threshold(self):
         corpus = FuseCorpusConfig(frames=150)
         noise = DetectorNoiseModel(seed=3)
-        result = build_fuse_corpus(corpus, default_mount(), noise, FusionParams(),
+        result = build_fuse_corpus(corpus, CameraMount(), noise, FusionParams(),
                                    seed=3)
         curves = identification_accuracy(result.scored, np.arange(0.3, 1.0, 0.05))
         for curve in curves.values():
@@ -146,7 +146,7 @@ class TestFuseCorpus:
 
 @pytest.fixture(scope="module")
 def model():
-    data = build_dataset(small_cfg(duration=16.0), WindowParams(),
+    data = build_dataset(small_cfg(duration=16.0), WindowParams(sample_rate=1.0),
                          seeds=range(300, 312))
     return train(data, TrainConfig(hidden=16, epochs=60))
 

@@ -92,7 +92,8 @@ class TestLabelWindows:
     def test_window_geometry(self):
         log = constant_log()
         event = ManeuverPlan(1, 96.0, 100.0, 1, 2)
-        samples = label_windows([event], log, WindowParams(tau=5.0, tau_g=3.0))
+        samples = label_windows([event], log, WindowParams(tau=5.0, tau_g=3.0,
+                                                          sample_rate=1.0))
         pos = sorted(s.t for s in samples if s.label == 1)
         neg = sorted(s.t for s in samples if s.label == 0)
         assert pos == pytest.approx([95.0, 96.0, 97.0, 98.0, 99.0, 100.0])
@@ -102,7 +103,8 @@ class TestLabelWindows:
     def test_zero_gap_abuts(self):
         log = constant_log()
         event = ManeuverPlan(1, 96.0, 100.0, 1, 2)
-        samples = label_windows([event], log, WindowParams(tau=5.0, tau_g=0.0))
+        samples = label_windows([event], log, WindowParams(tau=5.0, tau_g=0.0,
+                                                          sample_rate=1.0))
         neg = sorted(s.t for s in samples if s.label == 0)
         assert neg == pytest.approx([90.0, 91.0, 92.0, 93.0, 94.0, 95.0])
 
@@ -112,7 +114,8 @@ class TestLabelWindows:
     def test_truncated_at_log_start(self):
         log = constant_log(duration=12.0)
         event = ManeuverPlan(1, 6.0, 10.0, 1, 2)
-        samples = label_windows([event], log, WindowParams(tau=5.0, tau_g=3.0))
+        samples = label_windows([event], log, WindowParams(tau=5.0, tau_g=3.0,
+                                                          sample_rate=1.0))
         neg = [s for s in samples if s.label == 0]
         pos = [s for s in samples if s.label == 1]
         assert sorted(s.t for s in pos) == pytest.approx([5.0, 6.0, 7.0, 8.0, 9.0, 10.0])
@@ -135,14 +138,14 @@ def blob_dataset(n=1000, seed=0):
 class TestTrain:
     def test_separable_dataset_high_heldout_accuracy(self):
         data = blob_dataset()
-        model = train(data[:700], TrainConfig(epochs=60))
+        model = train(data[:700], TrainConfig(hidden=32, epochs=60))
         correct = sum((infer(model, s.features) >= 0.5) == bool(s.label)
                       for s in data[700:])
         assert correct / 300 >= 0.95
 
     def test_seeded_training_is_bit_identical(self):
         data = blob_dataset(n=200, seed=3)
-        cfg = TrainConfig(epochs=20, seed=11)
+        cfg = TrainConfig(hidden=32, epochs=20, seed=11)
         a = train(data, cfg)
         b = train(data, cfg)
         assert np.array_equal(a.w1, b.w1)
@@ -202,7 +205,7 @@ class TestInfer:
 
     def test_output_in_open_interval(self):
         rng = np.random.default_rng(1)
-        model = train(blob_dataset(200, seed=5), TrainConfig(epochs=10))
+        model = train(blob_dataset(200, seed=5), TrainConfig(hidden=32, epochs=10))
         for _ in range(50):
             p = infer(model, rng.normal(0, 3, FEATURE_SIZE))
             assert 0.0 < p < 1.0
@@ -288,7 +291,7 @@ class TestFilters:
 
 class TestModelFile:
     def test_round_trip_bit_exact(self, tmp_path):
-        model = train(blob_dataset(150, seed=2), TrainConfig(epochs=15))
+        model = train(blob_dataset(150, seed=2), TrainConfig(hidden=32, epochs=15))
         path = tmp_path / "model.json"
         save_model(model, path)
         back = load_model(path)
@@ -302,7 +305,7 @@ class TestModelFile:
         assert infer(back, x) == infer(model, x)
 
     def test_versioned_format(self, tmp_path):
-        model = train(blob_dataset(100, seed=8), TrainConfig(epochs=5))
+        model = train(blob_dataset(100, seed=8), TrainConfig(hidden=32, epochs=5))
         path = tmp_path / "model.json"
         save_model(model, path)
         doc = json.loads(path.read_text())
