@@ -81,15 +81,15 @@ def cmd_simulate(cfg: RunConfig, out: Path, model) -> int:
         write_trajectory_csv(art.log, sdir / "trajectory.csv")
         write_maneuvers_csv(art.log.plans, sdir / "maneuvers.csv")
         write_channel_csv(art.store, sdir / "twin_channel.csv")
-        if art.log.times[-1] > 0:
-            frames = render_frames(art.log, cfg.camera, replace(cfg.sensing, seed=seed))
-        else:
-            frames = []
-        write_detections_csv(frames, sdir / "detections.csv")
         depth_dir = sdir / "depth"
         depth_dir.mkdir(exist_ok=True)
-        for k, frame in enumerate(frames):
-            write_depth_map(frame.depth, depth_dir / f"frame_{k:05d}.dpt")
+        detections = []  # (t, detections) per frame; each raster is written and dropped
+        if art.log.times[-1] > 0:
+            for k, frame in enumerate(render_frames(art.log, cfg.camera,
+                                                    replace(cfg.sensing, seed=seed))):
+                write_depth_map(frame.depth, depth_dir / f"frame_{k:05d}.dpt")
+                detections.append((frame.t, frame.detections))
+        write_detections_csv(detections, sdir / "detections.csv")
     return 0
 
 

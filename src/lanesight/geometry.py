@@ -156,6 +156,10 @@ class Box2D:
         return self.u_min <= u <= self.u_max and self.v_min <= v <= self.v_max
 
 
+_CORNER_SIGNS = np.array([(sx, sy, sz) for sx in (-1.0, 1.0) for sy in (-1.0, 1.0)
+                          for sz in (-1.0, 1.0)])
+
+
 @dataclass(frozen=True)
 class Cuboid3D:
     """Axis-aligned vehicle body rotated by yaw about the vertical axis."""
@@ -170,20 +174,17 @@ class Cuboid3D:
         if self.length <= 0 or self.width <= 0 or self.height <= 0:
             raise ValueError("cuboid dimensions must be positive")
 
+    def corner_array(self) -> np.ndarray:
+        """The 8 body corners in world coordinates, one per row."""
+        cy, sy = math.cos(self.yaw), math.sin(self.yaw)
+        half = (0.5 * self.length, 0.5 * self.width, 0.5 * self.height)
+        dx, dy, dz = (_CORNER_SIGNS * half).T
+        c = self.center
+        return np.column_stack((c.x + dx * cy - dy * sy, c.y + dx * sy + dy * cy, c.z + dz))
+
     def corners(self) -> list[WorldPoint]:
         """The 8 body corners in world coordinates."""
-        cy, sy = math.cos(self.yaw), math.sin(self.yaw)
-        hl, hw, hh = 0.5 * self.length, 0.5 * self.width, 0.5 * self.height
-        out = []
-        for dx in (-hl, hl):
-            for dy in (-hw, hw):
-                for dz in (-hh, hh):
-                    out.append(WorldPoint(
-                        self.center.x + dx * cy - dy * sy,
-                        self.center.y + dx * sy + dy * cy,
-                        self.center.z + dz,
-                    ))
-        return out
+        return [WorldPoint(*p) for p in self.corner_array()]
 
 
 def world_to_camera(p: WorldPoint, e: CameraExtrinsics) -> CameraPoint:
@@ -209,21 +210,27 @@ def project_anchor(p_w: WorldPoint, e: CameraExtrinsics, i: CameraIntrinsics) ->
     return camera_to_pixel(world_to_camera(p_w, e), i)
 
 
+def cuboid_to_camera(c: Cuboid3D, e: CameraExtrinsics) -> np.ndarray:
+    """The 8 body corners in the camera frame, one per row."""
+    return c.corner_array() @ e.rotation.T + e.translation
+
+
 def project_cuboid_hull(c: Cuboid3D, e: CameraExtrinsics, i: CameraIntrinsics) -> Box2D:
     """Axis-aligned hull of the 8 projected corners, clipped to the image.
 
     Raises BehindCamera if any corner is behind the near plane; clipping may
     yield a zero-area box when the body is outside the frustum sideways.
     """
-    us, vs = [], []
-    for corner in c.corners():
-        px = camera_to_pixel(world_to_camera(corner, e), i)
-        us.append(px.u)
-        vs.append(px.v)
-    u_min = min(max(min(us), 0.0), float(i.width))
-    u_max = min(max(max(us), 0.0), float(i.width))
-    v_min = min(max(min(vs), 0.0), float(i.height))
-    v_max = min(max(max(vs), 0.0), float(i.height))
+    cam = cuboid_to_camera(c, e)
+    z = cam[:, 2]
+    if z.min() <= i.near_plane:
+        raise BehindCamera(f"z_c={z.min():.3f} <= near_plane={i.near_plane:.3f}")
+    us = i.u0 + i.fx * (cam[:, 0] / z)
+    vs = i.v0 + i.fy * (cam[:, 1] / z)
+    u_min = min(max(us.min(), 0.0), float(i.width))
+    u_max = min(max(us.max(), 0.0), float(i.width))
+    v_min = min(max(vs.min(), 0.0), float(i.height))
+    v_max = min(max(vs.max(), 0.0), float(i.height))
     return Box2D(u_min, v_min, u_max, v_max)
 
 

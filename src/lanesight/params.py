@@ -18,6 +18,8 @@ POSITIVE = rule(lambda x: x > 0)
 NONNEGATIVE = rule(lambda x: x >= 0)
 NEGATIVE = rule(lambda x: x < 0)
 FRACTION = rule(lambda x: 0.0 <= x <= 1.0)
+# an upper bound drawn as rng.integers(0, x + 1), which needs x + 1 <= 2**63
+DRAW_BOUND = rule(lambda x: 0 <= x < 2**63)
 RUN_SEED = {"run_seed": True}
 
 

@@ -7,6 +7,7 @@ the ego's guidance view refreshes every guidance tick subject to latency.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -15,7 +16,7 @@ from . import seeding
 from .evaluation import SafetyReport, ScoredFrame, check_thresholds, safety_report
 from .fusion import FusionParams, identify
 from .geometry import Camera, CameraExtrinsics, CameraIntrinsics, WorldPoint, iou
-from .params import FRACTION, NONNEGATIVE, POSITIVE, check_fields
+from .params import DRAW_BOUND, FRACTION, POSITIVE, check_fields
 from .prediction import MlpModel, PredictionTrace, TrainConfig, WindowParams, \
     features_from_states, infer, label_windows, nonchanger_negatives
 from .scene import (
@@ -132,10 +133,13 @@ def simulate_run(cfg: ScenarioConfig, channel: ChannelConfig = ChannelConfig(),
 
 
 def render_frames(log: TrajectoryLog, mount: CameraMount,
-                  noise: DetectorNoiseModel) -> list[SensorFrame]:
-    """Post-hoc sensor frames every noise.frame_period from a finished log."""
+                  noise: DetectorNoiseModel) -> Iterator[SensorFrame]:
+    """Post-hoc sensor frames every noise.frame_period from a finished log.
+
+    Frames are rendered one at a time as the caller iterates, so a caller that
+    drops each frame holds one depth raster at a time.
+    """
     sampled = log.resample(noise.frame_period)
-    frames = []
     for i, t in enumerate(sampled.times):
         states = sampled.states_at(i)
         ego = next(s for s in states if s.id == sampled.ego_id)
@@ -146,9 +150,7 @@ def render_frames(log: TrajectoryLog, mount: CameraMount,
         depth = render_depth_map(others, camera, noise=frame_noise)
         dets = emulate_detections(truth, frame_noise, mount.intrinsics.width,
                                   mount.intrinsics.height)
-        frames.append(SensorFrame(t=float(t), detections=dets, depth=depth,
-                                  camera=camera))
-    return frames
+        yield SensorFrame(t=float(t), detections=dets, depth=depth, camera=camera)
 
 
 def build_dataset(cfg: ScenarioConfig, window: WindowParams, seeds,
@@ -218,7 +220,7 @@ class FuseCorpusConfig:
     stagger_range: tuple[float, float] = (0.25, 0.85)
     abreast_separation: tuple[float, float] = (0.75, 1.05)
     abreast_gap: tuple[float, float] = (1.0, 2.5)
-    clutter_max: int = field(default=2, metadata=NONNEGATIVE)
+    clutter_max: int = field(default=2, metadata=DRAW_BOUND)
     # IoU thresholds of the accuracy curves
     thresholds: tuple[float, ...] = (0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95)
 
@@ -253,12 +255,11 @@ def build_fuse_corpus(corpus: FuseCorpusConfig, mount: CameraMount,
     ego_y = lanes.center(1)
     overlap_pair_frames = 0
     frame_count = 0
+    # the ego, and so the camera, sits at the same pose in every frame
+    camera = mount.camera_for(_corpus_vehicle(-1, s=-mount.mount_forward, y=ego_y))
+    cam_center = camera.extrinsics.camera_center()
 
     for index in range(corpus.frames):
-        ego = _corpus_vehicle(-1, s=-mount.mount_forward, y=ego_y)
-        camera = mount.camera_for(ego)
-        cam_center = camera.extrinsics.camera_center()
-
         target_s = rng.uniform(*corpus.target_range)
         side = float(rng.choice((-1.0, 1.0)))
         states = []

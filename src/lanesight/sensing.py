@@ -9,13 +9,14 @@ evaluation stage averages.
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import seeding
-from .geometry import BehindCamera, Box2D, Camera, project_cuboid_hull, world_to_camera
+from .geometry import BehindCamera, Box2D, Camera, cuboid_to_camera, project_cuboid_hull
 from .params import FRACTION, NONNEGATIVE, POSITIVE, RUN_SEED, check_fields
 from .scene import VehicleState
 
@@ -91,7 +92,7 @@ def render_truth_boxes(states: list[VehicleState], camera: Camera) -> list[tuple
 
 
 def _nearest_face_depth(state: VehicleState, camera: Camera) -> float:
-    return min(world_to_camera(c, camera.extrinsics).z_c for c in state.cuboid().corners())
+    return cuboid_to_camera(state.cuboid(), camera.extrinsics)[:, 2].min()
 
 
 def render_depth_map(states: list[VehicleState], camera: Camera,
@@ -108,25 +109,25 @@ def render_depth_map(states: list[VehicleState], camera: Camera,
         box = _visible_hull(state, camera)
         if box is None:
             continue
-        layers.append((_nearest_face_depth(state, camera), box))
+        # a visible hull has positive area, so its pixel rectangle is never empty
+        rect = (math.floor(box.v_min), math.ceil(box.v_max),
+                math.floor(box.u_min), math.ceil(box.u_max))
+        layers.append((_nearest_face_depth(state, camera), rect))
+    if not layers:
+        return dm
     layers.sort(key=lambda item: -item[0])  # far first, near overwrites
-    covered = np.zeros_like(dm.values, dtype=bool)
-    for depth, box in layers:
-        u0, u1 = int(np.floor(box.u_min)), int(np.ceil(box.u_max))
-        v0, v1 = int(np.floor(box.v_min)), int(np.ceil(box.v_max))
-        dm.values[v0:v1, u0:u1] = depth
-        covered[v0:v1, u0:u1] = True
-    if noise is not None and noise.depth_noise_sigma > 0 and covered.any():
+    top, bottom, left, right = zip(*(rect for _, rect in layers))
+    r0, r1, c0, c1 = min(top), max(bottom), min(left), max(right)
+    region = dm.values[r0:r1, c0:c1]  # a view: painting it paints the raster
+    covered = np.zeros(region.shape, dtype=bool)
+    for depth, (v0, v1, u0, u1) in layers:
+        region[v0 - r0:v1 - r0, u0 - c0:u1 - c0] = depth
+        covered[v0 - r0:v1 - r0, u0 - c0:u1 - c0] = True
+    if noise is not None and noise.depth_noise_sigma > 0:
+        # one draw per pixel of the union bounding box, covered or not
         rng = seeding.rng_for(noise.seed, seeding.DEPTH)
-        rows = np.flatnonzero(covered.any(axis=1))
-        cols = np.flatnonzero(covered.any(axis=0))
-        r0, r1 = rows[0], rows[-1] + 1
-        c0, c1 = cols[0], cols[-1] + 1
-        patch = covered[r0:r1, c0:c1]
-        jitter = rng.normal(0.0, noise.depth_noise_sigma, size=patch.shape)
-        region = dm.values[r0:r1, c0:c1]
-        dm.values[r0:r1, c0:c1] = np.where(patch, np.maximum(region + jitter, 0.01),
-                                           region)
+        jitter = rng.normal(0.0, noise.depth_noise_sigma, size=region.shape)
+        np.maximum(region + jitter, 0.01, out=region, where=covered)
     return dm
 
 
@@ -170,7 +171,7 @@ def write_depth_map(dm: DepthMap, path):
     """Bit-exact raster format: magic, u32 LE width/height, f32 LE values."""
     with open(path, "wb") as fh:
         fh.write(struct.pack("<4sII", DEPTH_MAGIC, dm.width, dm.height))
-        fh.write(dm.values.astype("<f4").tobytes())
+        fh.write(dm.values.astype("<f4", order="C"))
 
 
 def read_depth_map(path) -> DepthMap:
@@ -183,12 +184,13 @@ def read_depth_map(path) -> DepthMap:
     return DepthMap(width, height, values)
 
 
-def write_detections_csv(frames: list[SensorFrame], path):
+def write_detections_csv(frames: list[tuple[float, list[Detection]]], path):
+    """One row per detection; `frames` holds each frame's (t, detections)."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "source_id", "u_min", "v_min", "u_max", "v_max"])
-        for frame in frames:
-            for det in frame.detections:
+        for t, detections in frames:
+            for det in detections:
                 b = det.box
-                w.writerow([f"{frame.t:.2f}", det.source_id, f"{b.u_min:.3f}",
+                w.writerow([f"{t:.2f}", det.source_id, f"{b.u_min:.3f}",
                             f"{b.v_min:.3f}", f"{b.u_max:.3f}", f"{b.v_max:.3f}"])

@@ -2,13 +2,18 @@
 
 These deliberately take different routes than the library code: homogeneous
 matrix products for the rigid transform and an explicit intrinsics matrix
-that is inverted numerically for the projection.
+that is inverted numerically for the projection. The per-corner sensing
+functions at the end are the other kind of reference: a copy of an earlier
+implementation that the current one must match bit for bit.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
+
+from lanesight import seeding
+from lanesight.geometry import Box2D
 
 
 def rodrigues(axis, angle: float) -> np.ndarray:
@@ -55,3 +60,77 @@ def project_point_oracle(r, t, p_world, f, d_x, d_y, u0, v0) -> tuple[float, flo
     p_cam = homogeneous_world_to_camera(np.asarray(r, float), np.asarray(t, float), p_world)
     u, v = matrix_projection(p_cam, f, d_x, d_y, u0, v0)
     return u, v, p_cam[2]
+
+
+# Reference copy of the per-corner sensing path as it stood before the array
+# projection and the bounding-box raster: every corner goes through its own
+# rigid transform and perspective divide, and the depth raster is painted and
+# masked over the full frame. The library must match it exactly for cameras
+# built by CameraExtrinsics.looking_along_road.
+
+def per_corner_world(c) -> list[tuple[float, float, float]]:
+    cy, sy = math.cos(c.yaw), math.sin(c.yaw)
+    hl, hw, hh = 0.5 * c.length, 0.5 * c.width, 0.5 * c.height
+    out = []
+    for dx in (-hl, hl):
+        for dy in (-hw, hw):
+            for dz in (-hh, hh):
+                out.append((c.center.x + dx * cy - dy * sy,
+                            c.center.y + dx * sy + dy * cy,
+                            c.center.z + dz))
+    return out
+
+
+def per_corner_hull(c, e, i):
+    """(u_min, v_min, u_max, v_max) clipped to the image, or None when a
+    corner is at or behind the near plane."""
+    us, vs = [], []
+    for corner in per_corner_world(c):
+        v = e.rotation @ np.array(corner, dtype=float) + e.translation
+        if v[2] <= i.near_plane:
+            return None
+        us.append(i.u0 + i.fx * (v[0] / v[2]))
+        vs.append(i.v0 + i.fy * (v[1] / v[2]))
+    return (min(max(min(us), 0.0), float(i.width)), min(max(min(vs), 0.0), float(i.height)),
+            min(max(max(us), 0.0), float(i.width)), min(max(max(vs), 0.0), float(i.height)))
+
+
+def per_corner_truth_boxes(states, camera) -> list[tuple[int, Box2D]]:
+    out = []
+    for state in states:
+        edges = per_corner_hull(state.cuboid(), camera.extrinsics, camera.intrinsics)
+        if edges is not None and Box2D(*edges).area > 0:
+            out.append((state.id, Box2D(*edges)))
+    return out
+
+
+def full_frame_depth_values(states, camera, noise=None) -> np.ndarray:
+    """The depth raster, painted and noised through a full-frame mask."""
+    intr = camera.intrinsics
+    values = np.full((intr.height, intr.width), 1000.0)
+    by_id = {state.id: state for state in states}
+    layers = []
+    for vid, box in per_corner_truth_boxes(states, camera):
+        corners = per_corner_world(by_id[vid].cuboid())
+        e = camera.extrinsics
+        depth = min((e.rotation @ np.array(p, dtype=float) + e.translation)[2]
+                    for p in corners)
+        layers.append((depth, box))
+    layers.sort(key=lambda item: -item[0])
+    covered = np.zeros_like(values, dtype=bool)
+    for depth, box in layers:
+        u0, u1 = int(np.floor(box.u_min)), int(np.ceil(box.u_max))
+        v0, v1 = int(np.floor(box.v_min)), int(np.ceil(box.v_max))
+        values[v0:v1, u0:u1] = depth
+        covered[v0:v1, u0:u1] = True
+    if noise is not None and noise.depth_noise_sigma > 0 and covered.any():
+        rng = seeding.rng_for(noise.seed, seeding.DEPTH)
+        rows = np.flatnonzero(covered.any(axis=1))
+        cols = np.flatnonzero(covered.any(axis=0))
+        r0, r1 = rows[0], rows[-1] + 1
+        c0, c1 = cols[0], cols[-1] + 1
+        patch = covered[r0:r1, c0:c1]
+        jitter = rng.normal(0.0, noise.depth_noise_sigma, size=patch.shape)
+        region = values[r0:r1, c0:c1]
+        values[r0:r1, c0:c1] = np.where(patch, np.maximum(region + jitter, 0.01), region)
+    return values

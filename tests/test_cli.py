@@ -1,10 +1,12 @@
 import csv
 import json
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from lanesight import cli
 from lanesight.cli import main
 from lanesight.prediction import FEATURE_SIZE, MlpModel, save_model
 
@@ -75,6 +77,7 @@ class TestSimulate:
             {"scenario": {"dt_sim": 0.03}},
             {"sensing": {"frame_period": 0.15}, "scenario": {"dt_sim": 0.1}},
             {"training": {"seed": -1}},
+            {"fuse_eval": {"clutter_max": 10_000_000_000_000_000_000}},  # past int64
         )]
         cfg = tmp_path / "c.json"
         out = tmp_path / "out"
@@ -83,6 +86,22 @@ class TestSimulate:
             for command in ("simulate", "fuse-eval", "train"):
                 assert main([command, "--config", str(cfg), "--out", str(out)]) == 2, text
                 assert not out.exists(), text
+
+    def test_depth_rasters_do_not_outlive_their_frame(self, tmp_path, monkeypatch):
+        # each frame's raster is written as soon as the frame is rendered, so
+        # by the time frame k is written every raster before frame k-1 is dead
+        refs, stale = [], []
+        write = cli.write_depth_map
+
+        def write_and_track(dm, path):
+            stale.append(sum(ref() is not None for ref in refs[:-1]))
+            refs.append(weakref.ref(dm))
+            write(dm, path)
+
+        monkeypatch.setattr(cli, "write_depth_map", write_and_track)
+        cfg = write_config(tmp_path / "c.json")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert stale == [0] * (int(3.0 / 0.1) + 1)
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "c.json"

@@ -56,8 +56,8 @@ class TestSimulateRun:
 class TestRenderFrames:
     def test_frame_count_and_contents(self):
         art = simulate_run(small_cfg(duration=2.0))
-        frames = render_frames(art.log, CameraMount(),
-                               DetectorNoiseModel(seed=0, frame_period=0.5))
+        frames = list(render_frames(art.log, CameraMount(),
+                                    DetectorNoiseModel(seed=0, frame_period=0.5)))
         assert len(frames) == 5
         for frame in frames:
             assert frame.depth.width == 960
@@ -66,9 +66,9 @@ class TestRenderFrames:
 
     def test_detections_reflect_vehicles_ahead(self):
         art = simulate_run(small_cfg(duration=1.0))
-        frames = render_frames(art.log, CameraMount(),
-                               DetectorNoiseModel(edge_jitter_sigma=0.0, seed=0,
-                                                  frame_period=1.0))
+        frames = list(render_frames(art.log, CameraMount(),
+                                    DetectorNoiseModel(edge_jitter_sigma=0.0, seed=0,
+                                                       frame_period=1.0)))
         # neighbors spawn ahead of the ego, so the first frame sees some
         assert len(frames[0].detections) >= 1
 

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from lanesight.geometry import Box2D, Camera, CameraExtrinsics, CameraIntrinsics, WorldPoint
+from lanesight.geometry import BehindCamera, Box2D, Camera, CameraExtrinsics, \
+    CameraIntrinsics, Cuboid3D, WorldPoint, project_cuboid_hull
 from lanesight.scene import VehicleState
 from lanesight.sensing import (
     DepthMap,
@@ -12,6 +15,7 @@ from lanesight.sensing import (
     render_truth_boxes,
     write_depth_map,
 )
+from oracles import full_frame_depth_values, per_corner_hull, per_corner_truth_boxes
 
 INTR = CameraIntrinsics(focal_length=0.005, pixel_size_x=5e-6, pixel_size_y=5e-6,
                         u0=480.0, v0=270.0, width=960, height=540)
@@ -93,6 +97,63 @@ class TestRenderDepthMap:
                           int(box.u_min) + 2:int(box.u_max) - 2]
         assert patch.std() > 0.05
         assert abs(patch.mean() - 20.0) < 0.05
+
+
+SMALL_INTR = CameraIntrinsics(width=192, height=108, u0=96.0, v0=54.0)
+
+# Each vehicle is drawn from one region around the camera: ahead in and next
+# to its lane, where hulls overlap; beside the camera, where hulls are clipped
+# or off-image; or around the camera's own position, which puts corners at or
+# behind the near plane.
+REGIONS = {"ahead": ((12.0, 50.0), (2.5, 8.0)),
+           "beside": ((-1.0, 12.0), (-25.0, 35.0)),
+           "at_camera": ((-6.0, 3.0), (2.0, 8.0))}
+
+
+@st.composite
+def vehicle_sets(draw):
+    states = []
+    for vid in range(draw(st.integers(0, 8))):
+        s_range, y_range = REGIONS[draw(st.sampled_from(sorted(REGIONS)))]
+        states.append(VehicleState(
+            id=vid, kind="car", s=draw(st.floats(*s_range)), y=draw(st.floats(*y_range)),
+            v=17.0, a=0.0, lane=1, length=draw(st.floats(3.0, 16.0)),
+            width=draw(st.floats(1.5, 2.6)), height=draw(st.floats(1.2, 4.0)),
+            v_desired=17.0))
+    return states
+
+
+class TestArrayPathMatchesPerCornerReference:
+    @settings(max_examples=150, deadline=None)
+    @given(states=vehicle_sets(),
+           position=st.tuples(st.floats(-2.0, 2.0), st.floats(3.0, 7.5), st.floats(0.8, 2.5)),
+           intr=st.sampled_from([INTR, SMALL_INTR]),
+           sigma=st.sampled_from([0.0, 0.1, 3.0]), seed=st.integers(0, 2**32 - 1))
+    def test_boxes_and_raster_bit_equal(self, states, position, intr, sigma, seed):
+        camera = Camera(CameraExtrinsics.looking_along_road(WorldPoint(*position)), intr)
+        assert render_truth_boxes(states, camera) == per_corner_truth_boxes(states, camera)
+        noise = DetectorNoiseModel(depth_noise_sigma=sigma, seed=seed)
+        for model in (None, noise):
+            assert np.array_equal(render_depth_map(states, camera, noise=model).values,
+                                  full_frame_depth_values(states, camera, noise=model))
+
+    @settings(max_examples=200, deadline=None)
+    @given(center=st.tuples(st.floats(-5.0, 60.0), st.floats(-20.0, 30.0),
+                            st.floats(0.5, 2.0)),
+           dims=st.tuples(st.floats(0.5, 16.0), st.floats(0.5, 3.0), st.floats(0.5, 4.0)),
+           yaw=st.floats(-np.pi, np.pi),
+           position=st.tuples(st.floats(-2.0, 2.0), st.floats(3.0, 7.5), st.floats(0.8, 2.5)))
+    # the rear corners sit exactly on the near plane, which counts as behind it
+    @example(center=(3.0, 5.0, 1.0), dims=(5.0, 2.0, 1.5), yaw=0.0, position=(0.0, 5.0, 1.4))
+    def test_yawed_hull_bit_equal(self, center, dims, yaw, position):
+        cuboid = Cuboid3D(WorldPoint(*center), *dims, yaw=yaw)
+        extrinsics = CameraExtrinsics.looking_along_road(WorldPoint(*position))
+        expected = per_corner_hull(cuboid, extrinsics, INTR)
+        if expected is None:
+            with pytest.raises(BehindCamera):
+                project_cuboid_hull(cuboid, extrinsics, INTR)
+        else:
+            assert project_cuboid_hull(cuboid, extrinsics, INTR) == Box2D(*expected)
 
 
 def spread_boxes(n, rng):
