@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -157,6 +158,10 @@ class ScenarioConfig:
             raise ValueError("potential_changer_count exceeds neighbor_count")
         if self.spawn_max_s <= self.spawn_min_s:
             raise ValueError("spawn_max_s must exceed spawn_min_s")
+        need = max(self.accident_s + 0.5 * TRUCK_DIMS[0], self.spawn_max_s + 0.5 * CAR_DIMS[0])
+        if need > self.lanes.road_length:
+            raise ValueError(f"road_length must be at least {need} to hold the blockage "
+                             "and every spawn")
 
     def with_policy(self, policy: str) -> "ScenarioConfig":
         return replace(self, driver=replace(self.driver, policy=policy))
@@ -198,24 +203,36 @@ def lateral_profile(q: float) -> float:
     return q - math.sin(2.0 * math.pi * q) / (2.0 * math.pi)
 
 
-def _leader_in_lane(vehicles, me: VehicleState, lane: int) -> VehicleState | None:
-    best = None
-    for other in vehicles:
-        if other.id == me.id or other.lane != lane or other.s <= me.s:
-            continue
-        if best is None or other.s < best.s:
-            best = other
-    return best
+def _lane_index(vehicles) -> dict[int, tuple[list[float], list[VehicleState]]]:
+    """Each lane's (positions, vehicles) by ascending s; ties keep roster order."""
+    by_lane: dict[int, list[VehicleState]] = {}
+    for veh in vehicles:
+        by_lane.setdefault(veh.lane, []).append(veh)
+    index = {}
+    for lane, members in by_lane.items():
+        members.sort(key=lambda v: v.s)
+        index[lane] = ([v.s for v in members], members)
+    return index
 
 
-def _follower_in_lane(vehicles, me: VehicleState, lane: int) -> VehicleState | None:
-    best = None
-    for other in vehicles:
-        if other.id == me.id or other.lane != lane or other.s > me.s:
-            continue
-        if best is None or other.s > best.s:
-            best = other
-    return best
+def _leader(index, me: VehicleState, lane: int) -> VehicleState | None:
+    """Nearest vehicle strictly ahead of me in lane; the first in roster order on a tie."""
+    keys, members = index.get(lane, ((), ()))
+    i = bisect_right(keys, me.s)
+    return members[i] if i < len(members) else None
+
+
+def _follower(index, me: VehicleState, lane: int) -> VehicleState | None:
+    """Nearest other vehicle at or behind me in lane; the first in roster order on a tie."""
+    keys, members = index.get(lane, ((), ()))
+    i = bisect_right(keys, me.s)
+    while i:
+        j = bisect_left(keys, keys[i - 1], 0, i)
+        for other in members[j:i]:
+            if other.id != me.id:
+                return other
+        i = j
+    return None
 
 
 def _bumper_gap(rear: VehicleState, front: VehicleState) -> float:
@@ -418,18 +435,18 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
     return Scenario(cfg, vehicles, ego_id=0, changer_ids=changer_ids)
 
 
-def _gap_acceptable(scn: Scenario, veh: VehicleState, to_lane: int) -> bool:
+def _gap_acceptable(scn: Scenario, index, veh: VehicleState, to_lane: int) -> bool:
     cfg = scn.cfg
-    lead = _leader_in_lane(scn.vehicles, veh, to_lane)
+    lead = _leader(index, veh, to_lane)
     if lead is not None and _bumper_gap(veh, lead) <= cfg.min_lead_gap:
         return False
-    lag = _follower_in_lane(scn.vehicles, veh, to_lane)
+    lag = _follower(index, veh, to_lane)
     if lag is not None and _bumper_gap(lag, veh) <= cfg.min_lag_gap:
         return False
     return True
 
 
-def _maybe_trigger_changes(scn: Scenario):
+def _maybe_trigger_changes(scn: Scenario, index):
     cfg = scn.cfg
     for vid in sorted(scn.pending_changers):
         veh = scn.vehicle(vid)
@@ -439,7 +456,7 @@ def _maybe_trigger_changes(scn: Scenario):
         if cfg.accident_s - veh.s > cfg.trigger_distance:
             continue
         to_lane = veh.lane + 1
-        if _gap_acceptable(scn, veh, to_lane):
+        if _gap_acceptable(scn, index, veh, to_lane):
             plan = ManeuverPlan(vid, scn.t, scn.t + cfg.lane_change_duration,
                                 veh.lane, to_lane)
             scn.plans.append(plan)
@@ -447,39 +464,39 @@ def _maybe_trigger_changes(scn: Scenario):
             scn.pending_changers.discard(vid)
 
 
-def _neighbor_accel(scn: Scenario, veh: VehicleState) -> float:
-    lanes_to_watch = {veh.lane}
+def _neighbor_accel(scn: Scenario, index, veh: VehicleState) -> float:
+    idm = scn.cfg.idm
     plan = scn.active_maneuvers.get(veh.id)
-    if plan is not None:
-        lanes_to_watch.update((plan.from_lane, plan.to_lane))
-    acc = None
-    for lane in sorted(lanes_to_watch):
-        leader = _leader_in_lane(scn.vehicles, veh, lane)
-        a = car_following_accel(veh, leader, scn.cfg.idm)
-        acc = a if acc is None else min(acc, a)
-    return acc
+    if plan is None:
+        return car_following_accel(veh, _leader(index, veh, veh.lane), idm)
+    return min(car_following_accel(veh, _leader(index, veh, lane), idm)
+               for lane in sorted({veh.lane, plan.from_lane, plan.to_lane}))
 
 
 def step(scn: Scenario, guidance: dict[int, float] | None = None):
-    """Advance every vehicle by one dt_sim tick."""
+    """Advance every vehicle by one dt_sim tick.
+
+    Leader and follower queries are binary searches in one per-lane order of
+    the roster, built at the start of the tick.
+    """
     cfg = scn.cfg
     dt = cfg.dt_sim
+    index = _lane_index(scn.vehicles)
 
-    _maybe_trigger_changes(scn)
+    _maybe_trigger_changes(scn, index)
 
-    accels: dict[int, float] = {}
+    accels: list[float] = []
     for veh in scn.vehicles:
         if veh.kind == "truck":
-            accels[veh.id] = 0.0
+            accels.append(0.0)
         elif veh.id == scn.ego_id:
             others = [v for v in scn.vehicles if v.id != scn.ego_id]
-            accels[veh.id] = ego_policy(veh, others, guidance, cfg.driver,
-                                        cfg.idm, scn.memory, scn.t)
+            accels.append(ego_policy(veh, others, guidance, cfg.driver,
+                                     cfg.idm, scn.memory, scn.t))
         else:
-            accels[veh.id] = _neighbor_accel(scn, veh)
+            accels.append(_neighbor_accel(scn, index, veh))
 
-    for veh in scn.vehicles:
-        a = accels[veh.id]
+    for veh, a in zip(scn.vehicles, accels):
         new_v = max(0.0, veh.v + a * dt)
         veh.s += veh.v * dt
         veh.a = (new_v - veh.v) / dt
@@ -500,11 +517,7 @@ def step(scn: Scenario, guidance: dict[int, float] | None = None):
             veh.lane = plan.to_lane
             del scn.active_maneuvers[vid]
 
-    by_lane: dict[int, list[VehicleState]] = {}
-    for veh in scn.vehicles:
-        by_lane.setdefault(veh.lane, []).append(veh)
-    for members in by_lane.values():
-        members.sort(key=lambda v: v.s)
+    for _, members in _lane_index(scn.vehicles).values():
         for first, second in zip(members, members[1:]):
             if _bumper_gap(first, second) < 0.0:
                 scn.collisions.append((t_new, first.id, second.id))

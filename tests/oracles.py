@@ -4,7 +4,8 @@ These deliberately take different routes than the library code: homogeneous
 matrix products for the rigid transform and an explicit intrinsics matrix
 that is inverted numerically for the projection. The per-corner sensing
 functions at the end are the other kind of reference: a copy of an earlier
-implementation that the current one must match bit for bit.
+implementation that the current one must match bit for bit, as are the
+roster-scanning simulator tick and its leader and follower queries.
 """
 from __future__ import annotations
 
@@ -14,6 +15,8 @@ import numpy as np
 
 from lanesight import seeding
 from lanesight.geometry import Box2D
+from lanesight.scene import (ManeuverPlan, Scenario, VehicleState, _bumper_gap,
+                             car_following_accel, ego_policy, lateral_profile)
 
 
 def rodrigues(axis, angle: float) -> np.ndarray:
@@ -134,3 +137,121 @@ def full_frame_depth_values(states, camera, noise=None) -> np.ndarray:
         region = values[r0:r1, c0:c1]
         values[r0:r1, c0:c1] = np.where(patch, np.maximum(region + jitter, 0.01), region)
     return values
+
+
+# Reference copy of the simulator tick as it stood before the per-lane index:
+# every leader and follower query scans the whole roster, and ties go to the
+# first vehicle in roster order. scene.step must match it bit for bit.
+
+def _leader_in_lane(vehicles, me: VehicleState, lane: int) -> VehicleState | None:
+    best = None
+    for other in vehicles:
+        if other.id == me.id or other.lane != lane or other.s <= me.s:
+            continue
+        if best is None or other.s < best.s:
+            best = other
+    return best
+
+
+def _follower_in_lane(vehicles, me: VehicleState, lane: int) -> VehicleState | None:
+    best = None
+    for other in vehicles:
+        if other.id == me.id or other.lane != lane or other.s > me.s:
+            continue
+        if best is None or other.s > best.s:
+            best = other
+    return best
+
+
+def _gap_acceptable(scn: Scenario, veh: VehicleState, to_lane: int) -> bool:
+    cfg = scn.cfg
+    lead = _leader_in_lane(scn.vehicles, veh, to_lane)
+    if lead is not None and _bumper_gap(veh, lead) <= cfg.min_lead_gap:
+        return False
+    lag = _follower_in_lane(scn.vehicles, veh, to_lane)
+    if lag is not None and _bumper_gap(lag, veh) <= cfg.min_lag_gap:
+        return False
+    return True
+
+
+def _maybe_trigger_changes(scn: Scenario):
+    cfg = scn.cfg
+    for vid in sorted(scn.pending_changers):
+        veh = scn.vehicle(vid)
+        if veh.lane >= scn.lanes.lane_count - 1:
+            scn.pending_changers.discard(vid)
+            continue
+        if cfg.accident_s - veh.s > cfg.trigger_distance:
+            continue
+        to_lane = veh.lane + 1
+        if _gap_acceptable(scn, veh, to_lane):
+            plan = ManeuverPlan(vid, scn.t, scn.t + cfg.lane_change_duration,
+                                veh.lane, to_lane)
+            scn.plans.append(plan)
+            scn.active_maneuvers[vid] = plan
+            scn.pending_changers.discard(vid)
+
+
+def _neighbor_accel(scn: Scenario, veh: VehicleState) -> float:
+    lanes_to_watch = {veh.lane}
+    plan = scn.active_maneuvers.get(veh.id)
+    if plan is not None:
+        lanes_to_watch.update((plan.from_lane, plan.to_lane))
+    acc = None
+    for lane in sorted(lanes_to_watch):
+        leader = _leader_in_lane(scn.vehicles, veh, lane)
+        a = car_following_accel(veh, leader, scn.cfg.idm)
+        acc = a if acc is None else min(acc, a)
+    return acc
+
+
+def step(scn: Scenario, guidance: dict[int, float] | None = None):
+    """Advance every vehicle by one dt_sim tick."""
+    cfg = scn.cfg
+    dt = cfg.dt_sim
+
+    _maybe_trigger_changes(scn)
+
+    accels: dict[int, float] = {}
+    for veh in scn.vehicles:
+        if veh.kind == "truck":
+            accels[veh.id] = 0.0
+        elif veh.id == scn.ego_id:
+            others = [v for v in scn.vehicles if v.id != scn.ego_id]
+            accels[veh.id] = ego_policy(veh, others, guidance, cfg.driver,
+                                        cfg.idm, scn.memory, scn.t)
+        else:
+            accels[veh.id] = _neighbor_accel(scn, veh)
+
+    for veh in scn.vehicles:
+        a = accels[veh.id]
+        new_v = max(0.0, veh.v + a * dt)
+        veh.s += veh.v * dt
+        veh.a = (new_v - veh.v) / dt
+        veh.v = new_v
+
+    scn.step_count += 1
+    t_new = scn.t
+
+    for vid, plan in list(scn.active_maneuvers.items()):
+        veh = scn.vehicle(vid)
+        q = min((t_new - plan.t_start) / (plan.t_end - plan.t_start), 1.0)
+        origin = scn.lanes.center(plan.from_lane)
+        target = scn.lanes.center(plan.to_lane)
+        veh.y = origin + (target - origin) * lateral_profile(q)
+        veh.lane = scn.lanes.lane_of(veh.y)
+        if t_new >= plan.t_end:
+            veh.y = target
+            veh.lane = plan.to_lane
+            del scn.active_maneuvers[vid]
+
+    by_lane: dict[int, list[VehicleState]] = {}
+    for veh in scn.vehicles:
+        by_lane.setdefault(veh.lane, []).append(veh)
+    for members in by_lane.values():
+        members.sort(key=lambda v: v.s)
+        for first, second in zip(members, members[1:]):
+            if _bumper_gap(first, second) < 0.0:
+                scn.collisions.append((t_new, first.id, second.id))
+
+    scn._record()

@@ -59,6 +59,17 @@ class TestResolve:
             resolve_config({"scenario": {"neighbor_count": 1,
                                          "potential_changer_count": 2}})
 
+    def test_road_holds_the_blockage_and_every_spawn(self):
+        # the far end of the truck at accident_s, and the front of a car at spawn_max_s
+        for scenario in ({"road_length": 100}, {"spawn_max_s": 400},
+                         {"road_length": 264.9}):
+            with pytest.raises(ConfigError, match="scenario.road_length"):
+                resolve_config({"scenario": scenario})
+        assert resolve_config({"scenario": {"road_length": 265}}).scenario.lanes.road_length == 265
+        dense = {"neighbor_count": 48, "potential_changer_count": 12,
+                 "spawn_max_s": 540, "accident_s": 600, "road_length": 650}
+        assert resolve_config({"scenario": dense}).scenario.lanes.road_length == 650
+
     def test_seed_list_validation(self):
         with pytest.raises(ConfigError, match="seeds"):
             resolve_config({"seeds": []})

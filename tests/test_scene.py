@@ -1,15 +1,26 @@
+import copy
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from lanesight.scene import (
+    CAR_DIMS,
+    TRUCK_DIMS,
     IdmParams,
+    InfeasiblePlacement,
     LaneSpec,
     ManeuverPlan,
+    Scenario,
     ScenarioConfig,
     TrajectoryLog,
     VehicleState,
+    _follower,
+    _lane_index,
+    _leader,
     build_scenario,
     car_following_accel,
     extract_lane_changes,
@@ -107,7 +118,6 @@ class TestBuildScenario:
         assert all(v.s > ego.s for v in scn.vehicles if v.id != ego.id)
 
     def test_infeasible_placement_raises(self):
-        from lanesight.scene import InfeasiblePlacement
         cfg = ScenarioConfig(seed=1, neighbor_count=6, potential_changer_count=6,
                              spawn_min_s=30.0, spawn_max_s=45.0)
         with pytest.raises(InfeasiblePlacement):
@@ -306,3 +316,101 @@ class TestExtractLaneChanges:
         for vid, plan in truth.items():
             assert vid in recovered
             assert abs(recovered[vid].t_end - plan.t_end) <= 0.2
+
+
+# Few distinct positions, so exact ties (0.0 against -0.0 among them) are common.
+tied_positions = st.sampled_from([0.0, -0.0, 7.5, 20.0]) | st.floats(-50.0, 300.0)
+
+
+@st.composite
+def rosters(draw):
+    """Vehicles in lanes 0..3 with tied positions, ids shuffled against roster order."""
+    n = draw(st.integers(0, 12))
+    ids = draw(st.permutations(range(n)))
+    return [VehicleState(id=vid, kind="car", s=draw(tied_positions), y=0.0, v=17.0,
+                         a=0.0, lane=draw(st.integers(0, 3)), length=CAR_DIMS[0],
+                         width=CAR_DIMS[1], height=CAR_DIMS[2], v_desired=17.0)
+            for vid in ids]
+
+
+class TestLaneIndex:
+    @settings(max_examples=400, deadline=None)
+    @given(rosters())
+    def test_queries_return_the_vehicles_the_roster_scans_return(self, roster):
+        index = _lane_index(roster)
+        for me in roster:
+            for lane in range(-1, 5):  # lanes -1 and 4 are never occupied
+                assert _leader(index, me, lane) is oracles._leader_in_lane(roster, me, lane)
+                assert _follower(index, me, lane) is oracles._follower_in_lane(roster, me, lane)
+
+
+@st.composite
+def tied_scenarios(draw):
+    """A small scenario whose vehicles are partly moved onto each other's s."""
+    n = draw(st.integers(0, 60))
+    spawn_gap = draw(st.sampled_from([0.0, 2.0, 10.0]))
+    # room to place every neighbor in one lane, past the default spawn_min_s of 20
+    spawn_max_s = 60.0 + 2 * n * (CAR_DIMS[0] + spawn_gap)
+    accident_s = spawn_max_s + draw(st.floats(0.0, 60.0))
+    cfg = ScenarioConfig(
+        seed=draw(st.integers(0, 2**16)), neighbor_count=n,
+        potential_changer_count=draw(st.integers(0, min(n, 12))),
+        lanes=LaneSpec(lane_count=draw(st.integers(2, 4)),
+                       road_length=accident_s + TRUCK_DIMS[0]),
+        spawn_max_s=spawn_max_s, accident_s=accident_s, min_spawn_gap=spawn_gap,
+        trigger_distance=draw(st.floats(20.0, spawn_max_s + 100.0)),
+        min_lead_gap=draw(st.sampled_from([0.0, 5.0, 15.0])),
+        min_lag_gap=draw(st.sampled_from([0.0, 10.0])))
+    cfg = cfg.with_policy(draw(st.sampled_from(["guided", "baseline"])))
+    try:
+        scn = build_scenario(cfg)
+    except InfeasiblePlacement:
+        assume(False)
+    vehicles = scn.vehicles
+    for _ in range(draw(st.integers(0, 6))):
+        moved, anchor = draw(st.sampled_from(vehicles)), draw(st.sampled_from(vehicles))
+        moved.s = -0.0 if anchor.s == 0.0 and draw(st.booleans()) else anchor.s
+        moved.v = draw(st.floats(0.0, 25.0))
+        if draw(st.booleans()):  # same lane as well: an exact tie in one lane
+            moved.lane, moved.y = anchor.lane, anchor.y
+    guidance = draw(st.none() | st.dictionaries(
+        st.sampled_from([v.id for v in vehicles]), st.floats(0.0, 1.0), max_size=6))
+    return scn, guidance, draw(st.integers(1, 100))
+
+
+def assert_steps_match_scanning_tick(scn, guidance, ticks):
+    ref = copy.deepcopy(scn)
+    for _ in range(ticks):
+        step(scn, guidance)
+        oracles.step(ref, guidance)
+    got, want = scn.build_log(), ref.build_log()
+    assert np.array_equal(got.times, want.times)
+    for vid in want.vehicle_ids:
+        for k in range(5):
+            assert np.array_equal(got.data[vid][k], want.data[vid][k])
+    assert got.plans == want.plans
+    assert sorted(got.collisions) == sorted(want.collisions)
+    assert scn.memory == ref.memory
+
+
+class TestStepMatchesRosterScans:
+    @settings(max_examples=30, deadline=None)
+    @given(tied_scenarios())
+    def test_step_is_bit_identical_to_the_scanning_tick(self, case):
+        assert_steps_match_scanning_tick(*case)
+
+    def test_gap_check_takes_the_first_tied_follower(self):
+        # A car and a truck tie 15.5 m behind a changer in its target lane. The
+        # car, first in roster order, leaves an 11 m gap and the change starts;
+        # the truck would leave 8.25 m, under min_lag_gap.
+        cfg = ScenarioConfig(neighbor_count=2, potential_changer_count=1)
+        lanes = cfg.lanes
+        ego = make_car(vid=0, lane=2, v_desired=19.0)
+        changer = make_car(vid=1, s=200.0, lane=0)
+        car = make_car(vid=2, s=184.5, lane=1)
+        truck = VehicleState(id=3, kind="truck", s=184.5, y=lanes.center(1), v=0.0, a=0.0,
+                             lane=1, length=TRUCK_DIMS[0], width=TRUCK_DIMS[1],
+                             height=TRUCK_DIMS[2], v_desired=0.0)
+        scn = Scenario(cfg, [ego, changer, car, truck], ego_id=0, changer_ids={1})
+        assert_steps_match_scanning_tick(scn, None, 3)
+        assert [p.vehicle_id for p in scn.plans] == [1]
