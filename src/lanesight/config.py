@@ -23,7 +23,7 @@ from typing import get_args, get_origin, get_type_hints
 from .fusion import FusionParams
 from .pipeline import INFER_PERIOD, CameraMount, FuseCorpusConfig
 from .prediction import FilterParams, TrainConfig, WindowParams
-from .scene import LOG_PERIOD, ScenarioConfig, grid_stride
+from .scene import CAR_DIMS, LOG_PERIOD, ScenarioConfig, grid_stride
 from .sensing import DetectorNoiseModel
 from .twinlink import ChannelConfig
 
@@ -65,6 +65,12 @@ class RunConfig:
                 grid_stride(period, self.scenario.dt_sim)
             except ValueError as exc:
                 raise ValueError(f"scenario.dt_sim: {exc}") from exc
+        # the corpus camera sits at world x = 0, so a target's rear corners
+        # are at depth target_s - CAR_DIMS[0] / 2
+        if max(self.fuse_eval.target_range) - 0.5 * CAR_DIMS[0] \
+                <= self.camera.intrinsics.near_plane:
+            raise ValueError("fuse_eval.target_range: no target could lie beyond the "
+                             "camera's near plane")
 
     def effective_dict(self) -> dict:
         doc = {"seeds": list(self.seeds), "model_path": self.model_path}

@@ -182,10 +182,6 @@ class Cuboid3D:
         c = self.center
         return np.column_stack((c.x + dx * cy - dy * sy, c.y + dx * sy + dy * cy, c.z + dz))
 
-    def corners(self) -> list[WorldPoint]:
-        """The 8 body corners in world coordinates."""
-        return [WorldPoint(*p) for p in self.corner_array()]
-
 
 def world_to_camera(p: WorldPoint, e: CameraExtrinsics) -> CameraPoint:
     """Apply the rigid world-to-camera transform."""
@@ -210,28 +206,26 @@ def project_anchor(p_w: WorldPoint, e: CameraExtrinsics, i: CameraIntrinsics) ->
     return camera_to_pixel(world_to_camera(p_w, e), i)
 
 
-def cuboid_to_camera(c: Cuboid3D, e: CameraExtrinsics) -> np.ndarray:
-    """The 8 body corners in the camera frame, one per row."""
-    return c.corner_array() @ e.rotation.T + e.translation
-
-
-def project_cuboid_hull(c: Cuboid3D, e: CameraExtrinsics, i: CameraIntrinsics) -> Box2D:
-    """Axis-aligned hull of the 8 projected corners, clipped to the image.
+def project_cuboid_hull(c: Cuboid3D, e: CameraExtrinsics,
+                        i: CameraIntrinsics) -> tuple[Box2D, float]:
+    """Axis-aligned hull of the 8 projected corners, clipped to the image, and
+    the camera-frame depth of the nearest corner.
 
     Raises BehindCamera if any corner is behind the near plane; clipping may
     yield a zero-area box when the body is outside the frustum sideways.
     """
-    cam = cuboid_to_camera(c, e)
+    cam = c.corner_array() @ e.rotation.T + e.translation
     z = cam[:, 2]
-    if z.min() <= i.near_plane:
-        raise BehindCamera(f"z_c={z.min():.3f} <= near_plane={i.near_plane:.3f}")
+    nearest = z.min()
+    if nearest <= i.near_plane:
+        raise BehindCamera(f"z_c={nearest:.3f} <= near_plane={i.near_plane:.3f}")
     us = i.u0 + i.fx * (cam[:, 0] / z)
     vs = i.v0 + i.fy * (cam[:, 1] / z)
     u_min = min(max(us.min(), 0.0), float(i.width))
     u_max = min(max(us.max(), 0.0), float(i.width))
     v_min = min(max(vs.min(), 0.0), float(i.height))
     v_max = min(max(vs.max(), 0.0), float(i.height))
-    return Box2D(u_min, v_min, u_max, v_max)
+    return Box2D(u_min, v_min, u_max, v_max), nearest
 
 
 def iou(a: Box2D, b: Box2D) -> float:

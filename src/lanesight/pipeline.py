@@ -20,6 +20,7 @@ from .params import DRAW_BOUND, FRACTION, POSITIVE, check_fields
 from .prediction import MlpModel, PredictionTrace, TrainConfig, WindowParams, \
     features_from_states, infer, label_windows, nonchanger_negatives
 from .scene import (
+    CAR_DIMS,
     LOG_PERIOD,
     LaneSpec,
     ManeuverPlan,
@@ -39,7 +40,6 @@ from .twinlink import ChannelConfig, CloudAdvisory, NoData, TwinRecord, TwinStor
 
 INFER_PERIOD = 1.0  # seconds between per-vehicle predictions
 REPORT_IOU = 0.7  # fuse-eval summaries report accuracy at this IoU threshold
-CAR_WIDTH, CAR_HEIGHT = 1.8, 1.5
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ def _twin_snapshot(store: TwinStore, t: float, channel: ChannelConfig,
         states.append(VehicleState(
             id=vid, kind=kind, s=rec.position.x, y=rec.position.y, v=rec.speed,
             a=0.0, lane=lanes.lane_of(rec.position.y), length=length,
-            width=CAR_WIDTH, height=CAR_HEIGHT, v_desired=rec.speed))
+            width=CAR_DIMS[1], height=CAR_DIMS[2], v_desired=rec.speed))
     return states
 
 
@@ -147,7 +147,7 @@ def render_frames(log: TrajectoryLog, mount: CameraMount,
         camera = mount.camera_for(ego)
         frame_noise = noise.for_frame(i)
         truth = render_truth_boxes(others, camera)
-        depth = render_depth_map(others, camera, noise=frame_noise)
+        depth = render_depth_map(truth, mount.intrinsics, noise=frame_noise)
         dets = emulate_detections(truth, frame_noise, mount.intrinsics.width,
                                   mount.intrinsics.height)
         yield SensorFrame(t=float(t), detections=dets, depth=depth, camera=camera)
@@ -239,9 +239,9 @@ class CorpusResult:
 
 
 def _corpus_vehicle(vid, s, y, v=17.0):
-    lane = 1
-    return VehicleState(id=vid, kind="car", s=s, y=y, v=v, a=0.0, lane=lane,
-                        length=4.5, width=CAR_WIDTH, height=CAR_HEIGHT, v_desired=v)
+    length, width, height = CAR_DIMS
+    return VehicleState(id=vid, kind="car", s=s, y=y, v=v, a=0.0, lane=1,
+                        length=length, width=width, height=height, v_desired=v)
 
 
 def build_fuse_corpus(corpus: FuseCorpusConfig, mount: CameraMount,
@@ -285,23 +285,23 @@ def build_fuse_corpus(corpus: FuseCorpusConfig, mount: CameraMount,
             states.append(_corpus_vehicle(10 + c, s=rng.uniform(8.0, 45.0),
                                           y=lanes.center(lane) + rng.uniform(-0.5, 0.5)))
 
-        truth = dict(render_truth_boxes(states, camera))
-        if 1 not in truth:
+        truth = render_truth_boxes(states, camera)
+        boxes = {vid: box for vid, box, _ in truth}
+        if 1 not in boxes:
             continue
         frame_count += 1
-        if 2 in truth and iou(truth[1], truth[2]) > 0.0:
+        if 2 in boxes and iou(boxes[1], boxes[2]) > 0.0:
             overlap_pair_frames += 1
         frame_noise = noise.for_frame(index)
-        depth = render_depth_map(states, camera, noise=frame_noise)
-        dets = emulate_detections(list(truth.items()), frame_noise,
-                                  intr.width, intr.height)
+        depth = render_depth_map(truth, intr, noise=frame_noise)
+        dets = emulate_detections(truth, frame_noise, intr.width, intr.height)
         frame = SensorFrame(t=float(index), detections=dets, depth=depth,
                             camera=camera)
 
         gnss_rng = seeding.rng_for(seed, seeding.GNSS, index)
         err = gnss_rng.normal(0.0, 1.0, 3) * np.asarray(corpus.gnss_sigma)
         reported = WorldPoint(target.s + err[0], target.y + err[1],
-                              0.5 * CAR_HEIGHT + err[2])
+                              0.5 * CAR_DIMS[2] + err[2])
         twin = TwinRecord(1, reported, target.v, float(index))
         d_g = gnss_distance(cam_center, twin)
 
@@ -309,6 +309,6 @@ def build_fuse_corpus(corpus: FuseCorpusConfig, mount: CameraMount,
                                                                  index))
         for method in ("fused", "baseline"):
             result = identify(frame, twin, d_g, frame_params, method=method)
-            scored.append(ScoredFrame(result, truth[1], 1))
+            scored.append(ScoredFrame(result, boxes[1], 1))
     return CorpusResult(scored=scored, frame_count=frame_count,
                         overlap_pair_frames=overlap_pair_frames)

@@ -1,10 +1,13 @@
 """Synthetic sensor stack: ground-truth boxes, depth rasters, detector noise.
 
-The depth raster uses a planar per-vehicle model: every pixel of a vehicle's
-projected hull carries the camera-frame depth of the body face nearest the
-camera, with nearest-wins resolution where hulls overlap. That face is what
-a rear-mounted depth sample would measure, which is the quantity the depth
-evaluation stage averages.
+Each frame projects each vehicle once: `render_truth_boxes` decides which
+vehicles the frame shows and returns each one's pixel hull with the depth of
+its nearest corner, and the depth raster and the detector both work from that
+list. The raster uses a planar per-vehicle model: every pixel of a vehicle's
+hull carries the camera-frame depth of the body face nearest the camera, with
+nearest-wins resolution where hulls overlap. That face is what a rear-mounted
+depth sample would measure, which is the quantity the depth evaluation stage
+averages.
 """
 from __future__ import annotations
 
@@ -16,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import seeding
-from .geometry import BehindCamera, Box2D, Camera, cuboid_to_camera, project_cuboid_hull
+from .geometry import BehindCamera, Box2D, Camera, CameraIntrinsics, project_cuboid_hull
 from .params import FRACTION, NONNEGATIVE, POSITIVE, RUN_SEED, check_fields
 from .scene import VehicleState
 
@@ -73,46 +76,37 @@ class SensorFrame:
     camera: Camera
 
 
-def _visible_hull(state: VehicleState, camera: Camera) -> Box2D | None:
-    try:
-        box = project_cuboid_hull(state.cuboid(), camera.extrinsics, camera.intrinsics)
-    except BehindCamera:
-        return None
-    return box if box.area > 0 else None
+def render_truth_boxes(states: list[VehicleState],
+                       camera: Camera) -> list[tuple[int, Box2D, float]]:
+    """(id, pixel hull, nearest corner depth) of each fully-visible vehicle body.
 
-
-def render_truth_boxes(states: list[VehicleState], camera: Camera) -> list[tuple[int, Box2D]]:
-    """Project each fully-visible vehicle body to its axis-aligned pixel hull."""
+    A vehicle is visible when no corner is at or behind the near plane and its
+    hull, clipped to the image, has positive area. Roster order is kept.
+    """
     out = []
     for state in states:
-        box = _visible_hull(state, camera)
-        if box is not None:
-            out.append((state.id, box))
+        try:
+            box, depth = project_cuboid_hull(state.cuboid(), camera.extrinsics,
+                                             camera.intrinsics)
+        except BehindCamera:
+            continue
+        if box.area > 0:
+            out.append((state.id, box, depth))
     return out
 
 
-def _nearest_face_depth(state: VehicleState, camera: Camera) -> float:
-    return cuboid_to_camera(state.cuboid(), camera.extrinsics)[:, 2].min()
-
-
-def render_depth_map(states: list[VehicleState], camera: Camera,
+def render_depth_map(truth: list[tuple[int, Box2D, float]], intrinsics: CameraIntrinsics,
                      noise: DetectorNoiseModel | None = None) -> DepthMap:
-    """Planar depth raster: hull pixels get the vehicle's nearest-face depth.
+    """Planar depth raster: each truth hull's pixels get its nearest-face depth.
 
     Overlaps resolve nearest-wins; background pixels carry DepthMap.far_value.
     With a noise model, per-pixel Gaussian noise is added on vehicle regions only.
     """
-    intr = camera.intrinsics
-    dm = DepthMap.background(intr.width, intr.height)
-    layers = []
-    for state in states:
-        box = _visible_hull(state, camera)
-        if box is None:
-            continue
-        # a visible hull has positive area, so its pixel rectangle is never empty
-        rect = (math.floor(box.v_min), math.ceil(box.v_max),
-                math.floor(box.u_min), math.ceil(box.u_max))
-        layers.append((_nearest_face_depth(state, camera), rect))
+    dm = DepthMap.background(intrinsics.width, intrinsics.height)
+    # a visible hull has positive area, so its pixel rectangle is never empty
+    layers = [(depth, (math.floor(box.v_min), math.ceil(box.v_max),
+                       math.floor(box.u_min), math.ceil(box.u_max)))
+              for _, box, depth in truth]
     if not layers:
         return dm
     layers.sort(key=lambda item: -item[0])  # far first, near overwrites
@@ -131,16 +125,16 @@ def render_depth_map(states: list[VehicleState], camera: Camera,
     return dm
 
 
-def emulate_detections(truth_boxes: list[tuple[int, Box2D]], noise: DetectorNoiseModel,
+def emulate_detections(truth: list[tuple[int, Box2D, float]], noise: DetectorNoiseModel,
                        width: int, height: int) -> list[Detection]:
-    """Drop, jitter, re-clip, and shuffle ground-truth boxes.
+    """Drop, jitter, re-clip, and shuffle the truth boxes; their depths are unused.
 
     A nonzero false_positive_rate additionally spawns that many spurious
     boxes per frame on average (Poisson), with no source vehicle.
     """
     rng = seeding.rng_for(noise.seed, seeding.DETECTOR)
     out = []
-    for vid, box in truth_boxes:
+    for vid, box, _ in truth:
         if noise.miss_prob > 0 and rng.random() < noise.miss_prob:
             continue
         edges = np.array([box.u_min, box.v_min, box.u_max, box.v_max])

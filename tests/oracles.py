@@ -98,6 +98,12 @@ def per_corner_hull(c, e, i):
             min(max(max(us), 0.0), float(i.width)), min(max(max(vs), 0.0), float(i.height)))
 
 
+def per_corner_nearest_depth(c, e) -> float:
+    """The smallest camera-frame z over the 8 corners, one transform each."""
+    return min((e.rotation @ np.array(p, dtype=float) + e.translation)[2]
+               for p in per_corner_world(c))
+
+
 def per_corner_truth_boxes(states, camera) -> list[tuple[int, Box2D]]:
     out = []
     for state in states:

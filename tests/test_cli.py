@@ -78,6 +78,9 @@ class TestSimulate:
             {"sensing": {"frame_period": 0.15}, "scenario": {"dt_sim": 0.1}},
             {"training": {"seed": -1}},
             {"fuse_eval": {"clutter_max": 10_000_000_000_000_000_000}},  # past int64
+            # no target could ever lie beyond the near plane
+            {"fuse_eval": {"target_range": [-5, -1], "frames": 5}},
+            {"fuse_eval": {"target_range": [1, 2.74]}},
         )]
         cfg = tmp_path / "c.json"
         out = tmp_path / "out"

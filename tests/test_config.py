@@ -70,6 +70,18 @@ class TestResolve:
                  "spawn_max_s": 540, "accident_s": 600, "road_length": 650}
         assert resolve_config({"scenario": dense}).scenario.lanes.road_length == 650
 
+    def test_corpus_target_can_lie_beyond_the_near_plane(self):
+        # the corpus camera sits at world x = 0, so the target's rear corners
+        # are at depth target_s - 2.25, which must exceed the near plane
+        for doc in ({"fuse_eval": {"target_range": [-5, -1]}},
+                    {"fuse_eval": {"target_range": [1, 2.74]}},
+                    {"fuse_eval": {"target_range": [1, 3.5]},
+                     "camera": {"near_plane": 1.25}}):
+            with pytest.raises(ConfigError, match="fuse_eval.target_range"):
+                resolve_config(doc)
+        cfg = resolve_config({"fuse_eval": {"target_range": [1, 3.5], "frames": 8}})
+        assert cfg.fuse_eval.target_range == (1, 3.5)
+
     def test_seed_list_validation(self):
         with pytest.raises(ConfigError, match="seeds"):
             resolve_config({"seeds": []})

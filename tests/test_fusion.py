@@ -189,8 +189,8 @@ class TestMatchTargetBaseline:
 
 def build_frame(states, t=0.0, noise=None):
     truth = render_truth_boxes(states, CAM)
-    depth = render_depth_map(states, CAM, noise=noise)
-    dets = [Detection(box, source_id=vid) for vid, box in truth]
+    depth = render_depth_map(truth, INTR, noise=noise)
+    dets = [Detection(box, source_id=vid) for vid, box, _ in truth]
     return SensorFrame(t=t, detections=dets, depth=depth, camera=CAM)
 
 

@@ -134,8 +134,9 @@ class TestProjectCuboidHull:
         # Hull of the 8 projected corners, computed corner-by-corner by hand:
         # near face at z=9.5 dominates with half-extent 1000*0.5/9.5 px.
         cube = Cuboid3D(WorldPoint(0.0, 0.0, 10.0), 1.0, 1.0, 1.0)
-        box = project_cuboid_hull(cube, IDENTITY, INTR)
+        box, depth = project_cuboid_hull(cube, IDENTITY, INTR)
         half = 1000 * 0.5 / 9.5
+        assert depth == 9.5
         assert box.u_min == pytest.approx(480 - half, abs=1e-9)
         assert box.u_max == pytest.approx(480 + half, abs=1e-9)
         assert box.v_min == pytest.approx(270 - half, abs=1e-9)
@@ -147,9 +148,9 @@ class TestProjectCuboidHull:
             c = Cuboid3D(WorldPoint(rng.uniform(-3, 3), rng.uniform(-2, 2), rng.uniform(8, 40)),
                          rng.uniform(0.5, 6.0), rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0),
                          yaw=rng.uniform(-1, 1))
-            box = project_cuboid_hull(c, IDENTITY, INTR)
-            for corner in c.corners():
-                px = project_anchor(corner, IDENTITY, INTR)
+            box, _ = project_cuboid_hull(c, IDENTITY, INTR)
+            for corner in c.corner_array():
+                px = project_anchor(WorldPoint(*corner), IDENTITY, INTR)
                 u = min(max(px.u, 0.0), INTR.width)
                 v = min(max(px.v, 0.0), INTR.height)
                 assert box.contains(u, v)
@@ -159,13 +160,13 @@ class TestProjectCuboidHull:
         for _ in range(50):
             c = Cuboid3D(WorldPoint(rng.uniform(-2, 2), rng.uniform(-1, 1), rng.uniform(10, 50)),
                          4.5, 1.8, 1.5, yaw=rng.uniform(-0.5, 0.5))
-            box = project_cuboid_hull(c, IDENTITY, INTR)
+            box, _ = project_cuboid_hull(c, IDENTITY, INTR)
             px = project_anchor(c.center, IDENTITY, INTR)
             assert box.contains(px.u, px.v)
 
     def test_offscreen_cuboid_clips_to_zero_width(self):
         c = Cuboid3D(WorldPoint(-30.0, 0.0, 10.0), 1.0, 1.0, 1.0)
-        box = project_cuboid_hull(c, IDENTITY, INTR)
+        box, _ = project_cuboid_hull(c, IDENTITY, INTR)
         assert box.width == 0.0
 
     def test_corner_behind_camera_raises(self):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lanesight import sensing
 from lanesight.evaluation import identification_accuracy
 from lanesight.fusion import FusionParams
 from lanesight.pipeline import (
@@ -71,6 +72,21 @@ class TestRenderFrames:
                                                        frame_period=1.0)))
         # neighbors spawn ahead of the ego, so the first frame sees some
         assert len(frames[0].detections) >= 1
+
+    def test_each_vehicle_projected_once_per_frame(self, monkeypatch):
+        # the truth boxes, the depth raster and the detections share one projection
+        calls = []
+        project = sensing.project_cuboid_hull
+
+        def counted(*args):
+            calls.append(1)
+            return project(*args)
+
+        monkeypatch.setattr(sensing, "project_cuboid_hull", counted)
+        log = simulate_run(ScenarioConfig(duration=1.0)).log
+        frames = list(render_frames(log, CameraMount(), DetectorNoiseModel(frame_period=0.5)))
+        assert len(frames) == 3
+        assert len(calls) == len(frames) * (len(log.vehicle_ids) - 1)
 
 
 class TestGroundTruthBits:

@@ -15,7 +15,8 @@ from lanesight.sensing import (
     render_truth_boxes,
     write_depth_map,
 )
-from oracles import full_frame_depth_values, per_corner_hull, per_corner_truth_boxes
+from oracles import full_frame_depth_values, per_corner_hull, per_corner_nearest_depth, \
+    per_corner_truth_boxes
 
 INTR = CameraIntrinsics(focal_length=0.005, pixel_size_x=5e-6, pixel_size_y=5e-6,
                         u0=480.0, v0=270.0, width=960, height=540)
@@ -27,6 +28,14 @@ def car(vid, s, y=5.25, v=17.0):
                         length=4.5, width=1.8, height=1.5, v_desired=v)
 
 
+def truth_boxes(states, camera=CAM):
+    return {vid: box for vid, box, _ in render_truth_boxes(states, camera)}
+
+
+def depth_map(states, camera=CAM, noise=None):
+    return render_depth_map(render_truth_boxes(states, camera), camera.intrinsics, noise=noise)
+
+
 class TestRenderTruthBoxes:
     def test_empty_states(self):
         assert render_truth_boxes([], CAM) == []
@@ -34,11 +43,11 @@ class TestRenderTruthBoxes:
     def test_vehicle_dead_ahead_centered_on_principal_column(self):
         boxes = render_truth_boxes([car(1, s=20.0)], CAM)
         assert len(boxes) == 1
-        _, box = boxes[0]
+        _, box, _ = boxes[0]
         assert 0.5 * (box.u_min + box.u_max) == pytest.approx(INTR.u0, abs=1e-9)
 
     def test_nearer_vehicle_projects_strictly_larger(self):
-        boxes = dict(render_truth_boxes([car(1, s=10.0 + 2.25), car(2, s=20.0 + 2.25)], CAM))
+        boxes = truth_boxes([car(1, s=10.0 + 2.25), car(2, s=20.0 + 2.25)])
         near, far = boxes[1], boxes[2]
         assert near.width > far.width
         assert near.height > far.height
@@ -49,15 +58,15 @@ class TestRenderTruthBoxes:
 
 class TestRenderDepthMap:
     def test_background_only(self):
-        dm = render_depth_map([], CAM)
+        dm = render_depth_map([], INTR)
         assert np.all(dm.values == dm.far_value)
 
     def test_single_vehicle_planar_depth(self):
         # rear face exactly 20 m ahead of the camera plane
-        dm = render_depth_map([car(1, s=20.0 + 2.25)], CAM)
+        dm = depth_map([car(1, s=20.0 + 2.25)])
         vals = np.unique(dm.values)
         assert set(np.round(vals, 6)) == {20.0, 1000.0}
-        boxes = dict(render_truth_boxes([car(1, s=22.25)], CAM))
+        boxes = truth_boxes([car(1, s=22.25)])
         b = boxes[1]
         inner = dm.values[int(b.v_min) + 1:int(b.v_max) - 1,
                           int(b.u_min) + 1:int(b.u_max) - 1]
@@ -66,14 +75,14 @@ class TestRenderDepthMap:
     def test_overlap_resolves_nearest_wins(self):
         near = car(1, s=8.46 + 2.25)
         far = car(2, s=18.69 + 2.25)
-        dm = render_depth_map([far, near], CAM)
-        far_box = dict(render_truth_boxes([far], CAM))[2]
+        dm = depth_map([far, near])
+        far_box = truth_boxes([far])[2]
         cu, cv = far_box.center
         assert dm.values[int(cv), int(cu)] == pytest.approx(8.46)
 
     def test_nearest_wins_is_minimum_over_layers(self):
         states = [car(1, s=12.0), car(2, s=18.0), car(3, s=30.0)]
-        dm = render_depth_map(states, CAM)
+        dm = depth_map(states)
         expected = {vid: min(
             [12.0 - 2.25, 18.0 - 2.25, 30.0 - 2.25][i] for i in range(3)
         ) for vid in (1,)}
@@ -83,16 +92,16 @@ class TestRenderDepthMap:
         depths = {vid: s - 2.25 for vid, s in ((1, 12.0), (2, 18.0), (3, 30.0))}
         for v in range(0, INTR.height, 13):
             for u in range(0, INTR.width, 17):
-                covering = [depths[vid] for vid, b in hulls
+                covering = [depths[vid] for vid, b, _ in hulls
                             if b.u_min <= u < b.u_max and b.v_min <= v < b.v_max]
                 if covering:
                     assert dm.values[v, u] <= min(covering) + 1e-9
 
     def test_depth_noise_applies_only_on_vehicles(self):
         noise = DetectorNoiseModel(depth_noise_sigma=0.1, seed=3)
-        dm = render_depth_map([car(1, s=22.25)], CAM, noise=noise)
+        dm = depth_map([car(1, s=22.25)], noise=noise)
         assert np.all(dm.values[0, :] == dm.far_value)  # sky row untouched
-        box = dict(render_truth_boxes([car(1, s=22.25)], CAM))[1]
+        box = truth_boxes([car(1, s=22.25)])[1]
         patch = dm.values[int(box.v_min) + 2:int(box.v_max) - 2,
                           int(box.u_min) + 2:int(box.u_max) - 2]
         assert patch.std() > 0.05
@@ -131,10 +140,14 @@ class TestArrayPathMatchesPerCornerReference:
            sigma=st.sampled_from([0.0, 0.1, 3.0]), seed=st.integers(0, 2**32 - 1))
     def test_boxes_and_raster_bit_equal(self, states, position, intr, sigma, seed):
         camera = Camera(CameraExtrinsics.looking_along_road(WorldPoint(*position)), intr)
-        assert render_truth_boxes(states, camera) == per_corner_truth_boxes(states, camera)
+        truth = render_truth_boxes(states, camera)
+        assert [(vid, box) for vid, box, _ in truth] == per_corner_truth_boxes(states, camera)
+        by_id = {state.id: state for state in states}
+        for vid, _, depth in truth:
+            assert depth == per_corner_nearest_depth(by_id[vid].cuboid(), camera.extrinsics)
         noise = DetectorNoiseModel(depth_noise_sigma=sigma, seed=seed)
         for model in (None, noise):
-            assert np.array_equal(render_depth_map(states, camera, noise=model).values,
+            assert np.array_equal(render_depth_map(truth, intr, noise=model).values,
                                   full_frame_depth_values(states, camera, noise=model))
 
     @settings(max_examples=200, deadline=None)
@@ -153,7 +166,9 @@ class TestArrayPathMatchesPerCornerReference:
             with pytest.raises(BehindCamera):
                 project_cuboid_hull(cuboid, extrinsics, INTR)
         else:
-            assert project_cuboid_hull(cuboid, extrinsics, INTR) == Box2D(*expected)
+            box, depth = project_cuboid_hull(cuboid, extrinsics, INTR)
+            assert box == Box2D(*expected)
+            assert depth == per_corner_nearest_depth(cuboid, extrinsics)
 
 
 def spread_boxes(n, rng):
@@ -161,7 +176,7 @@ def spread_boxes(n, rng):
     for i in range(n):
         cu = rng.uniform(100, 860)
         cv = rng.uniform(100, 440)
-        out.append((i, Box2D(cu - 20, cv - 15, cu + 20, cv + 15)))
+        out.append((i, Box2D(cu - 20, cv - 15, cu + 20, cv + 15), 20.0))
     return out
 
 
@@ -171,8 +186,8 @@ class TestEmulateDetections:
         truth = spread_boxes(30, rng)
         noise = DetectorNoiseModel(edge_jitter_sigma=0.0, miss_prob=0.0, seed=9)
         dets = emulate_detections(truth, noise, INTR.width, INTR.height)
-        assert sorted(d.source_id for d in dets) == sorted(i for i, _ in truth)
-        truth_by_id = dict(truth)
+        assert sorted(d.source_id for d in dets) == sorted(i for i, _, _ in truth)
+        truth_by_id = {i: box for i, box, _ in truth}
         for d in dets:
             assert d.box == truth_by_id[d.source_id]
 
@@ -189,7 +204,7 @@ class TestEmulateDetections:
         a = emulate_detections(truth, noise, INTR.width, INTR.height)
         b = emulate_detections(truth, noise, INTR.width, INTR.height)
         assert a == b
-        truth_by_id = dict(truth)
+        truth_by_id = {i: box for i, box, _ in truth}
         disp = []
         for d in a:
             tb = truth_by_id[d.source_id]
@@ -225,7 +240,7 @@ class TestEmulateDetections:
             v = rng.uniform(0, INTR.height - 5)
             truth.append((i, Box2D(u, v,
                                    min(u + rng.uniform(5, 80), INTR.width),
-                                   min(v + rng.uniform(5, 60), INTR.height))))
+                                   min(v + rng.uniform(5, 60), INTR.height)), 20.0))
         noise = DetectorNoiseModel(edge_jitter_sigma=4.0, seed=5)
         for d in emulate_detections(truth, noise, INTR.width, INTR.height):
             assert d.box.area > 0
