@@ -30,10 +30,9 @@ from .evaluation import (
     identification_accuracy,
     safety_report,
     write_curve_csv,
+    write_identifications_csv,
     write_safety_report_json,
 )
-from .fusion import write_results_csv
-from .geometry import iou
 from .pipeline import (
     REPORT_IOU,
     build_dataset,
@@ -70,7 +69,7 @@ def _load_model_for(cfg: RunConfig, required: bool):
         return None
     try:
         return load_model(cfg.model_path)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"model_path: cannot load {cfg.model_path!r}: {exc}") from exc
 
 
@@ -101,14 +100,7 @@ def cmd_fuse_eval(cfg: RunConfig, out: Path, model) -> int:
         curves = identification_accuracy(result.scored, cfg.fuse_eval.thresholds)
         sdir = _seed_dir(out, seed)
         write_curve_csv(curves, sdir / "curve.csv")
-        rows = []
-        for frame in result.scored:
-            res = frame.result
-            chosen_id = res.chosen.source_id if res.chosen else None
-            overlap = iou(res.chosen.box, frame.truth_box) if res.chosen else 0.0
-            rows.append((res.t, res.method, chosen_id, frame.truth_id, overlap,
-                         res.candidate_count))
-        write_results_csv(rows, sdir / "identifications.csv")
+        write_identifications_csv(result.scored, sdir / "identifications.csv")
         fused_07 = curves["fused"].at(REPORT_IOU)
         base_07 = curves["baseline"].at(REPORT_IOU)
         summary = {

@@ -43,6 +43,12 @@ class ScoredFrame:
     truth_box: Box2D
     truth_id: int
 
+    @property
+    def iou(self) -> float:
+        """Overlap of the chosen box with the truth box; 0 on no match."""
+        chosen = self.result.chosen
+        return 0.0 if chosen is None else iou(chosen.box, self.truth_box)
+
 
 def check_thresholds(thresholds):
     """ValueError unless the IoU thresholds strictly increase."""
@@ -89,10 +95,7 @@ def identification_accuracy(scored: list[ScoredFrame],
     thresholds = tuple(float(t) for t in thresholds)
     by_method: dict[str, list[float]] = {}
     for frame in scored:
-        overlap = 0.0
-        if frame.result.chosen is not None:
-            overlap = iou(frame.result.chosen.box, frame.truth_box)
-        by_method.setdefault(frame.result.method, []).append(overlap)
+        by_method.setdefault(frame.result.method, []).append(frame.iou)
     curves = {}
     for method, overlaps in by_method.items():
         arr = np.asarray(overlaps)
@@ -259,6 +262,19 @@ def write_curve_csv(curves: dict[str, AccuracyCurve], path):
             w.writerow([f"{th:.2f}",
                         "" if fused is None else f"{fused.accuracies[i]:.6f}",
                         "" if baseline is None else f"{baseline.accuracies[i]:.6f}"])
+
+
+def write_identifications_csv(scored: list[ScoredFrame], path):
+    """One row per scored frame: what was chosen and how well it overlaps."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["t", "method", "chosen_source_id", "gt_target_id",
+                    "iou_vs_gt", "candidate_count"])
+        for frame in scored:
+            res = frame.result
+            w.writerow([f"{res.t:.2f}", res.method,
+                        "" if res.chosen is None else res.chosen.source_id,
+                        frame.truth_id, f"{frame.iou:.6f}", res.candidate_count])
 
 
 def write_safety_report_json(report: SafetyReport, path):

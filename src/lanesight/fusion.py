@@ -1,12 +1,12 @@
 """Target identification from detections, depth, and the cloud anchor point.
 
-Two matchers share the anchor-containment shortlist:
-
-  match_target           multi-candidate ties are broken by comparing each
-                         candidate's depth estimate with the cloud-reported
-                         distance d_g (minimum absolute difference wins);
-  match_target_baseline  image-only fallback that picks the candidate whose
-                         box center is nearest the anchor.
+One decision order serves every frame. The cloud position projects to an
+anchor pixel; an anchor behind the camera or off the image is a no-match.
+The candidates are the boxes that contain the anchor, edges included; none
+is a no-match. The "fused" method with several candidates picks, among those
+with a depth sampling region, the least |depth estimate - d_g| (d_g is the
+cloud-reported distance); every other case, "baseline" included, picks the
+box center nearest the anchor. Equal costs go to the smallest index.
 
 Depth estimates come from averaging seeded uniform pixel samples in the
 shrunken lower quarter of each box, which keeps samples on the vehicle body
@@ -14,7 +14,6 @@ and measures its near face.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -42,10 +41,6 @@ class IdentificationResult:
     method: str  # "fused" | "baseline"
     anchor: PixelPoint | None
     candidate_count: int
-
-    @property
-    def matched(self) -> bool:
-        return self.chosen is not None
 
 
 @dataclass(frozen=True)
@@ -102,45 +97,44 @@ def _candidates(anchor: PixelPoint, detections) -> list[int]:
     return [i for i, det in enumerate(detections) if det.box.contains(anchor.u, anchor.v)]
 
 
+def _choose(detections, pool: list[int], cost) -> Detection | None:
+    """The detection at the pool index with the least (cost, index); None if empty."""
+    best = min(pool, key=lambda i: (cost(i), i), default=None)
+    return None if best is None else detections[best]
+
+
+def _center_distance(anchor: PixelPoint, detections):
+    """Cost: squared pixel distance from the anchor to a detection's box center."""
+    def cost(i: int) -> float:
+        cu, cv = detections[i].box.center
+        return (cu - anchor.u) ** 2 + (cv - anchor.v) ** 2
+    return cost
+
+
 def match_target(anchor: PixelPoint, detections: list[Detection],
                  depths: list[DepthEstimate], d_g: float,
                  t: float = 0.0) -> IdentificationResult:
-    """Pick the anchor-containing detection whose depth best matches d_g.
-
-    A unique containment wins outright; zero containments yield a no-match
-    result. Exact difference ties resolve to the smallest index.
-    """
+    """The anchor-containing detection whose depth estimate is nearest d_g."""
     if len(depths) != len(detections):
         raise ValueError("depth estimates must align with detections")
     cand = _candidates(anchor, detections)
-    if not cand:
-        return IdentificationResult(t, None, "fused", anchor, 0)
-    if len(cand) == 1:
-        return IdentificationResult(t, detections[cand[0]], "fused", anchor, 1)
-    best = min(cand, key=lambda i: (abs(depths[i].distance - d_g), i))
-    return IdentificationResult(t, detections[best], "fused", anchor, len(cand))
+    chosen = _choose(detections, cand, lambda i: abs(depths[i].distance - d_g))
+    return IdentificationResult(t, chosen, "fused", anchor, len(cand))
 
 
 def match_target_baseline(anchor: PixelPoint, detections: list[Detection],
                           t: float = 0.0) -> IdentificationResult:
     """Image-only matcher: nearest box center among anchor-containing boxes."""
     cand = _candidates(anchor, detections)
-    if not cand:
-        return IdentificationResult(t, None, "baseline", anchor, 0)
-    if len(cand) == 1:
-        return IdentificationResult(t, detections[cand[0]], "baseline", anchor, 1)
-
-    def center_dist(i: int) -> float:
-        cu, cv = detections[i].box.center
-        return (cu - anchor.u) ** 2 + (cv - anchor.v) ** 2
-
-    best = min(cand, key=lambda i: (center_dist(i), i))
-    return IdentificationResult(t, detections[best], "baseline", anchor, len(cand))
+    chosen = _choose(detections, cand, _center_distance(anchor, detections))
+    return IdentificationResult(t, chosen, "baseline", anchor, len(cand))
 
 
 def identify(frame: SensorFrame, twin: TwinRecord, d_g: float,
              params: FusionParams, method: str = "fused") -> IdentificationResult:
     """Per-frame identification pipeline; degenerate frames yield no-match."""
+    if method not in ("fused", "baseline"):
+        raise ValueError(f"unknown method {method!r}")
     intr = frame.camera.intrinsics
     try:
         anchor = project_anchor(twin.position, frame.camera.extrinsics, intr)
@@ -149,36 +143,14 @@ def identify(frame: SensorFrame, twin: TwinRecord, d_g: float,
     if not (0.0 <= anchor.u < intr.width and 0.0 <= anchor.v < intr.height):
         return IdentificationResult(frame.t, None, method, anchor, 0)
 
-    if method == "baseline":
-        return match_target_baseline(anchor, frame.detections, t=frame.t)
-    if method != "fused":
-        raise ValueError(f"unknown method {method!r}")
-
-    cand = _candidates(anchor, frame.detections)
-    if len(cand) <= 1:
-        chosen = frame.detections[cand[0]] if cand else None
-        return IdentificationResult(frame.t, chosen, "fused", anchor, len(cand))
-
-    evaluable = [i for i in cand
-                 if _sample_region(frame.detections[i].box, params.shrink) is not None]
-    if not evaluable:
-        # no candidate offers depth pixels; fall back to the image-only rule
-        result = match_target_baseline(anchor, frame.detections, t=frame.t)
-        return IdentificationResult(frame.t, result.chosen, "fused", anchor, len(cand))
-    subset = [frame.detections[i] for i in evaluable]
-    depths = depth_evaluate(frame.depth, [d.box for d in subset],
-                            th=params.shrink, n=params.samples, seed=params.seed)
-    result = match_target(anchor, subset, depths, d_g, t=frame.t)
-    return IdentificationResult(frame.t, result.chosen, "fused", anchor, len(cand))
-
-
-def write_results_csv(rows, path):
-    """rows: (t, method, chosen_source_id, gt_target_id, iou_vs_gt, candidate_count)"""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "method", "chosen_source_id", "gt_target_id",
-                    "iou_vs_gt", "candidate_count"])
-        for t, method, chosen_id, gt_id, iou_val, count in rows:
-            w.writerow([f"{t:.2f}", method,
-                        "" if chosen_id is None else chosen_id,
-                        gt_id, f"{iou_val:.6f}", count])
+    dets = frame.detections
+    cand = _candidates(anchor, dets)
+    pool, cost = cand, _center_distance(anchor, dets)
+    if method == "fused" and len(cand) > 1:
+        evaluable = [i for i in cand if _sample_region(dets[i].box, params.shrink) is not None]
+        if evaluable:
+            estimates = depth_evaluate(frame.depth, [dets[i].box for i in evaluable],
+                                       th=params.shrink, n=params.samples, seed=params.seed)
+            depth = {i: est.distance for i, est in zip(evaluable, estimates)}
+            pool, cost = evaluable, lambda i: abs(depth[i] - d_g)
+    return IdentificationResult(frame.t, _choose(dets, pool, cost), method, anchor, len(cand))

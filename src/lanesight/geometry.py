@@ -14,6 +14,9 @@ Camera frame (right-handed, standard computer vision):
 
 Image frame:
   - origin top-left, u right, v down, units pixels
+
+One projection serves the anchor point and the 8 body corners alike:
+`world_to_camera` on rows of points, then one near-plane check and divide.
 """
 from __future__ import annotations
 
@@ -37,13 +40,6 @@ class WorldPoint:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z], dtype=float)
-
-
-@dataclass(frozen=True)
-class CameraPoint:
-    x_c: float
-    y_c: float
-    z_c: float
 
 
 @dataclass(frozen=True)
@@ -183,27 +179,27 @@ class Cuboid3D:
         return np.column_stack((c.x + dx * cy - dy * sy, c.y + dx * sy + dy * cy, c.z + dz))
 
 
-def world_to_camera(p: WorldPoint, e: CameraExtrinsics) -> CameraPoint:
-    """Apply the rigid world-to-camera transform."""
-    v = e.rotation @ p.as_array() + e.translation
-    return CameraPoint(v[0], v[1], v[2])
+def world_to_camera(points: np.ndarray, e: CameraExtrinsics) -> np.ndarray:
+    """Apply the rigid world-to-camera transform to each row of `points`."""
+    return points @ e.rotation.T + e.translation
 
 
-def camera_to_pixel(p: CameraPoint, i: CameraIntrinsics) -> PixelPoint:
-    """Perspective-divide projection of a camera-frame point.
+def _pinhole(cam: np.ndarray, i: CameraIntrinsics):
+    """Pixel coordinates (u, v) of camera-frame rows and their nearest depth.
 
-    Raises BehindCamera when the point sits at or behind the near plane.
+    Raises BehindCamera when any row sits at or behind the near plane.
     """
-    if p.z_c <= i.near_plane:
-        raise BehindCamera(f"z_c={p.z_c:.3f} <= near_plane={i.near_plane:.3f}")
-    u = i.u0 + i.fx * (p.x_c / p.z_c)
-    v = i.v0 + i.fy * (p.y_c / p.z_c)
-    return PixelPoint(u, v, p.z_c)
+    z = cam[:, 2]
+    nearest = z.min()
+    if nearest <= i.near_plane:
+        raise BehindCamera(f"z_c={nearest:.3f} <= near_plane={i.near_plane:.3f}")
+    return i.u0 + i.fx * (cam[:, 0] / z), i.v0 + i.fy * (cam[:, 1] / z), nearest
 
 
 def project_anchor(p_w: WorldPoint, e: CameraExtrinsics, i: CameraIntrinsics) -> PixelPoint:
     """Project a world point into the image; may land outside the frame."""
-    return camera_to_pixel(world_to_camera(p_w, e), i)
+    (u,), (v,), depth = _pinhole(world_to_camera(p_w.as_array()[None], e), i)
+    return PixelPoint(u, v, depth)
 
 
 def project_cuboid_hull(c: Cuboid3D, e: CameraExtrinsics,
@@ -214,13 +210,7 @@ def project_cuboid_hull(c: Cuboid3D, e: CameraExtrinsics,
     Raises BehindCamera if any corner is behind the near plane; clipping may
     yield a zero-area box when the body is outside the frustum sideways.
     """
-    cam = c.corner_array() @ e.rotation.T + e.translation
-    z = cam[:, 2]
-    nearest = z.min()
-    if nearest <= i.near_plane:
-        raise BehindCamera(f"z_c={nearest:.3f} <= near_plane={i.near_plane:.3f}")
-    us = i.u0 + i.fx * (cam[:, 0] / z)
-    vs = i.v0 + i.fy * (cam[:, 1] / z)
+    us, vs, nearest = _pinhole(world_to_camera(c.corner_array(), e), i)
     u_min = min(max(us.min(), 0.0), float(i.width))
     u_max = min(max(us.max(), 0.0), float(i.width))
     v_min = min(max(vs.min(), 0.0), float(i.height))

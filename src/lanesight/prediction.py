@@ -331,11 +331,13 @@ def save_model(model: MlpModel, path):
 
 
 def load_model(path) -> MlpModel:
+    """Read a saved model; ValueError unless its arrays fit [FEATURE_SIZE, hidden, 1]."""
     with open(path) as fh:
         doc = json.load(fh)
-    if doc.get("format") != MODEL_FORMAT:
-        raise ValueError(f"unsupported model file format: {doc.get('format')!r}")
-    return MlpModel(
+    fmt = doc.get("format") if isinstance(doc, dict) else type(doc).__name__
+    if fmt != MODEL_FORMAT:
+        raise ValueError(f"unsupported model file format: {fmt!r}")
+    model = MlpModel(
         w1=np.asarray(doc["w1"], dtype=float),
         b1=np.asarray(doc["b1"], dtype=float),
         w2=np.asarray(doc["w2"], dtype=float),
@@ -343,6 +345,14 @@ def load_model(path) -> MlpModel:
         feat_mean=np.asarray(doc["feat_mean"], dtype=float),
         feat_std=np.asarray(doc["feat_std"], dtype=float),
     )
+    hidden = model.b1.size
+    shapes = {"w1": (hidden, FEATURE_SIZE), "b1": (hidden,), "w2": (hidden,),
+              "feat_mean": (FEATURE_SIZE,), "feat_std": (FEATURE_SIZE,)}
+    misfit = [name for name, shape in shapes.items() if getattr(model, name).shape != shape]
+    if misfit or doc.get("layer_sizes") != [FEATURE_SIZE, hidden, 1]:
+        raise ValueError(f"{', '.join(misfit) or 'layer_sizes'}: does not fit "
+                         f"layer sizes [{FEATURE_SIZE}, {hidden}, 1]")
+    return model
 
 
 def write_dataset_csv(dataset: list[LabeledSample], path):

@@ -525,13 +525,6 @@ def step(scn: Scenario, guidance: dict[int, float] | None = None):
     scn._record()
 
 
-def run_steps(scn: Scenario, n_steps: int, guidance_fn=None):
-    """Convenience loop: guidance_fn(t) supplies the per-tick probability map."""
-    for _ in range(n_steps):
-        guidance = guidance_fn(scn.t) if guidance_fn is not None else None
-        step(scn, guidance)
-
-
 @dataclass
 class TrajectoryLog:
     """Time-indexed kinematic states for a constant vehicle roster."""

@@ -5,7 +5,9 @@ matrix products for the rigid transform and an explicit intrinsics matrix
 that is inverted numerically for the projection. The per-corner sensing
 functions at the end are the other kind of reference: a copy of an earlier
 implementation that the current one must match bit for bit, as are the
-roster-scanning simulator tick and its leader and follower queries.
+roster-scanning simulator tick and its leader and follower queries, and
+the target identification with its none/unique/tie branches written out in
+each matcher.
 """
 from __future__ import annotations
 
@@ -14,7 +16,8 @@ import math
 import numpy as np
 
 from lanesight import seeding
-from lanesight.geometry import Box2D
+from lanesight.fusion import IdentificationResult, _sample_region, depth_evaluate
+from lanesight.geometry import BehindCamera, Box2D, PixelPoint
 from lanesight.scene import (ManeuverPlan, Scenario, VehicleState, _bumper_gap,
                              car_following_accel, ego_policy, lateral_profile)
 
@@ -261,3 +264,82 @@ def step(scn: Scenario, guidance: dict[int, float] | None = None):
                 scn.collisions.append((t_new, first.id, second.id))
 
     scn._record()
+
+
+# Reference copy of target identification as it stood before the single
+# decision path: the anchor goes through its own per-point transform and
+# divide, and each matcher writes out its no-match, unique and tie branches.
+# For valid methods, fusion.identify must choose the very same detection
+# object, with the same anchor and candidate count.
+
+def project_anchor(p_w, e, i) -> PixelPoint:
+    v = e.rotation @ p_w.as_array() + e.translation
+    x_c, y_c, z_c = v[0], v[1], v[2]
+    if z_c <= i.near_plane:
+        raise BehindCamera(f"z_c={z_c:.3f} <= near_plane={i.near_plane:.3f}")
+    u = i.u0 + i.fx * (x_c / z_c)
+    v = i.v0 + i.fy * (y_c / z_c)
+    return PixelPoint(u, v, z_c)
+
+
+def _candidates(anchor, detections) -> list[int]:
+    return [i for i, det in enumerate(detections) if det.box.contains(anchor.u, anchor.v)]
+
+
+def match_target(anchor, detections, depths, d_g, t=0.0) -> IdentificationResult:
+    if len(depths) != len(detections):
+        raise ValueError("depth estimates must align with detections")
+    cand = _candidates(anchor, detections)
+    if not cand:
+        return IdentificationResult(t, None, "fused", anchor, 0)
+    if len(cand) == 1:
+        return IdentificationResult(t, detections[cand[0]], "fused", anchor, 1)
+    best = min(cand, key=lambda i: (abs(depths[i].distance - d_g), i))
+    return IdentificationResult(t, detections[best], "fused", anchor, len(cand))
+
+
+def match_target_baseline(anchor, detections, t=0.0) -> IdentificationResult:
+    cand = _candidates(anchor, detections)
+    if not cand:
+        return IdentificationResult(t, None, "baseline", anchor, 0)
+    if len(cand) == 1:
+        return IdentificationResult(t, detections[cand[0]], "baseline", anchor, 1)
+
+    def center_dist(i: int) -> float:
+        cu, cv = detections[i].box.center
+        return (cu - anchor.u) ** 2 + (cv - anchor.v) ** 2
+
+    best = min(cand, key=lambda i: (center_dist(i), i))
+    return IdentificationResult(t, detections[best], "baseline", anchor, len(cand))
+
+
+def identify(frame, twin, d_g, params, method="fused") -> IdentificationResult:
+    intr = frame.camera.intrinsics
+    try:
+        anchor = project_anchor(twin.position, frame.camera.extrinsics, intr)
+    except BehindCamera:
+        return IdentificationResult(frame.t, None, method, None, 0)
+    if not (0.0 <= anchor.u < intr.width and 0.0 <= anchor.v < intr.height):
+        return IdentificationResult(frame.t, None, method, anchor, 0)
+
+    if method == "baseline":
+        return match_target_baseline(anchor, frame.detections, t=frame.t)
+    if method != "fused":
+        raise ValueError(f"unknown method {method!r}")
+
+    cand = _candidates(anchor, frame.detections)
+    if len(cand) <= 1:
+        chosen = frame.detections[cand[0]] if cand else None
+        return IdentificationResult(frame.t, chosen, "fused", anchor, len(cand))
+
+    evaluable = [i for i in cand
+                 if _sample_region(frame.detections[i].box, params.shrink) is not None]
+    if not evaluable:
+        # no candidate offers depth pixels; fall back to the image-only rule
+        result = match_target_baseline(anchor, frame.detections, t=frame.t)
+        return IdentificationResult(frame.t, result.chosen, "fused", anchor, len(cand))
+    subset = [frame.detections[i] for i in evaluable]
+    depths = depth_evaluate(frame.depth, [d.box for d in subset],
+                            th=params.shrink, n=params.samples, seed=params.seed)
+    result = match_target(anchor, subset, depths, d_g, t=frame.t)
+    return IdentificationResult(frame.t, result.chosen, "fused", anchor, len(cand))

@@ -238,6 +238,27 @@ class TestClosedLoop:
             report = json.loads((out / "seed_3" / name).read_text())
             assert report["trip_duration"] == pytest.approx(20.0)
 
+    def test_misshaped_model_rejected_before_any_write(self, tmp_path):
+        # a 5-feature model used to load, then fail with a broadcast error
+        # (exit 3) after config.echo.json had been written; a model file that
+        # is a JSON list, or whose b2 is a list, used to escape main with a
+        # traceback
+        model = MlpModel(w1=np.zeros((4, 5)), b1=np.zeros(4), w2=np.zeros(4), b2=0.0,
+                         feat_mean=np.zeros(5), feat_std=np.ones(5))
+        model_path = tmp_path / "model.json"
+        save_model(model, model_path)
+        five_features = model_path.read_text()
+        doc = json.loads(five_features)
+        doc.update(w1=np.zeros((4, FEATURE_SIZE)).tolist(), feat_mean=[0.0] * FEATURE_SIZE,
+                   feat_std=[1.0] * FEATURE_SIZE, b2=[0.0])
+        cfg = write_config(tmp_path / "c.json", model_path=str(model_path))
+        out = tmp_path / "out"
+        for text in (five_features, "[1, 2]", json.dumps(doc)):
+            model_path.write_text(text)
+            for command in ("closed-loop", "predict-eval", "simulate"):
+                assert main([command, "--config", str(cfg), "--out", str(out)]) == 2, command
+                assert not out.exists(), command
+
     def test_never_positive_model_gives_identical_reports(self, tmp_path):
         model = MlpModel(w1=np.zeros((4, FEATURE_SIZE)), b1=np.zeros(4),
                          w2=np.zeros(4), b2=-30.0,

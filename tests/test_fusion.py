@@ -1,13 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
+from lanesight import fusion
 from lanesight.geometry import (
+    BehindCamera,
     Box2D,
     Camera,
     CameraExtrinsics,
     CameraIntrinsics,
     PixelPoint,
     WorldPoint,
+    project_anchor,
 )
 from lanesight.fusion import (
     DepthEstimate,
@@ -239,6 +245,34 @@ class TestIdentify:
         res = identify(frame, twin, 35.0, FusionParams(), method="baseline")
         assert res.chosen is None
 
+    def test_unknown_method_rejected_on_every_frame(self):
+        # a behind-camera or off-image anchor used to return a no-match
+        # labelled with the unknown method instead of raising
+        frame = build_frame([car(1, s=22.25)])
+        for position in (WorldPoint(-30.0, 5.25, 0.75), WorldPoint(10.0, 40.0, 0.75),
+                         WorldPoint(22.25, 5.25, 0.75)):
+            twin = TwinRecord(1, position, 17.0, 0.0)
+            with pytest.raises(ValueError, match="unknown method"):
+                identify(frame, twin, 20.0, FusionParams(), method="nope")
+
+    def test_fused_without_sampling_region_uses_center_distance(self, monkeypatch):
+        # both candidates are narrower than a pixel, so neither offers a depth
+        # sample; the fused method then picks the box center nearest the anchor
+        def no_depth(*args, **kwargs):
+            raise AssertionError("depth read for boxes without a sampling region")
+
+        monkeypatch.setattr(fusion, "depth_evaluate", no_depth)
+        twin = TwinRecord(1, WorldPoint(22.25, 5.25, 0.75), 17.0, 0.0)
+        a = project_anchor(twin.position, CAM.extrinsics, INTR)
+        off_center = det(a.u - 0.1, a.v - 0.1, a.u + 0.8, a.v + 0.8, source=1)
+        centered = det(a.u - 0.4, a.v - 0.4, a.u + 0.4, a.v + 0.4, source=2)
+        frame = SensorFrame(t=0.0, detections=[off_center, centered],
+                            depth=flat_depth(10.0), camera=CAM)
+        res = identify(frame, twin, 20.0, FusionParams(), method="fused")
+        assert res.chosen is centered
+        assert res.method == "fused"
+        assert res.candidate_count == 2
+
     def test_branch_consistency_on_unique_candidates(self):
         rng = np.random.default_rng(31)
         params = FusionParams()
@@ -252,3 +286,75 @@ class TestIdentify:
             base = identify(frame, twin, d_g, params, method="baseline")
             if fused.candidate_count == 1:
                 assert base.chosen == fused.chosen
+
+
+# A 192x108 camera (fx = fy = 200 px) keeps each drawn frame cheap. Two depth
+# rasters: a flat one, on which every candidate ties, and whole-meter steps
+# that deepen down and across the image, so nested boxes sample different
+# depths and d_g can fall between them.
+SMALL_INTR = CameraIntrinsics(pixel_size_x=25e-6, pixel_size_y=25e-6,
+                              u0=96.0, v0=54.0, width=192, height=108)
+SMALL_CAM = Camera(CameraExtrinsics.looking_along_road(WorldPoint(0.0, 5.25, 1.4)),
+                   SMALL_INTR)
+_ROWS, _COLS = np.mgrid[0:108, 0:192]
+DEPTH_RASTERS = (flat_depth(15.0, 192, 108),
+                 DepthMap(192, 108, np.floor(8.0 + 0.12 * _ROWS + 0.03 * _COLS)))
+REACH = st.one_of(st.just(0.0), st.sampled_from([0.25, 0.5, 0.99, 1.0, 1.5]),
+                  st.floats(0.0, 60.0), st.floats(2.0, 60.0))
+
+
+def _clipped(u_min, v_min, u_max, v_max) -> Box2D:
+    def clip(x, hi):
+        return min(max(x, 0.0), hi)
+    return Box2D(clip(u_min, 192.0), clip(v_min, 108.0), clip(u_max, 192.0), clip(v_max, 108.0))
+
+
+@st.composite
+def identification_cases(draw):
+    """A frame whose boxes are nested around the anchor, sub-pixel, edge-on
+    (zero reach puts the anchor on an edge), duplicated or unrelated."""
+    # mostly an anchor near or on the image, once in ten one behind the camera
+    u, v = draw(st.floats(-10.0, 202.0)), draw(st.floats(-10.0, 118.0))
+    ahead = draw(st.sampled_from(range(10))) > 0
+    x = draw(st.floats(3.0, 60.0) if ahead else st.floats(-5.0, 0.5))
+    position = WorldPoint(x, 5.25 - (u - 96.0) * x / 200.0, 1.4 - (v - 54.0) * x / 200.0)
+    try:
+        anchor = project_anchor(position, SMALL_CAM.extrinsics, SMALL_INTR)
+        au, av = anchor.u, anchor.v
+    except BehindCamera:
+        au, av = SMALL_INTR.u0, SMALL_INTR.v0
+    dets = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["around", "around", "duplicate", "unrelated"]))
+        if kind == "duplicate" and dets:
+            dets.append(Detection(draw(st.sampled_from(dets)).box))
+            continue
+        if kind == "unrelated":
+            u, v = draw(st.floats(0.0, 192.0)), draw(st.floats(0.0, 108.0))
+            box = _clipped(u, v, u + draw(REACH), v + draw(REACH))
+        else:
+            box = _clipped(au - draw(REACH), av - draw(REACH),
+                           au + draw(REACH), av + draw(REACH))
+        dets.append(Detection(box, source_id=len(dets)))
+    frame = SensorFrame(t=0.5, detections=dets, depth=draw(st.sampled_from(DEPTH_RASTERS)),
+                        camera=SMALL_CAM)
+    shrink = st.one_of(st.sampled_from([0.8, 1.0]), st.floats(0.0, 1.0, exclude_min=True))
+    params = FusionParams(shrink=draw(shrink),
+                          samples=draw(st.integers(1, 4)), seed=draw(st.integers(0, 3)))
+    d_g = draw(st.one_of(st.sampled_from([10.0, 12.5, 15.0, 17.5, 20.0]),
+                         st.floats(0.0, 30.0)))
+    return frame, TwinRecord(1, position, 17.0, 0.0), d_g, params
+
+
+class TestSingleDecisionPath:
+    @settings(max_examples=400, deadline=None)
+    @given(case=identification_cases(), method=st.sampled_from(["fused", "baseline"]))
+    def test_identify_matches_per_branch_reference(self, case, method):
+        frame, twin, d_g, params = case
+        got = identify(frame, twin, d_g, params, method=method)
+        want = oracles.identify(frame, twin, d_g, params, method=method)
+        assert got.chosen is want.chosen
+        assert got.candidate_count == want.candidate_count
+        assert got.method == want.method
+        assert got.anchor == want.anchor
+        assert got.t == want.t

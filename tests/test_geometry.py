@@ -10,15 +10,14 @@ from lanesight.geometry import (
     Box2D,
     CameraExtrinsics,
     CameraIntrinsics,
-    CameraPoint,
     Cuboid3D,
     WorldPoint,
-    camera_to_pixel,
     iou,
     project_anchor,
     project_cuboid_hull,
     world_to_camera,
 )
+import oracles
 from oracles import project_point_oracle, rodrigues
 
 INTR = CameraIntrinsics(focal_length=0.005, pixel_size_x=5e-6, pixel_size_y=5e-6,
@@ -35,32 +34,31 @@ def random_extrinsics(rng):
 
 class TestWorldToCamera:
     def test_identity(self):
-        p = world_to_camera(WorldPoint(1.0, 2.0, 3.0), IDENTITY)
-        assert (p.x_c, p.y_c, p.z_c) == (1.0, 2.0, 3.0)
+        (p,) = world_to_camera(np.array([[1.0, 2.0, 3.0]]), IDENTITY)
+        assert tuple(p) == (1.0, 2.0, 3.0)
 
     def test_pure_translation(self):
         e = CameraExtrinsics(np.eye(3), [0.0, 0.0, -5.0])
-        p = world_to_camera(WorldPoint(0.0, 0.0, 0.0), e)
-        assert (p.x_c, p.y_c, p.z_c) == (0.0, 0.0, -5.0)
+        (p,) = world_to_camera(np.array([[0.0, 0.0, 0.0]]), e)
+        assert tuple(p) == (0.0, 0.0, -5.0)
 
     def test_matches_homogeneous_oracle(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
             e, r, t = random_extrinsics(rng)
             w = rng.uniform(-20, 20, size=3)
-            got = world_to_camera(WorldPoint(*w), e)
+            (got,) = world_to_camera(w[None], e)
             want = r @ w + t
-            assert np.allclose([got.x_c, got.y_c, got.z_c], want, rtol=1e-12, atol=1e-12)
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_preserves_pairwise_distance(self):
         rng = np.random.default_rng(3)
         for _ in range(25):
             e, _, _ = random_extrinsics(rng)
             p, q = rng.uniform(-30, 30, size=(2, 3))
-            fp = world_to_camera(WorldPoint(*p), e)
-            fq = world_to_camera(WorldPoint(*q), e)
+            fp, fq = world_to_camera(np.array([p, q]), e)
             d_in = np.linalg.norm(p - q)
-            d_out = math.dist((fp.x_c, fp.y_c, fp.z_c), (fq.x_c, fq.y_c, fq.z_c))
+            d_out = math.dist(fp, fq)
             assert d_out == pytest.approx(d_in, rel=1e-9)
 
     def test_rejects_non_orthonormal_rotation(self):
@@ -71,13 +69,16 @@ class TestWorldToCamera:
 
 
 class TestCameraToPixel:
+    """The pinhole step alone: with IDENTITY extrinsics a world point is its
+    own camera-frame point."""
+
     def test_optical_axis_hits_principal_point(self):
-        px = camera_to_pixel(CameraPoint(0.0, 0.0, 10.0), INTR)
+        px = project_anchor(WorldPoint(0.0, 0.0, 10.0), IDENTITY, INTR)
         assert (px.u, px.v, px.depth) == (480.0, 270.0, 10.0)
 
     def test_offset_point(self):
         # p=(1,0,10) with fx=1000: u = 480 + 1000 * 1/10
-        px = camera_to_pixel(CameraPoint(1.0, 0.0, 10.0), INTR)
+        px = project_anchor(WorldPoint(1.0, 0.0, 10.0), IDENTITY, INTR)
         assert px.u == pytest.approx(580.0, abs=1e-12)
         assert px.v == pytest.approx(270.0, abs=1e-12)
         u_oracle, v_oracle = 480 + 1000 * 0.1, 270.0
@@ -85,9 +86,9 @@ class TestCameraToPixel:
 
     def test_behind_camera(self):
         with pytest.raises(BehindCamera):
-            camera_to_pixel(CameraPoint(0.0, 0.0, 0.0), INTR)
+            project_anchor(WorldPoint(0.0, 0.0, 0.0), IDENTITY, INTR)
         with pytest.raises(BehindCamera):
-            camera_to_pixel(CameraPoint(0.0, 0.0, 0.4), INTR)  # inside near plane
+            project_anchor(WorldPoint(0.0, 0.0, 0.4), IDENTITY, INTR)  # inside near plane
 
     def test_round_trip_through_back_projection(self):
         rng = np.random.default_rng(17)
@@ -95,8 +96,8 @@ class TestCameraToPixel:
             u = rng.uniform(0, INTR.width)
             v = rng.uniform(0, INTR.height)
             d = rng.uniform(INTR.near_plane + 0.01, 200.0)
-            cam = CameraPoint((u - INTR.u0) * d / INTR.fx, (v - INTR.v0) * d / INTR.fy, d)
-            px = camera_to_pixel(cam, INTR)
+            cam = WorldPoint((u - INTR.u0) * d / INTR.fx, (v - INTR.v0) * d / INTR.fy, d)
+            px = project_anchor(cam, IDENTITY, INTR)
             assert px.u == pytest.approx(u, abs=1e-9)
             assert px.v == pytest.approx(v, abs=1e-9)
 
@@ -127,6 +128,22 @@ class TestProjectAnchor:
     def test_behind_camera_propagates(self):
         with pytest.raises(BehindCamera):
             project_anchor(WorldPoint(0.0, 0.0, -10.0), IDENTITY, INTR)
+
+    @settings(max_examples=300, deadline=None)
+    @given(mount=st.tuples(*[st.floats(-1e4, 1e4)] * 3),
+           point=st.tuples(*[st.floats(-1e4, 1e4)] * 3))
+    def test_bit_equal_to_per_point_path_along_road(self, mount, point):
+        # the road camera's rotation holds only 0 and +-1, so the row-array
+        # transform and the per-point matrix-vector product agree exactly
+        e = CameraExtrinsics.looking_along_road(WorldPoint(*mount))
+        try:
+            want = oracles.project_anchor(WorldPoint(*point), e, INTR)
+        except BehindCamera:
+            with pytest.raises(BehindCamera):
+                project_anchor(WorldPoint(*point), e, INTR)
+            return
+        got = project_anchor(WorldPoint(*point), e, INTR)
+        assert (got.u, got.v, got.depth) == (want.u, want.v, want.depth)
 
 
 class TestProjectCuboidHull:

@@ -25,11 +25,17 @@ from lanesight.scene import (
     car_following_accel,
     extract_lane_changes,
     lateral_profile,
-    run_steps,
     step,
 )
 
 IDM = IdmParams()
+
+
+def run_steps(scn: Scenario, n_steps: int, guidance_fn=None):
+    """Advance n_steps ticks; guidance_fn(t) supplies the per-tick probability map."""
+    for _ in range(n_steps):
+        guidance = guidance_fn(scn.t) if guidance_fn is not None else None
+        step(scn, guidance)
 
 
 def make_car(vid=1, s=0.0, v=17.0, lane=0, v_desired=17.0, lanes=LaneSpec()):
