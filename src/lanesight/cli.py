@@ -219,6 +219,9 @@ def main(argv=None) -> int:
     try:
         needs_model = args.command in ("predict-eval", "closed-loop")
         model = _load_model_for(cfg, required=needs_model)
+        if args.command == "train" and cfg.scenario.neighbor_count == 0:
+            raise ConfigError("scenario.neighbor_count: train needs at least one neighbor "
+                              "to label")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

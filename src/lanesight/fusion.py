@@ -88,7 +88,7 @@ def depth_evaluate(img_d: DepthMap, boxes: list[Box2D], th: float = FusionParams
         u_lo, u_hi, v_lo, v_hi = region
         us = rng.integers(u_lo, u_hi + 1, size=n)
         vs = rng.integers(v_lo, v_hi + 1, size=n)
-        total = math.fsum(img_d.values[v, u] for u, v in zip(us, vs))
+        total = math.fsum(img_d.at(u, v) for u, v in zip(us, vs))
         estimates.append(DepthEstimate(i, total / n))
     return estimates
 

@@ -39,6 +39,7 @@ from .twinlink import ChannelConfig, CloudAdvisory, NoData, TwinRecord, TwinStor
     gnss_distance, publish, publish_advisory, query_advisory, query_target
 
 INFER_PERIOD = 1.0  # seconds between per-vehicle predictions
+DECISION_THRESHOLD = 0.5  # a traced probability at or above this sets the trace bit
 REPORT_IOU = 0.7  # fuse-eval summaries report accuracy at this IoU threshold
 
 
@@ -113,7 +114,7 @@ def simulate_run(cfg: ScenarioConfig, channel: ChannelConfig = ChannelConfig(),
                     prob = infer(model, feats)
                     rec = query_target(store, vid, t, channel)
                     publish_advisory(store, CloudAdvisory(vid, rec.position, prob, t))
-                    trace_rows[vid].append((t, prob, int(prob >= 0.5)))
+                    trace_rows[vid].append((t, prob, int(prob >= DECISION_THRESHOLD)))
             if guided:
                 guidance = {}
                 for vid in sorted(trace_rows):

@@ -22,6 +22,7 @@ import csv
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -158,6 +159,16 @@ class ScenarioConfig:
             raise ValueError("potential_changer_count exceeds neighbor_count")
         if self.spawn_max_s <= self.spawn_min_s:
             raise ValueError("spawn_max_s must exceed spawn_min_s")
+        # cars spawn at least min_spawn_gap apart, bumper to bumper, within the
+        # spawn range; the changers share one lane, the rest any right lane
+        per_lane = math.floor((self.spawn_max_s - self.spawn_min_s)
+                              / (self.min_spawn_gap + CAR_DIMS[0])) + 1
+        if self.potential_changer_count > per_lane:
+            raise ValueError(f"potential_changer_count: the changer lane holds at most "
+                             f"{per_lane} cars")
+        room = per_lane * (self.lanes.lane_count - 1)
+        if self.neighbor_count > room:
+            raise ValueError(f"neighbor_count: the right lanes hold at most {room} cars")
         need = max(self.accident_s + 0.5 * TRUCK_DIMS[0], self.spawn_max_s + 0.5 * CAR_DIMS[0])
         if need > self.lanes.road_length:
             raise ValueError(f"road_length must be at least {need} to hold the blockage "
@@ -239,6 +250,12 @@ def _bumper_gap(rear: VehicleState, front: VehicleState) -> float:
     return front.s - rear.s - 0.5 * (front.length + rear.length)
 
 
+@lru_cache(maxsize=8)
+def _aware_idm(idm: IdmParams, aware_headway: float) -> IdmParams:
+    """idm with its time headway raised to aware_headway, built once per pair."""
+    return replace(idm, time_headway=max(idm.time_headway, aware_headway))
+
+
 def ego_policy(ego: VehicleState, others: list[VehicleState],
                guidance: dict[int, float] | None, params: DriverParams,
                idm: IdmParams, memory: EgoMemory, t: float) -> float:
@@ -268,8 +285,7 @@ def ego_policy(ego: VehicleState, others: list[VehicleState],
     follow_idm = idm
     if guided and leader is not None and leader.id in memory.alerted:
         # an advised driver hangs farther back behind the merged vehicle
-        follow_idm = replace(idm, time_headway=max(idm.time_headway,
-                                                   params.aware_headway))
+        follow_idm = _aware_idm(idm, params.aware_headway)
     acc = car_following_accel(ego, leader, follow_idm)
 
     if leader is not None and guided and leader.id in memory.alerted:

@@ -7,13 +7,14 @@ list. The raster uses a planar per-vehicle model: every pixel of a vehicle's
 hull carries the camera-frame depth of the body face nearest the camera, with
 nearest-wins resolution where hulls overlap. That face is what a rear-mounted
 depth sample would measure, which is the quantity the depth evaluation stage
-averages.
+averages. A depth map stores only the hulls' union box, painted on first read.
 """
 from __future__ import annotations
 
 import csv
 import math
 import struct
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -26,19 +27,36 @@ from .scene import VehicleState
 
 @dataclass
 class DepthMap:
-    """Row-major raster of camera-to-surface distance in meters."""
+    """Camera-to-surface distance in meters over a width x height frame.
+
+    Only the block at top-left pixel (row, col) is stored, or the painter that
+    makes it on first read; every pixel outside the block reads far_value.
+    """
 
     width: int
     height: int
-    values: np.ndarray
+    block: np.ndarray | Callable[[], np.ndarray]
+    row: int = 0
+    col: int = 0
     far_value: float = 1000.0
 
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float).reshape(self.height, self.width)
+    def _painted(self) -> np.ndarray:
+        if callable(self.block):
+            self.block = self.block()
+        return self.block
 
-    @classmethod
-    def background(cls, width: int, height: int) -> "DepthMap":
-        return cls(width, height, np.full((height, width), cls.far_value))
+    def at(self, u: int, v: int) -> float:
+        """Depth at pixel column u, row v."""
+        block, r, c = self._painted(), v - self.row, u - self.col
+        inside = 0 <= r < block.shape[0] and 0 <= c < block.shape[1]
+        return block[r, c] if inside else self.far_value
+
+    def raster(self, dtype=float) -> np.ndarray:
+        """The full height x width frame, row-major, cast to dtype."""
+        out = np.full((self.height, self.width), self.far_value, dtype=dtype)
+        block = self._painted()
+        out[self.row:self.row + block.shape[0], self.col:self.col + block.shape[1]] = block
+        return out
 
 
 @dataclass(frozen=True)
@@ -102,27 +120,30 @@ def render_depth_map(truth: list[tuple[int, Box2D, float]], intrinsics: CameraIn
     Overlaps resolve nearest-wins; background pixels carry DepthMap.far_value.
     With a noise model, per-pixel Gaussian noise is added on vehicle regions only.
     """
-    dm = DepthMap.background(intrinsics.width, intrinsics.height)
     # a visible hull has positive area, so its pixel rectangle is never empty
     layers = [(depth, (math.floor(box.v_min), math.ceil(box.v_max),
                        math.floor(box.u_min), math.ceil(box.u_max)))
               for _, box, depth in truth]
     if not layers:
-        return dm
+        return DepthMap(intrinsics.width, intrinsics.height, np.empty((0, 0)))
     layers.sort(key=lambda item: -item[0])  # far first, near overwrites
     top, bottom, left, right = zip(*(rect for _, rect in layers))
-    r0, r1, c0, c1 = min(top), max(bottom), min(left), max(right)
-    region = dm.values[r0:r1, c0:c1]  # a view: painting it paints the raster
-    covered = np.zeros(region.shape, dtype=bool)
-    for depth, (v0, v1, u0, u1) in layers:
-        region[v0 - r0:v1 - r0, u0 - c0:u1 - c0] = depth
-        covered[v0 - r0:v1 - r0, u0 - c0:u1 - c0] = True
-    if noise is not None and noise.depth_noise_sigma > 0:
-        # one draw per pixel of the union bounding box, covered or not
-        rng = seeding.rng_for(noise.seed, seeding.DEPTH)
-        jitter = rng.normal(0.0, noise.depth_noise_sigma, size=region.shape)
-        np.maximum(region + jitter, 0.01, out=region, where=covered)
-    return dm
+    r0, c0 = min(top), min(left)
+    shape = (max(bottom) - r0, max(right) - c0)
+
+    def paint() -> np.ndarray:
+        block = np.full(shape, DepthMap.far_value)
+        covered = np.zeros(shape, dtype=bool)
+        for depth, (v0, v1, u0, u1) in layers:
+            block[v0 - r0:v1 - r0, u0 - c0:u1 - c0] = depth
+            covered[v0 - r0:v1 - r0, u0 - c0:u1 - c0] = True
+        if noise is not None and noise.depth_noise_sigma > 0:
+            # one draw per pixel of the union bounding box, covered or not
+            rng = seeding.rng_for(noise.seed, seeding.DEPTH)
+            jitter = rng.normal(0.0, noise.depth_noise_sigma, size=shape)
+            np.maximum(block + jitter, 0.01, out=block, where=covered)
+        return block
+    return DepthMap(intrinsics.width, intrinsics.height, paint, r0, c0)
 
 
 def emulate_detections(truth: list[tuple[int, Box2D, float]], noise: DetectorNoiseModel,
@@ -165,7 +186,7 @@ def write_depth_map(dm: DepthMap, path):
     """Bit-exact raster format: magic, u32 LE width/height, f32 LE values."""
     with open(path, "wb") as fh:
         fh.write(struct.pack("<4sII", DEPTH_MAGIC, dm.width, dm.height))
-        fh.write(dm.values.astype("<f4", order="C"))
+        fh.write(dm.raster("<f4"))
 
 
 def read_depth_map(path) -> DepthMap:
@@ -174,8 +195,8 @@ def read_depth_map(path) -> DepthMap:
         if magic != DEPTH_MAGIC:
             raise ValueError(f"not a depth map file: magic {magic!r}")
         raw = fh.read(4 * width * height)
-    values = np.frombuffer(raw, dtype="<f4").astype(float).reshape(height, width)
-    return DepthMap(width, height, values)
+    return DepthMap(width, height,
+                    np.frombuffer(raw, dtype="<f4").reshape(height, width).astype(float))
 
 
 def write_detections_csv(frames: list[tuple[float, list[Detection]]], path):

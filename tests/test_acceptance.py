@@ -56,13 +56,14 @@ def test_criterion_1_printed_filter_columns():
 
 def test_criterion_2_overlap_case_distance_matching():
     # two depth regions on one raster with an anchor inside both boxes
-    img = DepthMap.background(960, 540)
+    values = np.full((540, 960), DepthMap.far_value)
     far_box = Box2D(432, 264, 528, 345)
     near_box = Box2D(374, 258, 586, 435)
-    img.values[int(near_box.v_min):int(near_box.v_max),
-               int(near_box.u_min):int(near_box.u_max)] = 8.46
-    img.values[int(far_box.v_min):int(far_box.v_max),
-               int(far_box.u_min):int(far_box.u_max)] = 18.69
+    values[int(near_box.v_min):int(near_box.v_max),
+           int(near_box.u_min):int(near_box.u_max)] = 8.46
+    values[int(far_box.v_min):int(far_box.v_max),
+           int(far_box.u_min):int(far_box.u_max)] = 18.69
+    img = DepthMap(960, 540, values)
     anchor = PixelPoint(480.0, 300.0, 18.7)
     from lanesight.sensing import Detection
     detections = [Detection(far_box, source_id=1), Detection(near_box, source_id=2)]

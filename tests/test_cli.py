@@ -81,6 +81,8 @@ class TestSimulate:
             # no target could ever lie beyond the near plane
             {"fuse_eval": {"target_range": [-5, -1], "frames": 5}},
             {"fuse_eval": {"target_range": [1, 2.74]}},
+            # more cars than the spawn range can hold apart
+            {"scenario": {"neighbor_count": 200}},
         )]
         cfg = tmp_path / "c.json"
         out = tmp_path / "out"
@@ -89,6 +91,11 @@ class TestSimulate:
             for command in ("simulate", "fuse-eval", "train"):
                 assert main([command, "--config", str(cfg), "--out", str(out)]) == 2, text
                 assert not out.exists(), text
+        # with no neighbors train has nothing to label
+        cfg.write_text(json.dumps({"scenario": {"neighbor_count": 0,
+                                                "potential_changer_count": 0}}))
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_depth_rasters_do_not_outlive_their_frame(self, tmp_path, monkeypatch):
         # each frame's raster is written as soon as the frame is rendered, so

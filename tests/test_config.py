@@ -70,6 +70,31 @@ class TestResolve:
                  "spawn_max_s": 540, "accident_s": 600, "road_length": 650}
         assert resolve_config({"scenario": dense}).scenario.lanes.road_length == 650
 
+    def test_spawn_range_holds_every_neighbor(self):
+        # the default range holds 5 cars a lane: 60 m at 14.5 m per car, plus one
+        for scenario, key in (({"neighbor_count": 11}, "neighbor_count"),
+                              ({"neighbor_count": 200}, "neighbor_count"),
+                              ({"neighbor_count": 6, "potential_changer_count": 6},
+                               "potential_changer_count"),
+                              ({"neighbor_count": 8, "lane_count": 2}, "neighbor_count")):
+            with pytest.raises(ConfigError, match=f"scenario.{key}"):
+                resolve_config({"scenario": scenario})
+        at_bound = {"neighbor_count": 10, "potential_changer_count": 5}
+        assert resolve_config({"scenario": at_bound}).scenario.neighbor_count == 10
+        # the default, the dense benchmark scenario and the test_scene tied
+        # scenarios, whose range fits every neighbor in one lane, all resolve
+        dense = {"neighbor_count": 48, "potential_changer_count": 12,
+                 "spawn_max_s": 540, "accident_s": 600, "road_length": 650}
+        tied = [{"neighbor_count": n, "potential_changer_count": min(n, 12),
+                 "min_spawn_gap": gap, "lane_count": 2,
+                 "spawn_max_s": 60.0 + 2 * n * (4.5 + gap),
+                 "accident_s": 60.0 + 2 * n * (4.5 + gap),
+                 "road_length": 70.0 + 2 * n * (4.5 + gap)}
+                for n in (0, 1, 60) for gap in (0.0, 2.0, 10.0)]
+        for scenario in [{}, dense] + tied:
+            assert resolve_config({"scenario": scenario}).scenario.neighbor_count \
+                == scenario.get("neighbor_count", 6)
+
     def test_corpus_target_can_lie_beyond_the_near_plane(self):
         # the corpus camera sits at world x = 0, so the target's rear corners
         # are at depth target_s - 2.25, which must exceed the near plane

@@ -76,9 +76,10 @@ class TestDepthEvaluate:
             assert est.distance == pytest.approx(18.69, abs=1e-12)
 
     def test_input_order_preserved(self):
-        img = flat_depth(1.0)
-        img.values[:, :480] = 5.0
-        img.values[:, 480:] = 9.0
+        values = np.full((540, 960), 1.0)
+        values[:, :480] = 5.0
+        values[:, 480:] = 9.0
+        img = DepthMap(960, 540, values)
         left = Box2D(50, 50, 200, 200)
         right = Box2D(600, 50, 750, 200)
         ests = depth_evaluate(img, [right, left], n=8, seed=1)
@@ -91,16 +92,16 @@ class TestDepthEvaluate:
         # all samples stayed inside
         box = Box2D(100, 100, 300, 260)
         s = shrink_box(box, 0.8)
-        img = flat_depth(np.nan)
+        values = np.full((540, 960), np.nan)
         v_top = s.v_max - 0.25 * s.height
-        img.values[int(np.ceil(v_top)):int(s.v_max), int(np.ceil(s.u_min)):int(s.u_max)] = 7.5
+        values[int(np.ceil(v_top)):int(s.v_max), int(np.ceil(s.u_min)):int(s.u_max)] = 7.5
+        img = DepthMap(960, 540, values)
         for seed in range(20):
             (est,) = depth_evaluate(img, [box], th=0.8, n=32, seed=seed)
             assert est.distance == pytest.approx(7.5)
 
     def test_determinism(self):
-        img = flat_depth(20.0)
-        img.values += np.random.default_rng(0).normal(0, 0.1, img.values.shape)
+        img = DepthMap(960, 540, 20.0 + np.random.default_rng(0).normal(0, 0.1, (540, 960)))
         boxes = [Box2D(100, 100, 300, 260), Box2D(400, 200, 600, 400)]
         a = depth_evaluate(img, boxes, th=0.8, n=16, seed=5)
         b = depth_evaluate(img, boxes, th=0.8, n=16, seed=5)
@@ -114,10 +115,8 @@ class TestDepthEvaluate:
         hits = 0
         trials = 300
         for trial in range(trials):
-            img = flat_depth(18.69, width=480, height=400)
-            region = img.values
-            noise = rng.normal(0.0, 0.1, region.shape)
-            img.values = region + noise
+            noise = rng.normal(0.0, 0.1, (400, 480))
+            img = DepthMap(480, 400, np.full((400, 480), 18.69) + noise)
             (est,) = depth_evaluate(img, [box], th=0.8, n=64, seed=trial)
             if abs(est.distance - 18.69) <= 4 * 0.1 / np.sqrt(64):
                 hits += 1

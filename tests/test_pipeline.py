@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lanesight import sensing
+from lanesight import fusion, seeding, sensing
 from lanesight.evaluation import identification_accuracy
 from lanesight.fusion import FusionParams
 from lanesight.pipeline import (
@@ -148,6 +148,28 @@ class TestFuseCorpus:
             fused, base = methods["fused"], methods["baseline"]
             if fused.candidate_count == 1:
                 assert base.chosen == fused.chosen
+
+    def test_depth_is_painted_only_for_frames_that_read_it(self, monkeypatch):
+        # only a fused identification with several candidates reads the raster,
+        # so the other frames never draw their depth noise
+        streams, evaluated = [], []
+        rng_for, evaluate = sensing.seeding.rng_for, fusion.depth_evaluate
+
+        def counted_rng(seed, stream, index=0):
+            streams.append(stream)
+            return rng_for(seed, stream, index)
+
+        def counted_evaluate(*args, **kwargs):
+            evaluated.append(1)
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(sensing.seeding, "rng_for", counted_rng)
+        monkeypatch.setattr(fusion, "depth_evaluate", counted_evaluate)
+        noise = DetectorNoiseModel(depth_noise_sigma=0.1, seed=4)
+        result = build_fuse_corpus(FuseCorpusConfig(frames=40), CameraMount(), noise,
+                                   FusionParams(), seed=4)
+        painted = streams.count(seeding.DEPTH)
+        assert 0 < painted == len(evaluated) < result.frame_count
 
     def test_accuracy_monotone_in_threshold(self):
         corpus = FuseCorpusConfig(frames=150)

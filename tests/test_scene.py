@@ -124,8 +124,14 @@ class TestBuildScenario:
         assert all(v.s > ego.s for v in scn.vehicles if v.id != ego.id)
 
     def test_infeasible_placement_raises(self):
-        cfg = ScenarioConfig(seed=1, neighbor_count=6, potential_changer_count=6,
-                             spawn_min_s=30.0, spawn_max_s=45.0)
+        # over the spawn range's capacity the config itself is refused ...
+        with pytest.raises(ValueError, match="potential_changer_count"):
+            ScenarioConfig(seed=1, neighbor_count=6, potential_changer_count=6,
+                           spawn_min_s=30.0, spawn_max_s=45.0)
+        # ... and at it, three changers need 14.5 m spacing in a 30 m range,
+        # which random draws miss
+        cfg = ScenarioConfig(seed=1, neighbor_count=3, potential_changer_count=3,
+                             spawn_min_s=30.0, spawn_max_s=60.0)
         with pytest.raises(InfeasiblePlacement):
             build_scenario(cfg)
 

@@ -1,3 +1,8 @@
+import math
+import struct
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -59,16 +64,16 @@ class TestRenderTruthBoxes:
 class TestRenderDepthMap:
     def test_background_only(self):
         dm = render_depth_map([], INTR)
-        assert np.all(dm.values == dm.far_value)
+        assert np.all(dm.raster() == dm.far_value)
 
     def test_single_vehicle_planar_depth(self):
         # rear face exactly 20 m ahead of the camera plane
         dm = depth_map([car(1, s=20.0 + 2.25)])
-        vals = np.unique(dm.values)
+        vals = np.unique(dm.raster())
         assert set(np.round(vals, 6)) == {20.0, 1000.0}
         boxes = truth_boxes([car(1, s=22.25)])
         b = boxes[1]
-        inner = dm.values[int(b.v_min) + 1:int(b.v_max) - 1,
+        inner = dm.raster()[int(b.v_min) + 1:int(b.v_max) - 1,
                           int(b.u_min) + 1:int(b.u_max) - 1]
         assert np.all(np.abs(inner - 20.0) < 1e-6)
 
@@ -78,7 +83,7 @@ class TestRenderDepthMap:
         dm = depth_map([far, near])
         far_box = truth_boxes([far])[2]
         cu, cv = far_box.center
-        assert dm.values[int(cv), int(cu)] == pytest.approx(8.46)
+        assert dm.at(int(cu), int(cv)) == pytest.approx(8.46)
 
     def test_nearest_wins_is_minimum_over_layers(self):
         states = [car(1, s=12.0), car(2, s=18.0), car(3, s=30.0)]
@@ -95,14 +100,14 @@ class TestRenderDepthMap:
                 covering = [depths[vid] for vid, b, _ in hulls
                             if b.u_min <= u < b.u_max and b.v_min <= v < b.v_max]
                 if covering:
-                    assert dm.values[v, u] <= min(covering) + 1e-9
+                    assert dm.at(u, v) <= min(covering) + 1e-9
 
     def test_depth_noise_applies_only_on_vehicles(self):
         noise = DetectorNoiseModel(depth_noise_sigma=0.1, seed=3)
         dm = depth_map([car(1, s=22.25)], noise=noise)
-        assert np.all(dm.values[0, :] == dm.far_value)  # sky row untouched
+        assert np.all(dm.raster()[0, :] == dm.far_value)  # sky row untouched
         box = truth_boxes([car(1, s=22.25)])[1]
-        patch = dm.values[int(box.v_min) + 2:int(box.v_max) - 2,
+        patch = dm.raster()[int(box.v_min) + 2:int(box.v_max) - 2,
                           int(box.u_min) + 2:int(box.u_max) - 2]
         assert patch.std() > 0.05
         assert abs(patch.mean() - 20.0) < 0.05
@@ -147,8 +152,46 @@ class TestArrayPathMatchesPerCornerReference:
             assert depth == per_corner_nearest_depth(by_id[vid].cuboid(), camera.extrinsics)
         noise = DetectorNoiseModel(depth_noise_sigma=sigma, seed=seed)
         for model in (None, noise):
-            assert np.array_equal(render_depth_map(truth, intr, noise=model).values,
+            assert np.array_equal(render_depth_map(truth, intr, noise=model).raster(),
                                   full_frame_depth_values(states, camera, noise=model))
+
+    @settings(max_examples=100, deadline=None)
+    @given(states=vehicle_sets(),
+           intr=st.sampled_from([INTR, SMALL_INTR]),
+           sigma=st.sampled_from([0.0, 0.1]), seed=st.integers(0, 2**32 - 1),
+           picks=st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True),
+                                    st.floats(0.0, 1.0, exclude_max=True)), max_size=12))
+    @example(states=[], intr=SMALL_INTR, sigma=0.1, seed=0, picks=[(0.5, 0.5)])
+    def test_lazy_map_reads_and_writes_the_full_frame(self, states, intr, sigma, seed,
+                                                       picks):
+        # each read path paints a fresh map, so none relies on another's painting
+        camera = Camera(CameraExtrinsics.looking_along_road(WorldPoint(0.0, 5.25, 1.4)), intr)
+        truth = render_truth_boxes(states, camera)
+        noise = DetectorNoiseModel(depth_noise_sigma=sigma, seed=seed)
+        expected = full_frame_depth_values(states, camera, noise=noise)
+
+        def fresh():
+            return render_depth_map(truth, intr, noise=noise)
+
+        assert np.array_equal(fresh().raster(), expected)
+        dm = fresh()
+        for fu, fv in picks:
+            u, v = int(fu * intr.width), int(fv * intr.height)
+            assert dm.at(u, v) == expected[v, u]
+        # the corners of the hulls' union box, and the pixels just outside it
+        rects = [(math.floor(b.v_min), math.ceil(b.v_max), math.floor(b.u_min),
+                  math.ceil(b.u_max)) for _, b, _ in truth] or [(0, 0, 0, 0)]
+        top, bottom, left, right = zip(*rects)
+        rows = {min(top) - 1, min(top), max(bottom) - 1, max(bottom)}
+        cols = {min(left) - 1, min(left), max(right) - 1, max(right)}
+        for v in rows & set(range(intr.height)):
+            for u in cols & set(range(intr.width)):
+                assert dm.at(u, v) == expected[v, u]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "frame.dpt"
+            write_depth_map(fresh(), path)
+            header = struct.pack("<4sII", b"DPT1", intr.width, intr.height)
+            assert path.read_bytes() == header + expected.astype("<f4").tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(center=st.tuples(st.floats(-5.0, 60.0), st.floats(-20.0, 30.0),
@@ -257,7 +300,7 @@ class TestDepthMapFile:
         write_depth_map(dm, path)
         back = read_depth_map(path)
         assert back.width == 16 and back.height == 12
-        assert np.array_equal(back.values, dm.values)
+        assert np.array_equal(back.raster(), dm.raster())
         write_depth_map(back, tmp_path / "frame2.dpt")
         assert (tmp_path / "frame.dpt").read_bytes() == (tmp_path / "frame2.dpt").read_bytes()
 
