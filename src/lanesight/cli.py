@@ -89,6 +89,7 @@ def cmd_simulate(cfg: RunConfig, out: Path, model) -> int:
                 write_depth_map(frame.depth, depth_dir / f"frame_{k:05d}.dpt")
                 detections.append((frame.t, frame.detections))
         write_detections_csv(detections, sdir / "detections.csv")
+        del art  # one run alive at a time
     return 0
 
 
@@ -153,6 +154,7 @@ def cmd_predict_eval(cfg: RunConfig, out: Path, model) -> int:
                 rows.append((vid, t, trace.probabilities[i], int(trace.binary[i]),
                              int(agg.binary[i]), int(cons.binary[i])))
         write_traces_csv(rows, _seed_dir(out, seed) / "traces.csv")
+        del art  # one run alive at a time
     metrics = {}
     for name, (pred, truth) in combined.items():
         accuracy, tpr, fpr = classification_metrics(pred, truth)
@@ -219,9 +221,9 @@ def main(argv=None) -> int:
     try:
         needs_model = args.command in ("predict-eval", "closed-loop")
         model = _load_model_for(cfg, required=needs_model)
-        if args.command == "train" and cfg.scenario.neighbor_count == 0:
-            raise ConfigError("scenario.neighbor_count: train needs at least one neighbor "
-                              "to label")
+        if args.command == "train" and cfg.scenario.potential_changer_count == 0:
+            raise ConfigError("scenario.potential_changer_count: train needs at least one "
+                              "potential lane changer to label a lane change")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

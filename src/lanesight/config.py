@@ -21,7 +21,7 @@ from operator import attrgetter
 from typing import get_args, get_origin, get_type_hints
 
 from .fusion import FusionParams
-from .pipeline import INFER_PERIOD, CameraMount, FuseCorpusConfig
+from .pipeline import ABREAST_OFFSET, INFER_PERIOD, CameraMount, FuseCorpusConfig
 from .prediction import FilterParams, TrainConfig, WindowParams
 from .scene import CAR_DIMS, LOG_PERIOD, ScenarioConfig, grid_stride
 from .sensing import DetectorNoiseModel
@@ -67,10 +67,22 @@ class RunConfig:
                 raise ValueError(f"scenario.dt_sim: {exc}") from exc
         # the corpus camera sits at world x = 0, so a target's rear corners
         # are at depth target_s - CAR_DIMS[0] / 2
-        if max(self.fuse_eval.target_range) - 0.5 * CAR_DIMS[0] \
-                <= self.camera.intrinsics.near_plane:
+        corpus, mount, intr = self.fuse_eval, self.camera, self.camera.intrinsics
+        if max(corpus.target_range) - 0.5 * CAR_DIMS[0] <= intr.near_plane:
             raise ValueError("fuse_eval.target_range: no target could lie beyond the "
                              "camera's near plane")
+        # and its front corners at depth `far` at most. A target is imaged
+        # nowhere higher than its roof seen from there, nor nearer the image
+        # center than its body edge closest to the camera's side offset
+        far = max(corpus.target_range) + 0.5 * CAR_DIMS[0]
+        if intr.v0 + intr.fy * (mount.mount_up - CAR_DIMS[2]) / far >= intr.height:
+            raise ValueError("camera.mount_up: every fuse_eval target would lie below "
+                             "the image")
+        reach = max(ABREAST_OFFSET[1], *map(abs, corpus.stagger_range)) + 0.5 * CAR_DIMS[1]
+        edge = intr.width - intr.u0 if mount.mount_left > 0 else intr.u0
+        if intr.fx * (abs(mount.mount_left) - reach) / far >= edge:
+            raise ValueError("camera.mount_left: every fuse_eval target would lie beside "
+                             "the image")
 
     def effective_dict(self) -> dict:
         doc = {"seeds": list(self.seeds), "model_path": self.model_path}

@@ -32,7 +32,7 @@ class BehindCamera(Exception):
     """Point is at or behind the camera near plane and cannot be imaged."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WorldPoint:
     x: float
     y: float

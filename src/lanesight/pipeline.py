@@ -41,6 +41,7 @@ from .twinlink import ChannelConfig, CloudAdvisory, NoData, TwinRecord, TwinStor
 INFER_PERIOD = 1.0  # seconds between per-vehicle predictions
 DECISION_THRESHOLD = 0.5  # a traced probability at or above this sets the trace bit
 REPORT_IOU = 0.7  # fuse-eval summaries report accuracy at this IoU threshold
+ABREAST_OFFSET = (0.05, 0.3)  # fuse-eval: an abreast target's offset from the lane center
 
 
 @dataclass(frozen=True)
@@ -166,12 +167,12 @@ def build_dataset(cfg: ScenarioConfig, window: WindowParams, seeds,
     samples = []
     for seed in seeds:
         run_cfg = replace(cfg, seed=int(seed)).with_policy("baseline")
-        art = simulate_run(run_cfg, channel)
-        log = art.log.resample(LOG_PERIOD)
+        log = simulate_run(run_cfg, channel).log.resample(LOG_PERIOD)
         events = extract_lane_changes(log)
         samples.extend(label_windows(events, log, window))
         if include_nonchangers:
             samples.extend(nonchanger_negatives(log, events, window))
+        del log  # its columns view the whole run; free it before the next one
     return samples
 
 
@@ -190,13 +191,16 @@ def ground_truth_bits(trace: PredictionTrace, events: list[ManeuverPlan],
 def closed_loop_pair(cfg: ScenarioConfig, model: MlpModel, seed: int,
                      channel: ChannelConfig = ChannelConfig())\
         -> tuple[SafetyReport, SafetyReport]:
-    """Guided and baseline reports for one seed on identical scenarios."""
-    reports = {}
-    for policy in ("guided", "baseline"):
-        run_cfg = replace(cfg, seed=seed).with_policy(policy)
-        art = simulate_run(run_cfg, channel, model=model if policy == "guided" else None)
-        reports[policy] = safety_report(art.log.resample(LOG_PERIOD), art.log.ego_id)
-    return reports["guided"], reports["baseline"]
+    """Guided and baseline reports for one seed on identical scenarios.
+
+    Each run's artifacts die with its report, before the next run starts.
+    """
+    def report(policy: str, run_model: MlpModel | None) -> SafetyReport:
+        log = simulate_run(replace(cfg, seed=seed).with_policy(policy), channel,
+                           model=run_model).log
+        return safety_report(log.resample(LOG_PERIOD), log.ego_id)
+
+    return report("guided", model), report("baseline", None)
 
 
 @dataclass(frozen=True)
@@ -267,7 +271,7 @@ def build_fuse_corpus(corpus: FuseCorpusConfig, mount: CameraMount,
         if rng.random() < corpus.overlap_fraction:
             if rng.random() < corpus.abreast_fraction:
                 target = _corpus_vehicle(1, s=target_s,
-                                         y=ego_y + side * rng.uniform(0.05, 0.3))
+                                         y=ego_y + side * rng.uniform(*ABREAST_OFFSET))
                 comp_y = target.y - side * rng.uniform(*corpus.abreast_separation)
                 comp_s = target_s - rng.uniform(*corpus.abreast_gap)
                 states = [target, _corpus_vehicle(2, s=comp_s, y=comp_y)]

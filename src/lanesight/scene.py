@@ -14,12 +14,14 @@ reactive policies:
 
 Integration is forward Euler at ``dt_sim``; the logged acceleration is the
 realized (v_next - v) / dt so logs stay kinematically consistent even when
-speeds clamp at zero.
+speeds clamp at zero. Each tick is recorded into typed columns, 8 B per value,
+which ``Scenario.build_log`` copies into NumPy once.
 """
 from __future__ import annotations
 
 import csv
 import math
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -343,7 +345,11 @@ def ego_policy(ego: VehicleState, others: list[VehicleState],
 
 
 class Scenario:
-    """Mutable simulation state; advance with step(), then build_log()."""
+    """Mutable simulation state; advance with step(), then build_log().
+
+    Each tick appends every vehicle's s, y, v, a and lane to that vehicle's
+    typed columns (``array("d")`` and ``array("q")``, 8 B per value).
+    """
 
     def __init__(self, cfg: ScenarioConfig, vehicles: list[VehicleState],
                  ego_id: int, changer_ids: set[int]):
@@ -360,8 +366,9 @@ class Scenario:
         self.step_count = 0
         self._by_id = {v.id: v for v in vehicles}
         self._times: list[float] = []
-        self._rows: dict[int, list[list[float]]] = {
-            v.id: [[], [], [], [], []] for v in vehicles}  # s, y, v, a, lane
+        self._rows: dict[int, tuple[array, ...]] = {  # s, y, v, a, lane
+            v.id: (array("d"), array("d"), array("d"), array("d"), array("q"))
+            for v in vehicles}
         self._record()
 
     @property
@@ -387,7 +394,7 @@ class Scenario:
 
     def build_log(self) -> "TrajectoryLog":
         meta = {v.id: (v.kind, v.length, v.width, v.height) for v in self.vehicles}
-        data = {vid: tuple(np.asarray(col) for col in cols)
+        data = {vid: tuple(np.array(col) for col in cols)  # a copy: a view blocks appends
                 for vid, cols in self._rows.items()}
         return TrajectoryLog(
             times=np.asarray(self._times),

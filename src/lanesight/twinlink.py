@@ -19,7 +19,7 @@ class NoData(Exception):
     """No record satisfies the latency bound for the requested time."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TwinRecord:
     vehicle_id: int
     position: WorldPoint
@@ -36,7 +36,7 @@ class ChannelConfig:
         check_fields(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CloudAdvisory:
     target_id: int
     position: WorldPoint

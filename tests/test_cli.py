@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
@@ -83,6 +86,10 @@ class TestSimulate:
             {"fuse_eval": {"target_range": [1, 2.74]}},
             # more cars than the spawn range can hold apart
             {"scenario": {"neighbor_count": 200}},
+            # every corpus target would be imaged below or beside the frame
+            {"camera": {"mount_up": 200}},
+            {"camera": {"mount_up": 30}},
+            {"camera": {"mount_left": 100}},
         )]
         cfg = tmp_path / "c.json"
         out = tmp_path / "out"
@@ -91,11 +98,12 @@ class TestSimulate:
             for command in ("simulate", "fuse-eval", "train"):
                 assert main([command, "--config", str(cfg), "--out", str(out)]) == 2, text
                 assert not out.exists(), text
-        # with no neighbors train has nothing to label
-        cfg.write_text(json.dumps({"scenario": {"neighbor_count": 0,
-                                                "potential_changer_count": 0}}))
-        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
-        assert not out.exists()
+        # with no potential lane changer train has no lane change to label
+        for neighbors in (0, 1):
+            cfg.write_text(json.dumps({"scenario": {"neighbor_count": neighbors,
+                                                    "potential_changer_count": 0}}))
+            assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+            assert not out.exists()
 
     def test_depth_rasters_do_not_outlive_their_frame(self, tmp_path, monkeypatch):
         # each frame's raster is written as soon as the frame is rendered, so
@@ -283,3 +291,19 @@ class TestClosedLoop:
         guided = (out / "seed_5" / "report_guided.json").read_text()
         baseline = (out / "seed_5" / "report_baseline.json").read_text()
         assert guided == baseline
+
+
+class TestModuleEntry:
+    def test_python_m_lanesight_runs_the_cli(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", scenario={"duration": 0.0,
+                                                          "neighbor_count": 0,
+                                                          "potential_changer_count": 0})
+        out = tmp_path / "out"
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        for argv, code in ((["simulate", "--config", str(cfg), "--out", str(out)], 0),
+                           (["train", "--config", str(cfg), "--out", str(out / "t")], 2)):
+            result = subprocess.run([sys.executable, "-m", "lanesight", *argv], env=env,
+                                    capture_output=True, text=True, timeout=120)
+            assert result.returncode == code, result.stderr
+        assert len(read_rows(out / "seed_1" / "trajectory.csv")) == 3
+        assert not (out / "t").exists()

@@ -6,6 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from lanesight.config import ConfigError, load_config, resolve_config, write_echo
 from lanesight.evaluation import AccuracyCurve
+from lanesight.fusion import FusionParams
+from lanesight.pipeline import CameraMount, FuseCorpusConfig, build_fuse_corpus
+from lanesight.sensing import DetectorNoiseModel
 from lanesight.scene import VehicleState
 
 
@@ -107,6 +110,19 @@ class TestResolve:
         cfg = resolve_config({"fuse_eval": {"target_range": [1, 3.5], "frames": 8}})
         assert cfg.fuse_eval.target_range == (1, 3.5)
 
+    def test_corpus_target_must_reach_the_image(self):
+        # the corpus camera sits at x = 0, so a target's front corners are at
+        # depth at most max(target_range) + 2.25; from a camera 200 m up or
+        # 100 m to the side even the nearest-imaged corner lies off the frame
+        for doc, key in (({"camera": {"mount_up": 200}}, "camera.mount_up"),
+                         ({"camera": {"mount_up": 30}}, "camera.mount_up"),
+                         ({"camera": {"mount_left": 100}}, "camera.mount_left"),
+                         ({"camera": {"mount_left": -100}}, "camera.mount_left")):
+            with pytest.raises(ConfigError, match=key):
+                resolve_config(doc)
+        for doc in ({"camera": {"mount_up": 9}}, {"camera": {"mount_left": -15}}):
+            resolve_config(doc)
+
     def test_seed_list_validation(self):
         with pytest.raises(ConfigError, match="seeds"):
             resolve_config({"seeds": []})
@@ -203,3 +219,24 @@ def test_any_json_resolves_or_raises_config_error(doc):
     build_command_objects(cfg)
     echoed = json.loads(json.dumps(cfg.effective_dict()))
     assert resolve_config(echoed) == cfg
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.5, 14.0), st.floats(-24.0, 24.0), st.floats(4.0, 40.0),
+       st.floats(0.0, 2.0))
+def test_a_rejected_corpus_camera_never_images_the_target(up, left, far, stagger):
+    # drawn around the rules' edges (about 9 m up, 15 m aside by default),
+    # with every target within 1 m of the far end: whatever the rules
+    # reject, no corpus frame shows the target
+    try:
+        resolve_config({"camera": {"mount_up": up, "mount_left": left},
+                        "fuse_eval": {"target_range": [far - 1.0, far],
+                                      "stagger_range": [0.0, stagger]}})
+        return
+    except ConfigError as exc:
+        assert "camera.mount_" in str(exc)
+    corpus = FuseCorpusConfig(frames=40, target_range=(far - 1.0, far),
+                              stagger_range=(0.0, stagger))
+    result = build_fuse_corpus(corpus, CameraMount(mount_up=up, mount_left=left),
+                               DetectorNoiseModel(seed=3), FusionParams(seed=3), seed=3)
+    assert result.frame_count == 0

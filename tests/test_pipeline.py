@@ -1,7 +1,10 @@
+import weakref
+
 import numpy as np
 import pytest
 
-from lanesight import fusion, seeding, sensing
+from lanesight import cli, fusion, pipeline, seeding, sensing
+from lanesight.config import resolve_config
 from lanesight.evaluation import identification_accuracy
 from lanesight.fusion import FusionParams
 from lanesight.pipeline import (
@@ -222,3 +225,43 @@ class TestClosedLoopPair:
                 assert onsets["guided"] <= onsets["baseline"]
                 checked += 1
         assert checked >= 2
+
+
+class TestOneRunAlive:
+    """Every loop over runs drops a run's artifacts before the next run starts."""
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        real, refs = pipeline.simulate_run, []
+
+        def checked(*args, **kwargs):
+            assert all(ref() is None for ref in refs), "an earlier run is still alive"
+            art = real(*args, **kwargs)
+            refs.append(weakref.ref(art))
+            return art
+
+        monkeypatch.setattr(pipeline, "simulate_run", checked)
+        monkeypatch.setattr(cli, "simulate_run", checked)
+        return refs
+
+    def run_config(self):
+        return resolve_config({
+            "seeds": [1, 2],
+            "scenario": {"duration": 2.0, "neighbor_count": 3, "potential_changer_count": 2},
+            "camera": {"width": 192, "height": 108, "u0": 96.0, "v0": 54.0}})
+
+    def test_closed_loop_pair(self, runs, model):
+        closed_loop_pair(small_cfg(duration=2.0), model, seed=3)
+        assert len(runs) == 2
+
+    def test_build_dataset(self, runs):
+        build_dataset(small_cfg(duration=2.0), WindowParams(), seeds=[1, 2, 3])
+        assert len(runs) == 3
+
+    def test_cmd_simulate(self, runs, tmp_path):
+        assert cli.cmd_simulate(self.run_config(), tmp_path, None) == 0
+        assert len(runs) == 2
+
+    def test_cmd_predict_eval(self, runs, tmp_path, model):
+        assert cli.cmd_predict_eval(self.run_config(), tmp_path, model) == 0
+        assert len(runs) == 2
