@@ -51,7 +51,8 @@ from .prediction import (
     write_dataset_csv,
     write_traces_csv,
 )
-from .scene import write_maneuvers_csv, write_trajectory_csv
+from .scene import InfeasiblePlacement, build_scenario, write_maneuvers_csv, \
+    write_trajectory_csv
 from .sensing import write_depth_map, write_detections_csv
 from .twinlink import write_channel_csv
 
@@ -224,7 +225,10 @@ def main(argv=None) -> int:
         if args.command == "train" and cfg.scenario.potential_changer_count == 0:
             raise ConfigError("scenario.potential_changer_count: train needs at least one "
                               "potential lane changer to label a lane change")
-    except ConfigError as exc:
+        if args.command != "fuse-eval":  # every other command places a scenario per seed
+            for seed in cfg.seeds:
+                build_scenario(replace(cfg.scenario, seed=seed))
+    except (ConfigError, InfeasiblePlacement) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

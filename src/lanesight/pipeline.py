@@ -22,9 +22,9 @@ from .prediction import MlpModel, PredictionTrace, TrainConfig, WindowParams, \
 from .scene import (
     CAR_DIMS,
     LOG_PERIOD,
+    EgoMemory,
     LaneSpec,
     ManeuverPlan,
-    Scenario,
     ScenarioConfig,
     TrajectoryLog,
     VehicleState,
@@ -67,7 +67,7 @@ class RunArtifacts:
     log: TrajectoryLog
     store: TwinStore
     traces: dict[int, PredictionTrace]
-    scenario: Scenario
+    memory: EgoMemory  # not the Scenario, so its columns die when the run returns
 
 
 def _twin_snapshot(store: TwinStore, t: float, channel: ChannelConfig,
@@ -131,7 +131,7 @@ def simulate_run(cfg: ScenarioConfig, channel: ChannelConfig = ChannelConfig(),
             times, probs, bits = zip(*rows)
             traces[vid] = PredictionTrace(vid, np.asarray(times), np.asarray(probs),
                                           np.asarray(bits, dtype=int))
-    return RunArtifacts(log=scn.build_log(), store=store, traces=traces, scenario=scn)
+    return RunArtifacts(log=scn.build_log(), store=store, traces=traces, memory=scn.memory)
 
 
 def render_frames(log: TrajectoryLog, mount: CameraMount,

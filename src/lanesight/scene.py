@@ -12,10 +12,12 @@ reactive policies:
   baseline  ignores neighbors until one's center enters the ego lane, then
             reacts after a fixed delay with a hard deceleration.
 
-Integration is forward Euler at ``dt_sim``; the logged acceleration is the
-realized (v_next - v) / dt so logs stay kinematically consistent even when
-speeds clamp at zero. Each tick is recorded into typed columns, 8 B per value,
-which ``Scenario.build_log`` copies into NumPy once.
+Each tick a neighbor with no active lane change makes one leader bisect and
+runs the one IDM body, ``_idm``; a changer takes the least acceleration over
+the lanes it spans. Integration is forward Euler at ``dt_sim``; the logged
+acceleration is the realized (v_next - v) / dt so logs stay kinematically
+consistent even when speeds clamp at zero. Each tick is recorded into typed
+columns, 8 B per value, which ``Scenario.build_log`` copies into NumPy once.
 """
 from __future__ import annotations
 
@@ -25,6 +27,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from operator import attrgetter
 
 import numpy as np
 
@@ -195,18 +198,32 @@ class EgoMemory:
 def car_following_accel(follower: VehicleState, leader: VehicleState | None,
                         p: IdmParams) -> float:
     """Intelligent-Driver-Model acceleration, clamped to [a_min, a_max]."""
-    v = follower.v
-    vd = max(follower.v_desired, 0.1)
-    acc = p.a_max * (1.0 - (v / vd) ** p.delta)
+    return _idm(follower, leader, _idm_terms(p))
+
+
+@lru_cache(maxsize=8)
+def _idm_terms(p: IdmParams) -> tuple[float, float, float, float, float, float]:
+    """p's constants as _idm reads them, its sqrt term computed once per params."""
+    return (p.a_max, p.delta, p.a_min, p.jam_gap, p.time_headway,
+            2.0 * math.sqrt(p.a_max * p.comfort_decel))
+
+
+def _idm(follower: VehicleState, leader: VehicleState | None, terms) -> float:
+    """The one IDM body; each max/min is a comparison that keeps its first-wins rule."""
+    a_max, delta, a_min, jam_gap, time_headway, sqrt_term = terms
+    v, vd = follower.v, follower.v_desired
+    vd = 0.1 if 0.1 > vd else vd
+    acc = a_max * (1.0 - (v / vd) ** delta)
     if leader is not None:
         gap = leader.s - follower.s - 0.5 * (leader.length + follower.length)
         if gap <= 0.1:
-            return p.a_min
+            return a_min
         dv = v - leader.v
-        s_star = p.jam_gap + max(0.0, v * p.time_headway
-                                 + v * dv / (2.0 * math.sqrt(p.a_max * p.comfort_decel)))
-        acc -= p.a_max * (s_star / gap) ** 2
-    return min(max(acc, p.a_min), p.a_max)
+        brake = v * time_headway + v * dv / sqrt_term
+        s_star = jam_gap + (brake if brake > 0.0 else 0.0)
+        acc -= a_max * (s_star / gap) ** 2
+    acc = a_min if a_min > acc else acc
+    return a_max if a_max < acc else acc
 
 
 def lateral_profile(q: float) -> float:
@@ -220,10 +237,13 @@ def _lane_index(vehicles) -> dict[int, tuple[list[float], list[VehicleState]]]:
     """Each lane's (positions, vehicles) by ascending s; ties keep roster order."""
     by_lane: dict[int, list[VehicleState]] = {}
     for veh in vehicles:
-        by_lane.setdefault(veh.lane, []).append(veh)
+        members = by_lane.get(veh.lane)
+        if members is None:
+            by_lane[veh.lane] = members = []
+        members.append(veh)
     index = {}
     for lane, members in by_lane.items():
-        members.sort(key=lambda v: v.s)
+        members.sort(key=attrgetter("s"))
         index[lane] = ([v.s for v in members], members)
     return index
 
@@ -288,7 +308,7 @@ def ego_policy(ego: VehicleState, others: list[VehicleState],
     if guided and leader is not None and leader.id in memory.alerted:
         # an advised driver hangs farther back behind the merged vehicle
         follow_idm = _aware_idm(idm, params.aware_headway)
-    acc = car_following_accel(ego, leader, follow_idm)
+    acc = _idm(ego, leader, _idm_terms(follow_idm))
 
     if leader is not None and guided and leader.id in memory.alerted:
         # A forewarned merge is regulated comfortably unless genuinely
@@ -365,6 +385,7 @@ class Scenario:
         self.collisions: list[tuple[float, int, int]] = []
         self.step_count = 0
         self._by_id = {v.id: v for v in vehicles}
+        self._others = [v for v in vehicles if v.id != ego_id]  # the roster never changes
         self._times: list[float] = []
         self._rows: dict[int, tuple[array, ...]] = {  # s, y, v, a, lane
             v.id: (array("d"), array("d"), array("d"), array("d"), array("q"))
@@ -384,13 +405,12 @@ class Scenario:
 
     def _record(self):
         self._times.append(self.t)
-        for v in self.vehicles:
-            rows = self._rows[v.id]
-            rows[0].append(v.s)
-            rows[1].append(v.y)
-            rows[2].append(v.v)
-            rows[3].append(v.a)
-            rows[4].append(v.lane)
+        for v, (s, y, vel, a, lane) in zip(self.vehicles, self._rows.values()):
+            s.append(v.s)
+            y.append(v.y)
+            vel.append(v.v)
+            a.append(v.a)
+            lane.append(v.lane)
 
     def build_log(self) -> "TrajectoryLog":
         meta = {v.id: (v.kind, v.length, v.width, v.height) for v in self.vehicles}
@@ -437,7 +457,7 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
                                     v=cfg.neighbor_v0, a=0.0, lane=chosen,
                                     length=CAR_DIMS[0], width=CAR_DIMS[1],
                                     height=CAR_DIMS[2], v_desired=cfg.neighbor_v0)
-        raise InfeasiblePlacement(f"could not place vehicle {vid} without overlap")
+        raise InfeasiblePlacement(f"seed {cfg.seed}: no overlap-free spot for vehicle {vid}")
 
     changer_ids = set()
     for i in range(cfg.neighbor_count):
@@ -487,15 +507,6 @@ def _maybe_trigger_changes(scn: Scenario, index):
             scn.pending_changers.discard(vid)
 
 
-def _neighbor_accel(scn: Scenario, index, veh: VehicleState) -> float:
-    idm = scn.cfg.idm
-    plan = scn.active_maneuvers.get(veh.id)
-    if plan is None:
-        return car_following_accel(veh, _leader(index, veh, veh.lane), idm)
-    return min(car_following_accel(veh, _leader(index, veh, lane), idm)
-               for lane in sorted({veh.lane, plan.from_lane, plan.to_lane}))
-
-
 def step(scn: Scenario, guidance: dict[int, float] | None = None):
     """Advance every vehicle by one dt_sim tick.
 
@@ -508,19 +519,27 @@ def step(scn: Scenario, guidance: dict[int, float] | None = None):
 
     _maybe_trigger_changes(scn, index)
 
+    terms = _idm_terms(cfg.idm)
+    maneuvers = scn.active_maneuvers
     accels: list[float] = []
     for veh in scn.vehicles:
         if veh.kind == "truck":
             accels.append(0.0)
         elif veh.id == scn.ego_id:
-            others = [v for v in scn.vehicles if v.id != scn.ego_id]
-            accels.append(ego_policy(veh, others, guidance, cfg.driver,
+            accels.append(ego_policy(veh, scn._others, guidance, cfg.driver,
                                      cfg.idm, scn.memory, scn.t))
+        elif veh.id in maneuvers:
+            plan = maneuvers[veh.id]
+            accels.append(min(_idm(veh, _leader(index, veh, lane), terms)
+                              for lane in sorted({veh.lane, plan.from_lane, plan.to_lane})))
         else:
-            accels.append(_neighbor_accel(scn, index, veh))
+            keys, members = index[veh.lane]
+            i = bisect_right(keys, veh.s)
+            accels.append(_idm(veh, members[i] if i < len(members) else None, terms))
 
     for veh, a in zip(scn.vehicles, accels):
-        new_v = max(0.0, veh.v + a * dt)
+        new_v = veh.v + a * dt
+        new_v = new_v if new_v > 0.0 else 0.0  # as max(0.0, new_v): -0.0 gives 0.0
         veh.s += veh.v * dt
         veh.a = (new_v - veh.v) / dt
         veh.v = new_v
@@ -530,7 +549,8 @@ def step(scn: Scenario, guidance: dict[int, float] | None = None):
 
     for vid, plan in list(scn.active_maneuvers.items()):
         veh = scn.vehicle(vid)
-        q = min((t_new - plan.t_start) / (plan.t_end - plan.t_start), 1.0)
+        q = (t_new - plan.t_start) / (plan.t_end - plan.t_start)
+        q = 1.0 if 1.0 < q else q
         origin = scn.lanes.center(plan.from_lane)
         target = scn.lanes.center(plan.to_lane)
         veh.y = origin + (target - origin) * lateral_profile(q)
@@ -542,7 +562,7 @@ def step(scn: Scenario, guidance: dict[int, float] | None = None):
 
     for _, members in _lane_index(scn.vehicles).values():
         for first, second in zip(members, members[1:]):
-            if _bumper_gap(first, second) < 0.0:
+            if second.s - first.s - 0.5 * (second.length + first.length) < 0.0:
                 scn.collisions.append((t_new, first.id, second.id))
 
     scn._record()

@@ -5,8 +5,8 @@ matrix products for the rigid transform and an explicit intrinsics matrix
 that is inverted numerically for the projection. The per-corner sensing
 functions at the end are the other kind of reference: a copy of an earlier
 implementation that the current one must match bit for bit, as are the
-roster-scanning simulator tick and its leader and follower queries, and
-the target identification with its none/unique/tie branches written out in
+roster-scanning simulator tick with its leader and follower queries and
+its car-following model, and the target identification with its none/unique/tie branches written out in
 each matcher.
 """
 from __future__ import annotations
@@ -18,8 +18,8 @@ import numpy as np
 from lanesight import seeding
 from lanesight.fusion import IdentificationResult, _sample_region, depth_evaluate
 from lanesight.geometry import BehindCamera, Box2D, PixelPoint
-from lanesight.scene import (ManeuverPlan, Scenario, VehicleState, _bumper_gap,
-                             car_following_accel, ego_policy, lateral_profile)
+from lanesight.scene import (IdmParams, ManeuverPlan, Scenario, VehicleState, ego_policy,
+                             lateral_profile)
 
 
 def rodrigues(axis, angle: float) -> np.ndarray:
@@ -150,7 +150,30 @@ def full_frame_depth_values(states, camera, noise=None) -> np.ndarray:
 
 # Reference copy of the simulator tick as it stood before the per-lane index:
 # every leader and follower query scans the whole roster, and ties go to the
-# first vehicle in roster order. scene.step must match it bit for bit.
+# first vehicle in roster order. scene.step must match it bit for bit. Its
+# car-following model is a copy of the IDM as it stood before the library's
+# one-body rewrite, with max/min clamps and every constant read from p.
+
+def car_following_accel(follower: VehicleState, leader: VehicleState | None,
+                        p: IdmParams) -> float:
+    """Intelligent-Driver-Model acceleration, clamped to [a_min, a_max]."""
+    v = follower.v
+    vd = max(follower.v_desired, 0.1)
+    acc = p.a_max * (1.0 - (v / vd) ** p.delta)
+    if leader is not None:
+        gap = leader.s - follower.s - 0.5 * (leader.length + follower.length)
+        if gap <= 0.1:
+            return p.a_min
+        dv = v - leader.v
+        s_star = p.jam_gap + max(0.0, v * p.time_headway
+                                 + v * dv / (2.0 * math.sqrt(p.a_max * p.comfort_decel)))
+        acc -= p.a_max * (s_star / gap) ** 2
+    return min(max(acc, p.a_min), p.a_max)
+
+
+def _bumper_gap(rear: VehicleState, front: VehicleState) -> float:
+    return front.s - rear.s - 0.5 * (front.length + rear.length)
+
 
 def _leader_in_lane(vehicles, me: VehicleState, lane: int) -> VehicleState | None:
     best = None

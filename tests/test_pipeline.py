@@ -220,7 +220,7 @@ class TestClosedLoopPair:
                 if not art.log.plans:
                     onsets = None
                     break
-                onsets[policy] = art.scenario.memory.decel_onset
+                onsets[policy] = art.memory.decel_onset
             if onsets and onsets["guided"] is not None and onsets["baseline"] is not None:
                 assert onsets["guided"] <= onsets["baseline"]
                 checked += 1
@@ -265,3 +265,17 @@ class TestOneRunAlive:
     def test_cmd_predict_eval(self, runs, tmp_path, model):
         assert cli.cmd_predict_eval(self.run_config(), tmp_path, model) == 0
         assert len(runs) == 2
+
+    def test_scenario_dies_with_its_run(self, monkeypatch):
+        # the artifacts keep the log's NumPy copy, not the Scenario's columns
+        real, scenarios = pipeline.build_scenario, []
+
+        def tracked(cfg):
+            scn = real(cfg)
+            scenarios.append(weakref.ref(scn))
+            return scn
+
+        monkeypatch.setattr(pipeline, "build_scenario", tracked)
+        art = simulate_run(small_cfg(duration=2.0))  # held: the artifacts stay alive
+        assert len(scenarios) == 1 and scenarios[0]() is None
+        assert art.memory is not None

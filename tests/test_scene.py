@@ -1,10 +1,12 @@
 import copy
 import math
+import struct
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -19,7 +21,10 @@ from lanesight.scene import (
     ScenarioConfig,
     TrajectoryLog,
     VehicleState,
+    _aware_idm,
     _follower,
+    _idm,
+    _idm_terms,
     _lane_index,
     _leader,
     build_scenario,
@@ -72,6 +77,60 @@ class TestCarFollowing:
             leader = make_car(vid=2, s=rng.uniform(1, 80), v=rng.uniform(0, 30))
             a = car_following_accel(follower, leader, IDM)
             assert IDM.a_min <= a <= IDM.a_max
+
+
+# Every constant differs from the defaults: delta 3.0 lets a negative speed push
+# the free-road term above a_max, and a jam gap of 0.01 m keeps a stopped car
+# at a 0.1 m gap off the a_min clamp. The aware-headway params are the ego's.
+IDM_VARIANTS = (IDM, replace(IDM, a_max=1.5, comfort_decel=1.0, a_min=-4.0, jam_gap=0.01,
+                             time_headway=0.6, delta=3.0), _aware_idm(IDM, 1.8))
+idm_speeds = st.sampled_from([0.0, -0.0]) | st.floats(0.0, 40.0)
+
+
+def idm_car(s=0.0, v=17.0, v_desired=17.0, length=4.5):
+    return VehicleState(id=1, kind="car", s=s, y=0.0, v=v, a=0.0, lane=0,
+                        length=length, width=1.8, height=1.5, v_desired=v_desired)
+
+
+def bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+class TestIdmBodyMatchesOracle:
+    @settings(max_examples=600, deadline=None)
+    @given(follower=st.builds(idm_car, s=st.sampled_from([0.0, -0.0]) | st.floats(-50.0, 50.0),
+                              v=idm_speeds | st.floats(-5.0, 0.0),
+                              v_desired=st.sampled_from([0.0, -0.0, 0.05, 0.1])
+                              | st.floats(-1.0, 40.0),
+                              length=st.sampled_from([0.0, 4.5, 10.0])),
+           leader=st.none() | st.builds(idm_car, s=st.sampled_from([0.0, 0.1, 0.05, -0.0])
+                                        | st.floats(-60.0, 120.0),
+                                        v=idm_speeds,
+                                        length=st.sampled_from([0.0, 4.5, 10.0])))
+    @example(follower=idm_car(v_desired=0.05), leader=None)  # v_desired below 0.1
+    @example(follower=idm_car(v_desired=0.1), leader=None)  # ... and at it
+    @example(follower=idm_car(v=0.0, length=0.0),
+             leader=idm_car(s=0.1, v=0.0, length=0.0))  # gap at 0.1
+    @example(follower=idm_car(v=0.0, length=0.0),
+             leader=idm_car(s=0.05, v=0.0, length=0.0))  # ... and below it
+    @example(follower=idm_car(v=5.0), leader=idm_car(s=30.0, v=30.0))  # negative s* term
+    @example(follower=idm_car(v=-0.0), leader=idm_car(s=20.0, v=-0.0))  # -0.0 speeds
+    @example(follower=idm_car(v=30.0), leader=idm_car(s=6.0, v=0.0))  # clamped at a_min
+    @example(follower=idm_car(v=-4.0), leader=None)  # over a_max at delta 3.0
+    def test_bit_equal_to_the_max_min_copy(self, follower, leader):
+        # each call walks every params set, so a cache entry read for the
+        # wrong params would show up as a mismatch
+        for p in IDM_VARIANTS:
+            want = bits(oracles.car_following_accel(follower, leader, p))
+            assert bits(_idm(follower, leader, _idm_terms(p))) == want
+            assert bits(car_following_accel(follower, leader, p)) == want
+
+    def test_terms_are_cached_per_params(self):
+        terms = [_idm_terms(p) for p in IDM_VARIANTS]
+        assert [_idm_terms(p) for p in IDM_VARIANTS] == terms
+        assert all(_idm_terms(p) is t for p, t in zip(IDM_VARIANTS, terms))
+        assert len(set(terms)) == len(terms)
+        assert terms[1][5] == 2.0 * math.sqrt(1.5 * 1.0)
 
 
 class TestLateralProfile:
@@ -400,7 +459,7 @@ def assert_steps_match_scanning_tick(scn, guidance, ticks):
     assert np.array_equal(got.times, want.times)
     for vid in want.vehicle_ids:
         for k in range(5):
-            assert np.array_equal(got.data[vid][k], want.data[vid][k])
+            assert got.data[vid][k].tobytes() == want.data[vid][k].tobytes()  # -0.0 too
     assert got.plans == want.plans
     assert sorted(got.collisions) == sorted(want.collisions)
     assert scn.memory == ref.memory
