@@ -108,8 +108,8 @@ TTC_HORIZON = 30.0  # seconds; larger values mean no meaningful interaction
 TTC_MIN_CLOSING = 0.1  # m/s; slower approach is treated as non-closing
 
 
-def ttc_series(log: TrajectoryLog, ego_id: int, target_id: int,
-               horizon: float = TTC_HORIZON) -> tuple[list[tuple[float, float]], float | None]:
+def ttc_series(log: TrajectoryLog, ego_id: int,
+               target_id: int) -> tuple[list[tuple[float, float]], float | None]:
     """Time-to-collision samples while closing, from the target's lane entry.
 
     Samples count only while the gap closes faster than TTC_MIN_CLOSING and
@@ -132,24 +132,22 @@ def ttc_series(log: TrajectoryLog, ego_id: int, target_id: int,
     for i in range(start, len(log.times)):
         if gap[i] > 0.0 and closing[i] > TTC_MIN_CLOSING:
             value = gap[i] / closing[i]
-            if value <= horizon:
+            if value <= TTC_HORIZON:
                 series.append((float(log.times[i]), float(value)))
     if not series:
         return [], None
     return series, float(np.mean([v for _, v in series]))
 
 
-def accel_jerk_metrics(log: TrajectoryLog, vehicle_id: int,
-                       grid: float = LOG_PERIOD) -> tuple[float, float]:
-    """(mean |a|, max |da/dt|) for one vehicle on the resampled grid."""
+def accel_jerk_metrics(log: TrajectoryLog, vehicle_id: int) -> tuple[float, float]:
+    """(mean |a|, max |da/dt|) for one vehicle on the LOG_PERIOD grid."""
     if vehicle_id not in log.data:
         raise UnknownVehicle(f"vehicle {vehicle_id} not in log")
-    sampled = log.resample(grid) if abs(log.dt - grid) > 1e-12 else log
-    a = sampled.column(vehicle_id, "a")
+    a = log.resample(LOG_PERIOD).column(vehicle_id, "a")
     mean_abs = float(np.mean(np.abs(a)))
     if len(a) < 2:
         return mean_abs, 0.0
-    jerk = np.diff(a) / grid
+    jerk = np.diff(a) / LOG_PERIOD
     return mean_abs, float(np.max(np.abs(jerk)))
 
 
@@ -186,10 +184,8 @@ def conflict_target_id(log: TrajectoryLog, ego_id: int) -> int | None:
     return None if best is None else best[1]
 
 
-def safety_report(log: TrajectoryLog, ego_id: int,
-                  target_id: int | None = None) -> SafetyReport:
-    if target_id is None:
-        target_id = conflict_target_id(log, ego_id)
+def safety_report(log: TrajectoryLog, ego_id: int) -> SafetyReport:
+    target_id = conflict_target_id(log, ego_id)
     avg_ttc = None
     if target_id is not None:
         _, avg_ttc = ttc_series(log, ego_id, target_id)
@@ -201,7 +197,6 @@ def safety_report(log: TrajectoryLog, ego_id: int,
 
 @dataclass(frozen=True)
 class MetricComparison:
-    diffs: tuple[float, ...]
     median: float | None
     improve_fraction: float | None
     pairs_compared: int
@@ -231,10 +226,9 @@ def _compare(values: list[tuple[float | None, float | None]],
             continue
         diffs.append(guided - baseline if higher_is_better else baseline - guided)
     if not diffs:
-        return MetricComparison((), None, None, 0)
+        return MetricComparison(None, None, 0)
     arr = np.asarray(diffs)
-    return MetricComparison(tuple(float(d) for d in diffs), float(np.median(arr)),
-                            float(np.mean(arr > 0)), len(diffs))
+    return MetricComparison(float(np.median(arr)), float(np.mean(arr > 0)), len(diffs))
 
 
 def compare_paired_runs(guided: list[SafetyReport],
@@ -252,16 +246,12 @@ def compare_paired_runs(guided: list[SafetyReport],
 
 
 def write_curve_csv(curves: dict[str, AccuracyCurve], path):
-    fused = curves.get("fused")
-    baseline = curves.get("baseline")
-    thresholds = (fused or baseline).thresholds
+    fused, baseline = curves["fused"], curves["baseline"]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["threshold", "accuracy_fused", "accuracy_baseline"])
-        for i, th in enumerate(thresholds):
-            w.writerow([f"{th:.2f}",
-                        "" if fused is None else f"{fused.accuracies[i]:.6f}",
-                        "" if baseline is None else f"{baseline.accuracies[i]:.6f}"])
+        for th, acc_f, acc_b in zip(fused.thresholds, fused.accuracies, baseline.accuracies):
+            w.writerow([f"{th:.2f}", f"{acc_f:.6f}", f"{acc_b:.6f}"])
 
 
 def write_identifications_csv(scored: list[ScoredFrame], path):

@@ -113,8 +113,7 @@ def simulate_run(cfg: ScenarioConfig, channel: ChannelConfig = ChannelConfig(),
                         continue
                     feats = features_from_states(snapshot, vid, cfg.lanes.lane_count)
                     prob = infer(model, feats)
-                    rec = query_target(store, vid, t, channel)
-                    publish_advisory(store, CloudAdvisory(vid, rec.position, prob, t))
+                    publish_advisory(store, CloudAdvisory(vid, prob, t))
                     trace_rows[vid].append((t, prob, int(prob >= DECISION_THRESHOLD)))
             if guided:
                 guidance = {}

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import seeding
 from .params import FRACTION, NONNEGATIVE, POSITIVE, check_fields
-from .scene import TrajectoryLog, VehicleState
+from .scene import TrajectoryLog, VehicleState, _follower, _lane_index, _leader
 
 SENTINEL_GAP = 200.0
 FEATURE_SIZE = 13
@@ -76,25 +76,19 @@ def features_from_states(states: list[VehicleState], subject_id: int,
 
     Slot order: lead/lag in the subject's own lane, the lane to its left,
     and the lane to its right. Absent neighbors carry (0, SENTINEL_GAP).
+    Ties go to the first vehicle in ``states`` order.
     """
     by_id = {s.id: s for s in states}
     if subject_id not in by_id:
         raise UnknownVehicle(f"vehicle {subject_id} not present")
     subject = by_id[subject_id]
+    index = _lane_index(states)
     feats = [subject.v]
     for lane in (subject.lane, subject.lane + 1, subject.lane - 1):
         if lane < 0 or lane >= lane_count:
             feats += [0.0, SENTINEL_GAP, 0.0, SENTINEL_GAP]
             continue
-        lead = lag = None
-        for other in states:
-            if other.id == subject_id or other.lane != lane:
-                continue
-            if other.s > subject.s and (lead is None or other.s < lead.s):
-                lead = other
-            if other.s <= subject.s and (lag is None or other.s > lag.s):
-                lag = other
-        for neighbor in (lead, lag):
+        for neighbor in (_leader(index, subject, lane), _follower(index, subject, lane)):
             if neighbor is None:
                 feats += [0.0, SENTINEL_GAP]
             else:
@@ -135,14 +129,14 @@ def label_windows(events, log: TrajectoryLog, w: WindowParams) -> list[LabeledSa
     return samples
 
 
-def nonchanger_negatives(log: TrajectoryLog, events, w: WindowParams,
-                         period: float = 5.0) -> list[LabeledSample]:
+def nonchanger_negatives(log: TrajectoryLog, events,
+                         w: WindowParams) -> list[LabeledSample]:
     """Extra negatives from car-kind vehicles that never change lanes.
 
     Off the paper's recipe: the shifted-window negatives alone never show
     e.g. slow queued traffic, so a classifier trained without these can
-    only guess there. Sampling every ``period`` seconds keeps the classes
-    roughly balanced.
+    only guess there. Sampling every 5 s keeps the classes roughly
+    balanced.
     """
     changed = {e.vehicle_id for e in events}
     samples = []
@@ -155,7 +149,7 @@ def nonchanger_negatives(log: TrajectoryLog, events, w: WindowParams,
             grid_t = round(t / log.dt) * log.dt
             feats = extract_features(log, vid, grid_t)
             samples.append(LabeledSample(tuple(feats), 0, grid_t, vid))
-            t += period
+            t += 5.0
     return samples
 
 

@@ -12,9 +12,13 @@ reactive policies:
   baseline  ignores neighbors until one's center enters the ego lane, then
             reacts after a fixed delay with a hard deceleration.
 
-Each tick a neighbor with no active lane change makes one leader bisect and
-runs the one IDM body, ``_idm``; a changer takes the least acceleration over
-the lanes it spans. Integration is forward Euler at ``dt_sim``; the logged
+One per-lane order by s (``_lane_index``) answers every neighbour query:
+``step``'s leaders and followers, the ego policy's reads ahead of the ego,
+and the lane-change features, which index the states they are given. Ties
+go to the first vehicle in the order the index was built from. Each tick a
+neighbor with no active lane change makes one leader bisect and runs the
+one IDM body, ``_idm``; a changer takes the least acceleration over the
+lanes it spans. Integration is forward Euler at ``dt_sim``; the logged
 acceleration is the realized (v_next - v) / dt so logs stay kinematically
 consistent even when speeds clamp at zero. Each tick is recorded into typed
 columns, 8 B per value, which ``Scenario.build_log`` copies into NumPy once.
@@ -46,7 +50,8 @@ class InfeasiblePlacement(Exception):
 
 @dataclass(frozen=True)
 class LaneSpec:
-    lane_count: int = field(default=3, metadata=rule(lambda x: x >= 2))
+    # the highest lane index is logged as int64
+    lane_count: int = field(default=3, metadata=rule(lambda x: 2 <= x <= 2**63))
     lane_width: float = field(default=3.5, metadata=POSITIVE)
     road_length: float = field(default=300.0, metadata=POSITIVE)
 
@@ -278,10 +283,16 @@ def _aware_idm(idm: IdmParams, aware_headway: float) -> IdmParams:
     return replace(idm, time_headway=max(idm.time_headway, aware_headway))
 
 
-def ego_policy(ego: VehicleState, others: list[VehicleState],
+def _ahead(index, me: VehicleState, lane: int) -> list[VehicleState]:
+    """Vehicles strictly ahead of me in lane, nearest first, ties in index order."""
+    keys, members = index.get(lane, ((), ()))
+    return members[bisect_right(keys, me.s):]
+
+
+def ego_policy(ego: VehicleState, index,
                guidance: dict[int, float] | None, params: DriverParams,
                idm: IdmParams, memory: EgoMemory, t: float) -> float:
-    """Acceleration command for the ego under the selected policy."""
+    """Acceleration command for the ego under the selected policy, read from index."""
     guidance = guidance or {}
     guided = params.policy == "guided"
 
@@ -290,9 +301,9 @@ def ego_policy(ego: VehicleState, others: list[VehicleState],
             if prob > params.p_trigger:
                 memory.alerted.add(vid)
 
-    for other in others:
-        if other.lane == ego.lane and other.s > ego.s and other.id not in memory.encroach_t:
-            memory.encroach_t[other.id] = t
+    ahead = _ahead(index, ego, ego.lane)
+    for other in ahead:
+        memory.encroach_t.setdefault(other.id, t)
 
     def acknowledged(veh: VehicleState) -> bool:
         entered = memory.encroach_t.get(veh.id)
@@ -302,8 +313,7 @@ def ego_policy(ego: VehicleState, others: list[VehicleState],
             return True
         return t >= entered + params.reaction_time
 
-    ahead = [v for v in others if v.lane == ego.lane and v.s > ego.s and acknowledged(v)]
-    leader = min(ahead, key=lambda v: v.s) if ahead else None
+    leader = next((v for v in ahead if acknowledged(v)), None)
     follow_idm = idm
     if guided and leader is not None and leader.id in memory.alerted:
         # an advised driver hangs farther back behind the merged vehicle
@@ -338,15 +348,14 @@ def ego_policy(ego: VehicleState, others: list[VehicleState],
         # hold there; the cap is latched so a recovering threat does not pull
         # the ego into accelerate-brake churn.
         cap_v = None
-        for other in others:
-            if other.lane == ego.lane or abs(other.lane - ego.lane) != 1:
-                continue
-            if not 0.0 < other.s - ego.s <= params.react_range:
-                continue
-            if guidance.get(other.id, 0.0) > params.p_trigger:
-                cap = max(other.v + params.guided_margin,
-                          ego.v_desired - params.caution_drop)
-                cap_v = cap if cap_v is None else min(cap_v, cap)
+        for lane in (ego.lane - 1, ego.lane + 1):
+            for other in _ahead(index, ego, lane):
+                if other.s - ego.s > params.react_range:
+                    break
+                if guidance.get(other.id, 0.0) > params.p_trigger:
+                    cap = max(other.v + params.guided_margin,
+                              ego.v_desired - params.caution_drop)
+                    cap_v = cap if cap_v is None else min(cap_v, cap)
         if cap_v is None:
             memory.caution_v = None
         else:
@@ -385,7 +394,6 @@ class Scenario:
         self.collisions: list[tuple[float, int, int]] = []
         self.step_count = 0
         self._by_id = {v.id: v for v in vehicles}
-        self._others = [v for v in vehicles if v.id != ego_id]  # the roster never changes
         self._times: list[float] = []
         self._rows: dict[int, tuple[array, ...]] = {  # s, y, v, a, lane
             v.id: (array("d"), array("d"), array("d"), array("d"), array("q"))
@@ -526,7 +534,7 @@ def step(scn: Scenario, guidance: dict[int, float] | None = None):
         if veh.kind == "truck":
             accels.append(0.0)
         elif veh.id == scn.ego_id:
-            accels.append(ego_policy(veh, scn._others, guidance, cfg.driver,
+            accels.append(ego_policy(veh, index, guidance, cfg.driver,
                                      cfg.idm, scn.memory, scn.t))
         elif veh.id in maneuvers:
             plan = maneuvers[veh.id]
@@ -630,14 +638,13 @@ def grid_stride(period: float, dt: float) -> int:
     return stride
 
 
-def extract_lane_changes(log: TrajectoryLog, settle_tol: float = 1e-6,
-                         center_tol: float = 0.3) -> list[ManeuverPlan]:
+def extract_lane_changes(log: TrajectoryLog) -> list[ManeuverPlan]:
     """Recover maneuvers from lateral motion in a log.
 
     A lane-index transition marks the crossing; the end point is the first
-    sample after it that is both near the new lane center (within
-    ``center_tol``) and laterally settled (per-sample motion below
-    ``settle_tol``). The start point mirrors this backwards.
+    sample after it that is both near the new lane center (within 0.3 m)
+    and laterally settled (per-sample motion below 1e-6 m). The start point
+    mirrors this backwards.
     """
     events: list[ManeuverPlan] = []
     for vid in log.vehicle_ids:
@@ -654,13 +661,13 @@ def extract_lane_changes(log: TrajectoryLog, settle_tol: float = 1e-6,
                 k += 1
                 continue
             j = k
-            while j > 0 and abs(y[j] - y[j - 1]) > settle_tol:
+            while j > 0 and abs(y[j] - y[j - 1]) > 1e-6:
                 j -= 1
             t_start = float(log.times[j])
             j = k
             target = log.lanes.center(to_lane)
-            while j < n - 1 and (abs(y[j] - y[j - 1]) > settle_tol
-                                 or abs(y[j] - target) >= center_tol):
+            while j < n - 1 and (abs(y[j] - y[j - 1]) > 1e-6
+                                 or abs(y[j] - target) >= 0.3):
                 j += 1
             t_end = float(log.times[j])
             if t_end > t_start:
@@ -670,8 +677,8 @@ def extract_lane_changes(log: TrajectoryLog, settle_tol: float = 1e-6,
     return events
 
 
-def write_trajectory_csv(log: TrajectoryLog, path, period: float = LOG_PERIOD):
-    sampled = log.resample(period)
+def write_trajectory_csv(log: TrajectoryLog, path):
+    sampled = log.resample(LOG_PERIOD)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "id", "kind", "s", "y", "v", "a", "lane"])

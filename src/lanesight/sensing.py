@@ -62,7 +62,6 @@ class DepthMap:
 @dataclass(frozen=True)
 class Detection:
     box: Box2D
-    class_tag: str = "vehicle"
     source_id: int | None = None  # ground-truth id, used for scoring only
 
 

@@ -39,7 +39,6 @@ class ChannelConfig:
 @dataclass(frozen=True, slots=True)
 class CloudAdvisory:
     target_id: int
-    position: WorldPoint
     lane_change_probability: float
     issued_t: float
 

@@ -5,21 +5,24 @@ matrix products for the rigid transform and an explicit intrinsics matrix
 that is inverted numerically for the projection. The per-corner sensing
 functions at the end are the other kind of reference: a copy of an earlier
 implementation that the current one must match bit for bit, as are the
-roster-scanning simulator tick with its leader and follower queries and
-its car-following model, and the target identification with its none/unique/tie branches written out in
-each matcher.
+roster-scanning simulator tick with its leader and follower queries, its
+car-following model and its ego policy, the lane-change features with their
+own lead/lag scan, and the target identification with its none/unique/tie
+branches written out in each matcher.
 """
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from lanesight import seeding
 from lanesight.fusion import IdentificationResult, _sample_region, depth_evaluate
 from lanesight.geometry import BehindCamera, Box2D, PixelPoint
-from lanesight.scene import (IdmParams, ManeuverPlan, Scenario, VehicleState, ego_policy,
-                             lateral_profile)
+from lanesight.prediction import SENTINEL_GAP, UnknownVehicle
+from lanesight.scene import (DriverParams, EgoMemory, IdmParams, ManeuverPlan, Scenario,
+                             VehicleState, lateral_profile)
 
 
 def rodrigues(axis, angle: float) -> np.ndarray:
@@ -173,6 +176,134 @@ def car_following_accel(follower: VehicleState, leader: VehicleState | None,
 
 def _bumper_gap(rear: VehicleState, front: VehicleState) -> float:
     return front.s - rear.s - 0.5 * (front.length + rear.length)
+
+
+# Reference copy of the ego policy as it stood before it read the tick's lane
+# index: the encroachment record, the acknowledged leader and the guided cap
+# each scan the whole roster, and the leader is the nearest by min() over the
+# roster, so ties go to the first in roster order.
+
+def ego_policy(ego: VehicleState, others: list[VehicleState],
+               guidance: dict[int, float] | None, params: DriverParams,
+               idm: IdmParams, memory: EgoMemory, t: float) -> float:
+    """Acceleration command for the ego under the selected policy."""
+    guidance = guidance or {}
+    guided = params.policy == "guided"
+
+    if guided:
+        for vid, prob in guidance.items():
+            if prob > params.p_trigger:
+                memory.alerted.add(vid)
+
+    for other in others:
+        if other.lane == ego.lane and other.s > ego.s and other.id not in memory.encroach_t:
+            memory.encroach_t[other.id] = t
+
+    def acknowledged(veh: VehicleState) -> bool:
+        entered = memory.encroach_t.get(veh.id)
+        if entered is None:
+            return False
+        if guided and veh.id in memory.alerted:
+            return True
+        return t >= entered + params.reaction_time
+
+    ahead = [v for v in others if v.lane == ego.lane and v.s > ego.s and acknowledged(v)]
+    leader = min(ahead, key=lambda v: v.s) if ahead else None
+    follow_idm = idm
+    if guided and leader is not None and leader.id in memory.alerted:
+        # an advised driver hangs farther back behind the merged vehicle
+        follow_idm = replace(idm, time_headway=max(idm.time_headway, params.aware_headway))
+    acc = car_following_accel(ego, leader, follow_idm)
+
+    if leader is not None and guided and leader.id in memory.alerted:
+        # A forewarned merge is regulated comfortably unless genuinely
+        # critical (short gap or short projected time to contact).
+        gap = _bumper_gap(ego, leader)
+        closing = ego.v - leader.v
+        safe_time = closing <= 0.2 or gap / max(closing, 1e-9) >= params.aware_ttc_min
+        if gap > params.aware_gap_min and safe_time:
+            acc = max(acc, -idm.comfort_decel)
+    elif leader is not None and leader.id not in memory.calmed:
+        # Startle response: hard braking at a late-noticed closing cut-in,
+        # held past the point of matched speed before the driver relaxes.
+        if leader.id not in memory.startled:
+            if ego.v > leader.v + 0.05:
+                memory.startled.add(leader.id)
+            else:
+                memory.calmed.add(leader.id)
+        if leader.id in memory.startled:
+            if ego.v > leader.v - params.startle_overshoot:
+                acc = min(acc, params.late_decel)
+            else:
+                memory.calmed.add(leader.id)
+
+    if guided:
+        # Ease off while a flagged vehicle is ahead in an adjacent lane: shed
+        # speed toward the threat's pace (never below a caution floor), then
+        # hold there; the cap is latched so a recovering threat does not pull
+        # the ego into accelerate-brake churn.
+        cap_v = None
+        for other in others:
+            if other.lane == ego.lane or abs(other.lane - ego.lane) != 1:
+                continue
+            if not 0.0 < other.s - ego.s <= params.react_range:
+                continue
+            if guidance.get(other.id, 0.0) > params.p_trigger:
+                cap = max(other.v + params.guided_margin,
+                          ego.v_desired - params.caution_drop)
+                cap_v = cap if cap_v is None else min(cap_v, cap)
+        if cap_v is None:
+            memory.caution_v = None
+        else:
+            if memory.caution_v is not None:
+                cap_v = min(cap_v, memory.caution_v)
+            memory.caution_v = cap_v
+            if ego.v > cap_v:
+                acc = min(acc, params.guided_decel)
+            elif ego.v > cap_v - 1.0:
+                acc = min(acc, 0.0)
+
+    acc = min(max(acc, idm.a_min), idm.a_max)
+    if memory.decel_onset is None and acc < -0.5:
+        memory.decel_onset = t
+    return acc
+
+
+# Reference copy of the lane-change features as they stood before they read a
+# lane index: each slot scans every state, and strict comparisons give ties
+# to the first vehicle in states order.
+
+def features_from_states(states: list[VehicleState], subject_id: int,
+                         lane_count: int) -> np.ndarray:
+    """Subject speed plus (speed difference, bumper gap) for six neighbor slots.
+
+    Slot order: lead/lag in the subject's own lane, the lane to its left,
+    and the lane to its right. Absent neighbors carry (0, SENTINEL_GAP).
+    """
+    by_id = {s.id: s for s in states}
+    if subject_id not in by_id:
+        raise UnknownVehicle(f"vehicle {subject_id} not present")
+    subject = by_id[subject_id]
+    feats = [subject.v]
+    for lane in (subject.lane, subject.lane + 1, subject.lane - 1):
+        if lane < 0 or lane >= lane_count:
+            feats += [0.0, SENTINEL_GAP, 0.0, SENTINEL_GAP]
+            continue
+        lead = lag = None
+        for other in states:
+            if other.id == subject_id or other.lane != lane:
+                continue
+            if other.s > subject.s and (lead is None or other.s < lead.s):
+                lead = other
+            if other.s <= subject.s and (lag is None or other.s > lag.s):
+                lag = other
+        for neighbor in (lead, lag):
+            if neighbor is None:
+                feats += [0.0, SENTINEL_GAP]
+            else:
+                gap = abs(neighbor.s - subject.s) - 0.5 * (neighbor.length + subject.length)
+                feats += [neighbor.v - subject.v, gap]
+    return np.asarray(feats)
 
 
 def _leader_in_lane(vehicles, me: VehicleState, lane: int) -> VehicleState | None:

@@ -2,7 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from lanesight.prediction import (
     FEATURE_SIZE,
     SENTINEL_GAP,
@@ -71,6 +74,40 @@ class TestFeatures:
     def test_unknown_vehicle(self):
         with pytest.raises(UnknownVehicle):
             features_from_states([make_state(1, 0.0)], 99, LANES.lane_count)
+
+
+def tie_state(vid, s, lane, v=17.0, length=4.5):
+    return VehicleState(id=vid, kind="car", s=s, y=0.0, v=v, a=0.0, lane=lane,
+                        length=length, width=1.8, height=1.5, v_desired=v)
+
+
+@st.composite
+def feature_rosters(draw):
+    """States with tied s (0.0 against -0.0 too), ids shuffled against s, and
+    lanes from one past each road edge inward."""
+    lane_count = draw(st.integers(2, 4))
+    ids = draw(st.permutations(range(draw(st.integers(1, 10)))))
+    positions = st.sampled_from([0.0, -0.0, 7.5, 20.0]) | st.floats(-50.0, 300.0)
+    speeds = st.sampled_from([0.0, -0.0, 17.0]) | st.floats(0.0, 40.0)
+    states = [tie_state(vid, draw(positions), draw(st.integers(-1, lane_count)),
+                        v=draw(speeds), length=draw(st.sampled_from([4.5, 10.0])))
+              for vid in ids]
+    return states, lane_count
+
+
+class TestFeaturesMatchRosterScans:
+    @settings(max_examples=500, deadline=None)
+    @given(feature_rosters())
+    # ties behind, level with and ahead of the subject, two by two
+    @example(([tie_state(3, 20.0, 1), tie_state(2, 7.5, 1, v=12.0), tie_state(1, 7.5, 1),
+               tie_state(0, 20.0, 1, v=9.0, length=10.0), tie_state(5, 0.0, 1, v=3.0),
+               tie_state(4, -0.0, 1)], 3))
+    def test_bit_equal_to_the_scanning_copy(self, case):
+        states, lane_count = case
+        for subject in states:
+            got = features_from_states(states, subject.id, lane_count)
+            want = oracles.features_from_states(states, subject.id, lane_count)
+            assert got.tobytes() == want.tobytes()
 
 
 def constant_log(duration=120.0, dt=0.1):

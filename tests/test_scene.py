@@ -13,6 +13,8 @@ import oracles
 from lanesight.scene import (
     CAR_DIMS,
     TRUCK_DIMS,
+    DriverParams,
+    EgoMemory,
     IdmParams,
     InfeasiblePlacement,
     LaneSpec,
@@ -29,6 +31,7 @@ from lanesight.scene import (
     _leader,
     build_scenario,
     car_following_accel,
+    ego_policy,
     extract_lane_changes,
     lateral_profile,
     step,
@@ -260,39 +263,38 @@ class TestStep:
 
 class TestEgoPolicy:
     def test_no_neighbors_matches_car_following(self):
-        from lanesight.scene import DriverParams, EgoMemory, ego_policy
         ego = make_car(vid=0, v=15.0, lane=2, v_desired=19.0)
         expected = car_following_accel(ego, None, IDM)
         for policy in ("guided", "baseline"):
-            got = ego_policy(ego, [], None, DriverParams(policy=policy), IDM,
-                             EgoMemory(), t=0.0)
+            got = ego_policy(ego, _lane_index([ego]), None, DriverParams(policy=policy),
+                             IDM, EgoMemory(), t=0.0)
             assert got == pytest.approx(expected)
 
     def test_guided_brakes_on_high_probability_ahead(self):
-        from lanesight.scene import DriverParams, EgoMemory, ego_policy
         lanes = LaneSpec()
         ego = make_car(vid=0, s=0.0, v=19.0, lane=2, v_desired=19.0, lanes=lanes)
         flagged = make_car(vid=1, s=40.0, v=17.0, lane=1, lanes=lanes)
         params = DriverParams(policy="guided")
-        acc = ego_policy(ego, [flagged], {1: 1.0}, params, IDM, EgoMemory(), t=5.0)
+        index = _lane_index([ego, flagged])
+        acc = ego_policy(ego, index, {1: 1.0}, params, IDM, EgoMemory(), t=5.0)
         assert acc == pytest.approx(params.guided_decel)
         # below-trigger probability leaves the ego in free driving
-        acc2 = ego_policy(ego, [flagged], {1: 0.2}, params, IDM, EgoMemory(), t=5.0)
+        acc2 = ego_policy(ego, index, {1: 0.2}, params, IDM, EgoMemory(), t=5.0)
         assert acc2 == pytest.approx(0.0, abs=1e-9)
 
     def test_baseline_reacts_only_after_delay(self):
-        from lanesight.scene import DriverParams, EgoMemory, ego_policy
         lanes = LaneSpec()
         params = DriverParams(policy="baseline")
         memory = EgoMemory()
         ego = make_car(vid=0, s=0.0, v=19.0, lane=2, v_desired=19.0, lanes=lanes)
         intruder = make_car(vid=1, s=20.0, v=17.0, lane=2, lanes=lanes)
         # first sighting at t=1.0: no reaction until t reaches 1.0 + t_r
-        a0 = ego_policy(ego, [intruder], None, params, IDM, memory, t=1.0)
+        index = _lane_index([ego, intruder])
+        a0 = ego_policy(ego, index, None, params, IDM, memory, t=1.0)
         assert a0 == pytest.approx(0.0, abs=1e-9)
-        a1 = ego_policy(ego, [intruder], None, params, IDM, memory, t=1.5)
+        a1 = ego_policy(ego, index, None, params, IDM, memory, t=1.5)
         assert a1 == pytest.approx(0.0, abs=1e-9)
-        a2 = ego_policy(ego, [intruder], None, params, IDM, memory, t=1.75)
+        a2 = ego_policy(ego, index, None, params, IDM, memory, t=1.75)
         assert a2 <= params.late_decel
 
     def test_guided_onset_at_first_tick_after_publication(self):
@@ -414,6 +416,69 @@ class TestLaneIndex:
             for lane in range(-1, 5):  # lanes -1 and 4 are never occupied
                 assert _leader(index, me, lane) is oracles._leader_in_lane(roster, me, lane)
                 assert _follower(index, me, lane) is oracles._follower_in_lane(roster, me, lane)
+
+
+def roster_car(vid, s, lane, v=17.0, kind="car", v_desired=17.0):
+    length = TRUCK_DIMS[0] if kind == "truck" else CAR_DIMS[0]
+    return VehicleState(id=vid, kind=kind, s=s, y=0.0, v=v, a=0.0, lane=lane, length=length,
+                        width=CAR_DIMS[1], height=CAR_DIMS[2], v_desired=v_desired)
+
+
+@st.composite
+def ego_calls(draw):
+    """A driver and a few policy calls, each on a fresh draw of one roster.
+
+    Positions tie with the ego's own s (0.0 against -0.0 too) and sit at
+    exactly react_range ahead of it; lanes include both road edges; guidance
+    probabilities include p_trigger itself; ids are shuffled against s.
+    """
+    lane_count = draw(st.integers(2, 4))
+    params = DriverParams(policy=draw(st.sampled_from(["guided", "baseline"])),
+                          p_trigger=draw(st.sampled_from([0.5, 0.0, 1.0]) | st.floats(0.0, 1.0)),
+                          react_range=draw(st.sampled_from([60.0, 12.5])),
+                          guided_margin=draw(st.sampled_from([1.5, 0.0])),
+                          reaction_time=draw(st.sampled_from([0.75, 0.0])))
+    n = draw(st.integers(0, 8))
+    ids = draw(st.permutations(range(1, n + 1)))
+    lanes = st.integers(0, lane_count - 1)
+    speeds = st.sampled_from([0.0, -0.0, 17.0]) | st.floats(0.0, 40.0)
+    probs = st.sampled_from([params.p_trigger, 0.0, 1.0]) | st.floats(0.0, 1.0)
+    calls, t = [], 0.0
+    for _ in range(draw(st.integers(1, 4))):
+        ego_s = draw(st.sampled_from([0.0, -0.0, 20.0]) | st.floats(-50.0, 300.0))
+        positions = (st.sampled_from([ego_s, -ego_s, ego_s + 7.5, ego_s + params.react_range])
+                     | st.floats(-50.0, 400.0))
+        ego = roster_car(0, ego_s, draw(lanes), v=draw(speeds), kind="ego",
+                      v_desired=draw(st.sampled_from([19.0, 0.0]) | st.floats(0.0, 40.0)))
+        others = [roster_car(vid, draw(positions), draw(lanes), v=draw(speeds),
+                          kind=draw(st.sampled_from(["car", "truck"]))) for vid in ids]
+        guidance = draw(st.none() | st.dictionaries(st.integers(1, n + 1), probs))
+        t += draw(st.sampled_from([0.0, 0.25, params.reaction_time]) | st.floats(0.0, 2.0))
+        calls.append((ego, others, draw(st.integers(0, n)), guidance, t))
+    return params, calls
+
+
+class TestEgoPolicyMatchesRosterScans:
+    @settings(max_examples=500, deadline=None)
+    @given(ego_calls(), st.sampled_from(IDM_VARIANTS))
+    # two acknowledged cars tie 30 m ahead: the first in roster order leads
+    @example((DriverParams(policy="baseline", reaction_time=0.0),
+              [(roster_car(0, 0.0, 2, v=19.0, kind="ego", v_desired=19.0),
+                [roster_car(2, 30.0, 2, v=10.0), roster_car(1, 30.0, 2, v=15.0)], 0, None, 0.0)]),
+             IDM)
+    # a flagged car in the next lane at exactly react_range caps the ego
+    @example((DriverParams(policy="guided"),
+              [(roster_car(0, 20.0, 2, v=19.0, kind="ego", v_desired=19.0),
+                [roster_car(1, 80.0, 1)], 0, {1: 1.0}, 0.0)]), IDM)
+    def test_bit_equal_to_the_roster_scans(self, case, idm):
+        params, calls = case
+        memory, ref_memory = EgoMemory(), EgoMemory()
+        for ego, others, at, guidance, t in calls:
+            index = _lane_index(others[:at] + [ego] + others[at:])
+            got = ego_policy(ego, index, guidance, params, idm, memory, t)
+            want = oracles.ego_policy(ego, others, guidance, params, idm, ref_memory, t)
+            assert bits(got) == bits(want)
+            assert memory == ref_memory
 
 
 @st.composite

@@ -1,15 +1,21 @@
+import csv
+
 import pytest
 
 from lanesight.geometry import WorldPoint
 from lanesight.scene import VehicleState
 from lanesight.twinlink import (
     ChannelConfig,
+    CloudAdvisory,
     NoData,
     TwinRecord,
     TwinStore,
     gnss_distance,
     publish,
+    publish_advisory,
+    query_advisory,
     query_target,
+    write_channel_csv,
 )
 
 
@@ -117,3 +123,41 @@ class TestGnssDistance:
         d_g = gnss_distance(ego_cam, rec)
         true_d = true_s - 0.0
         assert abs(d_g - true_d) <= 17.0 * latency + 1e-6
+
+
+class TestAdvisories:
+    def build(self):
+        store = TwinStore()
+        for k, prob in enumerate((0.2, 0.9, 0.4)):  # issued at 1.0, 2.0, 3.0
+            publish_advisory(store, CloudAdvisory(1, prob, float(k + 1)))
+        return store
+
+    def test_none_before_the_first_advisory(self):
+        store = self.build()
+        assert query_advisory(store, 1, 0.9, ChannelConfig()) is None
+        assert query_advisory(store, 1, 1.4, ChannelConfig(latency=0.5)) is None
+        assert query_advisory(store, 2, 5.0, ChannelConfig()) is None
+
+    def test_newest_advisory_within_the_latency_bound(self):
+        store = self.build()
+        for t, latency, issued in ((1.0, 0.0, 1.0), (2.5, 0.0, 2.0), (3.0, 0.0, 3.0),
+                                   (3.0, 0.5, 2.0), (3.5, 0.5, 3.0), (9.0, 0.0, 3.0)):
+            adv = query_advisory(store, 1, t, ChannelConfig(latency=latency))
+            assert adv.issued_t == issued
+            assert adv is store.advisories[1][int(issued) - 1]
+
+    @pytest.mark.parametrize("prob", [-0.01, 1.01, float("nan")])
+    def test_probability_outside_the_unit_interval_rejected(self, prob):
+        with pytest.raises(ValueError):
+            CloudAdvisory(1, prob, 0.0)
+
+    def test_channel_csv_shows_the_newest_advisory_at_each_publish(self, tmp_path):
+        store = self.build()
+        for k in range(8):  # publishes at 0.0, 0.5, ..., 3.5
+            publish(store, state(), 0.5 * k)
+        write_channel_csv(store, tmp_path / "channel.csv")
+        with open(tmp_path / "channel.csv", newline="") as fh:
+            probs = [(row["t"], row["probability"]) for row in csv.DictReader(fh)]
+        assert probs == [("0.00", ""), ("0.50", ""), ("1.00", "0.200000"),
+                         ("1.50", "0.200000"), ("2.00", "0.900000"), ("2.50", "0.900000"),
+                         ("3.00", "0.400000"), ("3.50", "0.400000")]
