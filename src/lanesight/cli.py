@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -51,8 +52,8 @@ from .prediction import (
     write_dataset_csv,
     write_traces_csv,
 )
-from .scene import InfeasiblePlacement, build_scenario, write_maneuvers_csv, \
-    write_trajectory_csv
+from .scene import LOG_PERIOD, InfeasiblePlacement, build_scenario, grid_stride, \
+    write_maneuvers_csv, write_trajectory_csv
 from .sensing import write_depth_map, write_detections_csv
 from .twinlink import write_channel_csv
 
@@ -70,13 +71,18 @@ def _load_model_for(cfg: RunConfig, required: bool):
         return None
     try:
         return load_model(cfg.model_path)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         raise ConfigError(f"model_path: cannot load {cfg.model_path!r}: {exc}") from exc
 
 
 def cmd_simulate(cfg: RunConfig, out: Path, model) -> int:
+    # record on the coarsest grid that holds every trajectory row and every frame
+    dt = cfg.scenario.dt_sim
+    record_period = math.gcd(grid_stride(LOG_PERIOD, dt),
+                             grid_stride(cfg.sensing.frame_period, dt)) * dt
     for seed in cfg.seeds:
-        art = simulate_run(replace(cfg.scenario, seed=seed), cfg.channel, model=model)
+        art = simulate_run(replace(cfg.scenario, seed=seed), cfg.channel, model=model,
+                           record_period=record_period)
         sdir = _seed_dir(out, seed)
         write_trajectory_csv(art.log, sdir / "trajectory.csv")
         write_maneuvers_csv(art.log.plans, sdir / "maneuvers.csv")
@@ -208,18 +214,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
+    try:  # nothing is written until every check here has passed
         cfg = load_config(args.config)
         if args.seeds is not None:
             try:
                 cfg = replace(cfg, seeds=[int(s) for s in args.seeds.split(",") if s])
             except ValueError as exc:
                 raise ConfigError(f"--seeds: {exc}") from exc
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         needs_model = args.command in ("predict-eval", "closed-loop")
         model = _load_model_for(cfg, required=needs_model)
         if args.command == "train" and cfg.scenario.potential_changer_count == 0:
@@ -231,6 +232,9 @@ def main(argv=None) -> int:
     except (ConfigError, InfeasiblePlacement) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
     out = Path(args.out)
     try:

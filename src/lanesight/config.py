@@ -184,6 +184,8 @@ def load_config(path) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: line {exc.lineno}, "
                           f"column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"config {str(path)!r} is nested too deeply to parse") from exc
     return resolve_config(doc)
 
 

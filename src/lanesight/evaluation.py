@@ -6,8 +6,8 @@ closing speed, only at samples where the gap is actually closing. Runs where
 the relevance window is empty or never closing report an undefined average
 (None), which paired comparisons exclude rather than coercing to infinity.
 
-Acceleration and jerk are computed on a 0.1 s grid; jerk is the difference
-quotient of acceleration between adjacent samples.
+Acceleration and jerk are computed on the log's grid, LOG_PERIOD for a run;
+jerk is the difference quotient of acceleration between adjacent samples.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ import numpy as np
 from .fusion import IdentificationResult
 from .geometry import Box2D, iou
 from .prediction import UnknownVehicle
-from .scene import LOG_PERIOD, TrajectoryLog
+from .scene import TrajectoryLog
 
 
 class EmptyResults(Exception):
@@ -140,14 +140,14 @@ def ttc_series(log: TrajectoryLog, ego_id: int,
 
 
 def accel_jerk_metrics(log: TrajectoryLog, vehicle_id: int) -> tuple[float, float]:
-    """(mean |a|, max |da/dt|) for one vehicle on the LOG_PERIOD grid."""
+    """(mean |a|, max |da/dt|) for one vehicle on the log's grid."""
     if vehicle_id not in log.data:
         raise UnknownVehicle(f"vehicle {vehicle_id} not in log")
-    a = log.resample(LOG_PERIOD).column(vehicle_id, "a")
+    a = log.column(vehicle_id, "a")
     mean_abs = float(np.mean(np.abs(a)))
     if len(a) < 2:
         return mean_abs, 0.0
-    jerk = np.diff(a) / LOG_PERIOD
+    jerk = np.diff(a) / log.dt
     return mean_abs, float(np.max(np.abs(jerk)))
 
 

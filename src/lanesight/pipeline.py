@@ -1,9 +1,10 @@
 """End-to-end runners: closed-loop simulation, corpus building, datasets.
 
-The closed-loop runner owns the cadence logic: vehicle states publish to the
-twin store every channel period, the classifier infers per neighbor once per
-second from twin snapshots, advisories publish back on the same channel, and
-the ego's guidance view refreshes every guidance tick subject to latency.
+The closed-loop runner owns the cadence logic: the scene is recorded on the
+grid its log is read at, vehicle states publish to the twin store every
+channel period, the classifier infers per neighbor once per second from twin
+snapshots, advisories publish back on the same channel, and the ego's
+guidance view refreshes every guidance tick subject to latency.
 """
 from __future__ import annotations
 
@@ -87,11 +88,13 @@ def _twin_snapshot(store: TwinStore, t: float, channel: ChannelConfig,
 
 
 def simulate_run(cfg: ScenarioConfig, channel: ChannelConfig = ChannelConfig(),
-                 model: MlpModel | None = None) -> RunArtifacts:
+                 model: MlpModel | None = None,
+                 record_period: float = LOG_PERIOD) -> RunArtifacts:
     """Run one scenario; with a model, predictions flow over the twin channel."""
     scn = build_scenario(cfg)
     store = TwinStore()
     n_steps = int(round(cfg.duration / cfg.dt_sim))
+    record_stride = grid_stride(record_period, cfg.dt_sim)
     publish_stride = grid_stride(channel.publish_period, cfg.dt_sim)
     infer_stride = grid_stride(INFER_PERIOD, cfg.dt_sim)
     guided = cfg.driver.policy == "guided"
@@ -102,6 +105,8 @@ def simulate_run(cfg: ScenarioConfig, channel: ChannelConfig = ChannelConfig(),
 
     for k in range(n_steps + 1):
         t = scn.t
+        if k % record_stride == 0:
+            scn.record()
         if k % publish_stride == 0:
             for veh in scn.vehicles:
                 publish(store, veh, t)
@@ -130,28 +135,28 @@ def simulate_run(cfg: ScenarioConfig, channel: ChannelConfig = ChannelConfig(),
             times, probs, bits = zip(*rows)
             traces[vid] = PredictionTrace(vid, np.asarray(times), np.asarray(probs),
                                           np.asarray(bits, dtype=int))
-    return RunArtifacts(log=scn.build_log(), store=store, traces=traces, memory=scn.memory)
+    return RunArtifacts(scn.build_log(record_period), store, traces, scn.memory)
 
 
 def render_frames(log: TrajectoryLog, mount: CameraMount,
                   noise: DetectorNoiseModel) -> Iterator[SensorFrame]:
-    """Post-hoc sensor frames every noise.frame_period from a finished log.
+    """Post-hoc sensor frames every noise.frame_period of a finished log.
 
     Frames are rendered one at a time as the caller iterates, so a caller that
     drops each frame holds one depth raster at a time.
     """
-    sampled = log.resample(noise.frame_period)
-    for i, t in enumerate(sampled.times):
-        states = sampled.states_at(i)
-        ego = next(s for s in states if s.id == sampled.ego_id)
-        others = [s for s in states if s.id != sampled.ego_id]
+    stride = grid_stride(noise.frame_period, log.dt)
+    for i, k in enumerate(range(0, len(log.times), stride)):
+        states = log.states_at(k)
+        ego = next(s for s in states if s.id == log.ego_id)
+        others = [s for s in states if s.id != log.ego_id]
         camera = mount.camera_for(ego)
         frame_noise = noise.for_frame(i)
         truth = render_truth_boxes(others, camera)
         depth = render_depth_map(truth, mount.intrinsics, noise=frame_noise)
         dets = emulate_detections(truth, frame_noise, mount.intrinsics.width,
                                   mount.intrinsics.height)
-        yield SensorFrame(t=float(t), detections=dets, depth=depth, camera=camera)
+        yield SensorFrame(t=float(log.times[k]), detections=dets, depth=depth, camera=camera)
 
 
 def build_dataset(cfg: ScenarioConfig, window: WindowParams, seeds,
@@ -166,12 +171,11 @@ def build_dataset(cfg: ScenarioConfig, window: WindowParams, seeds,
     samples = []
     for seed in seeds:
         run_cfg = replace(cfg, seed=int(seed)).with_policy("baseline")
-        log = simulate_run(run_cfg, channel).log.resample(LOG_PERIOD)
+        log = simulate_run(run_cfg, channel).log
         events = extract_lane_changes(log)
         samples.extend(label_windows(events, log, window))
         if include_nonchangers:
             samples.extend(nonchanger_negatives(log, events, window))
-        del log  # its columns view the whole run; free it before the next one
     return samples
 
 
@@ -197,7 +201,7 @@ def closed_loop_pair(cfg: ScenarioConfig, model: MlpModel, seed: int,
     def report(policy: str, run_model: MlpModel | None) -> SafetyReport:
         log = simulate_run(replace(cfg, seed=seed).with_policy(policy), channel,
                            model=run_model).log
-        return safety_report(log.resample(LOG_PERIOD), log.ego_id)
+        return safety_report(log, log.ego_id)
 
     return report("guided", model), report("baseline", None)
 

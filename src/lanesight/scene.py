@@ -20,8 +20,9 @@ neighbor with no active lane change makes one leader bisect and runs the
 one IDM body, ``_idm``; a changer takes the least acceleration over the
 lanes it spans. Integration is forward Euler at ``dt_sim``; the logged
 acceleration is the realized (v_next - v) / dt so logs stay kinematically
-consistent even when speeds clamp at zero. Each tick is recorded into typed
-columns, 8 B per value, which ``Scenario.build_log`` copies into NumPy once.
+consistent even when speeds clamp at zero. ``step`` records nothing: the
+runner calls ``Scenario.record`` at the ticks it reads, into typed columns,
+8 B per value, which ``Scenario.build_log`` copies into NumPy once.
 """
 from __future__ import annotations
 
@@ -374,10 +375,10 @@ def ego_policy(ego: VehicleState, index,
 
 
 class Scenario:
-    """Mutable simulation state; advance with step(), then build_log().
+    """Mutable simulation state; advance with step(), record(), then build_log().
 
-    Each tick appends every vehicle's s, y, v, a and lane to that vehicle's
-    typed columns (``array("d")`` and ``array("q")``, 8 B per value).
+    The runner decides when to record(): it appends every vehicle's s, y, v,
+    a and lane to typed columns (``array("d")`` and ``array("q")``, 8 B each).
     """
 
     def __init__(self, cfg: ScenarioConfig, vehicles: list[VehicleState],
@@ -398,7 +399,6 @@ class Scenario:
         self._rows: dict[int, tuple[array, ...]] = {  # s, y, v, a, lane
             v.id: (array("d"), array("d"), array("d"), array("d"), array("q"))
             for v in vehicles}
-        self._record()
 
     @property
     def t(self) -> float:
@@ -411,7 +411,7 @@ class Scenario:
     def vehicle(self, vid: int) -> VehicleState:
         return self._by_id[vid]
 
-    def _record(self):
+    def record(self):
         self._times.append(self.t)
         for v, (s, y, vel, a, lane) in zip(self.vehicles, self._rows.values()):
             s.append(v.s)
@@ -420,13 +420,14 @@ class Scenario:
             a.append(v.a)
             lane.append(v.lane)
 
-    def build_log(self) -> "TrajectoryLog":
+    def build_log(self, dt: float) -> "TrajectoryLog":
+        """The recorded ticks as a log whose grid period is dt, the recording period."""
         meta = {v.id: (v.kind, v.length, v.width, v.height) for v in self.vehicles}
         data = {vid: tuple(np.array(col) for col in cols)  # a copy: a view blocks appends
                 for vid, cols in self._rows.items()}
         return TrajectoryLog(
             times=np.asarray(self._times),
-            dt=self.cfg.dt_sim,
+            dt=dt,
             meta=meta,
             data=data,
             plans=list(self.plans),
@@ -573,8 +574,6 @@ def step(scn: Scenario, guidance: dict[int, float] | None = None):
             if second.s - first.s - 0.5 * (second.length + first.length) < 0.0:
                 scn.collisions.append((t_new, first.id, second.id))
 
-    scn._record()
-
 
 @dataclass
 class TrajectoryLog:
@@ -618,16 +617,6 @@ class TrajectoryLog:
 
     def states_at(self, i: int) -> list[VehicleState]:
         return [self.state_at(vid, i) for vid in self.vehicle_ids]
-
-    def resample(self, period: float) -> "TrajectoryLog":
-        stride = grid_stride(period, self.dt)
-        if stride == 1:
-            return self
-        data = {vid: tuple(col[::stride] for col in cols)
-                for vid, cols in self.data.items()}
-        return TrajectoryLog(times=self.times[::stride], dt=period, meta=self.meta,
-                             data=data, plans=self.plans, ego_id=self.ego_id,
-                             collisions=self.collisions, lanes=self.lanes)
 
 
 def grid_stride(period: float, dt: float) -> int:
@@ -678,14 +667,13 @@ def extract_lane_changes(log: TrajectoryLog) -> list[ManeuverPlan]:
 
 
 def write_trajectory_csv(log: TrajectoryLog, path):
-    sampled = log.resample(LOG_PERIOD)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "id", "kind", "s", "y", "v", "a", "lane"])
-        for i, t in enumerate(sampled.times):
-            for vid in sampled.vehicle_ids:
-                s, y, v, a, lane = (sampled.data[vid][k][i] for k in range(5))
-                w.writerow([f"{t:.2f}", vid, sampled.kind_of(vid), f"{s:.6f}",
+        for i in range(0, len(log.times), grid_stride(LOG_PERIOD, log.dt)):
+            for vid in log.vehicle_ids:
+                s, y, v, a, lane = (log.data[vid][k][i] for k in range(5))
+                w.writerow([f"{log.times[i]:.2f}", vid, log.kind_of(vid), f"{s:.6f}",
                             f"{y:.6f}", f"{v:.6f}", f"{a:.6f}", int(lane)])
 
 

@@ -417,8 +417,6 @@ def step(scn: Scenario, guidance: dict[int, float] | None = None):
             if _bumper_gap(first, second) < 0.0:
                 scn.collisions.append((t_new, first.id, second.id))
 
-    scn._record()
-
 
 # Reference copy of target identification as it stood before the single
 # decision path: the anchor goes through its own per-point transform and

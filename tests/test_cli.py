@@ -159,6 +159,21 @@ class TestSimulate:
         assert main(["simulate", "--config", str(echo), "--out", str(second)]) == 0
         assert tree_bytes(first) == tree_bytes(second)
 
+    def test_finer_frame_grid_keeps_the_log_files(self, tmp_path):
+        # frames every 0.05 s are read from the run's one log, which then
+        # holds ticks off the trajectory's 0.1 s grid that the csv skips
+        outs = {}
+        for period in (0.1, 0.05):
+            cfg = write_config(tmp_path / f"{period}.json", sensing={"frame_period": period})
+            outs[period] = tmp_path / str(period)
+            assert main(["simulate", "--config", str(cfg), "--out", str(outs[period])]) == 0
+        coarse, fine = (outs[p] / "seed_1" for p in (0.1, 0.05))
+        frames = len(list((coarse / "depth").glob("*.dpt")))
+        assert frames == int(3.0 / 0.1) + 1
+        assert len(list((fine / "depth").glob("*.dpt"))) == 2 * frames - 1
+        for name in ("trajectory.csv", "maneuvers.csv", "twin_channel.csv"):
+            assert (fine / name).read_bytes() == (coarse / name).read_bytes(), name
+
     def test_seeds_override(self, tmp_path):
         cfg = write_config(tmp_path / "c.json")
         out = tmp_path / "out"
@@ -307,6 +322,40 @@ class TestClosedLoop:
         guided = (out / "seed_5" / "report_guided.json").read_text()
         baseline = (out / "seed_5" / "report_baseline.json").read_text()
         assert guided == baseline
+
+
+class TestPreWriteFailures:
+    """A failure before the first write exits 2 or 3 and creates no --out."""
+
+    NESTED = "[" * 200_000 + "]" * 200_000  # past Python's recursion limit
+
+    def test_config_nested_too_deeply_is_a_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "deep.json"
+        cfg.write_text(self.NESTED)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "deep.json" in capsys.readouterr().err
+
+    def test_model_nested_too_deeply_is_a_config_error(self, tmp_path, capsys):
+        model_path = tmp_path / "deep_model.json"
+        model_path.write_text(self.NESTED)
+        cfg = write_config(tmp_path / "c.json", model_path=str(model_path))
+        out = tmp_path / "out"
+        assert main(["predict-eval", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "deep_model.json" in capsys.readouterr().err
+
+    def test_any_other_failure_is_a_runtime_error(self, tmp_path, capsys, monkeypatch):
+        def fail(cfg):
+            raise RuntimeError("placement broke")
+
+        monkeypatch.setattr(cli, "build_scenario", fail)
+        cfg = write_config(tmp_path / "c.json")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: placement broke\n"
 
 
 class TestModuleEntry:

@@ -2,6 +2,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lanesight import cli, fusion, pipeline, seeding, sensing
 from lanesight.config import resolve_config
@@ -18,7 +20,7 @@ from lanesight.pipeline import (
     simulate_run,
 )
 from lanesight.prediction import PredictionTrace, TrainConfig, WindowParams, train
-from lanesight.scene import ManeuverPlan, ScenarioConfig
+from lanesight.scene import LOG_PERIOD, ManeuverPlan, ScenarioConfig
 from lanesight.sensing import DetectorNoiseModel
 
 
@@ -54,7 +56,35 @@ class TestSimulateRun:
     def test_log_matches_scenario_duration(self):
         art = simulate_run(small_cfg(duration=4.0))
         assert art.log.times[-1] == pytest.approx(4.0)
-        assert len(art.log.times) == 401
+        assert len(art.log.times) == round(4.0 / LOG_PERIOD) + 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**16), ticks=st.integers(0, 300),
+           neighbors=st.integers(0, 6), changers=st.integers(0, 3),
+           policy=st.sampled_from(["guided", "baseline"]), with_model=st.booleans(),
+           k=st.sampled_from([1, 2, 5, 10]))
+    def test_recording_every_k_ticks_keeps_every_kth_tick(self, model, seed, ticks,
+                                                          neighbors, changers, policy,
+                                                          with_model, k):
+        cfg = small_cfg(seed=seed, duration=ticks * 0.01, neighbor_count=neighbors,
+                        potential_changer_count=min(changers, neighbors))
+        cfg = cfg.with_policy(policy)
+        run_model = model if with_model else None
+        every = simulate_run(cfg, model=run_model, record_period=cfg.dt_sim)
+        strided = simulate_run(cfg, model=run_model, record_period=k * cfg.dt_sim)
+        got, want = strided.log, every.log
+        assert got.dt == k * cfg.dt_sim
+        assert got.times.tobytes() == want.times[::k].tobytes()
+        for vid in want.vehicle_ids:
+            for col, full in zip(got.data[vid], want.data[vid]):
+                assert col.tobytes() == full[::k].tobytes()  # -0.0 too
+        assert got.plans == want.plans
+        assert got.collisions == want.collisions
+        assert strided.traces.keys() == every.traces.keys()
+        for vid, trace in every.traces.items():
+            other = strided.traces[vid]
+            for name in ("times", "probabilities", "binary"):
+                assert getattr(other, name).tobytes() == getattr(trace, name).tobytes()
 
 
 class TestRenderFrames:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import oracles
 from lanesight.scene import (
     CAR_DIMS,
+    LOG_PERIOD,
     TRUCK_DIMS,
     DriverParams,
     EgoMemory,
@@ -33,6 +34,7 @@ from lanesight.scene import (
     car_following_accel,
     ego_policy,
     extract_lane_changes,
+    grid_stride,
     lateral_profile,
     step,
 )
@@ -41,10 +43,15 @@ IDM = IdmParams()
 
 
 def run_steps(scn: Scenario, n_steps: int, guidance_fn=None):
-    """Advance n_steps ticks; guidance_fn(t) supplies the per-tick probability map."""
+    """Advance n_steps ticks, recording every tick from the initial one.
+
+    guidance_fn(t) supplies the per-tick probability map.
+    """
+    scn.record()
     for _ in range(n_steps):
         guidance = guidance_fn(scn.t) if guidance_fn is not None else None
         step(scn, guidance)
+        scn.record()
 
 
 def make_car(vid=1, s=0.0, v=17.0, lane=0, v_desired=17.0, lanes=LaneSpec()):
@@ -237,7 +244,7 @@ class TestStep:
             cfg = ScenarioConfig(seed=11, duration=8.0)
             scn = build_scenario(cfg)
             run_steps(scn, int(cfg.duration / cfg.dt_sim))
-            logs.append(scn.build_log())
+            logs.append(scn.build_log(cfg.dt_sim))
         a, b = logs
         assert np.array_equal(a.times, b.times)
         for vid in a.vehicle_ids:
@@ -249,7 +256,7 @@ class TestStep:
         cfg = ScenarioConfig(seed=4, duration=12.0)
         scn = build_scenario(cfg)
         run_steps(scn, int(cfg.duration / cfg.dt_sim))
-        log = scn.build_log()
+        log = scn.build_log(cfg.dt_sim)
         dt = cfg.dt_sim
         for vid in log.vehicle_ids:
             s, y, v, a = (log.column(vid, n) for n in ("s", "y", "v", "a"))
@@ -380,8 +387,13 @@ class TestExtractLaneChanges:
     def test_agrees_with_simulated_ground_truth(self):
         cfg = ScenarioConfig(seed=13, duration=20.0)
         scn = build_scenario(cfg)
-        run_steps(scn, int(cfg.duration / cfg.dt_sim))
-        log = scn.build_log().resample(0.1)
+        stride = grid_stride(LOG_PERIOD, cfg.dt_sim)
+        scn.record()
+        for k in range(1, int(cfg.duration / cfg.dt_sim) + 1):
+            step(scn)
+            if k % stride == 0:
+                scn.record()
+        log = scn.build_log(LOG_PERIOD)
         # only maneuvers that complete inside the log have recoverable ends
         truth = {p.vehicle_id: p for p in log.plans if p.t_end <= log.times[-1]}
         events = extract_lane_changes(log)
@@ -517,10 +529,14 @@ def tied_scenarios(draw):
 
 def assert_steps_match_scanning_tick(scn, guidance, ticks):
     ref = copy.deepcopy(scn)
+    scn.record()
+    ref.record()
     for _ in range(ticks):
         step(scn, guidance)
         oracles.step(ref, guidance)
-    got, want = scn.build_log(), ref.build_log()
+        scn.record()
+        ref.record()
+    got, want = scn.build_log(scn.cfg.dt_sim), ref.build_log(ref.cfg.dt_sim)
     assert np.array_equal(got.times, want.times)
     for vid in want.vehicle_ids:
         for k in range(5):
@@ -566,8 +582,7 @@ class TestRecording:
     @given(tied_scenarios(), st.data())
     def test_log_columns_equal_the_states_collected_into_lists(self, case, data):
         scn, guidance, ticks = case
-        # a fresh scenario records the moved vehicles as its first tick
-        scn = Scenario(scn.cfg, scn.vehicles, scn.ego_id, scn.changer_ids)
+        dt = scn.cfg.dt_sim
         rows = {v.id: ([], [], [], [], []) for v in scn.vehicles}
 
         def collect():
@@ -575,16 +590,18 @@ class TestRecording:
                 for col, value in zip(rows[v.id], (v.s, v.y, v.v, v.a, v.lane)):
                     col.append(value)
 
+        scn.record()
         collect()
         split = data.draw(st.integers(0, ticks))
         for k in range(ticks):
             if k == split:  # a log taken mid-run neither stops nor sees later ticks
-                early = scn.build_log()
+                early = scn.build_log(dt)
             step(scn, guidance)
+            scn.record()
             collect()
         if split == ticks:
-            early = scn.build_log()
-        assert_log_holds_the_first_ticks(scn.build_log(), rows, ticks + 1)
+            early = scn.build_log(dt)
+        assert_log_holds_the_first_ticks(scn.build_log(dt), rows, ticks + 1)
         assert_log_holds_the_first_ticks(early, rows, split + 1)
 
     def test_a_recorded_value_is_retained_in_a_typed_slot(self):
