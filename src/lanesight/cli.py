@@ -36,6 +36,7 @@ from .evaluation import (
 )
 from .pipeline import (
     REPORT_IOU,
+    CorpusResult,
     build_dataset,
     build_fuse_corpus,
     closed_loop_pair,
@@ -100,11 +101,19 @@ def cmd_simulate(cfg: RunConfig, out: Path, model) -> int:
     return 0
 
 
-def cmd_fuse_eval(cfg: RunConfig, out: Path, model) -> int:
+def _draw_corpora(cfg: RunConfig) -> dict[int, CorpusResult]:
+    """Each seed's fuse-eval corpus; ConfigError on a seed whose frames never show the target."""
+    corpora = {}
     for seed in cfg.seeds:
-        result = build_fuse_corpus(cfg.fuse_eval, cfg.camera,
-                                   replace(cfg.sensing, seed=seed),
-                                   replace(cfg.fusion, seed=seed), seed)
+        corpora[seed] = build_fuse_corpus(cfg.fuse_eval, cfg.camera,
+                                          replace(cfg.sensing, seed=seed), cfg.fusion, seed)
+        if corpora[seed].frame_count == 0:
+            raise ConfigError(f"seed {seed}: no fuse-eval corpus frame shows the target")
+    return corpora
+
+
+def cmd_fuse_eval(cfg: RunConfig, out: Path, corpora: dict[int, CorpusResult]) -> int:
+    for seed, result in corpora.items():
         curves = identification_accuracy(result.scored, cfg.fuse_eval.thresholds)
         sdir = _seed_dir(out, seed)
         write_curve_csv(curves, sdir / "curve.csv")
@@ -222,11 +231,14 @@ def main(argv=None) -> int:
             except ValueError as exc:
                 raise ConfigError(f"--seeds: {exc}") from exc
         needs_model = args.command in ("predict-eval", "closed-loop")
-        model = _load_model_for(cfg, required=needs_model)
+        # what the command reads besides its config: the model, or fuse-eval's corpora
+        given = _load_model_for(cfg, required=needs_model)
         if args.command == "train" and cfg.scenario.potential_changer_count == 0:
             raise ConfigError("scenario.potential_changer_count: train needs at least one "
                               "potential lane changer to label a lane change")
-        if args.command != "fuse-eval":  # every other command places a scenario per seed
+        if args.command == "fuse-eval":  # whether a target shows depends on the draw
+            given = _draw_corpora(cfg)
+        else:  # every other command places a scenario per seed
             for seed in cfg.seeds:
                 build_scenario(replace(cfg.scenario, seed=seed))
     except (ConfigError, InfeasiblePlacement) as exc:
@@ -240,7 +252,7 @@ def main(argv=None) -> int:
     try:
         out.mkdir(parents=True, exist_ok=True)
         write_echo(cfg, out / "config.echo.json")
-        return COMMANDS[args.command](cfg, out, model)
+        return COMMANDS[args.command](cfg, out, given)
     except Exception as exc:  # pragma: no cover - defensive
         print(f"error: {exc}", file=sys.stderr)
         return 3

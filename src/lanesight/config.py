@@ -63,7 +63,7 @@ class RunConfig:
                        INFER_PERIOD, LOG_PERIOD):
             try:
                 grid_stride(period, self.scenario.dt_sim)
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:  # a subnormal dt_sim overflows
                 raise ValueError(f"scenario.dt_sim: {exc}") from exc
         # the corpus camera sits at world x = 0, so a target's rear corners
         # are at depth target_s - CAR_DIMS[0] / 2

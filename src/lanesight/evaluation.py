@@ -13,14 +13,17 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .fusion import IdentificationResult
 from .geometry import Box2D, iou
-from .prediction import UnknownVehicle
 from .scene import TrajectoryLog
+
+
+class UnknownVehicle(Exception):
+    pass
 
 
 class EmptyResults(Exception):
@@ -80,11 +83,6 @@ class SafetyReport:
     max_jerk: float
     collision: bool
     trip_duration: float
-
-    def to_dict(self) -> dict:
-        return {"avg_ttc": self.avg_ttc, "mean_abs_accel": self.mean_abs_accel,
-                "max_jerk": self.max_jerk, "collision": self.collision,
-                "trip_duration": self.trip_duration}
 
 
 def identification_accuracy(scored: list[ScoredFrame],
@@ -269,4 +267,4 @@ def write_identifications_csv(scored: list[ScoredFrame], path):
 
 def write_safety_report_json(report: SafetyReport, path):
     with open(path, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=1, sort_keys=True)
+        json.dump(asdict(report), fh, indent=1, sort_keys=True)

@@ -29,6 +29,7 @@ from .scene import (
     ScenarioConfig,
     TrajectoryLog,
     VehicleState,
+    _lane_index,
     build_scenario,
     extract_lane_changes,
     grid_stride,
@@ -111,15 +112,16 @@ def simulate_run(cfg: ScenarioConfig, channel: ChannelConfig = ChannelConfig(),
             for veh in scn.vehicles:
                 publish(store, veh, t)
             if model is not None and k % infer_stride == 0:
-                snapshot = _twin_snapshot(store, t, channel, cfg.lanes)
-                present = {s.id for s in snapshot}
-                for vid in sorted(trace_rows):
-                    if vid not in present:
+                snapshot = _twin_snapshot(store, t, channel, cfg.lanes)  # in id order
+                index = _lane_index(snapshot)
+                for subject in snapshot:
+                    rows = trace_rows.get(subject.id)
+                    if rows is None:
                         continue
-                    feats = features_from_states(snapshot, vid, cfg.lanes.lane_count)
+                    feats = features_from_states(index, subject, cfg.lanes.lane_count)
                     prob = infer(model, feats)
-                    publish_advisory(store, CloudAdvisory(vid, prob, t))
-                    trace_rows[vid].append((t, prob, int(prob >= DECISION_THRESHOLD)))
+                    publish_advisory(store, CloudAdvisory(subject.id, prob, t))
+                    rows.append((t, prob, int(prob >= DECISION_THRESHOLD)))
             if guided:
                 guidance = {}
                 for vid in sorted(trace_rows):

@@ -5,6 +5,10 @@ point t_end: times in [t_end - tau, t_end] are positive, and an equally
 sized window shifted tau + tau_g seconds earlier is negative. The gap keeps
 near-boundary frames with near-identical features out of opposite classes.
 
+Features read one snapshot's per-lane order (``scene._lane_index``), which
+the snapshot's owner builds once and hands to every subject in it:
+``pipeline.simulate_run`` per inference tick, labeling per log row.
+
 The classifier is a deliberately small input-hidden-output network trained
 with seeded mini-batch gradient descent on standardized features; training
 and inference are deterministic given the seed.
@@ -24,10 +28,6 @@ from .scene import TrajectoryLog, VehicleState, _follower, _lane_index, _leader
 SENTINEL_GAP = 200.0
 FEATURE_SIZE = 13
 MODEL_FORMAT = "lanesight-mlp-v1"
-
-
-class UnknownVehicle(Exception):
-    pass
 
 
 class DegenerateDataset(Exception):
@@ -70,19 +70,14 @@ class PredictionTrace:
     binary: np.ndarray
 
 
-def features_from_states(states: list[VehicleState], subject_id: int,
-                         lane_count: int) -> np.ndarray:
+def features_from_states(index, subject: VehicleState, lane_count: int) -> np.ndarray:
     """Subject speed plus (speed difference, bumper gap) for six neighbor slots.
 
-    Slot order: lead/lag in the subject's own lane, the lane to its left,
-    and the lane to its right. Absent neighbors carry (0, SENTINEL_GAP).
-    Ties go to the first vehicle in ``states`` order.
+    ``index`` is the ``scene._lane_index`` of the snapshot holding the subject.
+    Slot order: lead/lag in the subject's own lane, the lane to its left, and
+    the lane to its right. Absent neighbors carry (0, SENTINEL_GAP). Ties go
+    to the first vehicle in the order the index was built from.
     """
-    by_id = {s.id: s for s in states}
-    if subject_id not in by_id:
-        raise UnknownVehicle(f"vehicle {subject_id} not present")
-    subject = by_id[subject_id]
-    index = _lane_index(states)
     feats = [subject.v]
     for lane in (subject.lane, subject.lane + 1, subject.lane - 1):
         if lane < 0 or lane >= lane_count:
@@ -97,11 +92,12 @@ def features_from_states(states: list[VehicleState], subject_id: int,
     return np.asarray(feats)
 
 
-def extract_features(log: TrajectoryLog, vehicle_id: int, t: float) -> np.ndarray:
-    if vehicle_id not in log.data:
-        raise UnknownVehicle(f"vehicle {vehicle_id} not in log")
-    idx = log.index_of(t)
-    return features_from_states(log.states_at(idx), vehicle_id, log.lanes.lane_count)
+def _sample(log: TrajectoryLog, vehicle_id: int, t: float, label: int) -> LabeledSample:
+    """The sample of vehicle_id at the log row nearest t."""
+    row = round(t / log.dt)
+    feats = features_from_states(_lane_index(log.states_at(row)),
+                                 log.state_at(vehicle_id, row), log.lanes.lane_count)
+    return LabeledSample(tuple(feats), label, row * log.dt, vehicle_id)
 
 
 def _window_times(t_hi: float, tau: float, rate: float, t_min: float) -> list[float]:
@@ -122,10 +118,7 @@ def label_windows(events, log: TrajectoryLog, w: WindowParams) -> list[LabeledSa
             continue
         for label, hi in windows:
             for t in _window_times(min(hi, t_max), w.tau, w.sample_rate, t_min):
-                grid_t = round(t / log.dt) * log.dt
-                feats = extract_features(log, event.vehicle_id, grid_t)
-                samples.append(LabeledSample(tuple(feats), label, grid_t,
-                                             event.vehicle_id))
+                samples.append(_sample(log, event.vehicle_id, t, label))
     return samples
 
 
@@ -146,9 +139,7 @@ def nonchanger_negatives(log: TrajectoryLog, events,
             continue
         t = t_min
         while t <= t_max + 1e-9:
-            grid_t = round(t / log.dt) * log.dt
-            feats = extract_features(log, vid, grid_t)
-            samples.append(LabeledSample(tuple(feats), 0, grid_t, vid))
+            samples.append(_sample(log, vid, t, 0))
             t += 5.0
     return samples
 

@@ -602,12 +602,6 @@ class TrajectoryLog:
         idx = {"s": 0, "y": 1, "v": 2, "a": 3, "lane": 4}[name]
         return self.data[vid][idx]
 
-    def index_of(self, t: float) -> int:
-        i = int(round((t - self.times[0]) / self.dt))
-        if i < 0 or i >= len(self.times) or abs(self.times[i] - t) > 1e-6:
-            raise KeyError(f"time {t} not on the log grid")
-        return i
-
     def state_at(self, vid: int, i: int) -> VehicleState:
         kind, length, width, height = self.meta[vid]
         s, y, v, a, lane = (self.data[vid][k][i] for k in range(5))

@@ -19,8 +19,9 @@ import numpy as np
 
 from lanesight import seeding
 from lanesight.fusion import IdentificationResult, _sample_region, depth_evaluate
+from lanesight.evaluation import UnknownVehicle
 from lanesight.geometry import BehindCamera, Box2D, PixelPoint
-from lanesight.prediction import SENTINEL_GAP, UnknownVehicle
+from lanesight.prediction import SENTINEL_GAP
 from lanesight.scene import (DriverParams, EgoMemory, IdmParams, ManeuverPlan, Scenario,
                              VehicleState, lateral_profile)
 

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,8 @@ import pytest
 
 from lanesight import cli
 from lanesight.cli import main
+from lanesight.config import load_config
+from lanesight.pipeline import simulate_run
 from lanesight.prediction import FEATURE_SIZE, MlpModel, save_model
 
 SMALL_CAMERA = {"width": 192, "height": 108, "u0": 96.0, "v0": 54.0}
@@ -174,6 +177,18 @@ class TestSimulate:
         for name in ("trajectory.csv", "maneuvers.csv", "twin_channel.csv"):
             assert (fine / name).read_bytes() == (coarse / name).read_bytes(), name
 
+    def test_maneuvers_csv_lists_every_plan(self, tmp_path):
+        # a lane change first triggers after about 6 s; seed 2 plans one at 6.72 s
+        cfg = write_config(tmp_path / "c.json", seeds=[2], scenario={"duration": 7.0})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        plans = simulate_run(replace(load_config(cfg).scenario, seed=2)).log.plans
+        assert plans
+        assert read_rows(out / "seed_2" / "maneuvers.csv") == [
+            {"id": str(p.vehicle_id), "t_start": f"{p.t_start:.3f}",
+             "t_end": f"{p.t_end:.3f}", "from_lane": str(p.from_lane),
+             "to_lane": str(p.to_lane)} for p in plans]
+
     def test_seeds_override(self, tmp_path):
         cfg = write_config(tmp_path / "c.json")
         out = tmp_path / "out"
@@ -207,6 +222,19 @@ class TestFuseEval:
         assert main(["fuse-eval", "--config", str(cfg), "--out", str(first)]) == 0
         assert main(["fuse-eval", "--config", str(cfg), "--out", str(second)]) == 0
         assert tree_bytes(first) == tree_bytes(second)
+
+
+    def test_corpus_without_a_visible_target_exits_2_before_any_write(self, tmp_path,
+                                                                      capsys):
+        # the camera rules admit this near plane, but no drawn frame images the
+        # target; this used to exit 3 after config.echo.json had been written
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"camera": {"near_plane": 23.5},
+                                   "fuse_eval": {"frames": 2}}))
+        out = tmp_path / "out"
+        assert main(["fuse-eval", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "seed 1: no fuse-eval corpus frame shows the target" in capsys.readouterr().err
 
 
 def train_tiny_model(tmp_path) -> Path:

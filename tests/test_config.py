@@ -2,7 +2,7 @@ import json
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lanesight.config import ConfigError, load_config, resolve_config, write_echo
 from lanesight.evaluation import AccuracyCurve
@@ -211,6 +211,7 @@ def build_command_objects(cfg):
 
 @settings(max_examples=300, deadline=None)
 @given(documents)
+@example({"scenario": {"dt_sim": 2.2250738585e-313}})  # period / dt_sim overflows to inf
 def test_any_json_resolves_or_raises_config_error(doc):
     try:
         cfg = resolve_config(doc)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lanesight import cli, fusion, pipeline, seeding, sensing
+from lanesight import cli, fusion, pipeline, prediction, seeding, sensing
 from lanesight.config import resolve_config
 from lanesight.evaluation import identification_accuracy
 from lanesight.fusion import FusionParams
@@ -52,6 +52,20 @@ class TestSimulateRun:
             assert art.log.kind_of(vid) == "car"
             assert trace.times.tolist() == pytest.approx([0, 1, 2, 3, 4, 5])
             assert np.all((trace.probabilities >= 0) & (trace.probabilities <= 1))
+
+    def test_one_lane_index_per_inference_tick(self, model, monkeypatch):
+        # the tick's snapshot is ordered once; every subject's features read that order
+        real, built = pipeline._lane_index, []
+
+        def counted(vehicles):
+            built.append(len(vehicles))
+            return real(vehicles)
+
+        monkeypatch.setattr(pipeline, "_lane_index", counted)
+        monkeypatch.setattr(prediction, "_lane_index", counted)
+        art = simulate_run(small_cfg(duration=5.0), model=model)
+        assert built == [len(art.log.vehicle_ids)] * 6  # t = 0, 1, ..., 5
+        assert len(art.traces) > 1
 
     def test_log_matches_scenario_duration(self):
         art = simulate_run(small_cfg(duration=4.0))

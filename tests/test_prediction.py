@@ -15,7 +15,6 @@ from lanesight.prediction import (
     MlpModel,
     PredictionTrace,
     TrainConfig,
-    UnknownVehicle,
     WindowParams,
     aggressive_filter,
     conservative_filter,
@@ -27,7 +26,7 @@ from lanesight.prediction import (
     save_model,
     train,
 )
-from lanesight.scene import LaneSpec, ManeuverPlan, VehicleState
+from lanesight.scene import LaneSpec, ManeuverPlan, VehicleState, _lane_index
 
 LANES = LaneSpec()
 
@@ -37,16 +36,22 @@ def make_state(vid, s, lane=1, v=17.0):
                         lane=lane, length=4.5, width=1.8, height=1.5, v_desired=v)
 
 
+def features(states, subject):
+    """The subject's features, read from one lane index of all the states."""
+    return features_from_states(_lane_index(states), subject, LANES.lane_count)
+
+
 class TestFeatures:
     def test_lone_vehicle_all_sentinels(self):
-        feats = features_from_states([make_state(1, 50.0, v=17.0)], 1, LANES.lane_count)
+        subject = make_state(1, 50.0, v=17.0)
+        feats = features([subject], subject)
         assert feats[0] == 17.0
         assert list(feats[1:]) == [0.0, SENTINEL_GAP] * 6
 
     def test_own_lane_lead_slot(self):
         subject = make_state(1, 50.0, v=17.0)
         lead = make_state(2, 84.5, v=19.0)  # bumper gap 34.5 - 4.5 = 30
-        feats = features_from_states([subject, lead], 1, LANES.lane_count)
+        feats = features([subject, lead], subject)
         assert feats[1] == pytest.approx(2.0)   # own-lead speed difference
         assert feats[2] == pytest.approx(30.0)  # own-lead gap
 
@@ -55,8 +60,7 @@ class TestFeatures:
         own_lag = make_state(2, 30.0, lane=1, v=16.0)
         left_lead = make_state(3, 70.0, lane=2, v=20.0)
         right_lag = make_state(4, 45.0, lane=0, v=18.0)
-        feats = features_from_states([subject, own_lag, left_lead, right_lag],
-                                     1, LANES.lane_count)
+        feats = features([subject, own_lag, left_lead, right_lag], subject)
         assert feats[3] == pytest.approx(-1.0)            # own lag dv
         assert feats[4] == pytest.approx(20.0 - 4.5)      # own lag gap
         assert feats[5] == pytest.approx(3.0)             # left lead dv
@@ -68,12 +72,8 @@ class TestFeatures:
     def test_rightmost_lane_has_sentinel_right_slots(self):
         subject = make_state(1, 50.0, lane=0)
         other = make_state(2, 60.0, lane=0)
-        feats = features_from_states([subject, other], 1, LANES.lane_count)
+        feats = features([subject, other], subject)
         assert list(feats[9:13]) == [0.0, SENTINEL_GAP, 0.0, SENTINEL_GAP]
-
-    def test_unknown_vehicle(self):
-        with pytest.raises(UnknownVehicle):
-            features_from_states([make_state(1, 0.0)], 99, LANES.lane_count)
 
 
 def tie_state(vid, s, lane, v=17.0, length=4.5):
@@ -104,8 +104,9 @@ class TestFeaturesMatchRosterScans:
                tie_state(4, -0.0, 1)], 3))
     def test_bit_equal_to_the_scanning_copy(self, case):
         states, lane_count = case
+        index = _lane_index(states)  # one index serves every subject, as in a run
         for subject in states:
-            got = features_from_states(states, subject.id, lane_count)
+            got = features_from_states(index, subject, lane_count)
             want = oracles.features_from_states(states, subject.id, lane_count)
             assert got.tobytes() == want.tobytes()
 

@@ -1,0 +1,85 @@
+"""Run a fixed set of lanesight commands and print a digest of every output file.
+
+Usage: python3 tools/output_digest.py [--src DIR] > digest.txt
+
+The commands run in-process, in a fresh temporary directory, with relative
+paths, so `config.echo.json` (which echoes `model_path`) does not depend on
+where they ran. One line per output file, `sha256  path`, sorted by path.
+The exit status is 1 if any command does not exit 0.
+
+To check that a change keeps every output byte-identical, digest both trees
+and compare them:
+
+    python3 tools/output_digest.py > new.txt
+    python3 tools/output_digest.py --src /path/to/parent/src > old.txt
+    diff old.txt new.txt
+
+`--src` names the lanesight source tree to import (default: this checkout's
+`src`). The set covers every command: `train` on seeds 1-3, `predict-eval` on
+held-out seeds, `closed-loop` on the default and on a 48-neighbour scene,
+`simulate` with the trained model (6 s, so its 960x540 rasters take about
+130 MB), and `fuse-eval`.
+"""
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+MODEL = {"model_path": "train/model.json"}
+DENSE = {"neighbor_count": 48, "potential_changer_count": 12, "spawn_max_s": 540,
+         "accident_s": 600, "road_length": 650}
+
+# (command, config, seeds, output directory); each reads the ones before it
+RUNS = (
+    ("train", {}, "1,2,3", "train"),
+    ("predict-eval", MODEL, "1001,1002", "pred"),
+    ("closed-loop", MODEL, "1,7", "loop"),
+    ("closed-loop", {**MODEL, "scenario": DENSE}, "42", "loop_dense"),
+    ("simulate", {**MODEL, "scenario": {"duration": 6.0}}, "1", "sim"),
+    ("fuse-eval", {}, "1", "fuse"),
+)
+
+
+def sha256(path: Path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"),
+                        help="the lanesight source tree to import")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(Path(args.src).resolve()))
+    from lanesight.cli import main as lanesight
+
+    failed = 0
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory(prefix="lanesight-digest-") as work:
+        os.chdir(work)
+        try:
+            for command, config, seeds, out in RUNS:
+                Path(f"{out}.json").write_text(json.dumps(config))
+                code = lanesight([command, "--config", f"{out}.json", "--out", out,
+                                  "--seeds", seeds])
+                if code != 0:
+                    print(f"{command} --out {out}: exit {code}", file=sys.stderr)
+                    failed = 1
+            for path in sorted(Path(".").rglob("*")):
+                if path.is_file():
+                    print(f"{sha256(path)}  {path.as_posix()}")
+        finally:
+            os.chdir(home)
+    return failed
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
