@@ -1,7 +1,7 @@
 """Highway driving simulation with camera/cloud target identification.
 
 Subsystems:
-  geometry    pinhole camera model, cuboid projection, box IoU
+  geometry    pinhole camera model, batched body projection, box IoU
   scene       deterministic multi-lane traffic simulation and ego policies
   sensing     synthetic truth boxes, depth rasters, detector noise emulation
   twinlink    simulated vehicle-to-cloud state channel

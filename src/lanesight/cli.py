@@ -45,6 +45,7 @@ from .pipeline import (
     simulate_run,
 )
 from .prediction import (
+    DegenerateDataset,
     aggressive_filter,
     conservative_filter,
     load_model,
@@ -132,11 +133,16 @@ def cmd_fuse_eval(cfg: RunConfig, out: Path, corpora: dict[int, CorpusResult]) -
     return 0
 
 
-def cmd_train(cfg: RunConfig, out: Path, model) -> int:
+def _fit(cfg: RunConfig):
+    """The training dataset and the model fitted to it; DegenerateDataset when
+    the dataset is empty or holds a single class."""
     dataset = build_dataset(cfg.scenario, cfg.window, cfg.seeds, cfg.channel,
                             include_nonchangers=cfg.training.include_nonchangers)
-    model = train(dataset, cfg.training)
-    out.mkdir(parents=True, exist_ok=True)
+    return dataset, train(dataset, cfg.training)
+
+
+def cmd_train(cfg: RunConfig, out: Path, fitted) -> int:
+    dataset, model = fitted
     save_model(model, out / "model.json")
     write_dataset_csv(dataset, out / "dataset.csv")
     summary = {
@@ -178,7 +184,7 @@ def cmd_predict_eval(cfg: RunConfig, out: Path, model) -> int:
                          "false_positive_rate": fpr,
                          "timesteps": len(pred)}
     with open(out / "metrics.json", "w") as fh:
-        json.dump(metrics, fh, indent=1, sort_keys=True)
+        json.dump(metrics, fh, indent=1, sort_keys=True, allow_nan=False)
     return 0
 
 
@@ -231,17 +237,17 @@ def main(argv=None) -> int:
             except ValueError as exc:
                 raise ConfigError(f"--seeds: {exc}") from exc
         needs_model = args.command in ("predict-eval", "closed-loop")
-        # what the command reads besides its config: the model, or fuse-eval's corpora
+        # what the command reads besides its config: the model, fuse-eval's
+        # corpora, or train's dataset and fitted model
         given = _load_model_for(cfg, required=needs_model)
-        if args.command == "train" and cfg.scenario.potential_changer_count == 0:
-            raise ConfigError("scenario.potential_changer_count: train needs at least one "
-                              "potential lane changer to label a lane change")
         if args.command == "fuse-eval":  # whether a target shows depends on the draw
             given = _draw_corpora(cfg)
         else:  # every other command places a scenario per seed
             for seed in cfg.seeds:
                 build_scenario(replace(cfg.scenario, seed=seed))
-    except (ConfigError, InfeasiblePlacement) as exc:
+        if args.command == "train":  # only the runs show whether both classes occur
+            given = _fit(cfg)
+    except (ConfigError, InfeasiblePlacement, DegenerateDataset) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

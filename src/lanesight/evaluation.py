@@ -149,17 +149,19 @@ def accel_jerk_metrics(log: TrajectoryLog, vehicle_id: int) -> tuple[float, floa
     return mean_abs, float(np.max(np.abs(jerk)))
 
 
-def classification_metrics(predicted, truth) -> tuple[float, float, float]:
-    """(accuracy, true positive rate, false positive rate); undefined rates are NaN."""
+def classification_metrics(predicted, truth) -> tuple[float | None, float | None,
+                                                     float | None]:
+    """(accuracy, true positive rate, false positive rate); a figure with no
+    timestep to average over is None."""
     p = np.asarray(predicted, dtype=int)
     g = np.asarray(truth, dtype=int)
     if p.shape != g.shape:
         raise LengthMismatch(f"shapes {p.shape} vs {g.shape}")
-    accuracy = float(np.mean(p == g))
+    accuracy = float(np.mean(p == g)) if p.size else None
     positives = int((g == 1).sum())
     negatives = int((g == 0).sum())
-    tpr = float(((p == 1) & (g == 1)).sum() / positives) if positives else float("nan")
-    fpr = float(((p == 1) & (g == 0)).sum() / negatives) if negatives else float("nan")
+    tpr = float(((p == 1) & (g == 1)).sum() / positives) if positives else None
+    fpr = float(((p == 1) & (g == 0)).sum() / negatives) if negatives else None
     return accuracy, tpr, fpr
 
 

@@ -15,12 +15,14 @@ Camera frame (right-handed, standard computer vision):
 Image frame:
   - origin top-left, u right, v down, units pixels
 
-One projection serves the anchor point and the 8 body corners alike:
-`world_to_camera` on rows of points, then one near-plane check and divide.
+One projection serves the anchor point and the vehicle bodies alike:
+`world_to_camera` on rows of points, then a near-plane check and a divide.
+`project_cuboid_hull` takes every body of a frame at once, as rows of
+centers and dimensions, and reports which bodies are wholly beyond the near
+plane; `project_anchor` raises BehindCamera for a single point.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -152,31 +154,9 @@ class Box2D:
         return self.u_min <= u <= self.u_max and self.v_min <= v <= self.v_max
 
 
+# the 8 body corners as signs of the half extents, in (x, y, z) order
 _CORNER_SIGNS = np.array([(sx, sy, sz) for sx in (-1.0, 1.0) for sy in (-1.0, 1.0)
                           for sz in (-1.0, 1.0)])
-
-
-@dataclass(frozen=True)
-class Cuboid3D:
-    """Axis-aligned vehicle body rotated by yaw about the vertical axis."""
-
-    center: WorldPoint
-    length: float
-    width: float
-    height: float
-    yaw: float = 0.0
-
-    def __post_init__(self):
-        if self.length <= 0 or self.width <= 0 or self.height <= 0:
-            raise ValueError("cuboid dimensions must be positive")
-
-    def corner_array(self) -> np.ndarray:
-        """The 8 body corners in world coordinates, one per row."""
-        cy, sy = math.cos(self.yaw), math.sin(self.yaw)
-        half = (0.5 * self.length, 0.5 * self.width, 0.5 * self.height)
-        dx, dy, dz = (_CORNER_SIGNS * half).T
-        c = self.center
-        return np.column_stack((c.x + dx * cy - dy * sy, c.y + dx * sy + dy * cy, c.z + dz))
 
 
 def world_to_camera(points: np.ndarray, e: CameraExtrinsics) -> np.ndarray:
@@ -184,38 +164,43 @@ def world_to_camera(points: np.ndarray, e: CameraExtrinsics) -> np.ndarray:
     return points @ e.rotation.T + e.translation
 
 
-def _pinhole(cam: np.ndarray, i: CameraIntrinsics):
-    """Pixel coordinates (u, v) of camera-frame rows and their nearest depth.
-
-    Raises BehindCamera when any row sits at or behind the near plane.
-    """
-    z = cam[:, 2]
-    nearest = z.min()
-    if nearest <= i.near_plane:
-        raise BehindCamera(f"z_c={nearest:.3f} <= near_plane={i.near_plane:.3f}")
-    return i.u0 + i.fx * (cam[:, 0] / z), i.v0 + i.fy * (cam[:, 1] / z), nearest
-
-
 def project_anchor(p_w: WorldPoint, e: CameraExtrinsics, i: CameraIntrinsics) -> PixelPoint:
-    """Project a world point into the image; may land outside the frame."""
-    (u,), (v,), depth = _pinhole(world_to_camera(p_w.as_array()[None], e), i)
-    return PixelPoint(u, v, depth)
+    """Project a world point into the image; may land outside the frame.
 
-
-def project_cuboid_hull(c: Cuboid3D, e: CameraExtrinsics,
-                        i: CameraIntrinsics) -> tuple[Box2D, float]:
-    """Axis-aligned hull of the 8 projected corners, clipped to the image, and
-    the camera-frame depth of the nearest corner.
-
-    Raises BehindCamera if any corner is behind the near plane; clipping may
-    yield a zero-area box when the body is outside the frustum sideways.
+    Raises BehindCamera when the point is at or behind the near plane.
     """
-    us, vs, nearest = _pinhole(world_to_camera(c.corner_array(), e), i)
-    u_min = min(max(us.min(), 0.0), float(i.width))
-    u_max = min(max(us.max(), 0.0), float(i.width))
-    v_min = min(max(vs.min(), 0.0), float(i.height))
-    v_max = min(max(vs.max(), 0.0), float(i.height))
-    return Box2D(u_min, v_min, u_max, v_max), nearest
+    (x, y, z), = world_to_camera(p_w.as_array()[None], e)
+    if z <= i.near_plane:
+        raise BehindCamera(f"z_c={z:.3f} <= near_plane={i.near_plane:.3f}")
+    return PixelPoint(i.u0 + i.fx * (x / z), i.v0 + i.fy * (y / z), z)
+
+
+def project_cuboid_hull(centers: np.ndarray, dims: np.ndarray, e: CameraExtrinsics,
+                        i: CameraIntrinsics) -> tuple[np.ndarray, list[tuple], list[float]]:
+    """Project axis-aligned bodies, one per row of `centers` and of `dims`
+    (length, width, height), in one array pass.
+
+    Returns (visible, hulls, nearest): `visible` marks the bodies whose 8
+    corners all lie beyond the near plane; for those, in row order, `hulls`
+    holds the (u_min, v_min, u_max, v_max) of the projected corners, clipped
+    to the image, and `nearest` the camera-frame depth of the nearest corner.
+    A body outside the frustum sideways clips to a zero-area hull.
+    """
+    corners = centers[:, None, :] + _CORNER_SIGNS * (0.5 * dims)[:, None, :]
+    cam = world_to_camera(corners.reshape(-1, 3), e).reshape(-1, 8, 3)
+    nearest = cam[:, :, 2].min(axis=1)
+    visible = nearest > i.near_plane
+    cam = cam[visible]
+    z = cam[:, :, 2]
+    us = i.u0 + i.fx * (cam[:, :, 0] / z)
+    vs = i.v0 + i.fy * (cam[:, :, 1] / z)
+    edges = np.stack((us.min(axis=1), vs.min(axis=1), us.max(axis=1), vs.max(axis=1)),
+                     axis=1).tolist()
+    w, h = float(i.width), float(i.height)
+    # clipped one Python float at a time, which keeps a -0.0 edge as it is
+    hulls = [(min(max(u0, 0.0), w), min(max(v0, 0.0), h), min(max(u1, 0.0), w),
+              min(max(v1, 0.0), h)) for u0, v0, u1, v1 in edges]
+    return visible, hulls, nearest[visible].tolist()
 
 
 def iou(a: Box2D, b: Box2D) -> float:

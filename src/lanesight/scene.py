@@ -37,7 +37,6 @@ from operator import attrgetter
 import numpy as np
 
 from . import seeding
-from .geometry import Cuboid3D, WorldPoint
 from .params import FRACTION, NEGATIVE, NONNEGATIVE, POSITIVE, RUN_SEED, check_fields, rule
 
 CAR_DIMS = (4.5, 1.8, 1.5)
@@ -83,10 +82,6 @@ class VehicleState:
     width: float
     height: float
     v_desired: float
-
-    def cuboid(self) -> Cuboid3D:
-        return Cuboid3D(WorldPoint(self.s, self.y, 0.5 * self.height),
-                        self.length, self.width, self.height)
 
 
 @dataclass(frozen=True)

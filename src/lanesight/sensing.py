@@ -1,13 +1,15 @@
 """Synthetic sensor stack: ground-truth boxes, depth rasters, detector noise.
 
-Each frame projects each vehicle once: `render_truth_boxes` decides which
-vehicles the frame shows and returns each one's pixel hull with the depth of
-its nearest corner, and the depth raster and the detector both work from that
-list. The raster uses a planar per-vehicle model: every pixel of a vehicle's
-hull carries the camera-frame depth of the body face nearest the camera, with
-nearest-wins resolution where hulls overlap. That face is what a rear-mounted
-depth sample would measure, which is the quantity the depth evaluation stage
-averages. A depth map stores only the hulls' union box, painted on first read.
+Each frame projects its vehicles once, in one array pass:
+`render_truth_boxes` gathers every body's center and dimensions, decides
+which vehicles the frame shows and returns each one's pixel hull with the
+depth of its nearest corner, and the depth raster and the detector both work
+from that list. The raster uses a planar per-vehicle model: every pixel of a
+vehicle's hull carries the camera-frame depth of the body face nearest the
+camera, with nearest-wins resolution where hulls overlap. That face is what
+a rear-mounted depth sample would measure, which is the quantity the depth
+evaluation stage averages. A depth map stores only the hulls' union box,
+painted on first read.
 """
 from __future__ import annotations
 
@@ -16,11 +18,12 @@ import math
 import struct
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from itertools import compress
 
 import numpy as np
 
 from . import seeding
-from .geometry import BehindCamera, Box2D, Camera, CameraIntrinsics, project_cuboid_hull
+from .geometry import Box2D, Camera, CameraIntrinsics, project_cuboid_hull
 from .params import FRACTION, NONNEGATIVE, POSITIVE, RUN_SEED, check_fields
 from .scene import VehicleState
 
@@ -100,13 +103,13 @@ def render_truth_boxes(states: list[VehicleState],
     A vehicle is visible when no corner is at or behind the near plane and its
     hull, clipped to the image, has positive area. Roster order is kept.
     """
+    bodies = np.array([(st.s, st.y, 0.5 * st.height, st.length, st.width, st.height)
+                       for st in states]).reshape(-1, 6)
+    visible, hulls, nearest = project_cuboid_hull(bodies[:, :3], bodies[:, 3:],
+                                                  camera.extrinsics, camera.intrinsics)
     out = []
-    for state in states:
-        try:
-            box, depth = project_cuboid_hull(state.cuboid(), camera.extrinsics,
-                                             camera.intrinsics)
-        except BehindCamera:
-            continue
+    for state, hull, depth in zip(compress(states, visible), hulls, nearest):
+        box = Box2D(*hull)
         if box.area > 0:
             out.append((state.id, box, depth))
     return out

@@ -3,8 +3,10 @@
 These deliberately take different routes than the library code: homogeneous
 matrix products for the rigid transform and an explicit intrinsics matrix
 that is inverted numerically for the projection. The per-corner sensing
-functions at the end are the other kind of reference: a copy of an earlier
-implementation that the current one must match bit for bit, as are the
+functions are the other kind of reference: a copy of an earlier
+implementation that the current one must match bit for bit, which builds
+each body's corners from its center and dimensions (a vehicle's are read off
+its state's fields) and never calls the library's projection; so are the
 roster-scanning simulator tick with its leader and follower queries, its
 car-following model and its ego policy, the lane-change features with their
 own lead/lag scan, and the target identification with its none/unique/tie
@@ -73,29 +75,28 @@ def project_point_oracle(r, t, p_world, f, d_x, d_y, u0, v0) -> tuple[float, flo
 
 
 # Reference copy of the per-corner sensing path as it stood before the array
-# projection and the bounding-box raster: every corner goes through its own
-# rigid transform and perspective divide, and the depth raster is painted and
-# masked over the full frame. The library must match it exactly for cameras
-# built by CameraExtrinsics.looking_along_road.
+# projection and the bounding-box raster: each body's 8 corners are built from
+# its center and dimensions (for a vehicle, read off its state's fields), every
+# corner goes through its own rigid transform and perspective divide, and the
+# depth raster is painted and masked over the full frame. The library must
+# match it exactly for cameras built by CameraExtrinsics.looking_along_road.
 
-def per_corner_world(c) -> list[tuple[float, float, float]]:
-    cy, sy = math.cos(c.yaw), math.sin(c.yaw)
-    hl, hw, hh = 0.5 * c.length, 0.5 * c.width, 0.5 * c.height
-    out = []
-    for dx in (-hl, hl):
-        for dy in (-hw, hw):
-            for dz in (-hh, hh):
-                out.append((c.center.x + dx * cy - dy * sy,
-                            c.center.y + dx * sy + dy * cy,
-                            c.center.z + dz))
-    return out
+def body_of(state):
+    """A vehicle's body as (center, (length, width, height)), read off its state."""
+    return (state.s, state.y, 0.5 * state.height), (state.length, state.width, state.height)
 
 
-def per_corner_hull(c, e, i):
+def per_corner_world(center, dims) -> list[tuple[float, float, float]]:
+    (x, y, z), (hl, hw, hh) = center, (0.5 * d for d in dims)
+    return [(x + dx, y + dy, z + dz)
+            for dx in (-hl, hl) for dy in (-hw, hw) for dz in (-hh, hh)]
+
+
+def per_corner_hull(center, dims, e, i):
     """(u_min, v_min, u_max, v_max) clipped to the image, or None when a
     corner is at or behind the near plane."""
     us, vs = [], []
-    for corner in per_corner_world(c):
+    for corner in per_corner_world(center, dims):
         v = e.rotation @ np.array(corner, dtype=float) + e.translation
         if v[2] <= i.near_plane:
             return None
@@ -105,16 +106,16 @@ def per_corner_hull(c, e, i):
             min(max(max(us), 0.0), float(i.width)), min(max(max(vs), 0.0), float(i.height)))
 
 
-def per_corner_nearest_depth(c, e) -> float:
+def per_corner_nearest_depth(center, dims, e) -> float:
     """The smallest camera-frame z over the 8 corners, one transform each."""
     return min((e.rotation @ np.array(p, dtype=float) + e.translation)[2]
-               for p in per_corner_world(c))
+               for p in per_corner_world(center, dims))
 
 
 def per_corner_truth_boxes(states, camera) -> list[tuple[int, Box2D]]:
     out = []
     for state in states:
-        edges = per_corner_hull(state.cuboid(), camera.extrinsics, camera.intrinsics)
+        edges = per_corner_hull(*body_of(state), camera.extrinsics, camera.intrinsics)
         if edges is not None and Box2D(*edges).area > 0:
             out.append((state.id, Box2D(*edges)))
     return out
@@ -127,10 +128,7 @@ def full_frame_depth_values(states, camera, noise=None) -> np.ndarray:
     by_id = {state.id: state for state in states}
     layers = []
     for vid, box in per_corner_truth_boxes(states, camera):
-        corners = per_corner_world(by_id[vid].cuboid())
-        e = camera.extrinsics
-        depth = min((e.rotation @ np.array(p, dtype=float) + e.translation)[2]
-                    for p in corners)
+        depth = per_corner_nearest_depth(*body_of(by_id[vid]), camera.extrinsics)
         layers.append((depth, box))
     layers.sort(key=lambda item: -item[0])
     covered = np.zeros_like(values, dtype=bool)

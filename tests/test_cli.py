@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -296,6 +297,31 @@ class TestTrainAndPredict:
         assert not out.exists()
 
 
+    def test_undefined_figures_are_null_in_strict_json(self, tmp_path):
+        # with no lane changer no timestep is positive, and with no neighbour
+        # there is no timestep at all; such a figure is null, never NaN
+        model_path = tmp_path / "model.json"
+        save_model(MlpModel(w1=np.zeros((4, FEATURE_SIZE)), b1=np.zeros(4), w2=np.zeros(4),
+                            b2=0.0, feat_mean=np.zeros(FEATURE_SIZE),
+                            feat_std=np.ones(FEATURE_SIZE)), model_path)
+
+        def not_json(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        rates = {"true_positive_rate", "false_positive_rate"}
+        for neighbors, undefined in ((2, {"true_positive_rate"}), (0, rates | {"accuracy"})):
+            cfg = write_config(tmp_path / "c.json", model_path=str(model_path),
+                               scenario={"neighbor_count": neighbors,
+                                         "potential_changer_count": 0})
+            out = tmp_path / f"out_{neighbors}"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["predict-eval", "--config", str(cfg), "--out", str(out)]) == 0
+            metrics = json.loads((out / "metrics.json").read_text(), parse_constant=not_json)
+            for figures in metrics.values():
+                assert {name for name, value in figures.items() if value is None} == undefined
+
+
 class TestClosedLoop:
     def test_single_seed_pair(self, tmp_path):
         model_path = train_tiny_model(tmp_path)
@@ -384,6 +410,17 @@ class TestPreWriteFailures:
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
         assert not out.exists()
         assert capsys.readouterr().err == "error: placement broke\n"
+
+
+    def test_train_on_one_class_exits_2_before_any_write(self, tmp_path, capsys):
+        # no car changes lane within 3 s, so every sample is a negative; this
+        # used to exit 3 after config.echo.json had been written
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"scenario": {"duration": 3.0}}))
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg), "--out", str(out), "--seeds", "1,2"]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == "config error: training data has a single class\n"
 
 
 class TestModuleEntry:

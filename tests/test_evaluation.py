@@ -202,6 +202,11 @@ class TestClassificationMetrics:
         assert tpr == pytest.approx(1.0)
         assert fpr == pytest.approx(1 / 7)
 
+    def test_undefined_figures_are_none(self):
+        assert classification_metrics([0, 1], [0, 0]) == (0.5, None, 0.5)
+        assert classification_metrics([1], [1]) == (1.0, 1.0, None)
+        assert classification_metrics([], []) == (None, None, None)
+
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             classification_metrics([0, 1], [0, 1, 1])

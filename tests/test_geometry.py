@@ -10,7 +10,6 @@ from lanesight.geometry import (
     Box2D,
     CameraExtrinsics,
     CameraIntrinsics,
-    Cuboid3D,
     WorldPoint,
     iou,
     project_anchor,
@@ -146,50 +145,76 @@ class TestProjectAnchor:
         assert (got.u, got.v, got.depth) == (want.u, want.v, want.depth)
 
 
+def bodies(*rows):
+    """Center and (length, width, height) arrays of (x, y, z, l, w, h) rows."""
+    a = np.array(rows, dtype=float).reshape(-1, 6)
+    return a[:, :3], a[:, 3:]
+
+
+def corners(center, dims):
+    signs = np.array([(sx, sy, sz) for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)])
+    return np.asarray(center) + signs * (0.5 * np.asarray(dims))
+
+
 class TestProjectCuboidHull:
     def test_unit_cube_on_axis(self):
         # Hull of the 8 projected corners, computed corner-by-corner by hand:
         # near face at z=9.5 dominates with half-extent 1000*0.5/9.5 px.
-        cube = Cuboid3D(WorldPoint(0.0, 0.0, 10.0), 1.0, 1.0, 1.0)
-        box, depth = project_cuboid_hull(cube, IDENTITY, INTR)
+        visible, hulls, nearest = project_cuboid_hull(*bodies((0.0, 0.0, 10.0, 1.0, 1.0, 1.0)),
+                                                      IDENTITY, INTR)
         half = 1000 * 0.5 / 9.5
-        assert depth == 9.5
-        assert box.u_min == pytest.approx(480 - half, abs=1e-9)
-        assert box.u_max == pytest.approx(480 + half, abs=1e-9)
-        assert box.v_min == pytest.approx(270 - half, abs=1e-9)
-        assert box.v_max == pytest.approx(270 + half, abs=1e-9)
+        assert visible.tolist() == [True]
+        assert nearest == [9.5]
+        (u_min, v_min, u_max, v_max), = hulls
+        assert u_min == pytest.approx(480 - half, abs=1e-9)
+        assert u_max == pytest.approx(480 + half, abs=1e-9)
+        assert v_min == pytest.approx(270 - half, abs=1e-9)
+        assert v_max == pytest.approx(270 + half, abs=1e-9)
 
     def test_hull_contains_all_corner_projections(self):
         rng = np.random.default_rng(5)
-        for _ in range(50):
-            c = Cuboid3D(WorldPoint(rng.uniform(-3, 3), rng.uniform(-2, 2), rng.uniform(8, 40)),
-                         rng.uniform(0.5, 6.0), rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0),
-                         yaw=rng.uniform(-1, 1))
-            box, _ = project_cuboid_hull(c, IDENTITY, INTR)
-            for corner in c.corner_array():
+        rows = [(rng.uniform(-3, 3), rng.uniform(-2, 2), rng.uniform(8, 40),
+                 rng.uniform(0.5, 6.0), rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0))
+                for _ in range(50)]
+        centers, dims = bodies(*rows)
+        visible, hulls, _ = project_cuboid_hull(centers, dims, IDENTITY, INTR)
+        assert visible.all()
+        for center, size, hull in zip(centers, dims, hulls):
+            for corner in corners(center, size):
                 px = project_anchor(WorldPoint(*corner), IDENTITY, INTR)
                 u = min(max(px.u, 0.0), INTR.width)
                 v = min(max(px.v, 0.0), INTR.height)
-                assert box.contains(u, v)
+                assert Box2D(*hull).contains(u, v)
 
     def test_center_anchor_inside_hull(self):
         rng = np.random.default_rng(9)
-        for _ in range(50):
-            c = Cuboid3D(WorldPoint(rng.uniform(-2, 2), rng.uniform(-1, 1), rng.uniform(10, 50)),
-                         4.5, 1.8, 1.5, yaw=rng.uniform(-0.5, 0.5))
-            box, _ = project_cuboid_hull(c, IDENTITY, INTR)
-            px = project_anchor(c.center, IDENTITY, INTR)
-            assert box.contains(px.u, px.v)
+        rows = [(rng.uniform(-2, 2), rng.uniform(-1, 1), rng.uniform(10, 50), 4.5, 1.8, 1.5)
+                for _ in range(50)]
+        centers, dims = bodies(*rows)
+        visible, hulls, _ = project_cuboid_hull(centers, dims, IDENTITY, INTR)
+        assert visible.all()
+        for center, hull in zip(centers, hulls):
+            px = project_anchor(WorldPoint(*center), IDENTITY, INTR)
+            assert Box2D(*hull).contains(px.u, px.v)
 
     def test_offscreen_cuboid_clips_to_zero_width(self):
-        c = Cuboid3D(WorldPoint(-30.0, 0.0, 10.0), 1.0, 1.0, 1.0)
-        box, _ = project_cuboid_hull(c, IDENTITY, INTR)
-        assert box.width == 0.0
+        visible, hulls, _ = project_cuboid_hull(*bodies((-30.0, 0.0, 10.0, 1.0, 1.0, 1.0)),
+                                                IDENTITY, INTR)
+        assert visible.tolist() == [True]
+        assert Box2D(*hulls[0]).width == 0.0
 
-    def test_corner_behind_camera_raises(self):
-        c = Cuboid3D(WorldPoint(0.0, 0.0, 0.6), 1.0, 1.0, 1.0)
-        with pytest.raises(BehindCamera):
-            project_cuboid_hull(c, IDENTITY, INTR)
+    def test_corner_behind_camera_is_not_visible(self):
+        # only the visible rows get a hull and a depth, in row order
+        visible, hulls, nearest = project_cuboid_hull(
+            *bodies((0.0, 0.0, 20.0, 1.0, 1.0, 1.0), (0.0, 0.0, 0.6, 1.0, 1.0, 1.0),
+                    (0.0, 0.0, 10.0, 1.0, 1.0, 1.0)), IDENTITY, INTR)
+        assert visible.tolist() == [True, False, True]
+        assert nearest == [19.5, 9.5]
+        assert hulls[0][2] - hulls[0][0] < hulls[1][2] - hulls[1][0]
+
+    def test_no_bodies(self):
+        visible, hulls, nearest = project_cuboid_hull(*bodies(), IDENTITY, INTR)
+        assert visible.shape == (0,) and hulls == [] and nearest == []
 
 
 finite_boxes = st.builds(

@@ -121,19 +121,20 @@ class TestRenderFrames:
         assert len(frames[0].detections) >= 1
 
     def test_each_vehicle_projected_once_per_frame(self, monkeypatch):
-        # the truth boxes, the depth raster and the detections share one projection
-        calls = []
+        # the truth boxes, the depth raster and the detections share one
+        # projection call per frame, with one row per non-ego vehicle
+        rows = []
         project = sensing.project_cuboid_hull
 
-        def counted(*args):
-            calls.append(1)
-            return project(*args)
+        def counted(centers, dims, *args):
+            rows.append(len(centers))
+            return project(centers, dims, *args)
 
         monkeypatch.setattr(sensing, "project_cuboid_hull", counted)
         log = simulate_run(ScenarioConfig(duration=1.0)).log
         frames = list(render_frames(log, CameraMount(), DetectorNoiseModel(frame_period=0.5)))
         assert len(frames) == 3
-        assert len(calls) == len(frames) * (len(log.vehicle_ids) - 1)
+        assert rows == [len(log.vehicle_ids) - 1] * len(frames)
 
 
 class TestGroundTruthBits:

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lanesight.geometry import BehindCamera, Box2D, Camera, CameraExtrinsics, \
-    CameraIntrinsics, Cuboid3D, WorldPoint, project_cuboid_hull
+from lanesight.geometry import Box2D, Camera, CameraExtrinsics, CameraIntrinsics, \
+    WorldPoint, project_cuboid_hull
 from lanesight.scene import VehicleState
 from lanesight.sensing import (
     DepthMap,
@@ -20,8 +20,8 @@ from lanesight.sensing import (
     render_truth_boxes,
     write_depth_map,
 )
-from oracles import full_frame_depth_values, per_corner_hull, per_corner_nearest_depth, \
-    per_corner_truth_boxes
+from oracles import body_of, full_frame_depth_values, per_corner_hull, \
+    per_corner_nearest_depth, per_corner_truth_boxes
 
 INTR = CameraIntrinsics(focal_length=0.005, pixel_size_x=5e-6, pixel_size_y=5e-6,
                         u0=480.0, v0=270.0, width=960, height=540)
@@ -149,7 +149,7 @@ class TestArrayPathMatchesPerCornerReference:
         assert [(vid, box) for vid, box, _ in truth] == per_corner_truth_boxes(states, camera)
         by_id = {state.id: state for state in states}
         for vid, _, depth in truth:
-            assert depth == per_corner_nearest_depth(by_id[vid].cuboid(), camera.extrinsics)
+            assert depth == per_corner_nearest_depth(*body_of(by_id[vid]), camera.extrinsics)
         noise = DetectorNoiseModel(depth_noise_sigma=sigma, seed=seed)
         for model in (None, noise):
             assert np.array_equal(render_depth_map(truth, intr, noise=model).raster(),
@@ -194,24 +194,25 @@ class TestArrayPathMatchesPerCornerReference:
             assert path.read_bytes() == header + expected.astype("<f4").tobytes()
 
     @settings(max_examples=200, deadline=None)
-    @given(center=st.tuples(st.floats(-5.0, 60.0), st.floats(-20.0, 30.0),
-                            st.floats(0.5, 2.0)),
-           dims=st.tuples(st.floats(0.5, 16.0), st.floats(0.5, 3.0), st.floats(0.5, 4.0)),
-           yaw=st.floats(-np.pi, np.pi),
+    @given(bodies=st.lists(st.tuples(
+               st.tuples(st.floats(-5.0, 60.0), st.floats(-20.0, 30.0), st.floats(0.5, 2.0)),
+               st.tuples(st.floats(0.5, 16.0), st.floats(0.5, 3.0), st.floats(0.5, 4.0))),
+               max_size=8),
            position=st.tuples(st.floats(-2.0, 2.0), st.floats(3.0, 7.5), st.floats(0.8, 2.5)))
-    # the rear corners sit exactly on the near plane, which counts as behind it
-    @example(center=(3.0, 5.0, 1.0), dims=(5.0, 2.0, 1.5), yaw=0.0, position=(0.0, 5.0, 1.4))
-    def test_yawed_hull_bit_equal(self, center, dims, yaw, position):
-        cuboid = Cuboid3D(WorldPoint(*center), *dims, yaw=yaw)
+    # a visible body, one clipped sideways to zero width, and one whose rear
+    # corners sit exactly on the near plane, which counts as behind it
+    @example(bodies=[((20.0, 5.0, 1.0), (4.5, 1.8, 1.5)), ((3.0, -20.0, 1.0), (4.5, 1.8, 1.5)),
+                     ((3.0, 5.0, 1.0), (5.0, 2.0, 1.5))], position=(0.0, 5.0, 1.4))
+    def test_batch_hull_bit_equal(self, bodies, position):
         extrinsics = CameraExtrinsics.looking_along_road(WorldPoint(*position))
-        expected = per_corner_hull(cuboid, extrinsics, INTR)
-        if expected is None:
-            with pytest.raises(BehindCamera):
-                project_cuboid_hull(cuboid, extrinsics, INTR)
-        else:
-            box, depth = project_cuboid_hull(cuboid, extrinsics, INTR)
-            assert box == Box2D(*expected)
-            assert depth == per_corner_nearest_depth(cuboid, extrinsics)
+        centers = np.array([c for c, _ in bodies]).reshape(-1, 3)
+        dims = np.array([d for _, d in bodies]).reshape(-1, 3)
+        visible, hulls, nearest = project_cuboid_hull(centers, dims, extrinsics, INTR)
+        expected = [per_corner_hull(c, d, extrinsics, INTR) for c, d in bodies]
+        assert visible.tolist() == [edges is not None for edges in expected]
+        assert hulls == [edges for edges in expected if edges is not None]
+        assert nearest == [per_corner_nearest_depth(c, d, extrinsics)
+                           for (c, d), edges in zip(bodies, expected) if edges is not None]
 
 
 def spread_boxes(n, rng):

@@ -18,7 +18,8 @@ and compare them:
 `src`). The set covers every command: `train` on seeds 1-3, `predict-eval` on
 held-out seeds, `closed-loop` on the default and on a 48-neighbour scene,
 `simulate` with the trained model (6 s, so its 960x540 rasters take about
-130 MB), and `fuse-eval`.
+130 MB), `simulate` on the 48-neighbour scene (3 s: 31 rasters of 50 bodies
+each, about 65 MB), and `fuse-eval`.
 """
 from __future__ import annotations
 
@@ -41,6 +42,7 @@ RUNS = (
     ("closed-loop", MODEL, "1,7", "loop"),
     ("closed-loop", {**MODEL, "scenario": DENSE}, "42", "loop_dense"),
     ("simulate", {**MODEL, "scenario": {"duration": 6.0}}, "1", "sim"),
+    ("simulate", {"scenario": {**DENSE, "duration": 3.0}}, "42", "sim_dense"),
     ("fuse-eval", {}, "1", "fuse"),
 )
 
