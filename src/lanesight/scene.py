@@ -15,10 +15,13 @@ reactive policies:
 One per-lane order by s (``_lane_index``) answers every neighbour query:
 ``step``'s leaders and followers, the ego policy's reads ahead of the ego,
 and the lane-change features, which index the states they are given. Ties
-go to the first vehicle in the order the index was built from. Each tick a
-neighbor with no active lane change makes one leader bisect and runs the
-one IDM body, ``_idm``; a changer takes the least acceleration over the
-lanes it spans. Integration is forward Euler at ``dt_sim``; the logged
+go to the first vehicle in the order the index was built from. A scenario
+holds one order per tick: ``step`` builds it after moving the vehicles,
+checks collisions in it and keeps it for the next tick. Each tick walks that
+order lane by lane; a neighbor with no active lane change reads its leader
+off the walk, the next vehicle in its lane at a larger s, and runs the one
+IDM body, ``_idm``; a changer takes the least acceleration over the lanes it
+spans. Integration is forward Euler at ``dt_sim``; the logged
 acceleration is the realized (v_next - v) / dt so logs stay kinematically
 consistent even when speeds clamp at zero. ``step`` records nothing: the
 runner calls ``Scenario.record`` at the ticks it reads, into typed columns,
@@ -31,7 +34,7 @@ import math
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import attrgetter
 
 import numpy as np
@@ -42,6 +45,7 @@ from .params import FRACTION, NEGATIVE, NONNEGATIVE, POSITIVE, RUN_SEED, check_f
 CAR_DIMS = (4.5, 1.8, 1.5)
 TRUCK_DIMS = (10.0, 2.5, 3.5)
 LOG_PERIOD = 0.1  # seconds; exported logs, datasets and safety metrics use this grid
+MAX_TICKS = 10**7  # the most dt_sim ticks a run may take: 27.8 h at 10 ms
 
 
 class InfeasiblePlacement(Exception):
@@ -111,6 +115,16 @@ class IdmParams:
     def __post_init__(self):
         check_fields(self)
 
+    @cached_property
+    def _idm_terms(self) -> tuple[float, float, float, float, float, float]:
+        """The constants as _idm reads them, its sqrt term computed once per params.
+
+        Cached in the instance's ``__dict__``, which a frozen dataclass still
+        allows, so a tick reads it without hashing the params.
+        """
+        return (self.a_max, self.delta, self.a_min, self.jam_gap, self.time_headway,
+                2.0 * math.sqrt(self.a_max * self.comfort_decel))
+
 
 @dataclass(frozen=True)
 class DriverParams:
@@ -165,6 +179,10 @@ class ScenarioConfig:
             raise ValueError("potential_changer_count exceeds neighbor_count")
         if self.spawn_max_s <= self.spawn_min_s:
             raise ValueError("spawn_max_s must exceed spawn_min_s")
+        ticks = self.duration / self.dt_sim  # inf when a subnormal dt_sim overflows it
+        if ticks == math.inf or round(ticks) > MAX_TICKS:
+            raise ValueError(f"duration: duration / dt_sim is {ticks:.3g} ticks, above "
+                             f"the {MAX_TICKS} a run may take")
         # cars spawn at least min_spawn_gap apart, bumper to bumper, within the
         # spawn range; the changers share one lane, the rest any right lane
         per_lane = math.floor((self.spawn_max_s - self.spawn_min_s)
@@ -199,14 +217,7 @@ class EgoMemory:
 def car_following_accel(follower: VehicleState, leader: VehicleState | None,
                         p: IdmParams) -> float:
     """Intelligent-Driver-Model acceleration, clamped to [a_min, a_max]."""
-    return _idm(follower, leader, _idm_terms(p))
-
-
-@lru_cache(maxsize=8)
-def _idm_terms(p: IdmParams) -> tuple[float, float, float, float, float, float]:
-    """p's constants as _idm reads them, its sqrt term computed once per params."""
-    return (p.a_max, p.delta, p.a_min, p.jam_gap, p.time_headway,
-            2.0 * math.sqrt(p.a_max * p.comfort_decel))
+    return _idm(follower, leader, p._idm_terms)
 
 
 def _idm(follower: VehicleState, leader: VehicleState | None, terms) -> float:
@@ -314,7 +325,7 @@ def ego_policy(ego: VehicleState, index,
     if guided and leader is not None and leader.id in memory.alerted:
         # an advised driver hangs farther back behind the merged vehicle
         follow_idm = _aware_idm(idm, params.aware_headway)
-    acc = _idm(ego, leader, _idm_terms(follow_idm))
+    acc = _idm(ego, leader, follow_idm._idm_terms)
 
     if leader is not None and guided and leader.id in memory.alerted:
         # A forewarned merge is regulated comfortably unless genuinely
@@ -374,6 +385,11 @@ class Scenario:
 
     The runner decides when to record(): it appends every vehicle's s, y, v,
     a and lane to typed columns (``array("d")`` and ``array("q")``, 8 B each).
+
+    Only ``step`` moves a live scenario's vehicles, so the lane order it
+    keeps in ``_index`` after a tick still holds at the start of the next.
+    A caller may place vehicles (set s, v or lane) before the first step,
+    which builds the order from the roster as it finds it.
     """
 
     def __init__(self, cfg: ScenarioConfig, vehicles: list[VehicleState],
@@ -390,6 +406,7 @@ class Scenario:
         self.collisions: list[tuple[float, int, int]] = []
         self.step_count = 0
         self._by_id = {v.id: v for v in vehicles}
+        self._index = None  # the lane order of the vehicles as they stand; see step
         self._times: list[float] = []
         self._rows: dict[int, tuple[array, ...]] = {  # s, y, v, a, lane
             v.id: (array("d"), array("d"), array("d"), array("d"), array("q"))
@@ -514,39 +531,56 @@ def _maybe_trigger_changes(scn: Scenario, index):
 def step(scn: Scenario, guidance: dict[int, float] | None = None):
     """Advance every vehicle by one dt_sim tick.
 
-    Leader and follower queries are binary searches in one per-lane order of
-    the roster, built at the start of the tick.
+    The tick reads the scenario's lane order (``scn._index``), which the
+    previous step left behind; the first step builds it. Accelerations are
+    computed walking that order, so a plain follower's leader is the next
+    vehicle in its lane at a larger s, the one ``bisect_right`` would pick.
+    Other leader and follower queries are binary searches in the same order.
+    After the move the tick builds the new order, checks it for collisions
+    and keeps it.
     """
     cfg = scn.cfg
     dt = cfg.dt_sim
-    index = _lane_index(scn.vehicles)
+    index = scn._index
+    if index is None:
+        index = _lane_index(scn.vehicles)
 
     _maybe_trigger_changes(scn, index)
 
-    terms = _idm_terms(cfg.idm)
+    terms = cfg.idm._idm_terms
     maneuvers = scn.active_maneuvers
-    accels: list[float] = []
-    for veh in scn.vehicles:
-        if veh.kind == "truck":
-            accels.append(0.0)
-        elif veh.id == scn.ego_id:
-            accels.append(ego_policy(veh, index, guidance, cfg.driver,
-                                     cfg.idm, scn.memory, scn.t))
-        elif veh.id in maneuvers:
-            plan = maneuvers[veh.id]
-            accels.append(min(_idm(veh, _leader(index, veh, lane), terms)
-                              for lane in sorted({veh.lane, plan.from_lane, plan.to_lane})))
-        else:
-            keys, members = index[veh.lane]
-            i = bisect_right(keys, veh.s)
-            accels.append(_idm(veh, members[i] if i < len(members) else None, terms))
+    ego_id = scn.ego_id
+    accels: list[float] = []  # in walk order
+    for keys, members in index.values():
+        last = len(members) - 1
+        for j, veh in enumerate(members):
+            if veh.kind == "truck":
+                accels.append(0.0)
+            elif veh.id == ego_id:
+                accels.append(ego_policy(veh, index, guidance, cfg.driver,
+                                         cfg.idm, scn.memory, scn.t))
+            elif veh.id in maneuvers:
+                plan = maneuvers[veh.id]
+                accels.append(min(_idm(veh, _leader(index, veh, lane), terms)
+                                  for lane in sorted({veh.lane, plan.from_lane, plan.to_lane})))
+            elif j == last:
+                accels.append(_idm(veh, None, terms))
+            else:
+                i = j + 1
+                if keys[i] == keys[j]:  # a tie: the leader is past every equal s
+                    i = bisect_right(keys, keys[j], i)
+                accels.append(_idm(veh, members[i] if i <= last else None, terms))
 
-    for veh, a in zip(scn.vehicles, accels):
-        new_v = veh.v + a * dt
-        new_v = new_v if new_v > 0.0 else 0.0  # as max(0.0, new_v): -0.0 gives 0.0
-        veh.s += veh.v * dt
-        veh.a = (new_v - veh.v) / dt
-        veh.v = new_v
+    # each update reads only its own vehicle, so walk order gives the same bits
+    a_walk = iter(accels)
+    for _, members in index.values():
+        for veh, a in zip(members, a_walk):
+            v = veh.v
+            new_v = v + a * dt
+            new_v = new_v if new_v > 0.0 else 0.0  # as max(0.0, new_v): -0.0 gives 0.0
+            veh.s += v * dt
+            veh.a = (new_v - v) / dt
+            veh.v = new_v
 
     scn.step_count += 1
     t_new = scn.t
@@ -564,7 +598,8 @@ def step(scn: Scenario, guidance: dict[int, float] | None = None):
             veh.lane = plan.to_lane
             del scn.active_maneuvers[vid]
 
-    for _, members in _lane_index(scn.vehicles).values():
+    scn._index = index = _lane_index(scn.vehicles)
+    for _, members in index.values():
         for first, second in zip(members, members[1:]):
             if second.s - first.s - 0.5 * (second.length + first.length) < 0.0:
                 scn.collisions.append((t_new, first.id, second.id))

@@ -3,10 +3,16 @@
 The store is single-writer (the simulation loop) and holds the full publish
 history per vehicle, so queries at any timestamp see a consistent snapshot:
 the newest record whose publish time is at most t - latency.
+
+A vehicle's history is five typed columns, ``array("d")`` of publish time t
+and the body centroid's x, y, z and the speed v, one row per publish, 8 B
+per value. A publish appends one row; a query bisects the t column and
+builds a ``TwinRecord`` only for the row it returns.
 """
 from __future__ import annotations
 
 import csv
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
@@ -49,28 +55,36 @@ class CloudAdvisory:
 
 @dataclass
 class TwinStore:
-    records: dict[int, list[TwinRecord]] = field(default_factory=dict)
+    records: dict[int, tuple[array, ...]] = field(default_factory=dict)  # t, x, y, z, v
     advisories: dict[int, list[CloudAdvisory]] = field(default_factory=dict)
     meta: dict[int, tuple[str, float]] = field(default_factory=dict)  # kind, length
 
 
 def publish(store: TwinStore, state: VehicleState, t: float):
     """Append the vehicle's current pose; the anchor point is the body centroid."""
-    record = TwinRecord(state.id, WorldPoint(state.s, state.y, 0.5 * state.height),
-                        state.v, t)
-    store.records.setdefault(state.id, []).append(record)
-    store.meta.setdefault(state.id, (state.kind, state.length))
+    cols = store.records.get(state.id)
+    if cols is None:
+        cols = store.records[state.id] = tuple(array("d") for _ in range(5))
+        store.meta[state.id] = (state.kind, state.length)
+    ts, xs, ys, zs, vs = cols
+    ts.append(t)
+    xs.append(state.s)
+    ys.append(state.y)
+    zs.append(0.5 * state.height)
+    vs.append(state.v)
 
 
 def query_target(store: TwinStore, vehicle_id: int, t: float,
                  cfg: ChannelConfig) -> TwinRecord:
     """Latest record visible at time t given the channel latency."""
-    history = store.records.get(vehicle_id, [])
+    cols = store.records.get(vehicle_id)
     bound = t - cfg.latency
-    idx = bisect_right(history, bound + 1e-12, key=lambda r: r.publish_t)
-    if idx == 0:
+    i = bisect_right(cols[0], bound + 1e-12) if cols is not None else 0
+    if i == 0:
         raise NoData(f"no record for vehicle {vehicle_id} at or before t={bound:.3f}")
-    return history[idx - 1]
+    ts, xs, ys, zs, vs = cols
+    i -= 1
+    return TwinRecord(vehicle_id, WorldPoint(xs[i], ys[i], zs[i]), vs[i], ts[i])
 
 
 def publish_advisory(store: TwinStore, advisory: CloudAdvisory):
@@ -96,15 +110,15 @@ def gnss_distance(ego_camera_position: WorldPoint, twin: TwinRecord) -> float:
 
 def write_channel_csv(store: TwinStore, path):
     rows = []
-    for vid, history in store.records.items():
+    for vid, cols in store.records.items():
         advisories = store.advisories.get(vid, [])
-        for rec in history:
+        issued = [a.issued_t for a in advisories]
+        for t, x, y, z, v in zip(*cols):
             prob = ""
-            idx = bisect_right(advisories, rec.publish_t + 1e-12, key=lambda a: a.issued_t)
+            idx = bisect_right(issued, t + 1e-12)
             if idx:
                 prob = f"{advisories[idx - 1].lane_change_probability:.6f}"
-            rows.append((rec.publish_t, vid, rec.position.x, rec.position.y,
-                         rec.position.z, rec.speed, prob))
+            rows.append((t, vid, x, y, z, v, prob))
     rows.sort(key=lambda r: (r[0], r[1]))
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)

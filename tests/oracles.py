@@ -9,12 +9,14 @@ each body's corners from its center and dimensions (a vehicle's are read off
 its state's fields) and never calls the library's projection; so are the
 roster-scanning simulator tick with its leader and follower queries, its
 car-following model and its ego policy, the lane-change features with their
-own lead/lag scan, and the target identification with its none/unique/tie
-branches written out in each matcher.
+own lead/lag scan, the target identification with its none/unique/tie
+branches written out in each matcher, and the twin store as a list of
+records per vehicle, searched by a key function.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import replace
 
 import numpy as np
@@ -22,10 +24,11 @@ import numpy as np
 from lanesight import seeding
 from lanesight.fusion import IdentificationResult, _sample_region, depth_evaluate
 from lanesight.evaluation import UnknownVehicle
-from lanesight.geometry import BehindCamera, Box2D, PixelPoint
+from lanesight.geometry import BehindCamera, Box2D, PixelPoint, WorldPoint
 from lanesight.prediction import SENTINEL_GAP
 from lanesight.scene import (DriverParams, EgoMemory, IdmParams, ManeuverPlan, Scenario,
                              VehicleState, lateral_profile)
+from lanesight.twinlink import NoData, TwinRecord
 
 
 def rodrigues(axis, angle: float) -> np.ndarray:
@@ -494,3 +497,21 @@ def identify(frame, twin, d_g, params, method="fused") -> IdentificationResult:
                             th=params.shrink, n=params.samples, seed=params.seed)
     result = match_target(anchor, subset, depths, d_g, t=frame.t)
     return IdentificationResult(frame.t, result.chosen, "fused", anchor, len(cand))
+
+
+# Reference copy of the twin store as it stood before typed columns: each
+# publish appends a TwinRecord to its vehicle's list, and a query bisects the
+# list by publish time through a key function. records maps id -> list.
+def publish(records: dict, state: VehicleState, t: float):
+    record = TwinRecord(state.id, WorldPoint(state.s, state.y, 0.5 * state.height),
+                        state.v, t)
+    records.setdefault(state.id, []).append(record)
+
+
+def query_target(records: dict, vehicle_id: int, t: float, cfg) -> TwinRecord:
+    history = records.get(vehicle_id, [])
+    bound = t - cfg.latency
+    idx = bisect_right(history, bound + 1e-12, key=lambda r: r.publish_t)
+    if idx == 0:
+        raise NoData(f"no record for vehicle {vehicle_id} at or before t={bound:.3f}")
+    return history[idx - 1]

@@ -412,6 +412,19 @@ class TestPreWriteFailures:
         assert capsys.readouterr().err == "error: placement broke\n"
 
 
+    @pytest.mark.parametrize("command", ["simulate", "fuse-eval", "train", "predict-eval",
+                                         "closed-loop"])
+    @pytest.mark.parametrize("scenario", [{"dt_sim": 1e-300}, {"duration": 1e12}])
+    def test_a_run_of_unbounded_ticks_exits_2_before_any_write(self, tmp_path, capsys,
+                                                               command, scenario):
+        # each used to be accepted, and the run then looped practically forever
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"scenario": scenario}))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "config error: scenario.duration:" in capsys.readouterr().err
+
     def test_train_on_one_class_exits_2_before_any_write(self, tmp_path, capsys):
         # no car changes lane within 3 s, so every sample is a negative; this
         # used to exit 3 after config.echo.json had been written

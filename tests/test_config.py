@@ -9,7 +9,7 @@ from lanesight.evaluation import AccuracyCurve
 from lanesight.fusion import FusionParams
 from lanesight.pipeline import CameraMount, FuseCorpusConfig, build_fuse_corpus
 from lanesight.sensing import DetectorNoiseModel
-from lanesight.scene import VehicleState
+from lanesight.scene import MAX_TICKS, VehicleState
 
 
 def write(tmp_path, doc):
@@ -61,6 +61,16 @@ class TestResolve:
         with pytest.raises(ConfigError, match="changer_count"):
             resolve_config({"scenario": {"neighbor_count": 1,
                                          "potential_changer_count": 2}})
+
+    def test_a_run_takes_at_most_max_ticks(self):
+        # MAX_TICKS at the default 10 ms is 100,000 s; a subnormal dt_sim makes
+        # duration / dt_sim overflow to inf
+        assert resolve_config({"scenario": {"duration": 100000.0}}).scenario.duration == 1e5
+        assert MAX_TICKS == round(100000.0 / 0.01)
+        for scenario in ({"duration": 100000.01}, {"dt_sim": 1e-300}, {"duration": 1e12},
+                         {"dt_sim": 2.2250738585e-313}, {"dt_sim": 1e-9}):
+            with pytest.raises(ConfigError, match="scenario.duration: .* above the 10000000"):
+                resolve_config({"scenario": scenario})
 
     def test_road_holds_the_blockage_and_every_spawn(self):
         # the far end of the truck at accident_s, and the front of a car at spawn_max_s

@@ -27,7 +27,6 @@ from lanesight.scene import (
     _aware_idm,
     _follower,
     _idm,
-    _idm_terms,
     _lane_index,
     _leader,
     build_scenario,
@@ -132,13 +131,13 @@ class TestIdmBodyMatchesOracle:
         # wrong params would show up as a mismatch
         for p in IDM_VARIANTS:
             want = bits(oracles.car_following_accel(follower, leader, p))
-            assert bits(_idm(follower, leader, _idm_terms(p))) == want
+            assert bits(_idm(follower, leader, p._idm_terms)) == want
             assert bits(car_following_accel(follower, leader, p)) == want
 
     def test_terms_are_cached_per_params(self):
-        terms = [_idm_terms(p) for p in IDM_VARIANTS]
-        assert [_idm_terms(p) for p in IDM_VARIANTS] == terms
-        assert all(_idm_terms(p) is t for p, t in zip(IDM_VARIANTS, terms))
+        terms = [p._idm_terms for p in IDM_VARIANTS]
+        assert [p._idm_terms for p in IDM_VARIANTS] == terms
+        assert all(p._idm_terms is t for p, t in zip(IDM_VARIANTS, terms))
         assert len(set(terms)) == len(terms)
         assert terms[1][5] == 2.0 * math.sqrt(1.5 * 1.0)
 
@@ -527,6 +526,17 @@ def tied_scenarios(draw):
     return scn, guidance, draw(st.integers(1, 100))
 
 
+def assert_holds_the_lane_order(scn):
+    """The lane order the scenario keeps is the one a fresh index of its roster gives."""
+    held, fresh = scn._index, _lane_index(scn.vehicles)
+    assert list(held) == list(fresh)  # the lanes, in walk order
+    for lane, (keys, members) in fresh.items():
+        held_keys, held_members = held[lane]
+        assert [k.hex() for k in held_keys] == [k.hex() for k in keys]  # -0.0 too
+        assert len(held_members) == len(members)
+        assert all(a is b for a, b in zip(held_members, members))
+
+
 def assert_steps_match_scanning_tick(scn, guidance, ticks):
     ref = copy.deepcopy(scn)
     scn.record()
@@ -534,6 +544,7 @@ def assert_steps_match_scanning_tick(scn, guidance, ticks):
     for _ in range(ticks):
         step(scn, guidance)
         oracles.step(ref, guidance)
+        assert_holds_the_lane_order(scn)
         scn.record()
         ref.record()
     got, want = scn.build_log(scn.cfg.dt_sim), ref.build_log(ref.cfg.dt_sim)

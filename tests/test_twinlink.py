@@ -1,7 +1,11 @@
 import csv
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from lanesight.geometry import WorldPoint
 from lanesight.scene import VehicleState
 from lanesight.twinlink import (
@@ -19,23 +23,47 @@ from lanesight.twinlink import (
 )
 
 
-def state(vid=1, s=0.0, v=17.0):
-    return VehicleState(id=vid, kind="car", s=s, y=5.25, v=v, a=0.0, lane=1,
+def state(vid=1, s=0.0, v=17.0, y=5.25):
+    return VehicleState(id=vid, kind="car", s=s, y=y, v=v, a=0.0, lane=1,
                         length=4.5, width=1.8, height=1.5, v_desired=v)
+
+
+# grid points of the periods the pipeline publishes at, as k * dt_sim, and
+# free times; exact repeats of a time are common
+query_times = (st.builds(lambda k, period: k * period, st.integers(0, 40),
+                         st.sampled_from([0.01, 0.1, 0.2, 0.3]))
+               | st.sampled_from([0.0, -0.0, 0.1]) | st.floats(-1.0, 10.0))
+
+
+@st.composite
+def publish_histories(draw):
+    """(state, t) publishes of vehicles 0..2 in time order, as the runner makes them."""
+    times = sorted(draw(st.lists(query_times, max_size=30)))
+    positions = st.sampled_from([0.0, -0.0]) | st.floats(-50.0, 400.0)
+    return [(state(vid=draw(st.integers(0, 2)), s=draw(positions), y=draw(positions),
+                   v=draw(st.floats(0.0, 40.0))), t) for t in times]
+
+
+def record_bits(rec: TwinRecord) -> tuple:
+    """The record with each float as its exact bits, so -0.0 differs from 0.0."""
+    pos = rec.position
+    return (rec.vehicle_id, *(float(x).hex() for x in
+                              (pos.x, pos.y, pos.z, rec.speed, rec.publish_t)))
 
 
 class TestPublish:
     def test_first_publish(self):
         store = TwinStore()
         publish(store, state(), 0.0)
-        assert len(store.records[1]) == 1
-        assert store.records[1][0].publish_t == 0.0
+        times = store.records[1][0]
+        assert len(times) == 1
+        assert times[0] == 0.0
 
     def test_records_in_time_order(self):
         store = TwinStore()
         for t in (0.0, 0.1, 0.2):
             publish(store, state(s=17.0 * t), t)
-        times = [r.publish_t for r in store.records[1]]
+        times = list(store.records[1][0])
         assert times == [0.0, 0.1, 0.2]
 
     def test_record_count_over_run(self):
@@ -45,13 +73,19 @@ class TestPublish:
         n = int(round(30.0 / period))
         for k in range(n + 1):
             publish(store, state(), k * period)
-        assert len(store.records[1]) == 301
+        assert [len(col) for col in store.records[1]] == [301] * 5
 
     def test_position_is_body_centroid(self):
         store = TwinStore()
         publish(store, state(s=12.0), 0.0)
-        pos = store.records[1][0].position
+        pos = query_target(store, 1, 0.0, ChannelConfig()).position
         assert (pos.x, pos.y, pos.z) == (12.0, 5.25, 0.75)
+
+    def test_a_row_is_five_typed_doubles(self):
+        store = TwinStore()
+        publish(store, state(s=12.0, v=16.5), 0.3)
+        assert [(col.typecode, col.tolist()) for col in store.records[1]] == [
+            ("d", [0.3]), ("d", [12.0]), ("d", [5.25]), ("d", [0.75]), ("d", [16.5])]
 
 
 class TestQueryTarget:
@@ -81,6 +115,26 @@ class TestQueryTarget:
             query_target(store, 1, 0.5, ChannelConfig(latency=1.0))
         with pytest.raises(NoData):
             query_target(store, 99, 1.0, ChannelConfig())
+
+    @settings(max_examples=300, deadline=None)
+    @given(publish_histories(), st.lists(query_times, max_size=12),
+           st.sampled_from([0.0, 0.1, 0.25]) | st.floats(0.0, 5.0))
+    def test_equals_the_record_list_oracle(self, history, times, latency):
+        store, records = TwinStore(), {}
+        for veh, t in history:
+            publish(store, veh, t)
+            oracles.publish(records, veh, t)
+        cfg = ChannelConfig(latency=latency)
+        published = [t for _, t in history]
+        for t in times + [p + latency for p in published]:  # the latency bound's edges
+            for vid in range(4):  # vehicle 3 never publishes
+                try:
+                    want = oracles.query_target(records, vid, t, cfg)
+                except NoData as exc:
+                    with pytest.raises(NoData, match=re.escape(str(exc))):
+                        query_target(store, vid, t, cfg)
+                    continue
+                assert record_bits(query_target(store, vid, t, cfg)) == record_bits(want)
 
     def test_monotone_staleness(self):
         store = self.build()

@@ -16,7 +16,9 @@ and compare them:
 
 `--src` names the lanesight source tree to import (default: this checkout's
 `src`). The set covers every command: `train` on seeds 1-3, `predict-eval` on
-held-out seeds, `closed-loop` on the default and on a 48-neighbour scene,
+held-out seeds, `closed-loop` on the default, on a 48-neighbour scene and on a
+channel that publishes every 0.2 s with 0.25 s latency (so the guided run's
+twin queries and advisories see stale rows off the default grid),
 `simulate` with the trained model (6 s, so its 960x540 rasters take about
 130 MB), `simulate` on the 48-neighbour scene (3 s: 31 rasters of 50 bodies
 each, about 65 MB), and `fuse-eval`.
@@ -41,6 +43,8 @@ RUNS = (
     ("predict-eval", MODEL, "1001,1002", "pred"),
     ("closed-loop", MODEL, "1,7", "loop"),
     ("closed-loop", {**MODEL, "scenario": DENSE}, "42", "loop_dense"),
+    ("closed-loop", {**MODEL, "channel": {"publish_period": 0.2, "latency": 0.25}}, "1,7",
+     "loop_latency"),
     ("simulate", {**MODEL, "scenario": {"duration": 6.0}}, "1", "sim"),
     ("simulate", {"scenario": {**DENSE, "duration": 3.0}}, "42", "sim_dense"),
     ("fuse-eval", {}, "1", "fuse"),
