@@ -21,7 +21,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .config import ConfigError, RunConfig, load_config, write_echo
@@ -199,7 +199,7 @@ def cmd_closed_loop(cfg: RunConfig, out: Path, model) -> int:
         baseline_reports.append(baseline)
     comparison = compare_paired_runs(guided_reports, baseline_reports)
     with open(out / "comparison.json", "w") as fh:
-        json.dump(comparison.to_dict(), fh, indent=1, sort_keys=True)
+        json.dump(asdict(comparison), fh, indent=1, sort_keys=True)
     return 0
 
 

@@ -197,25 +197,19 @@ def safety_report(log: TrajectoryLog, ego_id: int) -> SafetyReport:
 
 @dataclass(frozen=True)
 class MetricComparison:
-    median: float | None
+    median_improvement: float | None
     improve_fraction: float | None
     pairs_compared: int
 
 
 @dataclass(frozen=True)
 class PairedComparison:
-    ttc: MetricComparison
-    accel: MetricComparison
-    jerk: MetricComparison
-    pair_count: int
+    """Guided-vs-baseline comparison; the field names are comparison.json's keys."""
 
-    def to_dict(self) -> dict:
-        def enc(m: MetricComparison) -> dict:
-            return {"median_improvement": m.median,
-                    "improve_fraction": m.improve_fraction,
-                    "pairs_compared": m.pairs_compared}
-        return {"pair_count": self.pair_count, "avg_ttc": enc(self.ttc),
-                "mean_abs_accel": enc(self.accel), "max_jerk": enc(self.jerk)}
+    avg_ttc: MetricComparison
+    mean_abs_accel: MetricComparison
+    max_jerk: MetricComparison
+    pair_count: int
 
 
 def _compare(values: list[tuple[float | None, float | None]],
@@ -242,7 +236,8 @@ def compare_paired_runs(guided: list[SafetyReport],
                       for g, b in zip(guided, baseline)], higher_is_better=False)
     jerk = _compare([(g.max_jerk, b.max_jerk) for g, b in zip(guided, baseline)],
                     higher_is_better=False)
-    return PairedComparison(ttc=ttc, accel=accel, jerk=jerk, pair_count=len(guided))
+    return PairedComparison(avg_ttc=ttc, mean_abs_accel=accel, max_jerk=jerk,
+                            pair_count=len(guided))
 
 
 def write_curve_csv(curves: dict[str, AccuracyCurve], path):

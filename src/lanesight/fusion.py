@@ -29,12 +29,6 @@ class EmptyRegion(Exception):
 
 
 @dataclass(frozen=True)
-class DepthEstimate:
-    index: int
-    distance: float
-
-
-@dataclass(frozen=True)
 class IdentificationResult:
     t: float
     chosen: Detection | None
@@ -75,7 +69,7 @@ def _sample_region(b: Box2D, th: float) -> tuple[int, int, int, int] | None:
 
 
 def depth_evaluate(img_d: DepthMap, boxes: list[Box2D], th: float = FusionParams.shrink,
-                   n: int = FusionParams.samples, seed: int = 0) -> list[DepthEstimate]:
+                   n: int = FusionParams.samples, seed: int = 0) -> list[float]:
     """Average n seeded uniform depth samples per box, in input order."""
     if n < 1:
         raise ValueError("need at least one sample point")
@@ -89,12 +83,8 @@ def depth_evaluate(img_d: DepthMap, boxes: list[Box2D], th: float = FusionParams
         us = rng.integers(u_lo, u_hi + 1, size=n)
         vs = rng.integers(v_lo, v_hi + 1, size=n)
         total = math.fsum(img_d.at(u, v) for u, v in zip(us, vs))
-        estimates.append(DepthEstimate(i, total / n))
+        estimates.append(total / n)
     return estimates
-
-
-def _candidates(anchor: PixelPoint, detections) -> list[int]:
-    return [i for i, det in enumerate(detections) if det.box.contains(anchor.u, anchor.v)]
 
 
 def _choose(detections, pool: list[int], cost) -> Detection | None:
@@ -111,25 +101,6 @@ def _center_distance(anchor: PixelPoint, detections):
     return cost
 
 
-def match_target(anchor: PixelPoint, detections: list[Detection],
-                 depths: list[DepthEstimate], d_g: float,
-                 t: float = 0.0) -> IdentificationResult:
-    """The anchor-containing detection whose depth estimate is nearest d_g."""
-    if len(depths) != len(detections):
-        raise ValueError("depth estimates must align with detections")
-    cand = _candidates(anchor, detections)
-    chosen = _choose(detections, cand, lambda i: abs(depths[i].distance - d_g))
-    return IdentificationResult(t, chosen, "fused", anchor, len(cand))
-
-
-def match_target_baseline(anchor: PixelPoint, detections: list[Detection],
-                          t: float = 0.0) -> IdentificationResult:
-    """Image-only matcher: nearest box center among anchor-containing boxes."""
-    cand = _candidates(anchor, detections)
-    chosen = _choose(detections, cand, _center_distance(anchor, detections))
-    return IdentificationResult(t, chosen, "baseline", anchor, len(cand))
-
-
 def identify(frame: SensorFrame, twin: TwinRecord, d_g: float,
              params: FusionParams, method: str = "fused") -> IdentificationResult:
     """Per-frame identification pipeline; degenerate frames yield no-match."""
@@ -144,13 +115,13 @@ def identify(frame: SensorFrame, twin: TwinRecord, d_g: float,
         return IdentificationResult(frame.t, None, method, anchor, 0)
 
     dets = frame.detections
-    cand = _candidates(anchor, dets)
+    cand = [i for i, det in enumerate(dets) if det.box.contains(anchor.u, anchor.v)]
     pool, cost = cand, _center_distance(anchor, dets)
     if method == "fused" and len(cand) > 1:
         evaluable = [i for i in cand if _sample_region(dets[i].box, params.shrink) is not None]
         if evaluable:
             estimates = depth_evaluate(frame.depth, [dets[i].box for i in evaluable],
                                        th=params.shrink, n=params.samples, seed=params.seed)
-            depth = {i: est.distance for i, est in zip(evaluable, estimates)}
+            depth = dict(zip(evaluable, estimates))
             pool, cost = evaluable, lambda i: abs(depth[i] - d_g)
     return IdentificationResult(frame.t, _choose(dets, pool, cost), method, anchor, len(cand))

@@ -17,7 +17,7 @@ from . import seeding
 from .evaluation import SafetyReport, ScoredFrame, check_thresholds, safety_report
 from .fusion import FusionParams, identify
 from .geometry import Camera, CameraExtrinsics, CameraIntrinsics, WorldPoint, iou
-from .params import DRAW_BOUND, FRACTION, POSITIVE, check_fields
+from .params import DRAW_BOUND, FRACTION, POSITIVE, check_fields, rule
 from .prediction import MlpModel, PredictionTrace, TrainConfig, WindowParams, \
     features_from_states, infer, label_windows, nonchanger_negatives
 from .scene import (
@@ -44,6 +44,9 @@ INFER_PERIOD = 1.0  # seconds between per-vehicle predictions
 DECISION_THRESHOLD = 0.5  # a traced probability at or above this sets the trace bit
 REPORT_IOU = 0.7  # fuse-eval summaries report accuracy at this IoU threshold
 ABREAST_OFFSET = (0.05, 0.3)  # fuse-eval: an abreast target's offset from the lane center
+# the most frames a fuse-eval corpus may draw: about 13 min on one Xeon core,
+# and 1.6 GB held until it is written
+MAX_CORPUS_FRAMES = 10**6
 
 
 @dataclass(frozen=True)
@@ -100,8 +103,7 @@ def simulate_run(cfg: ScenarioConfig, channel: ChannelConfig = ChannelConfig(),
     infer_stride = grid_stride(INFER_PERIOD, cfg.dt_sim)
     guided = cfg.driver.policy == "guided"
 
-    trace_rows: dict[int, list[tuple[float, float, int]]] = {
-        v.id: [] for v in scn.vehicles if v.kind == "car"}
+    car_ids = sorted(v.id for v in scn.vehicles if v.kind == "car")
     guidance: dict[int, float] = {}
 
     for k in range(n_steps + 1):
@@ -115,16 +117,13 @@ def simulate_run(cfg: ScenarioConfig, channel: ChannelConfig = ChannelConfig(),
                 snapshot = _twin_snapshot(store, t, channel, cfg.lanes)  # in id order
                 index = _lane_index(snapshot)
                 for subject in snapshot:
-                    rows = trace_rows.get(subject.id)
-                    if rows is None:
-                        continue
-                    feats = features_from_states(index, subject, cfg.lanes.lane_count)
-                    prob = infer(model, feats)
-                    publish_advisory(store, CloudAdvisory(subject.id, prob, t))
-                    rows.append((t, prob, int(prob >= DECISION_THRESHOLD)))
+                    if subject.kind == "car":
+                        feats = features_from_states(index, subject, cfg.lanes.lane_count)
+                        prob = infer(model, feats)
+                        publish_advisory(store, CloudAdvisory(subject.id, prob, t))
             if guided:
                 guidance = {}
-                for vid in sorted(trace_rows):
+                for vid in car_ids:
                     adv = query_advisory(store, vid, t, channel)
                     if adv is not None:
                         guidance[vid] = adv.lane_change_probability
@@ -132,11 +131,12 @@ def simulate_run(cfg: ScenarioConfig, channel: ChannelConfig = ChannelConfig(),
             step(scn, guidance if guided else None)
 
     traces = {}
-    for vid, rows in trace_rows.items():
-        if rows:
-            times, probs, bits = zip(*rows)
-            traces[vid] = PredictionTrace(vid, np.asarray(times), np.asarray(probs),
-                                          np.asarray(bits, dtype=int))
+    for vid in car_ids:
+        advisories = store.advisories.get(vid)
+        if advisories:
+            probs = np.array([a.lane_change_probability for a in advisories])
+            traces[vid] = PredictionTrace(vid, np.array([a.issued_t for a in advisories]),
+                                          probs, (probs >= DECISION_THRESHOLD).astype(int))
     return RunArtifacts(scn.build_log(record_period), store, traces, scn.memory)
 
 
@@ -220,7 +220,7 @@ class FuseCorpusConfig:
     and D_g are consistently wrong together, as they would be live.
     """
 
-    frames: int = field(default=500, metadata=POSITIVE)
+    frames: int = field(default=500, metadata=rule(lambda x: 0 < x <= MAX_CORPUS_FRAMES))
     overlap_fraction: float = field(default=0.55, metadata=FRACTION)
     # of overlap frames; the rest are in-line
     abreast_fraction: float = field(default=0.9, metadata=FRACTION)

@@ -22,12 +22,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import seeding
-from .params import FRACTION, NONNEGATIVE, POSITIVE, check_fields
+from .params import FRACTION, NONNEGATIVE, POSITIVE, check_fields, rule
 from .scene import TrajectoryLog, VehicleState, _follower, _lane_index, _leader
 
 SENTINEL_GAP = 200.0
 FEATURE_SIZE = 13
 MODEL_FORMAT = "lanesight-mlp-v1"
+# the most epochs a fit may take: about 40 min on the default dataset on one Xeon core
+MAX_EPOCHS = 10**7
 
 
 class DegenerateDataset(Exception):
@@ -148,7 +150,7 @@ def nonchanger_negatives(log: TrajectoryLog, events,
 class TrainConfig:
     hidden: int = field(default=48, metadata=POSITIVE)
     learning_rate: float = field(default=0.01, metadata=POSITIVE)
-    epochs: int = field(default=300, metadata=POSITIVE)
+    epochs: int = field(default=300, metadata=rule(lambda x: 0 < x <= MAX_EPOCHS))
     batch_size: int = field(default=32, metadata=POSITIVE)
     seed: int = field(default=0, metadata=NONNEGATIVE)
     # add negatives from vehicles that never change lanes (nonchanger_negatives)

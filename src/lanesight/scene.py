@@ -68,10 +68,6 @@ class LaneSpec:
     def lane_of(self, y: float) -> int:
         return min(max(int(y // self.lane_width), 0), self.lane_count - 1)
 
-    @property
-    def road_width(self) -> float:
-        return self.lane_count * self.lane_width
-
 
 @dataclass
 class VehicleState:
@@ -214,14 +210,9 @@ class EgoMemory:
     decel_onset: float | None = None
 
 
-def car_following_accel(follower: VehicleState, leader: VehicleState | None,
-                        p: IdmParams) -> float:
-    """Intelligent-Driver-Model acceleration, clamped to [a_min, a_max]."""
-    return _idm(follower, leader, p._idm_terms)
-
-
 def _idm(follower: VehicleState, leader: VehicleState | None, terms) -> float:
-    """The one IDM body; each max/min is a comparison that keeps its first-wins rule."""
+    """Intelligent-Driver-Model acceleration, clamped to [a_min, a_max], from
+    ``IdmParams._idm_terms``; each max/min is a comparison that keeps its first-wins rule."""
     a_max, delta, a_min, jam_gap, time_headway, sqrt_term = terms
     v, vd = follower.v, follower.v_desired
     vd = 0.1 if 0.1 > vd else vd

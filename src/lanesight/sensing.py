@@ -191,16 +191,6 @@ def write_depth_map(dm: DepthMap, path):
         fh.write(dm.raster("<f4"))
 
 
-def read_depth_map(path) -> DepthMap:
-    with open(path, "rb") as fh:
-        magic, width, height = struct.unpack("<4sII", fh.read(12))
-        if magic != DEPTH_MAGIC:
-            raise ValueError(f"not a depth map file: magic {magic!r}")
-        raw = fh.read(4 * width * height)
-    return DepthMap(width, height,
-                    np.frombuffer(raw, dtype="<f4").reshape(height, width).astype(float))
-
-
 def write_detections_csv(frames: list[tuple[float, list[Detection]]], path):
     """One row per detection; `frames` holds each frame's (t, detections)."""
     with open(path, "w", newline="") as fh:

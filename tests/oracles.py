@@ -448,7 +448,7 @@ def match_target(anchor, detections, depths, d_g, t=0.0) -> IdentificationResult
         return IdentificationResult(t, None, "fused", anchor, 0)
     if len(cand) == 1:
         return IdentificationResult(t, detections[cand[0]], "fused", anchor, 1)
-    best = min(cand, key=lambda i: (abs(depths[i].distance - d_g), i))
+    best = min(cand, key=lambda i: (abs(depths[i] - d_g), i))
     return IdentificationResult(t, detections[best], "fused", anchor, len(cand))
 
 

@@ -9,9 +9,8 @@ import pytest
 
 from lanesight.cli import main as cli_main
 from lanesight.evaluation import compare_paired_runs, identification_accuracy
-from lanesight.fusion import FusionParams, depth_evaluate, match_target, \
-    match_target_baseline
-from lanesight.geometry import Box2D, CameraExtrinsics, CameraIntrinsics, PixelPoint, \
+from lanesight.fusion import FusionParams, depth_evaluate, identify
+from lanesight.geometry import Box2D, Camera, CameraExtrinsics, CameraIntrinsics, \
     WorldPoint, project_anchor
 from lanesight.pipeline import CameraMount, FuseCorpusConfig, build_dataset, \
     build_fuse_corpus, closed_loop_pair
@@ -30,7 +29,8 @@ from lanesight.prediction import (
     train,
 )
 from lanesight.scene import LaneSpec, ManeuverPlan, ScenarioConfig, TrajectoryLog
-from lanesight.sensing import DepthMap, DetectorNoiseModel
+from lanesight.sensing import DepthMap, Detection, DetectorNoiseModel, SensorFrame
+from lanesight.twinlink import TwinRecord
 
 from oracles import project_point_oracle, rodrigues
 
@@ -64,14 +64,19 @@ def test_criterion_2_overlap_case_distance_matching():
     values[int(far_box.v_min):int(far_box.v_max),
            int(far_box.u_min):int(far_box.u_max)] = 18.69
     img = DepthMap(960, 540, values)
-    anchor = PixelPoint(480.0, 300.0, 18.7)
-    from lanesight.sensing import Detection
     detections = [Detection(far_box, source_id=1), Detection(near_box, source_id=2)]
-    depths = depth_evaluate(img, [far_box, near_box], th=0.8, n=32, seed=0)
-    ok_depths = (abs(depths[0].distance - 18.69) < 1e-9
-                 and abs(depths[1].distance - 8.46) < 1e-9)
-    fused = match_target(anchor, detections, depths, d_g=18.7)
-    baseline = match_target_baseline(anchor, detections)
+    # the cloud anchor 18.7 m ahead, 0.561 m below the camera, projects to (480, 300)
+    camera = Camera(CameraExtrinsics.looking_along_road(WorldPoint(0.0, 0.0, 1.4)),
+                    CameraIntrinsics())
+    frame = SensorFrame(0.0, detections, img, camera)
+    twin = TwinRecord(1, WorldPoint(18.7, 0.0, 0.839), 17.0, 0.0)
+    params = FusionParams(shrink=0.8, samples=32, seed=0)
+    depths = depth_evaluate(img, [far_box, near_box], th=params.shrink, n=params.samples,
+                            seed=params.seed)
+    ok_depths = (abs(depths[0] - 18.69) < 1e-9
+                 and abs(depths[1] - 8.46) < 1e-9)
+    fused = identify(frame, twin, 18.7, params, method="fused")
+    baseline = identify(frame, twin, 18.7, params, method="baseline")
     ok = ok_depths and fused.chosen.source_id == 1 and fused.candidate_count == 2
     report(2, ok, f"fused picked source {fused.chosen.source_id} "
                   f"(baseline picked {baseline.chosen.source_id})")
@@ -124,7 +129,7 @@ def test_criterion_5_depth_evaluation_statistics():
     box = Box2D(100, 100, 420, 360)
     # noiseless planar raster: exact recovery
     clean = DepthMap(480, 400, np.full((400, 480), 18.69))
-    exact = all(depth_evaluate(clean, [box], th=0.8, n=n, seed=s)[0].distance == 18.69
+    exact = all(depth_evaluate(clean, [box], th=0.8, n=n, seed=s)[0] == 18.69
                 for n, s in ((1, 0), (16, 1), (64, 2)))
     # noisy raster: mean of 64 samples within 4*sigma/sqrt(64) almost surely
     rng = np.random.default_rng(205)
@@ -134,7 +139,7 @@ def test_criterion_5_depth_evaluation_statistics():
     trials = 1000
     for trial in range(trials):
         noisy = DepthMap(480, 400, 18.69 + rng.normal(0, sigma, (400, 480)))
-        est = depth_evaluate(noisy, [box], th=0.8, n=n, seed=trial)[0].distance
+        est = depth_evaluate(noisy, [box], th=0.8, n=n, seed=trial)[0]
         hits += abs(est - 18.69) <= bound
     elapsed = time.time() - start
     ok = exact and hits / trials >= 0.99 and elapsed < 30
@@ -242,9 +247,10 @@ def test_criterion_8_closed_loop_directional_claims():
         baseline.append(b)
     cmp = compare_paired_runs(guided, baseline)
     elapsed = time.time() - start
-    fractions = (cmp.ttc.improve_fraction, cmp.accel.improve_fraction,
-                 cmp.jerk.improve_fraction)
-    medians = (cmp.ttc.median, cmp.accel.median, cmp.jerk.median)
+    fractions = (cmp.avg_ttc.improve_fraction, cmp.mean_abs_accel.improve_fraction,
+                 cmp.max_jerk.improve_fraction)
+    medians = (cmp.avg_ttc.median_improvement, cmp.mean_abs_accel.median_improvement,
+               cmp.max_jerk.median_improvement)
     ok = (all(f is not None and f >= 0.8 for f in fractions)
           and all(m is not None and m > 0 for m in medians)
           and elapsed < 300)

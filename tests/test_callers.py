@@ -1,0 +1,40 @@
+"""Every public module-level function and class has a caller in the program.
+
+A name counts as used when some module of the package names it in code (a
+name, an attribute, or an import), apart from its own definition; a mention
+in a comment or docstring does not count, and neither does a test.
+"""
+import ast
+from pathlib import Path
+
+import lanesight
+
+PACKAGE = Path(lanesight.__file__).parent
+
+
+def _public_definitions(tree: ast.Module) -> list[str]:
+    return [node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def _names_used(tree: ast.Module) -> set[str]:
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name.rpartition(".")[2])
+    return used
+
+
+def test_every_public_definition_is_named_elsewhere_in_the_package():
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert "fusion.py" in trees and "cli.py" in trees
+    used = set().union(*map(_names_used, trees.values()))
+    orphans = [f"{module}:{name}" for module, tree in trees.items()
+               for name in _public_definitions(tree) if name not in used]
+    assert orphans == []

@@ -425,6 +425,20 @@ class TestPreWriteFailures:
         assert not out.exists()
         assert "config error: scenario.duration:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "fuse-eval", "train", "predict-eval",
+                                         "closed-loop"])
+    @pytest.mark.parametrize("section,key", [("fuse_eval", "frames"), ("training", "epochs")])
+    def test_an_unbounded_corpus_or_training_exits_2_before_any_write(
+            self, tmp_path, capsys, command, section, key):
+        # each used to be accepted, and fuse-eval or train then computed
+        # practically forever before its first write
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({section: {key: 10**12}}))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert f"config error: {section}.{key}:" in capsys.readouterr().err
+
     def test_train_on_one_class_exits_2_before_any_write(self, tmp_path, capsys):
         # no car changes lane within 3 s, so every sample is a negative; this
         # used to exit 3 after config.echo.json had been written

@@ -7,7 +7,9 @@ from hypothesis import example, given, settings, strategies as st
 from lanesight.config import ConfigError, load_config, resolve_config, write_echo
 from lanesight.evaluation import AccuracyCurve
 from lanesight.fusion import FusionParams
-from lanesight.pipeline import CameraMount, FuseCorpusConfig, build_fuse_corpus
+from lanesight.pipeline import MAX_CORPUS_FRAMES, CameraMount, FuseCorpusConfig, \
+    build_fuse_corpus
+from lanesight.prediction import MAX_EPOCHS
 from lanesight.sensing import DetectorNoiseModel
 from lanesight.scene import MAX_TICKS, VehicleState
 
@@ -71,6 +73,18 @@ class TestResolve:
                          {"dt_sim": 2.2250738585e-313}, {"dt_sim": 1e-9}):
             with pytest.raises(ConfigError, match="scenario.duration: .* above the 10000000"):
                 resolve_config({"scenario": scenario})
+
+    def test_corpus_frames_and_training_epochs_are_bounded(self):
+        # each used to be accepted at any size, and its command then computed
+        # practically forever before its first write
+        assert resolve_config({"fuse_eval": {"frames": MAX_CORPUS_FRAMES}}).fuse_eval.frames \
+            == MAX_CORPUS_FRAMES
+        assert resolve_config({"training": {"epochs": MAX_EPOCHS}}).training.epochs == MAX_EPOCHS
+        for section, key, bound in (("fuse_eval", "frames", MAX_CORPUS_FRAMES),
+                                    ("training", "epochs", MAX_EPOCHS)):
+            for value in (bound + 1, 10**12):
+                with pytest.raises(ConfigError, match=f"{section}.{key}: value {value} out"):
+                    resolve_config({section: {key: value}})
 
     def test_road_holds_the_blockage_and_every_spawn(self):
         # the far end of the truck at accident_s, and the front of a car at spawn_max_s

@@ -221,24 +221,24 @@ class TestComparePairedRuns:
     def test_identical_runs(self):
         runs = [report(5.0, 1.0, 10.0) for _ in range(4)]
         cmp = compare_paired_runs(runs, list(runs))
-        assert cmp.ttc.median == 0.0
-        assert cmp.accel.improve_fraction == 0.0
-        assert cmp.jerk.median == 0.0
+        assert cmp.avg_ttc.median_improvement == 0.0
+        assert cmp.mean_abs_accel.improve_fraction == 0.0
+        assert cmp.max_jerk.median_improvement == 0.0
 
     def test_uniform_ttc_gain(self):
         base = [report(5.0, 1.0, 10.0) for _ in range(5)]
         guided = [report(6.5, 1.0, 10.0) for _ in range(5)]
         cmp = compare_paired_runs(guided, base)
-        assert cmp.ttc.median == pytest.approx(1.5)
-        assert cmp.ttc.improve_fraction == 1.0
+        assert cmp.avg_ttc.median_improvement == pytest.approx(1.5)
+        assert cmp.avg_ttc.improve_fraction == 1.0
 
     def test_undefined_ttc_excluded(self):
         base = [report(5.0, 1.0, 10.0), report(None, 1.0, 10.0)]
         guided = [report(6.0, 0.8, 9.0), report(None, 0.8, 9.0)]
         cmp = compare_paired_runs(guided, base)
-        assert cmp.ttc.pairs_compared == 1
-        assert cmp.accel.pairs_compared == 2
-        assert cmp.accel.improve_fraction == 1.0
+        assert cmp.avg_ttc.pairs_compared == 1
+        assert cmp.mean_abs_accel.pairs_compared == 2
+        assert cmp.mean_abs_accel.improve_fraction == 1.0
 
     def test_pair_mismatch(self):
         with pytest.raises(PairMismatch):

@@ -11,18 +11,14 @@ from lanesight.geometry import (
     Camera,
     CameraExtrinsics,
     CameraIntrinsics,
-    PixelPoint,
     WorldPoint,
     project_anchor,
 )
 from lanesight.fusion import (
-    DepthEstimate,
     EmptyRegion,
     FusionParams,
     depth_evaluate,
     identify,
-    match_target,
-    match_target_baseline,
     shrink_box,
 )
 from lanesight.scene import VehicleState
@@ -73,7 +69,7 @@ class TestDepthEvaluate:
         box = Box2D(100, 100, 300, 260)
         for n, seed in ((1, 0), (16, 3), (64, 99)):
             (est,) = depth_evaluate(img, [box], th=0.8, n=n, seed=seed)
-            assert est.distance == pytest.approx(18.69, abs=1e-12)
+            assert est == pytest.approx(18.69, abs=1e-12)
 
     def test_input_order_preserved(self):
         values = np.full((540, 960), 1.0)
@@ -83,9 +79,7 @@ class TestDepthEvaluate:
         left = Box2D(50, 50, 200, 200)
         right = Box2D(600, 50, 750, 200)
         ests = depth_evaluate(img, [right, left], n=8, seed=1)
-        assert [e.index for e in ests] == [0, 1]
-        assert ests[0].distance == pytest.approx(9.0)
-        assert ests[1].distance == pytest.approx(5.0)
+        assert ests == [pytest.approx(9.0), pytest.approx(5.0)]
 
     def test_samples_confined_to_shrunken_lower_quarter(self):
         # poison every pixel outside the region; a clean estimate proves
@@ -98,7 +92,7 @@ class TestDepthEvaluate:
         img = DepthMap(960, 540, values)
         for seed in range(20):
             (est,) = depth_evaluate(img, [box], th=0.8, n=32, seed=seed)
-            assert est.distance == pytest.approx(7.5)
+            assert est == pytest.approx(7.5)
 
     def test_determinism(self):
         img = DepthMap(960, 540, 20.0 + np.random.default_rng(0).normal(0, 0.1, (540, 960)))
@@ -118,7 +112,7 @@ class TestDepthEvaluate:
             noise = rng.normal(0.0, 0.1, (400, 480))
             img = DepthMap(480, 400, np.full((400, 480), 18.69) + noise)
             (est,) = depth_evaluate(img, [box], th=0.8, n=64, seed=trial)
-            if abs(est.distance - 18.69) <= 4 * 0.1 / np.sqrt(64):
+            if abs(est - 18.69) <= 4 * 0.1 / np.sqrt(64):
                 hits += 1
         assert hits / trials >= 0.99
 
@@ -128,66 +122,80 @@ class TestDepthEvaluate:
             depth_evaluate(img, [Box2D(10, 10, 12, 12)], th=0.8, n=4, seed=0)
 
 
-class TestMatchTarget:
+def painted(*layers):
+    """A CAM-sized raster with each (detection, depth) painted over the ones before."""
+    values = np.full((INTR.height, INTR.width), DepthMap.far_value)
+    for d, depth in layers:
+        values[int(d.box.v_min):int(d.box.v_max), int(d.box.u_min):int(d.box.u_max)] = depth
+    return DepthMap(INTR.width, INTR.height, values)
+
+
+def identify_at(u, v, dets, depth, d_g=20.0, method="fused"):
+    """identify on a CAM frame of dets, for a twin whose anchor is pixel (u, v)."""
+    x = 20.0  # meters ahead of the camera
+    position = WorldPoint(x, 5.25 - (u - INTR.u0) * x / INTR.fx,
+                          1.4 - (v - INTR.v0) * x / INTR.fy)
+    frame = SensorFrame(t=0.0, detections=dets, depth=depth, camera=CAM)
+    res = identify(frame, TwinRecord(1, position, 17.0, 0.0), d_g, FusionParams(), method)
+    assert (res.anchor.u, res.anchor.v) == (pytest.approx(u), pytest.approx(v))
+    return res
+
+
+class TestFusedMatch:
     def test_unique_containment_ignores_depths(self):
-        anchor = PixelPoint(150.0, 150.0, 20.0)
-        dets = [det(100, 100, 200, 200, source=1), det(500, 100, 600, 200, source=2)]
-        depths = [DepthEstimate(0, 999.0), DepthEstimate(1, 0.5)]
-        res = match_target(anchor, dets, depths, d_g=1.0)
+        a, b = det(100, 100, 200, 200, source=1), det(500, 100, 600, 200, source=2)
+        res = identify_at(150, 150, [a, b], painted((a, 999.0), (b, 0.5)), d_g=1.0)
         assert res.chosen.source_id == 1
         assert res.candidate_count == 1
 
     def test_overlap_resolved_by_distance_difference(self):
-        anchor = PixelPoint(480.0, 300.0, 18.7)
         far = det(432, 264, 528, 345, source=2)
         near = det(374, 258, 586, 435, source=1)
-        depths = [DepthEstimate(0, 18.69), DepthEstimate(1, 8.46)]
-        res = match_target(anchor, [far, near], depths, d_g=18.7)
+        res = identify_at(480, 300, [far, near], painted((near, 8.46), (far, 18.69)),
+                          d_g=18.7)
         assert res.chosen.source_id == 2
         assert res.candidate_count == 2
 
     def test_no_candidate(self):
-        anchor = PixelPoint(5.0, 5.0, 10.0)
-        res = match_target(anchor, [det(100, 100, 200, 200)], [DepthEstimate(0, 9.0)],
-                           d_g=9.0)
+        d = det(100, 100, 200, 200)
+        res = identify_at(5, 5, [d], painted((d, 9.0)), d_g=9.0)
         assert res.chosen is None
         assert res.candidate_count == 0
 
     def test_depths_of_non_candidates_are_irrelevant(self):
-        anchor = PixelPoint(480.0, 300.0, 18.7)
+        # the sampling regions (shrunken lower quarters) of a and b are disjoint
         a = det(400, 250, 560, 350, source=1)
-        b = det(420, 260, 540, 340, source=2)
+        b = det(460, 200, 500, 320, source=2)
         outside = det(700, 400, 800, 500, source=3)
-        base = [DepthEstimate(0, 18.0), DepthEstimate(1, 9.0), DepthEstimate(2, 5.0)]
-        tweaked = [DepthEstimate(0, 18.0), DepthEstimate(1, 9.0), DepthEstimate(2, 444.0)]
-        r1 = match_target(anchor, [a, b, outside], base, d_g=18.0)
-        r2 = match_target(anchor, [a, b, outside], tweaked, d_g=18.0)
-        assert r1.chosen.source_id == r2.chosen.source_id == 1
+        for far in (5.0, 444.0):
+            res = identify_at(480, 300, [a, b, outside],
+                              painted((a, 18.0), (b, 9.0), (outside, far)), d_g=18.0)
+            assert res.chosen.source_id == 1
+            assert res.candidate_count == 2
 
     def test_exact_tie_breaks_to_smallest_index(self):
-        anchor = PixelPoint(480.0, 300.0, 0.0)
         a = det(400, 250, 560, 350, source=1)
-        b = det(420, 260, 540, 340, source=2)
-        depths = [DepthEstimate(0, 12.0), DepthEstimate(1, 8.0)]
-        res = match_target(anchor, [a, b], depths, d_g=10.0)
-        assert res.chosen.source_id == 1
+        b = det(460, 200, 500, 320, source=2)
+        depth = painted((a, 12.0), (b, 8.0))
+        for order in ([a, b], [b, a]):
+            res = identify_at(480, 300, order, depth, d_g=10.0)
+            assert res.chosen is order[0]
 
 
-class TestMatchTargetBaseline:
+class TestBaselineMatch:
     def test_unique_containment(self):
-        anchor = PixelPoint(150.0, 150.0, 20.0)
-        res = match_target_baseline(anchor, [det(100, 100, 200, 200, source=7)])
+        res = identify_at(150, 150, [det(100, 100, 200, 200, source=7)], flat_depth(10.0),
+                          method="baseline")
         assert res.chosen.source_id == 7
 
     def test_nested_boxes_resolved_by_center_distance(self):
         inner = det(440, 280, 520, 340, source=2)  # center (480, 310)
         outer = det(300, 150, 700, 500, source=1)  # center (500, 325)
-        anchor = PixelPoint(481.0, 311.0, 0.0)
-        res = match_target_baseline(anchor, [outer, inner])
+        res = identify_at(481, 311, [outer, inner], flat_depth(10.0), method="baseline")
         assert res.chosen.source_id == 2
 
     def test_empty_detection_list(self):
-        res = match_target_baseline(PixelPoint(10.0, 10.0, 0.0), [])
+        res = identify_at(10, 10, [], flat_depth(10.0), method="baseline")
         assert res.chosen is None
         assert res.candidate_count == 0
 

@@ -30,7 +30,6 @@ from lanesight.scene import (
     _lane_index,
     _leader,
     build_scenario,
-    car_following_accel,
     ego_policy,
     extract_lane_changes,
     grid_stride,
@@ -62,19 +61,19 @@ def make_car(vid=1, s=0.0, v=17.0, lane=0, v_desired=17.0, lanes=LaneSpec()):
 class TestCarFollowing:
     def test_equilibrium_at_desired_speed(self):
         car = make_car(v=17.0, v_desired=17.0)
-        assert car_following_accel(car, None, IDM) == pytest.approx(0.0, abs=1e-9)
+        assert _idm(car, None, IDM._idm_terms) == pytest.approx(0.0, abs=1e-9)
 
     def test_full_braking_on_stopped_leader(self):
         follower = make_car(vid=1, s=0.0, v=17.0)
         leader = make_car(vid=2, s=5.0 + 4.5, v=0.0)  # 5 m bumper gap
-        assert car_following_accel(follower, leader, IDM) == IDM.a_min
+        assert _idm(follower, leader, IDM._idm_terms) == IDM.a_min
 
     def test_free_road_converges_to_desired_speed(self):
         # Integrate the model forward and check convergence (within 2% at 60 s).
         car = make_car(v=5.0, v_desired=17.0)
         dt = 0.01
         for _ in range(int(60 / dt)):
-            a = car_following_accel(car, None, IDM)
+            a = _idm(car, None, IDM._idm_terms)
             assert a >= 0.0 or car.v > car.v_desired
             car.v = max(0.0, car.v + a * dt)
         assert abs(car.v - 17.0) / 17.0 < 0.02
@@ -84,7 +83,7 @@ class TestCarFollowing:
         for _ in range(200):
             follower = make_car(vid=1, s=0.0, v=rng.uniform(0, 40))
             leader = make_car(vid=2, s=rng.uniform(1, 80), v=rng.uniform(0, 30))
-            a = car_following_accel(follower, leader, IDM)
+            a = _idm(follower, leader, IDM._idm_terms)
             assert IDM.a_min <= a <= IDM.a_max
 
 
@@ -132,7 +131,6 @@ class TestIdmBodyMatchesOracle:
         for p in IDM_VARIANTS:
             want = bits(oracles.car_following_accel(follower, leader, p))
             assert bits(_idm(follower, leader, p._idm_terms)) == want
-            assert bits(car_following_accel(follower, leader, p)) == want
 
     def test_terms_are_cached_per_params(self):
         terms = [p._idm_terms for p in IDM_VARIANTS]
@@ -260,7 +258,7 @@ class TestStep:
         for vid in log.vehicle_ids:
             s, y, v, a = (log.column(vid, n) for n in ("s", "y", "v", "a"))
             assert np.all(v >= 0.0)
-            assert np.all((y >= 0.0) & (y <= log.lanes.road_width))
+            assert np.all((y >= 0.0) & (y <= log.lanes.lane_count * log.lanes.lane_width))
             ds = np.diff(s) - v[:-1] * dt
             assert np.max(np.abs(ds)) <= 0.5 * IDM.a_max * dt * dt + 1e-12
             dv = np.diff(v) - a[1:] * dt
@@ -270,7 +268,7 @@ class TestStep:
 class TestEgoPolicy:
     def test_no_neighbors_matches_car_following(self):
         ego = make_car(vid=0, v=15.0, lane=2, v_desired=19.0)
-        expected = car_following_accel(ego, None, IDM)
+        expected = _idm(ego, None, IDM._idm_terms)
         for policy in ("guided", "baseline"):
             got = ego_policy(ego, _lane_index([ego]), None, DriverParams(policy=policy),
                              IDM, EgoMemory(), t=0.0)

@@ -15,7 +15,6 @@ from lanesight.sensing import (
     DepthMap,
     DetectorNoiseModel,
     emulate_detections,
-    read_depth_map,
     render_depth_map,
     render_truth_boxes,
     write_depth_map,
@@ -294,19 +293,16 @@ class TestEmulateDetections:
 
 class TestDepthMapFile:
     def test_round_trip_bit_exact(self, tmp_path):
+        # the DPT1 layout: magic, u32 LE width and height, then row-major f32 LE values
         rng = np.random.default_rng(7)
         values = rng.uniform(0.5, 900, size=(12, 16)).astype("<f4").astype(float)
         dm = DepthMap(16, 12, values)
         path = tmp_path / "frame.dpt"
         write_depth_map(dm, path)
-        back = read_depth_map(path)
-        assert back.width == 16 and back.height == 12
-        assert np.array_equal(back.raster(), dm.raster())
-        write_depth_map(back, tmp_path / "frame2.dpt")
-        assert (tmp_path / "frame.dpt").read_bytes() == (tmp_path / "frame2.dpt").read_bytes()
-
-    def test_rejects_bad_magic(self, tmp_path):
-        p = tmp_path / "bogus.dpt"
-        p.write_bytes(b"XXXX" + b"\x00" * 8)
-        with pytest.raises(ValueError):
-            read_depth_map(p)
+        raw = path.read_bytes()
+        assert struct.unpack("<4sII", raw[:12]) == (b"DPT1", 16, 12)
+        assert len(raw) == 12 + 4 * 16 * 12
+        back = np.frombuffer(raw[12:], dtype="<f4").reshape(12, 16).astype(float)
+        assert np.array_equal(back, dm.raster())
+        write_depth_map(DepthMap(16, 12, back), tmp_path / "frame2.dpt")
+        assert (tmp_path / "frame2.dpt").read_bytes() == raw
