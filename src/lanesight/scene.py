@@ -16,12 +16,13 @@ One per-lane order by s (``_lane_index``) answers every neighbour query:
 ``step``'s leaders and followers, the ego policy's reads ahead of the ego,
 and the lane-change features, which index the states they are given. Ties
 go to the first vehicle in the order the index was built from. A scenario
-holds one order per tick: ``step`` builds it after moving the vehicles,
-checks collisions in it and keeps it for the next tick. Each tick walks that
-order lane by lane; a neighbor with no active lane change reads its leader
-off the walk, the next vehicle in its lane at a larger s, and runs the one
-IDM body, ``_idm``; a changer takes the least acceleration over the lanes it
-spans. Integration is forward Euler at ``dt_sim``; the logged
+keeps one order from tick to tick. A tick first gives the ego its policy and
+each active changer the least IDM acceleration over the lanes it spans, read
+off the unmoved order; then one walk per lane, in ascending s, moves every
+vehicle, each other neighbor first running the one IDM body, ``_idm``, on
+the next vehicle in its lane at a larger s. The order stays in place while
+no vehicle changes lane and each lane stays strictly ascending in s, else
+``step`` rebuilds it. Integration is forward Euler at ``dt_sim``; the logged
 acceleration is the realized (v_next - v) / dt so logs stay kinematically
 consistent even when speeds clamp at zero. ``step`` records nothing: the
 runner calls ``Scenario.record`` at the ticks it reads, into typed columns,
@@ -179,10 +180,7 @@ class ScenarioConfig:
         if ticks == math.inf or round(ticks) > MAX_TICKS:
             raise ValueError(f"duration: duration / dt_sim is {ticks:.3g} ticks, above "
                              f"the {MAX_TICKS} a run may take")
-        # cars spawn at least min_spawn_gap apart, bumper to bumper, within the
-        # spawn range; the changers share one lane, the rest any right lane
-        per_lane = math.floor((self.spawn_max_s - self.spawn_min_s)
-                              / (self.min_spawn_gap + CAR_DIMS[0])) + 1
+        per_lane = self.lane_capacity  # the changers share one lane, the rest any right lane
         if self.potential_changer_count > per_lane:
             raise ValueError(f"potential_changer_count: the changer lane holds at most "
                              f"{per_lane} cars")
@@ -193,6 +191,12 @@ class ScenarioConfig:
         if need > self.lanes.road_length:
             raise ValueError(f"road_length must be at least {need} to hold the blockage "
                              "and every spawn")
+
+    @property
+    def lane_capacity(self) -> int:
+        """Cars one lane holds min_spawn_gap apart, bumper to bumper, in the spawn range."""
+        return math.floor((self.spawn_max_s - self.spawn_min_s)
+                          / (self.min_spawn_gap + CAR_DIMS[0])) + 1
 
     def with_policy(self, policy: str) -> "ScenarioConfig":
         return replace(self, driver=replace(self.driver, policy=policy))
@@ -230,9 +234,7 @@ def _idm(follower: VehicleState, leader: VehicleState | None, terms) -> float:
 
 
 def lateral_profile(q: float) -> float:
-    """Smooth monotone 0..1 blend with zero slope at both ends."""
-    if not 0.0 <= q <= 1.0:
-        raise ValueError("profile argument must be in [0, 1]")
+    """Smooth monotone 0..1 blend with zero slope at both ends, for q in [0, 1]."""
     return q - math.sin(2.0 * math.pi * q) / (2.0 * math.pi)
 
 
@@ -453,32 +455,54 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
     vehicles.append(ego)
 
     changer_lane = lanes.lane_count - 2
-    placed: dict[int, list[tuple[float, float]]] = {}
+    pitch = cfg.min_spawn_gap + CAR_DIMS[0]  # the least distance between two cars' s
+    placed: dict[int, list[float]] = {}
 
-    def try_place(vid: int, lane: int | None) -> VehicleState:
-        # lane None means any right lane; redraw per attempt so one crowded
-        # lane cannot sink the whole placement.
-        for _ in range(1000):
-            chosen = lane if lane is not None else int(rng.integers(0, lanes.lane_count - 1))
-            s = rng.uniform(cfg.spawn_min_s, cfg.spawn_max_s)
-            ok = all(abs(s - other_s) >= cfg.min_spawn_gap + 0.5 * (CAR_DIMS[0] + other_len)
-                     for other_s, other_len in placed.get(chosen, []))
-            if ok:
-                placed.setdefault(chosen, []).append((s, CAR_DIMS[0]))
-                return VehicleState(id=vid, kind="car", s=s, y=lanes.center(chosen),
-                                    v=cfg.neighbor_v0, a=0.0, lane=chosen,
-                                    length=CAR_DIMS[0], width=CAR_DIMS[1],
-                                    height=CAR_DIMS[2], v_desired=cfg.neighbor_v0)
-        raise InfeasiblePlacement(f"seed {cfg.seed}: no overlap-free spot for vehicle {vid}")
+    def fits(lane: int, s: float) -> bool:
+        return all(abs(s - other) >= pitch for other in placed.setdefault(lane, []))
 
-    changer_ids = set()
+    def pack() -> list[tuple[int, float]]:  # for when uniform draws miss, near capacity
+        # a lane's k cars take k sorted uniforms over the range less (k - 1)
+        # pitches, the i-th moved i pitches up, and their ids shuffled
+        placed.clear()
+        members: dict[int, list[int]] = {}
+        for i in range(cfg.neighbor_count):
+            lane = changer_lane if i < cfg.potential_changer_count else None
+            while lane is None or len(members.get(lane, ())) >= cfg.lane_capacity:
+                lane = int(rng.integers(0, lanes.lane_count - 1))
+            members.setdefault(lane, []).append(i)
+        spots = [None] * cfg.neighbor_count
+        for lane, ids in members.items():
+            room = max(cfg.spawn_max_s - cfg.spawn_min_s - (len(ids) - 1) * pitch, 0.0)
+            offsets = np.sort(rng.uniform(0.0, room, size=len(ids)))
+            for k, (i, u) in enumerate(zip(rng.permutation(ids), offsets)):
+                s = cfg.spawn_min_s + float(u) + k * pitch
+                while not fits(lane, s):  # k pitches can fall an ulp short
+                    if s == math.inf:
+                        raise InfeasiblePlacement(f"seed {cfg.seed}: no spot for vehicle {i + 1}")
+                    s = math.nextafter(s, math.inf)
+                placed[lane].append(s)
+                spots[i] = lane, s
+        return spots
+
+    spots = []
     for i in range(cfg.neighbor_count):
-        vid = 1 + i
-        if i < cfg.potential_changer_count:
-            changer_ids.add(vid)
-            vehicles.append(try_place(vid, changer_lane))
+        for _ in range(1000):  # a non-changer redraws its right lane per attempt
+            lane = (changer_lane if i < cfg.potential_changer_count
+                    else int(rng.integers(0, lanes.lane_count - 1)))
+            s = rng.uniform(cfg.spawn_min_s, cfg.spawn_max_s)
+            if fits(lane, s):
+                placed[lane].append(s)
+                spots.append((lane, s))
+                break
         else:
-            vehicles.append(try_place(vid, None))
+            spots = pack()
+            break
+    for i, (lane, s) in enumerate(spots):
+        vehicles.append(VehicleState(id=i + 1, kind="car", s=s, y=lanes.center(lane),
+                                     v=cfg.neighbor_v0, a=0.0, lane=lane,
+                                     length=CAR_DIMS[0], width=CAR_DIMS[1],
+                                     height=CAR_DIMS[2], v_desired=cfg.neighbor_v0))
 
     for j, lane in enumerate((0, 1)):
         vehicles.append(VehicleState(
@@ -487,7 +511,8 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
             length=TRUCK_DIMS[0], width=TRUCK_DIMS[1], height=TRUCK_DIMS[2],
             v_desired=0.0))
 
-    return Scenario(cfg, vehicles, ego_id=0, changer_ids=changer_ids)
+    return Scenario(cfg, vehicles, ego_id=0,
+                    changer_ids=set(range(1, cfg.potential_changer_count + 1)))
 
 
 def _gap_acceptable(scn: Scenario, index, veh: VehicleState, to_lane: int) -> bool:
@@ -520,15 +545,10 @@ def _maybe_trigger_changes(scn: Scenario, index):
 
 
 def step(scn: Scenario, guidance: dict[int, float] | None = None):
-    """Advance every vehicle by one dt_sim tick.
+    """Advance every vehicle by one dt_sim tick, in the order the module describes.
 
-    The tick reads the scenario's lane order (``scn._index``), which the
-    previous step left behind; the first step builds it. Accelerations are
-    computed walking that order, so a plain follower's leader is the next
-    vehicle in its lane at a larger s, the one ``bisect_right`` would pick.
-    Other leader and follower queries are binary searches in the same order.
-    After the move the tick builds the new order, checks it for collisions
-    and keeps it.
+    The walk writes each new s into the kept order's keys, and ``_collide``
+    tells whether that order still holds.
     """
     cfg = scn.cfg
     dt = cfg.dt_sim
@@ -540,44 +560,41 @@ def step(scn: Scenario, guidance: dict[int, float] | None = None):
 
     terms = cfg.idm._idm_terms
     maneuvers = scn.active_maneuvers
-    ego_id = scn.ego_id
-    accels: list[float] = []  # in walk order
+    cross: dict[int, float] = {}  # the accelerations of vehicles that read other lanes
+    for vid, plan in maneuvers.items():
+        veh = scn.vehicle(vid)
+        cross[vid] = min(_idm(veh, _leader(index, veh, lane), terms)
+                         for lane in sorted({veh.lane, plan.from_lane, plan.to_lane}))
+    cross[scn.ego_id] = ego_policy(scn.ego, index, guidance, cfg.driver, cfg.idm,
+                                   scn.memory, scn.t)
     for keys, members in index.values():
         last = len(members) - 1
         for j, veh in enumerate(members):
-            if veh.kind == "truck":
-                accels.append(0.0)
-            elif veh.id == ego_id:
-                accels.append(ego_policy(veh, index, guidance, cfg.driver,
-                                         cfg.idm, scn.memory, scn.t))
-            elif veh.id in maneuvers:
-                plan = maneuvers[veh.id]
-                accels.append(min(_idm(veh, _leader(index, veh, lane), terms)
-                                  for lane in sorted({veh.lane, plan.from_lane, plan.to_lane})))
+            if veh.id in cross:
+                a = cross[veh.id]
+            elif veh.kind == "truck":
+                a = 0.0
             elif j == last:
-                accels.append(_idm(veh, None, terms))
+                a = _idm(veh, None, terms)
             else:
                 i = j + 1
                 if keys[i] == keys[j]:  # a tie: the leader is past every equal s
                     i = bisect_right(keys, keys[j], i)
-                accels.append(_idm(veh, members[i] if i <= last else None, terms))
-
-    # each update reads only its own vehicle, so walk order gives the same bits
-    a_walk = iter(accels)
-    for _, members in index.values():
-        for veh, a in zip(members, a_walk):
+                a = _idm(veh, members[i] if i <= last else None, terms)
             v = veh.v
             new_v = v + a * dt
             new_v = new_v if new_v > 0.0 else 0.0  # as max(0.0, new_v): -0.0 gives 0.0
-            veh.s += v * dt
+            keys[j] = veh.s = veh.s + v * dt  # the walk reads no key behind it
             veh.a = (new_v - v) / dt
             veh.v = new_v
 
     scn.step_count += 1
     t_new = scn.t
 
-    for vid, plan in list(scn.active_maneuvers.items()):
+    regroup = False
+    for vid, plan in list(maneuvers.items()):
         veh = scn.vehicle(vid)
+        lane = veh.lane
         q = (t_new - plan.t_start) / (plan.t_end - plan.t_start)
         q = 1.0 if 1.0 < q else q
         origin = scn.lanes.center(plan.from_lane)
@@ -587,13 +604,29 @@ def step(scn: Scenario, guidance: dict[int, float] | None = None):
         if t_new >= plan.t_end:
             veh.y = target
             veh.lane = plan.to_lane
-            del scn.active_maneuvers[vid]
+            del maneuvers[vid]
+        regroup = regroup or veh.lane != lane
 
-    scn._index = index = _lane_index(scn.vehicles)
+    if regroup or not _collide(index, t_new, scn.collisions, strict=True):
+        index = _lane_index(scn.vehicles)
+        _collide(index, t_new, scn.collisions, strict=False)
+    scn._index = index
+
+
+def _collide(index, t: float, collisions: list, strict: bool) -> bool:
+    """Append each pair of lane neighbours in index that overlap at t. If strict,
+    append none and return False once a lane is not strictly ascending in s,
+    where a fresh index may differ: it gives ties (0.0 ties -0.0) to roster order."""
+    count = len(collisions)
     for _, members in index.values():
         for first, second in zip(members, members[1:]):
-            if second.s - first.s - 0.5 * (second.length + first.length) < 0.0:
-                scn.collisions.append((t_new, first.id, second.id))
+            ds = second.s - first.s
+            if strict and not ds > 0.0:
+                del collisions[count:]
+                return False
+            if ds - 0.5 * (second.length + first.length) < 0.0:
+                collisions.append((t, first.id, second.id))
+    return True
 
 
 @dataclass

@@ -134,16 +134,20 @@ def render_depth_map(truth: list[tuple[int, Box2D, float]], intrinsics: CameraIn
     shape = (max(bottom) - r0, max(right) - c0)
 
     def paint() -> np.ndarray:
-        block = np.full(shape, DepthMap.far_value)
-        covered = np.zeros(shape, dtype=bool)
-        for depth, (v0, v1, u0, u1) in layers:
-            block[v0 - r0:v1 - r0, u0 - c0:u1 - c0] = depth
-            covered[v0 - r0:v1 - r0, u0 - c0:u1 - c0] = True
+        jitter = None
         if noise is not None and noise.depth_noise_sigma > 0:
             # one draw per pixel of the union bounding box, covered or not
             rng = seeding.rng_for(noise.seed, seeding.DEPTH)
             jitter = rng.normal(0.0, noise.depth_noise_sigma, size=shape)
-            np.maximum(block + jitter, 0.01, out=block, where=covered)
+        block = np.full(shape, DepthMap.far_value)
+        for depth, (v0, v1, u0, u1) in layers:
+            rect = slice(v0 - r0, v1 - r0), slice(u0 - c0, u1 - c0)
+            if jitter is None:
+                block[rect] = depth
+            else:
+                np.add(jitter[rect], depth, out=block[rect])
+        if jitter is not None:  # far_value is above the floor, so only layers move
+            np.maximum(block, 0.01, out=block)
         return block
     return DepthMap(intrinsics.width, intrinsics.height, paint, r0, c0)
 

@@ -1,18 +1,20 @@
 """Run a fixed set of lanesight commands and print a digest of every output file.
 
-Usage: python3 tools/output_digest.py [--src DIR] > digest.txt
+Usage: python3 tools/output_digest.py [--src DIR] [--against DIR] > digest.txt
 
 The commands run in-process, in a fresh temporary directory, with relative
 paths, so `config.echo.json` (which echoes `model_path`) does not depend on
 where they ran. One line per output file, `sha256  path`, sorted by path.
 The exit status is 1 if any command does not exit 0.
 
-To check that a change keeps every output byte-identical, digest both trees
-and compare them:
+To check that a change keeps every output byte-identical, name the other
+tree's checkout (for example the parent commit's):
 
-    python3 tools/output_digest.py > new.txt
-    python3 tools/output_digest.py --src /path/to/parent/src > old.txt
-    diff old.txt new.txt
+    python3 tools/output_digest.py --against /path/to/parent
+
+That digests this tree in-process and the other one in a subprocess, since
+both import `lanesight`, prints each line that differs (`-` the other tree,
+`+` this one) and exits 1 on any difference or failed command.
 
 `--src` names the lanesight source tree to import (default: this checkout's
 `src`). The set covers every command: `train` on seeds 1-3, `predict-eval` on
@@ -29,6 +31,7 @@ import argparse
 import hashlib
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -59,12 +62,9 @@ def sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"),
-                        help="the lanesight source tree to import")
-    args = parser.parse_args(argv)
-    sys.path.insert(0, str(Path(args.src).resolve()))
+def digest(src: str) -> tuple[list[str], int]:
+    """The digest lines of every output file, and 1 if any command failed."""
+    sys.path.insert(0, str(Path(src).resolve()))
     from lanesight.cli import main as lanesight
 
     failed = 0
@@ -79,12 +79,34 @@ def main(argv=None) -> int:
                 if code != 0:
                     print(f"{command} --out {out}: exit {code}", file=sys.stderr)
                     failed = 1
-            for path in sorted(Path(".").rglob("*")):
-                if path.is_file():
-                    print(f"{sha256(path)}  {path.as_posix()}")
+            lines = [f"{sha256(path)}  {path.as_posix()}"
+                     for path in sorted(Path(".").rglob("*")) if path.is_file()]
         finally:
             os.chdir(home)
-    return failed
+    return lines, failed
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"),
+                        help="the lanesight source tree to import")
+    parser.add_argument("--against", metavar="DIR",
+                        help="a checkout to compare with: print the lines that differ")
+    args = parser.parse_args(argv)
+    if args.against is None:
+        lines, failed = digest(args.src)
+        print("\n".join(lines))
+        return failed
+    other = subprocess.Popen([sys.executable, __file__, "--src",
+                              str(Path(args.against) / "src")],
+                             stdout=subprocess.PIPE, text=True)
+    lines, failed = digest(args.src)
+    theirs = other.communicate()[0].splitlines()
+    mine, other_lines = set(lines), set(theirs)
+    diff = [f"- {line}" for line in theirs if line not in mine]
+    diff += [f"+ {line}" for line in lines if line not in other_lines]
+    print("\n".join(diff) if diff else f"same digest for all {len(lines)} files")
+    return int(bool(diff or failed or other.returncode))
 
 
 if __name__ == "__main__":
