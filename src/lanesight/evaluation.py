@@ -22,22 +22,6 @@ from .geometry import Box2D, iou
 from .scene import TrajectoryLog
 
 
-class UnknownVehicle(Exception):
-    pass
-
-
-class EmptyResults(Exception):
-    pass
-
-
-class PairMismatch(Exception):
-    pass
-
-
-class LengthMismatch(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class ScoredFrame:
     """An identification outcome plus the ground truth it is scored against."""
@@ -53,21 +37,10 @@ class ScoredFrame:
         return 0.0 if chosen is None else iou(chosen.box, self.truth_box)
 
 
-def check_thresholds(thresholds):
-    """ValueError unless the IoU thresholds strictly increase."""
-    if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
-        raise ValueError("thresholds must be strictly increasing")
-
-
 @dataclass(frozen=True)
 class AccuracyCurve:
     thresholds: tuple[float, ...]
     accuracies: tuple[float, ...]
-
-    def __post_init__(self):
-        check_thresholds(self.thresholds)
-        if any(not 0.0 <= a <= 1.0 for a in self.accuracies):
-            raise ValueError("accuracies must lie in [0, 1]")
 
     def at(self, threshold: float) -> float:
         for th, acc in zip(self.thresholds, self.accuracies):
@@ -88,8 +61,6 @@ class SafetyReport:
 def identification_accuracy(scored: list[ScoredFrame],
                             thresholds) -> dict[str, AccuracyCurve]:
     """Per-method accuracy over IoU thresholds; no-match counts as incorrect."""
-    if not scored:
-        raise EmptyResults("no identification results to score")
     thresholds = tuple(float(t) for t in thresholds)
     by_method: dict[str, list[float]] = {}
     for frame in scored:
@@ -114,9 +85,6 @@ def ttc_series(log: TrajectoryLog, ego_id: int,
     the resulting TTC is below the horizon; a vanishing closing speed would
     otherwise contribute arbitrarily large, meaningless values.
     """
-    for vid in (ego_id, target_id):
-        if vid not in log.data:
-            raise UnknownVehicle(f"vehicle {vid} not in log")
     ego_lane = log.column(ego_id, "lane").astype(int)
     tgt_lane = log.column(target_id, "lane").astype(int)
     in_lane = tgt_lane == ego_lane
@@ -139,8 +107,6 @@ def ttc_series(log: TrajectoryLog, ego_id: int,
 
 def accel_jerk_metrics(log: TrajectoryLog, vehicle_id: int) -> tuple[float, float]:
     """(mean |a|, max |da/dt|) for one vehicle on the log's grid."""
-    if vehicle_id not in log.data:
-        raise UnknownVehicle(f"vehicle {vehicle_id} not in log")
     a = log.column(vehicle_id, "a")
     mean_abs = float(np.mean(np.abs(a)))
     if len(a) < 2:
@@ -155,8 +121,6 @@ def classification_metrics(predicted, truth) -> tuple[float | None, float | None
     timestep to average over is None."""
     p = np.asarray(predicted, dtype=int)
     g = np.asarray(truth, dtype=int)
-    if p.shape != g.shape:
-        raise LengthMismatch(f"shapes {p.shape} vs {g.shape}")
     accuracy = float(np.mean(p == g)) if p.size else None
     positives = int((g == 1).sum())
     negatives = int((g == 0).sum())
@@ -228,8 +192,6 @@ def _compare(values: list[tuple[float | None, float | None]],
 def compare_paired_runs(guided: list[SafetyReport],
                         baseline: list[SafetyReport]) -> PairedComparison:
     """Paired per-metric differences oriented so positive means guided wins."""
-    if len(guided) != len(baseline):
-        raise PairMismatch(f"{len(guided)} guided vs {len(baseline)} baseline runs")
     ttc = _compare([(g.avg_ttc, b.avg_ttc) for g, b in zip(guided, baseline)],
                    higher_is_better=True)
     accel = _compare([(g.mean_abs_accel, b.mean_abs_accel)

@@ -24,10 +24,6 @@ from .sensing import Detection, DepthMap, SensorFrame
 from .twinlink import TwinRecord
 
 
-class EmptyRegion(Exception):
-    """A shrunken sampling region contains no whole pixel."""
-
-
 @dataclass(frozen=True)
 class IdentificationResult:
     t: float
@@ -49,8 +45,6 @@ class FusionParams:
 
 def shrink_box(b: Box2D, th: float) -> Box2D:
     """Scale width and height by th about the box center."""
-    if not 0.0 < th <= 1.0:
-        raise ValueError("shrink factor must be in (0, 1]")
     cu, cv = b.center
     half_w = 0.5 * th * b.width
     half_h = 0.5 * th * b.height
@@ -70,16 +64,11 @@ def _sample_region(b: Box2D, th: float) -> tuple[int, int, int, int] | None:
 
 def depth_evaluate(img_d: DepthMap, boxes: list[Box2D], th: float = FusionParams.shrink,
                    n: int = FusionParams.samples, seed: int = 0) -> list[float]:
-    """Average n seeded uniform depth samples per box, in input order."""
-    if n < 1:
-        raise ValueError("need at least one sample point")
+    """Average n seeded uniform depth samples per box (each with a sampling region)."""
     rng = seeding.rng_for(seed, seeding.SAMPLER)
     estimates = []
-    for i, box in enumerate(boxes):
-        region = _sample_region(box, th)
-        if region is None:
-            raise EmptyRegion(f"box {i} has no whole pixel in its sampling region")
-        u_lo, u_hi, v_lo, v_hi = region
+    for box in boxes:
+        u_lo, u_hi, v_lo, v_hi = _sample_region(box, th)
         us = rng.integers(u_lo, u_hi + 1, size=n)
         vs = rng.integers(v_lo, v_hi + 1, size=n)
         total = math.fsum(img_d.at(u, v) for u, v in zip(us, vs))
@@ -104,8 +93,6 @@ def _center_distance(anchor: PixelPoint, detections):
 def identify(frame: SensorFrame, twin: TwinRecord, d_g: float,
              params: FusionParams, method: str = "fused") -> IdentificationResult:
     """Per-frame identification pipeline; degenerate frames yield no-match."""
-    if method not in ("fused", "baseline"):
-        raise ValueError(f"unknown method {method!r}")
     intr = frame.camera.intrinsics
     try:
         anchor = project_anchor(twin.position, frame.camera.extrinsics, intr)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import seeding
-from .evaluation import SafetyReport, ScoredFrame, check_thresholds, safety_report
+from .evaluation import SafetyReport, ScoredFrame, safety_report
 from .fusion import FusionParams, identify
 from .geometry import Camera, CameraExtrinsics, CameraIntrinsics, WorldPoint, iou
 from .params import DRAW_BOUND, FRACTION, POSITIVE, check_fields, rule
@@ -236,7 +236,8 @@ class FuseCorpusConfig:
 
     def __post_init__(self):
         check_fields(self)
-        check_thresholds(self.thresholds)
+        if any(b <= a for a, b in zip(self.thresholds, self.thresholds[1:])):
+            raise ValueError("thresholds must be strictly increasing")
         if not any(abs(th - REPORT_IOU) < 1e-9 for th in self.thresholds):
             raise ValueError(f"thresholds must include the summary's {REPORT_IOU}")
 

@@ -36,10 +36,6 @@ class DegenerateDataset(Exception):
     """Training data contains a single class."""
 
 
-class DimensionMismatch(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class WindowParams:
     tau: float = field(default=5.0, metadata=POSITIVE)
@@ -56,12 +52,6 @@ class LabeledSample:
     label: int
     t: float
     vehicle_id: int
-
-    def __post_init__(self):
-        if self.label not in (0, 1):
-            raise ValueError("label must be 0 or 1")
-        if len(self.features) != FEATURE_SIZE:
-            raise ValueError(f"expected {FEATURE_SIZE} features")
 
 
 @dataclass
@@ -255,8 +245,6 @@ def train(dataset: list[LabeledSample], cfg: TrainConfig = TrainConfig()) -> Mlp
 def infer(model: MlpModel, features) -> float:
     """Forward pass returning the lane-change probability."""
     x = np.asarray(features, dtype=float)
-    if x.shape != (FEATURE_SIZE,):
-        raise DimensionMismatch(f"expected {FEATURE_SIZE} features, got {x.shape}")
     prob, _ = _forward(model, model.standardize(x)[None, :])
     return float(prob[0])
 
@@ -275,8 +263,6 @@ class FilterParams:
 
 def aggressive_filter(trace: PredictionTrace, tau_a: int) -> PredictionTrace:
     """Propagate each positive prediction over the following tau_a timesteps."""
-    if tau_a < 0:
-        raise ValueError("tau_a must be nonnegative")
     raw = trace.binary
     out = np.zeros_like(raw)
     n = len(raw)
@@ -289,10 +275,6 @@ def aggressive_filter(trace: PredictionTrace, tau_a: int) -> PredictionTrace:
 def conservative_filter(trace: PredictionTrace, tau_c: int,
                         thres: float) -> PredictionTrace:
     """Positive only where the trailing (tau_c + 1)-wide mean exceeds thres."""
-    if tau_c < 0:
-        raise ValueError("tau_c must be nonnegative")
-    if not 0.0 <= thres <= 1.0:
-        raise ValueError("thres must be in [0, 1]")
     raw = trace.binary
     out = np.zeros_like(raw)
     for t in range(tau_c, len(raw)):
@@ -318,7 +300,8 @@ def save_model(model: MlpModel, path):
 
 
 def load_model(path) -> MlpModel:
-    """Read a saved model; ValueError unless its arrays fit [FEATURE_SIZE, hidden, 1]."""
+    """Read a saved model; ValueError unless its arrays fit [FEATURE_SIZE, hidden, 1],
+    every value is finite and every feat_std is positive."""
     with open(path) as fh:
         doc = json.load(fh)
     fmt = doc.get("format") if isinstance(doc, dict) else type(doc).__name__
@@ -339,6 +322,11 @@ def load_model(path) -> MlpModel:
     if misfit or doc.get("layer_sizes") != [FEATURE_SIZE, hidden, 1]:
         raise ValueError(f"{', '.join(misfit) or 'layer_sizes'}: does not fit "
                          f"layer sizes [{FEATURE_SIZE}, {hidden}, 1]")
+    unfit = [name for name in (*shapes, "b2") if not np.isfinite(getattr(model, name)).all()]
+    if unfit:
+        raise ValueError(f"{', '.join(unfit)}: expected finite values")
+    if (model.feat_std <= 0.0).any():
+        raise ValueError("feat_std: expected positive values")
     return model
 
 

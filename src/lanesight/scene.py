@@ -93,12 +93,6 @@ class ManeuverPlan:
     from_lane: int
     to_lane: int
 
-    def __post_init__(self):
-        if self.t_end <= self.t_start:
-            raise ValueError("maneuver must have positive duration")
-        if abs(self.to_lane - self.from_lane) != 1:
-            raise ValueError("maneuver must move exactly one lane")
-
 
 @dataclass(frozen=True)
 class IdmParams:
@@ -180,6 +174,10 @@ class ScenarioConfig:
         if ticks == math.inf or round(ticks) > MAX_TICKS:
             raise ValueError(f"duration: duration / dt_sim is {ticks:.3g} ticks, above "
                              f"the {MAX_TICKS} a run may take")
+        # every trigger time t is below duration, so t + lane_change_duration > t
+        if self.lane_change_duration < math.ulp(self.duration):
+            raise ValueError(f"lane_change_duration: below {math.ulp(self.duration):.3g} s, "
+                             "a maneuver would end at the tick it starts")
         per_lane = self.lane_capacity  # the changers share one lane, the rest any right lane
         if self.potential_changer_count > per_lane:
             raise ValueError(f"potential_changer_count: the changer lane holds at most "

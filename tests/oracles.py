@@ -23,7 +23,6 @@ import numpy as np
 
 from lanesight import seeding
 from lanesight.fusion import IdentificationResult, _sample_region, depth_evaluate
-from lanesight.evaluation import UnknownVehicle
 from lanesight.geometry import BehindCamera, Box2D, PixelPoint, WorldPoint
 from lanesight.prediction import SENTINEL_GAP
 from lanesight.scene import (DriverParams, EgoMemory, IdmParams, ManeuverPlan, Scenario,
@@ -282,10 +281,7 @@ def features_from_states(states: list[VehicleState], subject_id: int,
     Slot order: lead/lag in the subject's own lane, the lane to its left,
     and the lane to its right. Absent neighbors carry (0, SENTINEL_GAP).
     """
-    by_id = {s.id: s for s in states}
-    if subject_id not in by_id:
-        raise UnknownVehicle(f"vehicle {subject_id} not present")
-    subject = by_id[subject_id]
+    subject = {s.id: s for s in states}[subject_id]  # KeyError if absent
     feats = [subject.v]
     for lane in (subject.lane, subject.lane + 1, subject.lane - 1):
         if lane < 0 or lane >= lane_count:

@@ -15,7 +15,7 @@ from lanesight import cli
 from lanesight.cli import main
 from lanesight.config import load_config
 from lanesight.pipeline import simulate_run
-from lanesight.prediction import FEATURE_SIZE, MlpModel, save_model
+from lanesight.prediction import FEATURE_SIZE, MlpModel, load_model, save_model
 
 SMALL_CAMERA = {"width": 192, "height": 108, "u0": 96.0, "v0": 54.0}
 
@@ -340,7 +340,8 @@ class TestClosedLoop:
         # a 5-feature model used to load, then fail with a broadcast error
         # (exit 3) after config.echo.json had been written; a model file that
         # is a JSON list, or whose b2 is a list, used to escape main with a
-        # traceback
+        # traceback; a NaN weight or a zero feat_std used to load, then fail
+        # with exit 3 after config.echo.json had been written
         model = MlpModel(w1=np.zeros((4, 5)), b1=np.zeros(4), w2=np.zeros(4), b2=0.0,
                          feat_mean=np.zeros(5), feat_std=np.ones(5))
         model_path = tmp_path / "model.json"
@@ -349,9 +350,14 @@ class TestClosedLoop:
         doc = json.loads(five_features)
         doc.update(w1=np.zeros((4, FEATURE_SIZE)).tolist(), feat_mean=[0.0] * FEATURE_SIZE,
                    feat_std=[1.0] * FEATURE_SIZE, b2=[0.0])
+        fits = dict(doc, b2=0.0, layer_sizes=[FEATURE_SIZE, 4, 1])
+        model_path.write_text(json.dumps(fits))
+        load_model(model_path)  # each case below breaks one rule of a loadable model
+        nan_weight = json.dumps(dict(fits, w2=[float("nan"), 0.0, 0.0, 0.0]))
+        zero_std = json.dumps(dict(fits, feat_std=[0.0] * FEATURE_SIZE))
         cfg = write_config(tmp_path / "c.json", model_path=str(model_path))
         out = tmp_path / "out"
-        for text in (five_features, "[1, 2]", json.dumps(doc)):
+        for text in (five_features, "[1, 2]", json.dumps(doc), nan_weight, zero_std):
             model_path.write_text(text)
             for command in ("closed-loop", "predict-eval", "simulate"):
                 assert main([command, "--config", str(cfg), "--out", str(out)]) == 2, command
@@ -422,6 +428,20 @@ class TestPreWriteFailures:
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
         assert "config error: scenario.duration:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "fuse-eval", "train", "predict-eval",
+                                         "closed-loop"])
+    def test_a_maneuver_ending_at_its_start_exits_2_before_any_write(self, tmp_path, capsys,
+                                                                     command):
+        # t + lane_change_duration == t at a trigger time t: the plan used to
+        # fail with exit 3 after config.echo.json had been written
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"scenario": {"lane_change_duration": 1e-300,
+                                                "duration": 12.0}}))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "config error: scenario.lane_change_duration:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["simulate", "fuse-eval", "train", "predict-eval",
                                          "closed-loop"])

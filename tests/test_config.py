@@ -5,7 +5,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lanesight.config import ConfigError, load_config, resolve_config, write_echo
-from lanesight.evaluation import AccuracyCurve
 from lanesight.fusion import FusionParams
 from lanesight.pipeline import MAX_CORPUS_FRAMES, CameraMount, FuseCorpusConfig, \
     build_fuse_corpus
@@ -55,14 +54,21 @@ class TestResolve:
         with pytest.raises(ConfigError, match="camera.width"):
             resolve_config({"camera": {"width": 2.5}})
 
-    def test_range_errors(self):
-        with pytest.raises(ConfigError, match="out of range"):
-            resolve_config({"scenario": {"dt_sim": -0.01}})
-        with pytest.raises(ConfigError, match="out of range"):
-            resolve_config({"driver": {"policy": "manual"}})
-        with pytest.raises(ConfigError, match="changer_count"):
-            resolve_config({"scenario": {"neighbor_count": 1,
-                                         "potential_changer_count": 2}})
+    @pytest.mark.parametrize("doc,match", [
+        ({"scenario": {"dt_sim": -0.01}}, "scenario.dt_sim: value -0.01 out of range"),
+        ({"driver": {"policy": "manual"}}, "driver.policy: value 'manual' out of range"),
+        ({"scenario": {"neighbor_count": 1, "potential_changer_count": 2}}, "changer_count"),
+        # the matcher and the filters read these values unchecked
+        ({"fusion": {"shrink": 0.0}}, "fusion.shrink: value 0.0 out of range"),
+        ({"fusion": {"shrink": 1.5}}, "fusion.shrink: value 1.5 out of range"),
+        ({"fusion": {"samples": 0}}, "fusion.samples: value 0 out of range"),
+        ({"filters": {"tau_a": -1}}, "filters.tau_a: value -1 out of range"),
+        ({"filters": {"tau_c": -1}}, "filters.tau_c: value -1 out of range"),
+        ({"filters": {"thres": 1.5}}, "filters.thres: value 1.5 out of range"),
+    ])
+    def test_range_errors(self, doc, match):
+        with pytest.raises(ConfigError, match=match):
+            resolve_config(doc)
 
     def test_a_run_takes_at_most_max_ticks(self):
         # MAX_TICKS at the default 10 ms is 100,000 s; a subnormal dt_sim makes
@@ -230,12 +236,16 @@ def build_command_objects(cfg):
             replace(cfg.scenario, seed=seed).with_policy(policy)
         replace(cfg.sensing, seed=seed).for_frame(0)
         replace(cfg.fusion, seed=seed)
-    AccuracyCurve(cfg.fuse_eval.thresholds, (0.0,) * len(cfg.fuse_eval.thresholds))
+    # a plan triggered at the last tick ends after it starts
+    scenario = cfg.scenario
+    last_tick = max(round(scenario.duration / scenario.dt_sim) - 1, 0) * scenario.dt_sim
+    assert last_tick + scenario.lane_change_duration > last_tick
 
 
 @settings(max_examples=300, deadline=None)
 @given(documents)
 @example({"scenario": {"dt_sim": 2.2250738585e-313}})  # period / dt_sim overflows to inf
+@example({"scenario": {"lane_change_duration": 5e-324}})  # t + 5e-324 == t
 def test_any_json_resolves_or_raises_config_error(doc):
     try:
         cfg = resolve_config(doc)

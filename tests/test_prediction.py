@@ -10,7 +10,6 @@ from lanesight.prediction import (
     FEATURE_SIZE,
     SENTINEL_GAP,
     DegenerateDataset,
-    DimensionMismatch,
     LabeledSample,
     MlpModel,
     PredictionTrace,
@@ -263,10 +262,6 @@ class TestInfer:
         z = 0.3 * h0 + 0.6 * h1 + 0.05
         expected = 1.0 / (1.0 + np.exp(-z))
         assert infer(model, x) == pytest.approx(expected, abs=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            infer(self.zero_model(), np.zeros(5))
 
 
 def trace(bits, vid=1):
