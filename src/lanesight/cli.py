@@ -29,7 +29,6 @@ from .evaluation import (
     classification_metrics,
     compare_paired_runs,
     identification_accuracy,
-    safety_report,
     write_curve_csv,
     write_identifications_csv,
     write_safety_report_json,
@@ -41,6 +40,7 @@ from .pipeline import (
     build_fuse_corpus,
     closed_loop_pair,
     ground_truth_bits,
+    prediction_runs,
     render_frames,
     simulate_run,
 )
@@ -57,7 +57,7 @@ from .prediction import (
 from .scene import LOG_PERIOD, InfeasiblePlacement, build_scenario, grid_stride, \
     write_maneuvers_csv, write_trajectory_csv
 from .sensing import write_depth_map, write_detections_csv
-from .twinlink import write_channel_csv
+from .twinlink import ProbabilityOutOfRange, write_channel_csv
 
 
 def _seed_dir(out: Path, seed: int) -> Path:
@@ -157,17 +157,15 @@ def cmd_train(cfg: RunConfig, out: Path, fitted) -> int:
     return 0
 
 
-def cmd_predict_eval(cfg: RunConfig, out: Path, model) -> int:
+def cmd_predict_eval(cfg: RunConfig, out: Path, runs) -> int:
     combined = {"raw": ([], []), "aggressive": ([], []), "conservative": ([], [])}
-    for seed in cfg.seeds:
-        scenario = replace(cfg.scenario, seed=seed).with_policy("baseline")
-        art = simulate_run(scenario, cfg.channel, model=model)
+    for seed, (traces, plans) in zip(cfg.seeds, runs):
         rows = []
-        for vid in sorted(art.traces):
-            trace = art.traces[vid]
+        for vid in sorted(traces):
+            trace = traces[vid]
             agg = aggressive_filter(trace, cfg.filters.tau_a)
             cons = conservative_filter(trace, cfg.filters.tau_c, cfg.filters.thres)
-            truth = ground_truth_bits(trace, art.log.plans, cfg.window.tau)
+            truth = ground_truth_bits(trace, plans, cfg.window.tau)
             for name, filtered in (("raw", trace), ("aggressive", agg),
                                    ("conservative", cons)):
                 combined[name][0].extend(filtered.binary.tolist())
@@ -176,7 +174,6 @@ def cmd_predict_eval(cfg: RunConfig, out: Path, model) -> int:
                 rows.append((vid, t, trace.probabilities[i], int(trace.binary[i]),
                              int(agg.binary[i]), int(cons.binary[i])))
         write_traces_csv(rows, _seed_dir(out, seed) / "traces.csv")
-        del art  # one run alive at a time
     metrics = {}
     for name, (pred, truth) in combined.items():
         accuracy, tpr, fpr = classification_metrics(pred, truth)
@@ -188,16 +185,12 @@ def cmd_predict_eval(cfg: RunConfig, out: Path, model) -> int:
     return 0
 
 
-def cmd_closed_loop(cfg: RunConfig, out: Path, model) -> int:
-    guided_reports, baseline_reports = [], []
-    for seed in cfg.seeds:
-        guided, baseline = closed_loop_pair(cfg.scenario, model, seed, cfg.channel)
+def cmd_closed_loop(cfg: RunConfig, out: Path, pairs) -> int:
+    for seed, (guided, baseline) in zip(cfg.seeds, pairs):
         sdir = _seed_dir(out, seed)
         write_safety_report_json(guided, sdir / "report_guided.json")
         write_safety_report_json(baseline, sdir / "report_baseline.json")
-        guided_reports.append(guided)
-        baseline_reports.append(baseline)
-    comparison = compare_paired_runs(guided_reports, baseline_reports)
+    comparison = compare_paired_runs(*zip(*pairs))  # guided reports, baseline reports
     with open(out / "comparison.json", "w") as fh:
         json.dump(asdict(comparison), fh, indent=1, sort_keys=True)
     return 0
@@ -237,18 +230,26 @@ def main(argv=None) -> int:
             except ValueError as exc:
                 raise ConfigError(f"--seeds: {exc}") from exc
         needs_model = args.command in ("predict-eval", "closed-loop")
-        # what the command reads besides its config: the model, fuse-eval's
-        # corpora, or train's dataset and fitted model
+        # what the command reads besides its config: simulate's model, or every
+        # other command's work done before its first write
         given = _load_model_for(cfg, required=needs_model)
-        if args.command == "fuse-eval":  # whether a target shows depends on the draw
-            given = _draw_corpora(cfg)
-        else:  # every other command places a scenario per seed
+        if args.command == "simulate":  # it writes each seed as it runs
             for seed in cfg.seeds:
                 build_scenario(replace(cfg.scenario, seed=seed))
-        if args.command == "train":  # only the runs show whether both classes occur
+        elif args.command == "fuse-eval":  # whether a target shows depends on the draw
+            given = _draw_corpora(cfg)
+        elif args.command == "train":  # only the runs show whether both classes occur
             given = _fit(cfg)
+        elif args.command == "predict-eval":
+            given = prediction_runs(cfg.scenario, given, cfg.seeds, cfg.channel)
+        else:
+            given = [closed_loop_pair(cfg.scenario, given, seed, cfg.channel)
+                     for seed in cfg.seeds]
     except (ConfigError, InfeasiblePlacement, DegenerateDataset) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except ProbabilityOutOfRange as exc:  # only a model's forward pass gives one
+        print(f"config error: model_path: {cfg.model_path!r} gives a {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)

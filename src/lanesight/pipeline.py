@@ -5,9 +5,15 @@ grid its log is read at, vehicle states publish to the twin store every
 channel period, the classifier infers per neighbor once per second from twin
 snapshots, advisories publish back on the same channel, and the ego's
 guidance view refreshes every guidance tick subject to latency.
+
+Runs that never read each other (a closed-loop pair's two legs, the seeds of
+a training set or of a held-out evaluation) fan out over the CPUs of the
+process's affinity mask; `taskset -c 0` runs them all in the calling
+process, and the outputs are byte-identical at any CPU count.
 """
 from __future__ import annotations
 
+import os
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
@@ -65,6 +71,34 @@ class CameraMount:
         position = WorldPoint(ego.s + self.mount_forward, ego.y + self.mount_left,
                               self.mount_up)
         return Camera(CameraExtrinsics.looking_along_road(position), self.intrinsics)
+
+
+def _cpu_count() -> int:  # of the affinity mask; 1 where there is none
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _place(caller_cpu: int):
+    """Move a forked helper off the caller's CPU, where it would stay, then free it."""
+    mask = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, mask - {caller_cpu} or mask)
+    os.sched_setaffinity(0, mask)
+
+
+def _fan_out(fn, items: list[tuple]) -> list:
+    """[fn(*item) for item in items] over k = min(len(items), usable CPUs)
+    processes: the caller runs items[0::k] and k - 1 forked helpers the rest.
+    Results, and the first error, come in item order; helpers are joined first."""
+    k = min(len(items), _cpu_count())
+    if k < 2:
+        return [fn(*item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+    with open("/proc/self/stat") as fh:  # field 39: the CPU this process last ran on
+        cpu = int(fh.read().rsplit(")", 1)[1].split()[36])
+    with ProcessPoolExecutor(k - 1, mp_context=get_context("fork"), initializer=_place,
+                             initargs=(cpu,)) as pool:
+        helped = {i: pool.submit(fn, *item) for i, item in enumerate(items) if i % k}
+        return [helped[i].result() if i % k else fn(*item) for i, item in enumerate(items)]
 
 
 @dataclass
@@ -161,6 +195,16 @@ def render_frames(log: TrajectoryLog, mount: CameraMount,
         yield SensorFrame(t=float(log.times[k]), detections=dets, depth=depth, camera=camera)
 
 
+def _samples(cfg: ScenarioConfig, window: WindowParams, channel: ChannelConfig,
+             include_nonchangers: bool):
+    log = simulate_run(cfg, channel).log
+    events = extract_lane_changes(log)
+    samples = label_windows(events, log, window)
+    if include_nonchangers:
+        samples.extend(nonchanger_negatives(log, events, window))
+    return samples
+
+
 def build_dataset(cfg: ScenarioConfig, window: WindowParams, seeds,
                   channel: ChannelConfig = ChannelConfig(),
                   include_nonchangers: bool = TrainConfig.include_nonchangers):
@@ -170,15 +214,21 @@ def build_dataset(cfg: ScenarioConfig, window: WindowParams, seeds,
     from vehicles that never maneuver (queued or free-flowing traffic), so
     the classifier sees the full range of stay-put behavior.
     """
-    samples = []
-    for seed in seeds:
-        run_cfg = replace(cfg, seed=int(seed)).with_policy("baseline")
-        log = simulate_run(run_cfg, channel).log
-        events = extract_lane_changes(log)
-        samples.extend(label_windows(events, log, window))
-        if include_nonchangers:
-            samples.extend(nonchanger_negatives(log, events, window))
-    return samples
+    runs = [(replace(cfg, seed=int(seed)).with_policy("baseline"), window, channel,
+             include_nonchangers) for seed in seeds]
+    return [sample for samples in _fan_out(_samples, runs) for sample in samples]
+
+
+def _traced(cfg: ScenarioConfig, channel: ChannelConfig, model: MlpModel):
+    art = simulate_run(cfg, channel, model=model)
+    return art.traces, art.log.plans
+
+
+def prediction_runs(cfg: ScenarioConfig, model: MlpModel, seeds,
+                    channel: ChannelConfig = ChannelConfig()):
+    """Each seed's (traces, maneuver plans) from a baseline run with the model."""
+    return _fan_out(_traced, [(replace(cfg, seed=seed).with_policy("baseline"), channel,
+                               model) for seed in seeds])
 
 
 def ground_truth_bits(trace: PredictionTrace, events: list[ManeuverPlan],
@@ -193,19 +243,22 @@ def ground_truth_bits(trace: PredictionTrace, events: list[ManeuverPlan],
     return bits
 
 
+def _leg(cfg: ScenarioConfig, channel: ChannelConfig, model: MlpModel | None):
+    log = simulate_run(cfg, channel, model=model).log
+    return safety_report(log, log.ego_id)
+
+
 def closed_loop_pair(cfg: ScenarioConfig, model: MlpModel, seed: int,
                      channel: ChannelConfig = ChannelConfig())\
         -> tuple[SafetyReport, SafetyReport]:
     """Guided and baseline reports for one seed on identical scenarios.
 
-    Each run's artifacts die with its report, before the next run starts.
+    Each run's artifacts die with its report, before the next run in its
+    process starts.
     """
-    def report(policy: str, run_model: MlpModel | None) -> SafetyReport:
-        log = simulate_run(replace(cfg, seed=seed).with_policy(policy), channel,
-                           model=run_model).log
-        return safety_report(log, log.ego_id)
-
-    return report("guided", model), report("baseline", None)
+    legs = [(replace(cfg, seed=seed).with_policy(policy), channel, run_model)
+            for policy, run_model in (("guided", model), ("baseline", None))]
+    return tuple(_fan_out(_leg, legs))
 
 
 @dataclass(frozen=True)

@@ -390,7 +390,9 @@ class Scenario:
         self.vehicles = vehicles
         self.ego_id = ego_id
         self.changer_ids = set(changer_ids)
-        self.pending_changers = set(changer_ids)
+        # in id order, the order their plans are appended in
+        self.pending_changers = sorted((v for v in vehicles if v.id in self.changer_ids),
+                                       key=lambda v: v.id)
         self.active_maneuvers: dict[int, ManeuverPlan] = {}
         self.plans: list[ManeuverPlan] = []
         self.memory = EgoMemory()
@@ -526,20 +528,19 @@ def _gap_acceptable(scn: Scenario, index, veh: VehicleState, to_lane: int) -> bo
 
 def _maybe_trigger_changes(scn: Scenario, index):
     cfg = scn.cfg
-    for vid in sorted(scn.pending_changers):
-        veh = scn.vehicle(vid)
+    done = []  # triggered, or in the last lane with no lane to change to
+    for veh in scn.pending_changers:
         if veh.lane >= scn.lanes.lane_count - 1:
-            scn.pending_changers.discard(vid)
-            continue
-        if cfg.accident_s - veh.s > cfg.trigger_distance:
-            continue
-        to_lane = veh.lane + 1
-        if _gap_acceptable(scn, index, veh, to_lane):
-            plan = ManeuverPlan(vid, scn.t, scn.t + cfg.lane_change_duration,
-                                veh.lane, to_lane)
+            done.append(veh)
+        elif (cfg.accident_s - veh.s <= cfg.trigger_distance
+              and _gap_acceptable(scn, index, veh, veh.lane + 1)):
+            plan = ManeuverPlan(veh.id, scn.t, scn.t + cfg.lane_change_duration,
+                                veh.lane, veh.lane + 1)
             scn.plans.append(plan)
-            scn.active_maneuvers[vid] = plan
-            scn.pending_changers.discard(vid)
+            scn.active_maneuvers[veh.id] = plan
+            done.append(veh)
+    if done:
+        scn.pending_changers = [v for v in scn.pending_changers if v not in done]
 
 
 def step(scn: Scenario, guidance: dict[int, float] | None = None):

@@ -42,6 +42,10 @@ class ChannelConfig:
         check_fields(self)
 
 
+class ProbabilityOutOfRange(ValueError):
+    """An advisory's probability is not in [0, 1]: NaN from an overflowing model."""
+
+
 @dataclass(frozen=True, slots=True)
 class CloudAdvisory:
     target_id: int
@@ -50,7 +54,8 @@ class CloudAdvisory:
 
     def __post_init__(self):
         if not 0.0 <= self.lane_change_probability <= 1.0:
-            raise ValueError("probability out of range")
+            raise ProbabilityOutOfRange(f"probability {self.lane_change_probability} "
+                                        "out of range")
 
 
 @dataclass

@@ -337,10 +337,10 @@ def _gap_acceptable(scn: Scenario, veh: VehicleState, to_lane: int) -> bool:
 
 def _maybe_trigger_changes(scn: Scenario):
     cfg = scn.cfg
-    for vid in sorted(scn.pending_changers):
+    for vid in sorted(v.id for v in scn.pending_changers):
         veh = scn.vehicle(vid)
         if veh.lane >= scn.lanes.lane_count - 1:
-            scn.pending_changers.discard(vid)
+            scn.pending_changers.remove(veh)
             continue
         if cfg.accident_s - veh.s > cfg.trigger_distance:
             continue
@@ -350,7 +350,7 @@ def _maybe_trigger_changes(scn: Scenario):
                                 veh.lane, to_lane)
             scn.plans.append(plan)
             scn.active_maneuvers[vid] = plan
-            scn.pending_changers.discard(vid)
+            scn.pending_changers.remove(veh)
 
 
 def _neighbor_accel(scn: Scenario, veh: VehicleState) -> float:

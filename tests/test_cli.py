@@ -1,5 +1,6 @@
 import csv
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lanesight import cli
+from lanesight import cli, pipeline
 from lanesight.cli import main
 from lanesight.config import load_config
 from lanesight.pipeline import simulate_run
@@ -382,6 +383,67 @@ class TestClosedLoop:
         assert guided == baseline
 
 
+class TestFanOut:
+    """train, predict-eval and closed-loop give the same bytes in one process
+    and in two, and leave no process behind."""
+
+    @staticmethod
+    def force_processes(monkeypatch, count: int):
+        monkeypatch.setattr(pipeline, "_cpu_count", lambda: count)
+
+    @staticmethod
+    def assert_no_child_left():
+        assert multiprocessing.active_children() == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_one_and_two_processes_give_identical_bytes(self, tmp_path, monkeypatch):
+        scenario = {"duration": 12.0, "neighbor_count": 4, "potential_changer_count": 2}
+        train_cfg = write_config(tmp_path / "train.json", seeds=[11, 12, 13],
+                                 scenario={**scenario, "duration": 20.0},
+                                 training={"epochs": 20, "hidden": 8})
+        model_path = tmp_path / "model.json"
+        cfg = write_config(tmp_path / "c.json", seeds=[21, 22], scenario=scenario,
+                           model_path=str(model_path))
+        trees = {}
+        for count in (1, 2):
+            self.force_processes(monkeypatch, count)
+            out = tmp_path / f"cpus_{count}"
+            assert main(["train", "--config", str(train_cfg), "--out", str(out / "train")]) == 0
+            self.assert_no_child_left()
+            if count == 1:
+                model_path.write_bytes((out / "train" / "model.json").read_bytes())
+            for command in ("predict-eval", "closed-loop"):
+                assert main([command, "--config", str(cfg), "--out", str(out / command)]) == 0
+                self.assert_no_child_left()
+            trees[count] = tree_bytes(out)
+        assert len(trees[1]) == 4 + 4 + 6 and trees[1] == trees[2]
+
+    @pytest.mark.parametrize("command", ["train", "predict-eval", "closed-loop"])
+    def test_a_failing_helper_fails_as_the_serial_path_does(self, tmp_path, monkeypatch,
+                                                            capsys, command):
+        real = pipeline.simulate_run
+
+        def broken(cfg, *args, **kwargs):  # the helper's run: seed 2, baseline leg
+            if cfg.seed == 2 and cfg.driver.policy == "baseline":
+                raise RuntimeError("run broke")
+            return real(cfg, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "simulate_run", broken)
+        model_path = tmp_path / "model.json"
+        save_model(MlpModel(w1=np.zeros((4, FEATURE_SIZE)), b1=np.zeros(4), w2=np.zeros(4),
+                            b2=0.0, feat_mean=np.zeros(FEATURE_SIZE),
+                            feat_std=np.ones(FEATURE_SIZE)), model_path)
+        cfg = write_config(tmp_path / "c.json", seeds=[1, 2], model_path=str(model_path))
+        out = tmp_path / "out"
+        for count in (1, 2):
+            self.force_processes(monkeypatch, count)
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+            assert not out.exists()
+            assert capsys.readouterr().err == "error: run broke\n"
+            self.assert_no_child_left()
+
+
 class TestPreWriteFailures:
     """A failure before the first write exits 2 or 3 and creates no --out."""
 
@@ -456,6 +518,26 @@ class TestPreWriteFailures:
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
         assert f"config error: {section}.{key}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["predict-eval", "closed-loop"])
+    def test_a_model_giving_a_nan_probability_exits_2_before_any_write(self, tmp_path,
+                                                                      capsys, command):
+        # finite weights this large overflow the forward pass to NaN; the
+        # advisory used to fail with exit 3 after config.echo.json was written
+        model_path = tmp_path / "huge.json"
+        save_model(MlpModel(w1=np.full((2, FEATURE_SIZE), 1e308), b1=np.zeros(2),
+                            w2=np.array([1.0, -1.0]), b2=0.0,
+                            feat_mean=np.zeros(FEATURE_SIZE),
+                            feat_std=np.ones(FEATURE_SIZE)), model_path)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"scenario": {"duration": 5.0},
+                                   "model_path": str(model_path)}))
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith(
+            f"config error: model_path: {str(model_path)!r} gives a probability nan")
 
     def test_train_on_one_class_exits_2_before_any_write(self, tmp_path, capsys):
         # no car changes lane within 3 s, so every sample is a negative; this

@@ -1,3 +1,4 @@
+import os
 import weakref
 
 import numpy as np
@@ -16,6 +17,7 @@ from lanesight.pipeline import (
     build_fuse_corpus,
     closed_loop_pair,
     ground_truth_bits,
+    prediction_runs,
     render_frames,
     simulate_run,
 )
@@ -272,20 +274,25 @@ class TestClosedLoopPair:
 
 
 class TestOneRunAlive:
-    """Every loop over runs drops a run's artifacts before the next run starts."""
+    """Every loop over runs drops a run's artifacts before the next run in its
+    process starts."""
 
     @pytest.fixture
-    def runs(self, monkeypatch):
+    def runs(self, monkeypatch, tmp_path):
         real, refs = pipeline.simulate_run, []
 
         def checked(*args, **kwargs):
             assert all(ref() is None for ref in refs), "an earlier run is still alive"
             art = real(*args, **kwargs)
             refs.append(weakref.ref(art))
+            with open(tmp_path / "run_pids", "a") as fh:
+                fh.write(f"{os.getpid()}\n")
             return art
 
         monkeypatch.setattr(pipeline, "simulate_run", checked)
         monkeypatch.setattr(cli, "simulate_run", checked)
+        # one process, so every run is made where refs sees it
+        monkeypatch.setattr(pipeline, "_cpu_count", lambda: 1)
         return refs
 
     def run_config(self):
@@ -307,8 +314,19 @@ class TestOneRunAlive:
         assert len(runs) == 2
 
     def test_cmd_predict_eval(self, runs, tmp_path, model):
-        assert cli.cmd_predict_eval(self.run_config(), tmp_path, model) == 0
+        cfg = self.run_config()
+        given = prediction_runs(cfg.scenario, model, cfg.seeds, cfg.channel)
+        assert cli.cmd_predict_eval(cfg, tmp_path, given) == 0
         assert len(runs) == 2
+
+    def test_each_process_of_a_fan_out_holds_one_run(self, runs, monkeypatch, tmp_path):
+        # a helper that finds an earlier run of its own alive fails its task,
+        # and its AssertionError is raised here
+        monkeypatch.setattr(pipeline, "_cpu_count", lambda: 2)
+        build_dataset(small_cfg(duration=2.0), WindowParams(), seeds=[1, 2, 3, 4])
+        pids = (tmp_path / "run_pids").read_text().split()
+        assert pids.count(str(os.getpid())) == len(runs) == 2  # seeds 1 and 3
+        assert len(set(pids)) == 2 and len(pids) == 4  # a helper ran seeds 2 and 4
 
     def test_scenario_dies_with_its_run(self, monkeypatch):
         # the artifacts keep the log's NumPy copy, not the Scenario's columns

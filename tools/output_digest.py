@@ -16,6 +16,12 @@ That digests this tree in-process and the other one in a subprocess, since
 both import `lanesight`, prints each line that differs (`-` the other tree,
 `+` this one) and exits 1 on any difference or failed command.
 
+`train`, `predict-eval` and `closed-loop` fan their runs out over the CPUs
+of the affinity mask, so run the comparison once more on one CPU, where
+every run happens in the calling process; both must report the same digest:
+
+    taskset -c 0 python3 tools/output_digest.py --against /path/to/parent
+
 `--src` names the lanesight source tree to import (default: this checkout's
 `src`). The set covers every command: `train` on seeds 1-3, `predict-eval` on
 held-out seeds, `closed-loop` on the default, on a 48-neighbour scene and on a
