@@ -41,7 +41,7 @@ from .pipeline import (
     closed_loop_pair,
     ground_truth_bits,
     prediction_runs,
-    render_frames,
+    sense_log,
     simulate_run,
 )
 from .prediction import (
@@ -56,7 +56,7 @@ from .prediction import (
 )
 from .scene import LOG_PERIOD, InfeasiblePlacement, build_scenario, grid_stride, \
     write_maneuvers_csv, write_trajectory_csv
-from .sensing import write_depth_map, write_detections_csv
+from .sensing import write_detections_csv
 from .twinlink import ProbabilityOutOfRange, write_channel_csv
 
 
@@ -93,10 +93,8 @@ def cmd_simulate(cfg: RunConfig, out: Path, model) -> int:
         depth_dir.mkdir(exist_ok=True)
         detections = []  # (t, detections) per frame; each raster is written and dropped
         if art.log.times[-1] > 0:
-            for k, frame in enumerate(render_frames(art.log, cfg.camera,
-                                                    replace(cfg.sensing, seed=seed))):
-                write_depth_map(frame.depth, depth_dir / f"frame_{k:05d}.dpt")
-                detections.append((frame.t, frame.detections))
+            detections = sense_log(art.log, cfg.camera, replace(cfg.sensing, seed=seed),
+                                   depth_dir)
         write_detections_csv(detections, sdir / "detections.csv")
         del art  # one run alive at a time
     return 0

@@ -6,16 +6,19 @@ channel period, the classifier infers per neighbor once per second from twin
 snapshots, advisories publish back on the same channel, and the ego's
 guidance view refreshes every guidance tick subject to latency.
 
-Runs that never read each other (a closed-loop pair's two legs, the seeds of
-a training set or of a held-out evaluation) fan out over the CPUs of the
-process's affinity mask; `taskset -c 0` runs them all in the calling
-process, and the outputs are byte-identical at any CPU count.
+Work that never reads other work of its kind (a closed-loop pair's two legs,
+the seeds of a training set or of a held-out evaluation, the sensor frames of
+a finished log or of a fuse-eval corpus) fans out over the CPUs of the
+process's affinity mask; `taskset -c 0` runs it all in the calling process,
+and the outputs are byte-identical at any CPU count.
 """
 from __future__ import annotations
 
 import os
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
+from itertools import count, islice
+from pathlib import Path
 
 import numpy as np
 
@@ -41,8 +44,8 @@ from .scene import (
     grid_stride,
     step,
 )
-from .sensing import DetectorNoiseModel, SensorFrame, emulate_detections, \
-    render_depth_map, render_truth_boxes
+from .sensing import Detection, DetectorNoiseModel, SensorFrame, emulate_detections, \
+    render_depth_map, render_truth_boxes, write_depth_map
 from .twinlink import ChannelConfig, CloudAdvisory, NoData, TwinRecord, TwinStore, \
     gnss_distance, publish, publish_advisory, query_advisory, query_target
 
@@ -50,8 +53,9 @@ INFER_PERIOD = 1.0  # seconds between per-vehicle predictions
 DECISION_THRESHOLD = 0.5  # a traced probability at or above this sets the trace bit
 REPORT_IOU = 0.7  # fuse-eval summaries report accuracy at this IoU threshold
 ABREAST_OFFSET = (0.05, 0.3)  # fuse-eval: an abreast target's offset from the lane center
-# the most frames a fuse-eval corpus may draw: about 13 min on one Xeon core,
-# and 1.6 GB held until it is written
+# the most frames a fuse-eval corpus may draw: on a 2-vCPU Xeon host about
+# 8 min, with peaks of 3.7 GB in the calling process and 3.4 GB in its helper,
+# which pickles its half of the corpus back; on one CPU 13 min and 1.6 GB
 MAX_CORPUS_FRAMES = 10**6
 
 
@@ -99,6 +103,16 @@ def _fan_out(fn, items: list[tuple]) -> list:
                              initargs=(cpu,)) as pool:
         helped = {i: pool.submit(fn, *item) for i, item in enumerate(items) if i % k}
         return [helped[i].result() if i % k else fn(*item) for i, item in enumerate(items)]
+
+
+def _by_frame(fn, frames: int, *args) -> list:
+    """The rows of frames 0 .. frames - 1, in order, where fn(*args, part, parts)
+    gives the rows of frames part, part + parts, ...; one part per process."""
+    parts = min(frames, _cpu_count())
+    rows = [None] * frames
+    for part, got in enumerate(_fan_out(fn, [(*args, part, parts) for part in range(parts)])):
+        rows[part::parts] = got
+    return rows
 
 
 @dataclass
@@ -174,25 +188,47 @@ def simulate_run(cfg: ScenarioConfig, channel: ChannelConfig = ChannelConfig(),
     return RunArtifacts(scn.build_log(record_period), store, traces, scn.memory)
 
 
-def render_frames(log: TrajectoryLog, mount: CameraMount,
-                  noise: DetectorNoiseModel) -> Iterator[SensorFrame]:
-    """Post-hoc sensor frames every noise.frame_period of a finished log.
+def render_frames(log: TrajectoryLog, mount: CameraMount, noise: DetectorNoiseModel,
+                  part: int = 0, parts: int = 1) -> Iterator[SensorFrame]:
+    """Post-hoc sensor frames every noise.frame_period of a finished log:
+    frames part, part + parts, part + 2 * parts, ...
 
     Frames are rendered one at a time as the caller iterates, so a caller that
     drops each frame holds one depth raster at a time.
     """
     stride = grid_stride(noise.frame_period, log.dt)
-    for i, k in enumerate(range(0, len(log.times), stride)):
+    for k in range(part * stride, len(log.times), parts * stride):
         states = log.states_at(k)
         ego = next(s for s in states if s.id == log.ego_id)
         others = [s for s in states if s.id != log.ego_id]
         camera = mount.camera_for(ego)
-        frame_noise = noise.for_frame(i)
+        frame_noise = noise.for_frame(k // stride)
         truth = render_truth_boxes(others, camera)
         depth = render_depth_map(truth, mount.intrinsics, noise=frame_noise)
         dets = emulate_detections(truth, frame_noise, mount.intrinsics.width,
                                   mount.intrinsics.height)
         yield SensorFrame(t=float(log.times[k]), detections=dets, depth=depth, camera=camera)
+
+
+def _sense_part(log: TrajectoryLog, mount: CameraMount, noise: DetectorNoiseModel,
+                depth_dir: Path, part: int, parts: int):
+    rows = []
+    for i, frame in zip(count(part, parts), render_frames(log, mount, noise, part, parts)):
+        write_depth_map(frame.depth, depth_dir / f"frame_{i:05d}.dpt")
+        rows.append((frame.t, frame.detections))
+    return rows
+
+
+def sense_log(log: TrajectoryLog, mount: CameraMount, noise: DetectorNoiseModel,
+              depth_dir: Path) -> list[tuple[float, list[Detection]]]:
+    """Render every frame of a finished log, writing frame i's depth raster to
+    depth_dir/frame_<i>.dpt as soon as it is rendered; (t, detections) per frame.
+
+    The frames fan out in strided parts, one per process, and each process
+    holds one raster at a time.
+    """
+    frames = len(range(0, len(log.times), grid_stride(noise.frame_period, log.dt)))
+    return _by_frame(_sense_part, frames, log, mount, noise, depth_dir)
 
 
 def _samples(cfg: ScenarioConfig, window: WindowParams, channel: ChannelConfig,
@@ -308,25 +344,14 @@ def _corpus_vehicle(vid, s, y, v=17.0):
                         length=length, width=width, height=height, v_desired=v)
 
 
-def build_fuse_corpus(corpus: FuseCorpusConfig, mount: CameraMount,
-                      noise: DetectorNoiseModel, fusion: FusionParams,
-                      seed: int) -> CorpusResult:
-    """Score fused and baseline identification on synthetic corner cases."""
+def _layouts(corpus: FuseCorpusConfig, ego_y: float, seed: int) \
+        -> Iterator[list[VehicleState]]:
+    """Each frame's vehicles, the target first, all drawn from the seed's one CORPUS stream."""
     rng = seeding.rng_for(seed, seeding.CORPUS)
     lanes = LaneSpec()
-    intr = mount.intrinsics
-    scored: list[ScoredFrame] = []
-    ego_y = lanes.center(1)
-    overlap_pair_frames = 0
-    frame_count = 0
-    # the ego, and so the camera, sits at the same pose in every frame
-    camera = mount.camera_for(_corpus_vehicle(-1, s=-mount.mount_forward, y=ego_y))
-    cam_center = camera.extrinsics.camera_center()
-
-    for index in range(corpus.frames):
+    for _ in range(corpus.frames):
         target_s = rng.uniform(*corpus.target_range)
         side = float(rng.choice((-1.0, 1.0)))
-        states = []
         if rng.random() < corpus.overlap_fraction:
             if rng.random() < corpus.abreast_fraction:
                 target = _corpus_vehicle(1, s=target_s,
@@ -348,14 +373,25 @@ def build_fuse_corpus(corpus: FuseCorpusConfig, mount: CameraMount,
             lane = int(rng.choice((0, 2)))
             states.append(_corpus_vehicle(10 + c, s=rng.uniform(8.0, 45.0),
                                           y=lanes.center(lane) + rng.uniform(-0.5, 0.5)))
+        yield states
 
+
+def _score_part(corpus: FuseCorpusConfig, mount: CameraMount, noise: DetectorNoiseModel,
+                fusion: FusionParams, seed: int, part: int, parts: int):
+    """Per frame part, part + parts, ...: None where the target does not show,
+    else (whether the pair overlaps, the fused and baseline ScoredFrames)."""
+    intr = mount.intrinsics
+    ego_y = LaneSpec().center(1)
+    # the ego, and so the camera, sits at the same pose in every frame
+    camera = mount.camera_for(_corpus_vehicle(-1, s=-mount.mount_forward, y=ego_y))
+    cam_center = camera.extrinsics.camera_center()
+    rows = []
+    for index, states in islice(enumerate(_layouts(corpus, ego_y, seed)), part, None, parts):
         truth = render_truth_boxes(states, camera)
         boxes = {vid: box for vid, box, _ in truth}
         if 1 not in boxes:
+            rows.append(None)
             continue
-        frame_count += 1
-        if 2 in boxes and iou(boxes[1], boxes[2]) > 0.0:
-            overlap_pair_frames += 1
         frame_noise = noise.for_frame(index)
         depth = render_depth_map(truth, intr, noise=frame_noise)
         dets = emulate_detections(truth, frame_noise, intr.width, intr.height)
@@ -364,6 +400,7 @@ def build_fuse_corpus(corpus: FuseCorpusConfig, mount: CameraMount,
 
         gnss_rng = seeding.rng_for(seed, seeding.GNSS, index)
         err = gnss_rng.normal(0.0, 1.0, 3) * np.asarray(corpus.gnss_sigma)
+        target = states[0]
         reported = WorldPoint(target.s + err[0], target.y + err[1],
                               0.5 * CAR_DIMS[2] + err[2])
         twin = TwinRecord(1, reported, target.v, float(index))
@@ -371,8 +408,22 @@ def build_fuse_corpus(corpus: FuseCorpusConfig, mount: CameraMount,
 
         frame_params = replace(fusion, seed=seeding.derived_seed(seed, seeding.SAMPLER,
                                                                  index))
-        for method in ("fused", "baseline"):
-            result = identify(frame, twin, d_g, frame_params, method=method)
-            scored.append(ScoredFrame(result, boxes[1], 1))
-    return CorpusResult(scored=scored, frame_count=frame_count,
-                        overlap_pair_frames=overlap_pair_frames)
+        rows.append((2 in boxes and iou(boxes[1], boxes[2]) > 0.0,
+                     [ScoredFrame(identify(frame, twin, d_g, frame_params, method=method),
+                                  boxes[1], 1) for method in ("fused", "baseline")]))
+    return rows
+
+
+def build_fuse_corpus(corpus: FuseCorpusConfig, mount: CameraMount,
+                      noise: DetectorNoiseModel, fusion: FusionParams,
+                      seed: int) -> CorpusResult:
+    """Score fused and baseline identification on synthetic corner cases.
+
+    The frames fan out in strided parts, one per process; each part draws
+    every layout and scores its own frames.
+    """
+    shown = [row for row in _by_frame(_score_part, corpus.frames, corpus, mount, noise,
+                                      fusion, seed) if row is not None]
+    return CorpusResult(scored=[scored for _, pair in shown for scored in pair],
+                        frame_count=len(shown),
+                        overlap_pair_frames=sum(overlaps for overlaps, _ in shown))

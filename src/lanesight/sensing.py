@@ -128,25 +128,27 @@ def render_depth_map(truth: list[tuple[int, Box2D, float]], intrinsics: CameraIn
               for _, box, depth in truth]
     if not layers:
         return DepthMap(intrinsics.width, intrinsics.height, np.empty((0, 0)))
-    layers.sort(key=lambda item: -item[0])  # far first, near overwrites
+    layers.sort(key=lambda item: item[0])  # near first; a painted pixel keeps its layer
     top, bottom, left, right = zip(*(rect for _, rect in layers))
     r0, c0 = min(top), min(left)
     shape = (max(bottom) - r0, max(right) - c0)
 
     def paint() -> np.ndarray:
-        jitter = None
-        if noise is not None and noise.depth_noise_sigma > 0:
-            # one draw per pixel of the union bounding box, covered or not
+        noisy = noise is not None and noise.depth_noise_sigma > 0
+        if noisy:  # one draw per pixel of the union bounding box, covered or not
             rng = seeding.rng_for(noise.seed, seeding.DEPTH)
-            jitter = rng.normal(0.0, noise.depth_noise_sigma, size=shape)
-        block = np.full(shape, DepthMap.far_value)
+            block = rng.normal(0.0, noise.depth_noise_sigma, size=shape)
+        else:
+            block = np.zeros(shape)
+        # the layers are added onto the draws in place, so the block is the only
+        # float array alive
+        free = np.ones(shape, dtype=bool)
         for depth, (v0, v1, u0, u1) in layers:
             rect = slice(v0 - r0, v1 - r0), slice(u0 - c0, u1 - c0)
-            if jitter is None:
-                block[rect] = depth
-            else:
-                np.add(jitter[rect], depth, out=block[rect])
-        if jitter is not None:  # far_value is above the floor, so only layers move
+            np.add(block[rect], depth, out=block[rect], where=free[rect])
+            free[rect] = False
+        np.copyto(block, DepthMap.far_value, where=free)
+        if noisy:  # far_value is above the floor, so only layers move
             np.maximum(block, 0.01, out=block)
         return block
     return DepthMap(intrinsics.width, intrinsics.height, paint, r0, c0)

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lanesight import cli, pipeline
+from lanesight import cli, pipeline, sensing
 from lanesight.cli import main
 from lanesight.config import load_config
 from lanesight.pipeline import simulate_run
@@ -126,19 +126,25 @@ class TestSimulate:
 
     def test_depth_rasters_do_not_outlive_their_frame(self, tmp_path, monkeypatch):
         # each frame's raster is written as soon as the frame is rendered, so
-        # by the time frame k is written every raster before frame k-1 is dead
-        refs, stale = [], []
-        write = cli.write_depth_map
+        # by the time a process writes a frame, every raster it made before
+        # its previous frame is dead; each process appends its counts to a file
+        refs, written = [], tmp_path / "stale"
+        write = pipeline.write_depth_map
 
         def write_and_track(dm, path):
-            stale.append(sum(ref() is not None for ref in refs[:-1]))
+            stale = sum(ref() is not None for ref in refs[:-1])
             refs.append(weakref.ref(dm))
+            with open(written, "a") as fh:
+                fh.write(f"{os.getpid()} {stale}\n")
             write(dm, path)
 
-        monkeypatch.setattr(cli, "write_depth_map", write_and_track)
+        monkeypatch.setattr(pipeline, "write_depth_map", write_and_track)
+        monkeypatch.setattr(pipeline, "_cpu_count", lambda: 2)
         cfg = write_config(tmp_path / "c.json")
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
-        assert stale == [0] * (int(3.0 / 0.1) + 1)
+        rows = [line.split() for line in written.read_text().splitlines()]
+        assert [stale for _, stale in rows] == ["0"] * (int(3.0 / 0.1) + 1)
+        assert len({pid for pid, _ in rows}) == 2
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "c.json"
@@ -384,8 +390,8 @@ class TestClosedLoop:
 
 
 class TestFanOut:
-    """train, predict-eval and closed-loop give the same bytes in one process
-    and in two, and leave no process behind."""
+    """Every command gives the same bytes in one process and in two, and
+    leaves no process behind."""
 
     @staticmethod
     def force_processes(monkeypatch, count: int):
@@ -442,6 +448,60 @@ class TestFanOut:
             assert not out.exists()
             assert capsys.readouterr().err == "error: run broke\n"
             self.assert_no_child_left()
+
+    # 31 frames each; a narrow camera sees no vehicle in simulate's frames 5-21,
+    # and set aside it misses the fuse-eval target in even and odd frames
+    SENSE_CONFIGS = {
+        "simulate": {"scenario": {"duration": 3.0, "neighbor_count": 2,
+                                  "potential_changer_count": 1, "accident_s": 100},
+                     "camera": {**SMALL_CAMERA, "focal_length": 0.02}},
+        "fuse-eval": {"camera": {**SMALL_CAMERA, "focal_length": 0.02, "mount_left": 1.5},
+                      "fuse_eval": {"frames": 31}},
+    }
+
+    def test_frames_give_identical_bytes_in_one_and_two_processes(self, tmp_path,
+                                                                  monkeypatch):
+        trees = {}
+        for count in (1, 2):
+            self.force_processes(monkeypatch, count)
+            for command, doc in self.SENSE_CONFIGS.items():
+                cfg = tmp_path / f"{command}.json"
+                cfg.write_text(json.dumps({"seeds": [1], **doc}))
+                out = tmp_path / f"cpus_{count}" / command
+                assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+                self.assert_no_child_left()
+            trees[count] = tree_bytes(tmp_path / f"cpus_{count}")
+        assert trees[1] == trees[2]
+        rasters = [data for name, data in trees[1].items() if name.endswith(".dpt")]
+        assert len(rasters) == 31
+        assert any(np.all(np.frombuffer(data[12:], "<f4") == 1000.0) for data in rasters)
+        assert any(np.any(np.frombuffer(data[12:], "<f4") < 1000.0) for data in rasters)
+        shown = {int(float(row["t"])) for row in read_rows(
+            tmp_path / "cpus_1" / "fuse-eval" / "seed_1" / "identifications.csv")}
+        assert {index % 2 for index in set(range(31)) - shown} == {0, 1}
+
+    @pytest.mark.parametrize("command", ["simulate", "fuse-eval"])
+    def test_a_frame_failing_in_a_helper_fails_as_the_serial_path_does(
+            self, tmp_path, monkeypatch, capsys, command):
+        real = sensing.DetectorNoiseModel.for_frame
+
+        def broken(noise, index):  # a helper renders the odd frames, frame 1 in both commands
+            if index % 2:
+                raise RuntimeError(f"frame {index} broke")
+            return real(noise, index)
+
+        monkeypatch.setattr(sensing.DetectorNoiseModel, "for_frame", broken)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"seeds": [1], **self.SENSE_CONFIGS[command]}))
+        errors = set()
+        for count in (1, 2):
+            self.force_processes(monkeypatch, count)
+            out = tmp_path / f"cpus_{count}"
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+            assert out.exists() == (command == "simulate")  # simulate writes as it runs
+            errors.add(capsys.readouterr().err)
+            self.assert_no_child_left()
+        assert errors == {"error: frame 1 broke\n"}
 
 
 class TestPreWriteFailures:

@@ -214,6 +214,8 @@ class TestFuseCorpus:
 
         monkeypatch.setattr(sensing.seeding, "rng_for", counted_rng)
         monkeypatch.setattr(fusion, "depth_evaluate", counted_evaluate)
+        # one process, so every frame is scored where the counts see it
+        monkeypatch.setattr(pipeline, "_cpu_count", lambda: 1)
         noise = DetectorNoiseModel(depth_noise_sigma=0.1, seed=4)
         result = build_fuse_corpus(FuseCorpusConfig(frames=40), CameraMount(), noise,
                                    FusionParams(), seed=4)

@@ -16,9 +16,10 @@ That digests this tree in-process and the other one in a subprocess, since
 both import `lanesight`, prints each line that differs (`-` the other tree,
 `+` this one) and exits 1 on any difference or failed command.
 
-`train`, `predict-eval` and `closed-loop` fan their runs out over the CPUs
-of the affinity mask, so run the comparison once more on one CPU, where
-every run happens in the calling process; both must report the same digest:
+Every command fans its runs (`train`, `predict-eval`, `closed-loop`) or its
+sensor frames (`simulate`, `fuse-eval`) out over the CPUs of the affinity
+mask, so run the comparison once more on one CPU, where every run and frame
+happens in the calling process; both must report the same digest:
 
     taskset -c 0 python3 tools/output_digest.py --against /path/to/parent
 
