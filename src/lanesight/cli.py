@@ -35,7 +35,6 @@ from .evaluation import (
 )
 from .pipeline import (
     REPORT_IOU,
-    CorpusResult,
     build_dataset,
     build_fuse_corpus,
     closed_loop_pair,
@@ -54,8 +53,8 @@ from .prediction import (
     write_dataset_csv,
     write_traces_csv,
 )
-from .scene import LOG_PERIOD, InfeasiblePlacement, build_scenario, grid_stride, \
-    write_maneuvers_csv, write_trajectory_csv
+from .scene import LOG_PERIOD, InfeasiblePlacement, grid_stride, write_maneuvers_csv, \
+    write_trajectory_csv
 from .sensing import write_detections_csv
 from .twinlink import ProbabilityOutOfRange, write_channel_csv
 
@@ -77,51 +76,60 @@ def _load_model_for(cfg: RunConfig, required: bool):
         raise ConfigError(f"model_path: cannot load {cfg.model_path!r}: {exc}") from exc
 
 
-def cmd_simulate(cfg: RunConfig, out: Path, model) -> int:
-    # record on the coarsest grid that holds every trajectory row and every frame
+def _simulate_runs(cfg: RunConfig, model) -> list:
+    """Each seed's (log, store), recorded on the coarsest grid that holds every
+    trajectory row and every frame; the rest of each run dies with it."""
     dt = cfg.scenario.dt_sim
     record_period = math.gcd(grid_stride(LOG_PERIOD, dt),
                              grid_stride(cfg.sensing.frame_period, dt)) * dt
+    runs = []
     for seed in cfg.seeds:
         art = simulate_run(replace(cfg.scenario, seed=seed), cfg.channel, model=model,
                            record_period=record_period)
+        runs.append((art.log, art.store))
+        del art  # its traces and the ego's bookkeeping die before the next run
+    return runs
+
+
+def cmd_simulate(cfg: RunConfig, out: Path, runs) -> int:
+    for seed, (log, store) in zip(cfg.seeds, runs):
         sdir = _seed_dir(out, seed)
-        write_trajectory_csv(art.log, sdir / "trajectory.csv")
-        write_maneuvers_csv(art.log.plans, sdir / "maneuvers.csv")
-        write_channel_csv(art.store, sdir / "twin_channel.csv")
+        write_trajectory_csv(log, sdir / "trajectory.csv")
+        write_maneuvers_csv(log.plans, sdir / "maneuvers.csv")
+        write_channel_csv(store, sdir / "twin_channel.csv")
         depth_dir = sdir / "depth"
         depth_dir.mkdir(exist_ok=True)
         detections = []  # (t, detections) per frame; each raster is written and dropped
-        if art.log.times[-1] > 0:
-            detections = sense_log(art.log, cfg.camera, replace(cfg.sensing, seed=seed),
+        if log.times[-1] > 0:
+            detections = sense_log(log, cfg.camera, replace(cfg.sensing, seed=seed),
                                    depth_dir)
         write_detections_csv(detections, sdir / "detections.csv")
-        del art  # one run alive at a time
     return 0
 
 
-def _draw_corpora(cfg: RunConfig) -> dict[int, CorpusResult]:
+def _draw_corpora(cfg: RunConfig) -> dict[int, tuple]:
     """Each seed's fuse-eval corpus; ConfigError on a seed whose frames never show the target."""
     corpora = {}
     for seed in cfg.seeds:
-        corpora[seed] = build_fuse_corpus(cfg.fuse_eval, cfg.camera,
-                                          replace(cfg.sensing, seed=seed), cfg.fusion, seed)
-        if corpora[seed].frame_count == 0:
+        rows, frames, overlap_pairs = build_fuse_corpus(
+            cfg.fuse_eval, cfg.camera, replace(cfg.sensing, seed=seed), cfg.fusion, seed)
+        if frames == 0:
             raise ConfigError(f"seed {seed}: no fuse-eval corpus frame shows the target")
+        corpora[seed] = rows, frames, overlap_pairs
     return corpora
 
 
-def cmd_fuse_eval(cfg: RunConfig, out: Path, corpora: dict[int, CorpusResult]) -> int:
-    for seed, result in corpora.items():
-        curves = identification_accuracy(result.scored, cfg.fuse_eval.thresholds)
+def cmd_fuse_eval(cfg: RunConfig, out: Path, corpora: dict[int, tuple]) -> int:
+    for seed, (rows, frames, overlap_pairs) in corpora.items():
+        curves = identification_accuracy(rows, cfg.fuse_eval.thresholds)
         sdir = _seed_dir(out, seed)
         write_curve_csv(curves, sdir / "curve.csv")
-        write_identifications_csv(result.scored, sdir / "identifications.csv")
+        write_identifications_csv(rows, sdir / "identifications.csv")
         fused_07 = curves["fused"].at(REPORT_IOU)
         base_07 = curves["baseline"].at(REPORT_IOU)
         summary = {
-            "frames": result.frame_count,
-            "overlap_pair_fraction": result.overlap_pair_frames / result.frame_count,
+            "frames": frames,
+            "overlap_pair_fraction": overlap_pairs / frames,
             "accuracy_fused_at_0.7": fused_07,
             "accuracy_baseline_at_0.7": base_07,
             "gap_at_0.7": fused_07 - base_07,
@@ -228,12 +236,11 @@ def main(argv=None) -> int:
             except ValueError as exc:
                 raise ConfigError(f"--seeds: {exc}") from exc
         needs_model = args.command in ("predict-eval", "closed-loop")
-        # what the command reads besides its config: simulate's model, or every
-        # other command's work done before its first write
+        # what the command writes from besides its config: the model, then the
+        # command's whole work, done before its first write
         given = _load_model_for(cfg, required=needs_model)
-        if args.command == "simulate":  # it writes each seed as it runs
-            for seed in cfg.seeds:
-                build_scenario(replace(cfg.scenario, seed=seed))
+        if args.command == "simulate":  # a placement or a model can fail in any run
+            given = _simulate_runs(cfg, given)
         elif args.command == "fuse-eval":  # whether a target shows depends on the draw
             given = _draw_corpora(cfg)
         elif args.command == "train":  # only the runs show whether both classes occur

@@ -17,24 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .fusion import IdentificationResult
-from .geometry import Box2D, iou
 from .scene import TrajectoryLog
-
-
-@dataclass(frozen=True)
-class ScoredFrame:
-    """An identification outcome plus the ground truth it is scored against."""
-
-    result: IdentificationResult
-    truth_box: Box2D
-    truth_id: int
-
-    @property
-    def iou(self) -> float:
-        """Overlap of the chosen box with the truth box; 0 on no match."""
-        chosen = self.result.chosen
-        return 0.0 if chosen is None else iou(chosen.box, self.truth_box)
 
 
 @dataclass(frozen=True)
@@ -58,13 +41,14 @@ class SafetyReport:
     trip_duration: float
 
 
-def identification_accuracy(scored: list[ScoredFrame],
-                            thresholds) -> dict[str, AccuracyCurve]:
-    """Per-method accuracy over IoU thresholds; no-match counts as incorrect."""
+def identification_accuracy(rows, thresholds) -> dict[str, AccuracyCurve]:
+    """Per-method accuracy over IoU thresholds, from identification rows
+    (t, method, chosen source id or None, IoU against the target's box,
+    candidate count); a no-match has IoU 0 and counts as incorrect."""
     thresholds = tuple(float(t) for t in thresholds)
     by_method: dict[str, list[float]] = {}
-    for frame in scored:
-        by_method.setdefault(frame.result.method, []).append(frame.iou)
+    for _, method, _, overlap, _ in rows:
+        by_method.setdefault(method, []).append(overlap)
     curves = {}
     for method, overlaps in by_method.items():
         arr = np.asarray(overlaps)
@@ -211,17 +195,16 @@ def write_curve_csv(curves: dict[str, AccuracyCurve], path):
             w.writerow([f"{th:.2f}", f"{acc_f:.6f}", f"{acc_b:.6f}"])
 
 
-def write_identifications_csv(scored: list[ScoredFrame], path):
-    """One row per scored frame: what was chosen and how well it overlaps."""
+def write_identifications_csv(rows, path):
+    """One line per identification row: what was chosen and how well it
+    overlaps the target, which is vehicle 1 in every corpus frame."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "method", "chosen_source_id", "gt_target_id",
                     "iou_vs_gt", "candidate_count"])
-        for frame in scored:
-            res = frame.result
-            w.writerow([f"{res.t:.2f}", res.method,
-                        "" if res.chosen is None else res.chosen.source_id,
-                        frame.truth_id, f"{frame.iou:.6f}", res.candidate_count])
+        for t, method, chosen, overlap, candidates in rows:
+            w.writerow([f"{t:.2f}", method, "" if chosen is None else chosen, 1,
+                        f"{overlap:.6f}", candidates])
 
 
 def write_safety_report_json(report: SafetyReport, path):

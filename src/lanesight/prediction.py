@@ -243,9 +243,11 @@ def train(dataset: list[LabeledSample], cfg: TrainConfig = TrainConfig()) -> Mlp
 
 
 def infer(model: MlpModel, features) -> float:
-    """Forward pass returning the lane-change probability."""
+    """Forward pass returning the lane-change probability. A model that
+    overflows gives NaN without a warning; the advisory's range check rejects it."""
     x = np.asarray(features, dtype=float)
-    prob, _ = _forward(model, model.standardize(x)[None, :])
+    with np.errstate(over="ignore", invalid="ignore"):
+        prob, _ = _forward(model, model.standardize(x)[None, :])
     return float(prob[0])
 
 

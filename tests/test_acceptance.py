@@ -86,10 +86,11 @@ def test_criterion_3_identification_accuracy_ordering():
     start = time.time()
     corpus = FuseCorpusConfig(frames=500)
     noise = DetectorNoiseModel(edge_jitter_sigma=2.0, depth_noise_sigma=0.1, seed=1)
-    result = build_fuse_corpus(corpus, CameraMount(), noise, FusionParams(), seed=1)
-    overlap_fraction = result.overlap_pair_frames / result.frame_count
+    rows, frames, overlap_pairs = build_fuse_corpus(corpus, CameraMount(), noise,
+                                                    FusionParams(), seed=1)
+    overlap_fraction = overlap_pairs / frames
     thresholds = (0.5, 0.6, 0.7, 0.8, 0.9)
-    curves = identification_accuracy(result.scored, thresholds)
+    curves = identification_accuracy(rows, thresholds)
     fused, base = curves["fused"], curves["baseline"]
     dominated = all(f >= b for f, b in zip(fused.accuracies, base.accuracies))
     gap = fused.at(0.7) - base.at(0.7)

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lanesight import cli, pipeline, sensing
 from lanesight.cli import main
@@ -480,6 +482,33 @@ class TestFanOut:
             tmp_path / "cpus_1" / "fuse-eval" / "seed_1" / "identifications.csv")}
         assert {index % 2 for index in set(range(31)) - shown} == {0, 1}
 
+    @settings(max_examples=4, deadline=None)
+    @given(frames=st.integers(1, 7), seed=st.integers(1, 1000))
+    @example(frames=2, seed=1)  # fewer frames than processes
+    @example(frames=5, seed=2)  # divisible by neither 2 nor 3
+    def test_any_process_count_gives_identical_bytes(self, tmp_path_factory, frames, seed):
+        # simulate renders one frame per 0.1 s of scenario, so both commands
+        # sense `frames` frames (simulate none when frames is 1)
+        docs = {"simulate": {"scenario": {"duration": (frames - 1) * 0.1, "neighbor_count": 2,
+                                          "potential_changer_count": 1},
+                             "camera": SMALL_CAMERA},
+                "fuse-eval": {"camera": SMALL_CAMERA, "fuse_eval": {"frames": frames}}}
+        root = tmp_path_factory.mktemp("fan_out")
+        trees = []
+        with pytest.MonkeyPatch.context() as mp:
+            for count in (1, 2, 3):
+                self.force_processes(mp, count)
+                for command, doc in docs.items():
+                    cfg = root / f"{command}.json"
+                    cfg.write_text(json.dumps({"seeds": [seed], **doc}))
+                    out = root / f"cpus_{count}" / command
+                    assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+                    self.assert_no_child_left()
+                trees.append(tree_bytes(root / f"cpus_{count}"))
+        assert trees[0] == trees[1] == trees[2]
+        rasters = sum(name.endswith(".dpt") for name in trees[0])
+        assert rasters == (frames if frames > 1 else 0)
+
     @pytest.mark.parametrize("command", ["simulate", "fuse-eval"])
     def test_a_frame_failing_in_a_helper_fails_as_the_serial_path_does(
             self, tmp_path, monkeypatch, capsys, command):
@@ -530,7 +559,7 @@ class TestPreWriteFailures:
         def fail(cfg):
             raise RuntimeError("placement broke")
 
-        monkeypatch.setattr(cli, "build_scenario", fail)
+        monkeypatch.setattr(pipeline, "build_scenario", fail)
         cfg = write_config(tmp_path / "c.json")
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
@@ -579,11 +608,12 @@ class TestPreWriteFailures:
         assert not out.exists()
         assert f"config error: {section}.{key}:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["predict-eval", "closed-loop"])
+    @pytest.mark.parametrize("command", ["predict-eval", "closed-loop", "simulate"])
     def test_a_model_giving_a_nan_probability_exits_2_before_any_write(self, tmp_path,
                                                                       capsys, command):
         # finite weights this large overflow the forward pass to NaN; the
-        # advisory used to fail with exit 3 after config.echo.json was written
+        # advisory used to fail with exit 3 after config.echo.json was written,
+        # and NumPy's overflow warnings reached stderr ahead of the message
         model_path = tmp_path / "huge.json"
         save_model(MlpModel(w1=np.full((2, FEATURE_SIZE), 1e308), b1=np.zeros(2),
                             w2=np.array([1.0, -1.0]), b2=0.0,
@@ -593,11 +623,13 @@ class TestPreWriteFailures:
         cfg.write_text(json.dumps({"scenario": {"duration": 5.0},
                                    "model_path": str(model_path)}))
         out = tmp_path / "out"
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would fail the run with exit 3
             assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
-        assert capsys.readouterr().err.startswith(
-            f"config error: model_path: {str(model_path)!r} gives a probability nan")
+        assert capsys.readouterr().err == (
+            f"config error: model_path: {str(model_path)!r} gives a probability nan "
+            "out of range\n")
 
     def test_train_on_one_class_exits_2_before_any_write(self, tmp_path, capsys):
         # no car changes lane within 3 s, so every sample is a negative; this

@@ -272,6 +272,6 @@ def test_a_rejected_corpus_camera_never_images_the_target(up, left, far, stagger
         assert "camera.mount_" in str(exc)
     corpus = FuseCorpusConfig(frames=40, target_range=(far - 1.0, far),
                               stagger_range=(0.0, stagger))
-    result = build_fuse_corpus(corpus, CameraMount(mount_up=up, mount_left=left),
-                               DetectorNoiseModel(seed=3), FusionParams(seed=3), seed=3)
-    assert result.frame_count == 0
+    _, frames, _ = build_fuse_corpus(corpus, CameraMount(mount_up=up, mount_left=left),
+                                     DetectorNoiseModel(seed=3), FusionParams(seed=3), seed=3)
+    assert frames == 0

@@ -3,25 +3,23 @@ import pytest
 
 from lanesight.evaluation import (
     SafetyReport,
-    ScoredFrame,
     accel_jerk_metrics,
     classification_metrics,
     compare_paired_runs,
     identification_accuracy,
     ttc_series,
 )
-from lanesight.fusion import IdentificationResult
-from lanesight.geometry import Box2D, PixelPoint
+from lanesight.geometry import Box2D, iou
 from lanesight.scene import LaneSpec, TrajectoryLog
-from lanesight.sensing import Detection
 
 LANES = LaneSpec()
 
 
-def scored(method, chosen_box, truth_box):
-    chosen = None if chosen_box is None else Detection(chosen_box, source_id=1)
-    res = IdentificationResult(0.0, chosen, method, PixelPoint(0, 0, 1), 1)
-    return ScoredFrame(res, truth_box, 1)
+def row(method, chosen_box, truth_box):
+    """An identification row: (t, method, chosen source id, IoU, candidate count)."""
+    if chosen_box is None:
+        return (0.0, method, None, 0.0, 1)
+    return (0.0, method, 1, iou(chosen_box, truth_box), 1)
 
 
 def shifted_box(base: Box2D, frac: float) -> Box2D:
@@ -33,13 +31,13 @@ def shifted_box(base: Box2D, frac: float) -> Box2D:
 class TestIdentificationAccuracy:
     def test_perfect_matches(self):
         box = Box2D(0, 0, 100, 60)
-        frames = [scored("fused", box, box) for _ in range(5)]
+        frames = [row("fused", box, box) for _ in range(5)]
         curves = identification_accuracy(frames, [0.5, 0.7, 0.9])
         assert curves["fused"].accuracies == (1.0, 1.0, 1.0)
 
     def test_all_no_match(self):
         box = Box2D(0, 0, 100, 60)
-        frames = [scored("baseline", None, box) for _ in range(4)]
+        frames = [row("baseline", None, box) for _ in range(4)]
         curves = identification_accuracy(frames, [0.5, 0.7])
         assert curves["baseline"].accuracies == (0.0, 0.0)
 
@@ -49,11 +47,11 @@ class TestIdentificationAccuracy:
         base = Box2D(0, 0, 100, 60)
         frames = []
         for _ in range(6):
-            frames.append(scored("fused", shifted_box(base, 1 / 19), base))  # IoU 0.9
+            frames.append(row("fused", shifted_box(base, 1 / 19), base))  # IoU 0.9
         for _ in range(2):
-            frames.append(scored("fused", shifted_box(base, 0.25), base))    # IoU 0.6
+            frames.append(row("fused", shifted_box(base, 0.25), base))    # IoU 0.6
         for _ in range(2):
-            frames.append(scored("fused", None, base))
+            frames.append(row("fused", None, base))
         curves = identification_accuracy(frames, [0.5, 0.7])
         assert curves["fused"].at(0.5) == pytest.approx(0.8)
         assert curves["fused"].at(0.7) == pytest.approx(0.6)
@@ -61,7 +59,7 @@ class TestIdentificationAccuracy:
     def test_monotone_in_threshold(self):
         rng = np.random.default_rng(3)
         base = Box2D(0, 0, 100, 60)
-        frames = [scored("fused", shifted_box(base, rng.uniform(0, 0.9)), base)
+        frames = [row("fused", shifted_box(base, rng.uniform(0, 0.9)), base)
                   for _ in range(60)]
         curves = identification_accuracy(frames, np.arange(0.1, 1.0, 0.1))
         accs = curves["fused"].accuracies

@@ -176,27 +176,20 @@ class TestFuseCorpus:
         noise = DetectorNoiseModel(seed=5)
         a = build_fuse_corpus(corpus, CameraMount(), noise, FusionParams(), seed=5)
         b = build_fuse_corpus(corpus, CameraMount(), noise, FusionParams(), seed=5)
-        assert a.frame_count == b.frame_count
-        for fa, fb in zip(a.scored, b.scored):
-            assert fa.result.method == fb.result.method
-            assert fa.result.candidate_count == fb.result.candidate_count
-            if fa.result.chosen is None:
-                assert fb.result.chosen is None
-            else:
-                assert fa.result.chosen.box == fb.result.chosen.box
+        assert a == b  # every row, IoU included, and both counts
+        assert len(a[0]) == 2 * a[1] > 0
 
     def test_fused_and_baseline_agree_on_unique_candidates(self):
         corpus = FuseCorpusConfig(frames=120)
         noise = DetectorNoiseModel(seed=2)
-        result = build_fuse_corpus(corpus, CameraMount(), noise, FusionParams(),
-                                   seed=2)
+        rows, _, _ = build_fuse_corpus(corpus, CameraMount(), noise, FusionParams(), seed=2)
         by_frame = {}
-        for frame in result.scored:
-            by_frame.setdefault(frame.result.t, {})[frame.result.method] = frame.result
+        for row in rows:
+            by_frame.setdefault(row[0], {})[row[1]] = row
         for methods in by_frame.values():
             fused, base = methods["fused"], methods["baseline"]
-            if fused.candidate_count == 1:
-                assert base.chosen == fused.chosen
+            if fused[4] == 1:  # one candidate
+                assert base[2:] == fused[2:]  # chosen source id, IoU, candidate count
 
     def test_depth_is_painted_only_for_frames_that_read_it(self, monkeypatch):
         # only a fused identification with several candidates reads the raster,
@@ -217,17 +210,32 @@ class TestFuseCorpus:
         # one process, so every frame is scored where the counts see it
         monkeypatch.setattr(pipeline, "_cpu_count", lambda: 1)
         noise = DetectorNoiseModel(depth_noise_sigma=0.1, seed=4)
-        result = build_fuse_corpus(FuseCorpusConfig(frames=40), CameraMount(), noise,
-                                   FusionParams(), seed=4)
+        _, frames, _ = build_fuse_corpus(FuseCorpusConfig(frames=40), CameraMount(), noise,
+                                         FusionParams(), seed=4)
         painted = streams.count(seeding.DEPTH)
-        assert 0 < painted == len(evaluated) < result.frame_count
+        assert 0 < painted == len(evaluated) < frames
+
+    def test_rows_hold_only_plain_values(self):
+        # what a helper pickles back: no lanesight or NumPy object crosses the pipe
+        corpus = FuseCorpusConfig(frames=40, overlap_fraction=1.0, clutter_max=4)
+        shown = [frame for frame in pipeline._score_part(
+            corpus, CameraMount(), DetectorNoiseModel(seed=6), FusionParams(), 6, 0, 1)
+            if frame is not None]
+        assert shown
+        for overlaps, rows in shown:
+            assert type(overlaps) is bool
+            assert [row[1] for row in rows] == ["fused", "baseline"]
+            for row in rows:
+                assert type(row) is tuple and len(row) == 5
+                assert all(type(value) in (str, int, float, type(None)) for value in row)
+        chosen = {type(row[2]) for _, rows in shown for row in rows}
+        assert chosen == {int, type(None)}
 
     def test_accuracy_monotone_in_threshold(self):
         corpus = FuseCorpusConfig(frames=150)
         noise = DetectorNoiseModel(seed=3)
-        result = build_fuse_corpus(corpus, CameraMount(), noise, FusionParams(),
-                                   seed=3)
-        curves = identification_accuracy(result.scored, np.arange(0.3, 1.0, 0.05))
+        rows, _, _ = build_fuse_corpus(corpus, CameraMount(), noise, FusionParams(), seed=3)
+        curves = identification_accuracy(rows, np.arange(0.3, 1.0, 0.05))
         for curve in curves.values():
             accs = curve.accuracies
             assert all(b <= a + 1e-12 for a, b in zip(accs, accs[1:]))
@@ -312,7 +320,8 @@ class TestOneRunAlive:
         assert len(runs) == 3
 
     def test_cmd_simulate(self, runs, tmp_path):
-        assert cli.cmd_simulate(self.run_config(), tmp_path, None) == 0
+        cfg = self.run_config()
+        assert cli.cmd_simulate(cfg, tmp_path, cli._simulate_runs(cfg, None)) == 0
         assert len(runs) == 2
 
     def test_cmd_predict_eval(self, runs, tmp_path, model):

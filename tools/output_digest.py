@@ -30,7 +30,10 @@ channel that publishes every 0.2 s with 0.25 s latency (so the guided run's
 twin queries and advisories see stale rows off the default grid),
 `simulate` with the trained model (6 s, so its 960x540 rasters take about
 130 MB), `simulate` on the 48-neighbour scene (3 s: 31 rasters of 50 bodies
-each, about 65 MB), and `fuse-eval`.
+each, about 65 MB), `simulate` on two seeds of 2 s each (every seed runs
+before the first write), `fuse-eval` on the default corpus, and `fuse-eval`
+on two seeds of 300 frames that all hold an overlapping pair and up to four
+clutter cars, so many frames have several candidates.
 """
 from __future__ import annotations
 
@@ -57,7 +60,10 @@ RUNS = (
      "loop_latency"),
     ("simulate", {**MODEL, "scenario": {"duration": 6.0}}, "1", "sim"),
     ("simulate", {"scenario": {**DENSE, "duration": 3.0}}, "42", "sim_dense"),
+    ("simulate", {"scenario": {"duration": 2.0}}, "1,2", "sim_seeds"),
     ("fuse-eval", {}, "1", "fuse"),
+    ("fuse-eval", {"fuse_eval": {"frames": 300, "overlap_fraction": 1.0, "clutter_max": 4}},
+     "1,2", "fuse_crowded"),
 )
 
 
