@@ -20,9 +20,15 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
+
+# One BLAS thread unless the user sets one, before NumPy loads: runs and frames
+# fan out over the CPUs, and an idle BLAS pool in the caller slows its helpers.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 from .config import ConfigError, RunConfig, load_config, write_echo
 from .evaluation import (
@@ -78,17 +84,12 @@ def _load_model_for(cfg: RunConfig, required: bool):
 
 def _simulate_runs(cfg: RunConfig, model) -> list:
     """Each seed's (log, store), recorded on the coarsest grid that holds every
-    trajectory row and every frame; the rest of each run dies with it."""
+    trajectory row and every frame."""
     dt = cfg.scenario.dt_sim
     record_period = math.gcd(grid_stride(LOG_PERIOD, dt),
                              grid_stride(cfg.sensing.frame_period, dt)) * dt
-    runs = []
-    for seed in cfg.seeds:
-        art = simulate_run(replace(cfg.scenario, seed=seed), cfg.channel, model=model,
-                           record_period=record_period)
-        runs.append((art.log, art.store))
-        del art  # its traces and the ego's bookkeeping die before the next run
-    return runs
+    return [simulate_run(replace(cfg.scenario, seed=seed), cfg.channel, model=model,
+                         record_period=record_period) for seed in cfg.seeds]
 
 
 def cmd_simulate(cfg: RunConfig, out: Path, runs) -> int:
@@ -99,10 +100,8 @@ def cmd_simulate(cfg: RunConfig, out: Path, runs) -> int:
         write_channel_csv(store, sdir / "twin_channel.csv")
         depth_dir = sdir / "depth"
         depth_dir.mkdir(exist_ok=True)
-        detections = []  # (t, detections) per frame; each raster is written and dropped
-        if log.times[-1] > 0:
-            detections = sense_log(log, cfg.camera, replace(cfg.sensing, seed=seed),
-                                   depth_dir)
+        # (t, detections) per frame; each raster is written and dropped
+        detections = sense_log(log, cfg.camera, replace(cfg.sensing, seed=seed), depth_dir)
         write_detections_csv(detections, sdir / "detections.csv")
     return 0
 
@@ -168,17 +167,15 @@ def cmd_predict_eval(cfg: RunConfig, out: Path, runs) -> int:
     for seed, (traces, plans) in zip(cfg.seeds, runs):
         rows = []
         for vid in sorted(traces):
-            trace = traces[vid]
-            agg = aggressive_filter(trace, cfg.filters.tau_a)
-            cons = conservative_filter(trace, cfg.filters.tau_c, cfg.filters.thres)
-            truth = ground_truth_bits(trace, plans, cfg.window.tau)
-            for name, filtered in (("raw", trace), ("aggressive", agg),
-                                   ("conservative", cons)):
-                combined[name][0].extend(filtered.binary.tolist())
+            times, probs, raw = traces[vid]
+            agg = aggressive_filter(raw, cfg.filters.tau_a)
+            cons = conservative_filter(raw, cfg.filters.tau_c, cfg.filters.thres)
+            truth = ground_truth_bits(vid, times, plans, cfg.window.tau)
+            for name, bits in (("raw", raw), ("aggressive", agg), ("conservative", cons)):
+                combined[name][0].extend(bits.tolist())
                 combined[name][1].extend(truth.tolist())
-            for i, t in enumerate(trace.times):
-                rows.append((vid, t, trace.probabilities[i], int(trace.binary[i]),
-                             int(agg.binary[i]), int(cons.binary[i])))
+            rows.extend((vid, *row) for row in zip(times.tolist(), probs.tolist(),
+                                                   raw.tolist(), agg.tolist(), cons.tolist()))
         write_traces_csv(rows, _seed_dir(out, seed) / "traces.csv")
     metrics = {}
     for name, (pred, truth) in combined.items():

@@ -4,7 +4,8 @@ The closed-loop runner owns the cadence logic: the scene is recorded on the
 grid its log is read at, vehicle states publish to the twin store every
 channel period, the classifier infers per neighbor once per second from twin
 snapshots, advisories publish back on the same channel, and the ego's
-guidance view refreshes every guidance tick subject to latency.
+guidance view refreshes every guidance tick subject to latency. The store is
+the one home of a run's predictions; `_traced` reads them for predict-eval.
 
 Work that never reads other work of its kind (a closed-loop pair's two legs,
 the seeds of a training set or of a held-out evaluation, the sensor frames of
@@ -27,12 +28,11 @@ from .evaluation import SafetyReport, safety_report
 from .fusion import FusionParams, identify
 from .geometry import Camera, CameraExtrinsics, CameraIntrinsics, WorldPoint, iou
 from .params import DRAW_BOUND, FRACTION, POSITIVE, check_fields, rule
-from .prediction import MlpModel, PredictionTrace, TrainConfig, WindowParams, \
-    features_from_states, infer, label_windows, nonchanger_negatives
+from .prediction import MlpModel, TrainConfig, WindowParams, features_from_states, infer, \
+    label_windows, nonchanger_negatives
 from .scene import (
     CAR_DIMS,
     LOG_PERIOD,
-    EgoMemory,
     LaneSpec,
     ManeuverPlan,
     ScenarioConfig,
@@ -46,11 +46,11 @@ from .scene import (
 )
 from .sensing import Detection, DetectorNoiseModel, SensorFrame, emulate_detections, \
     render_depth_map, render_truth_boxes, write_depth_map
-from .twinlink import ChannelConfig, CloudAdvisory, NoData, TwinRecord, TwinStore, \
+from .twinlink import ChannelConfig, NoData, TwinRecord, TwinStore, \
     gnss_distance, publish, publish_advisory, query_advisory, query_target
 
 INFER_PERIOD = 1.0  # seconds between per-vehicle predictions
-DECISION_THRESHOLD = 0.5  # a traced probability at or above this sets the trace bit
+DECISION_THRESHOLD = 0.5  # an advisory's probability at or above this sets its bit
 REPORT_IOU = 0.7  # fuse-eval summaries report accuracy at this IoU threshold
 ABREAST_OFFSET = (0.05, 0.3)  # fuse-eval: an abreast target's offset from the lane center
 # the most frames a fuse-eval corpus may draw: on a 2-vCPU Xeon host about
@@ -115,14 +115,6 @@ def _by_frame(fn, frames: int, *args) -> list:
     return rows
 
 
-@dataclass
-class RunArtifacts:
-    log: TrajectoryLog
-    store: TwinStore
-    traces: dict[int, PredictionTrace]
-    memory: EgoMemory  # not the Scenario, so its columns die when the run returns
-
-
 def _twin_snapshot(store: TwinStore, t: float, channel: ChannelConfig,
                    lanes: LaneSpec) -> list[VehicleState]:
     states = []
@@ -141,8 +133,9 @@ def _twin_snapshot(store: TwinStore, t: float, channel: ChannelConfig,
 
 def simulate_run(cfg: ScenarioConfig, channel: ChannelConfig = ChannelConfig(),
                  model: MlpModel | None = None,
-                 record_period: float = LOG_PERIOD) -> RunArtifacts:
-    """Run one scenario; with a model, predictions flow over the twin channel."""
+                 record_period: float = LOG_PERIOD) -> tuple[TrajectoryLog, TwinStore]:
+    """Run one scenario: its log, recorded every record_period, and its twin store,
+    where a model's predictions flow. The Scenario dies on return."""
     scn = build_scenario(cfg)
     store = TwinStore()
     n_steps = int(round(cfg.duration / cfg.dt_sim))
@@ -150,8 +143,6 @@ def simulate_run(cfg: ScenarioConfig, channel: ChannelConfig = ChannelConfig(),
     publish_stride = grid_stride(channel.publish_period, cfg.dt_sim)
     infer_stride = grid_stride(INFER_PERIOD, cfg.dt_sim)
     guided = cfg.driver.policy == "guided"
-
-    car_ids = sorted(v.id for v in scn.vehicles if v.kind == "car")
     guidance: dict[int, float] = {}
 
     for k in range(n_steps + 1):
@@ -167,25 +158,13 @@ def simulate_run(cfg: ScenarioConfig, channel: ChannelConfig = ChannelConfig(),
                 for subject in snapshot:
                     if subject.kind == "car":
                         feats = features_from_states(index, subject, cfg.lanes.lane_count)
-                        prob = infer(model, feats)
-                        publish_advisory(store, CloudAdvisory(subject.id, prob, t))
+                        publish_advisory(store, subject.id, infer(model, feats), t)
             if guided:
-                guidance = {}
-                for vid in car_ids:
-                    adv = query_advisory(store, vid, t, channel)
-                    if adv is not None:
-                        guidance[vid] = adv.lane_change_probability
+                guidance = {vid: prob for vid in store.advisories  # the cars
+                            if (prob := query_advisory(store, vid, t, channel)) is not None}
         if k < n_steps:
             step(scn, guidance if guided else None)
-
-    traces = {}
-    for vid in car_ids:
-        advisories = store.advisories.get(vid)
-        if advisories:
-            probs = np.array([a.lane_change_probability for a in advisories])
-            traces[vid] = PredictionTrace(vid, np.array([a.issued_t for a in advisories]),
-                                          probs, (probs >= DECISION_THRESHOLD).astype(int))
-    return RunArtifacts(scn.build_log(record_period), store, traces, scn.memory)
+    return scn.build_log(record_period), store
 
 
 def render_frames(log: TrajectoryLog, mount: CameraMount, noise: DetectorNoiseModel,
@@ -233,7 +212,7 @@ def sense_log(log: TrajectoryLog, mount: CameraMount, noise: DetectorNoiseModel,
 
 def _samples(cfg: ScenarioConfig, window: WindowParams, channel: ChannelConfig,
              include_nonchangers: bool):
-    log = simulate_run(cfg, channel).log
+    log, _ = simulate_run(cfg, channel)
     events = extract_lane_changes(log)
     samples = label_windows(events, log, window)
     if include_nonchangers:
@@ -256,8 +235,14 @@ def build_dataset(cfg: ScenarioConfig, window: WindowParams, seeds,
 
 
 def _traced(cfg: ScenarioConfig, channel: ChannelConfig, model: MlpModel):
-    art = simulate_run(cfg, channel, model=model)
-    return art.traces, art.log.plans
+    """{car id: (issued times, probabilities, probability >= DECISION_THRESHOLD)}
+    off the run's advisory columns, and its maneuver plans."""
+    log, store = simulate_run(cfg, channel, model=model)
+    traces = {}
+    for vid, cols in store.advisories.items():
+        times, probs = np.array(cols[0]), np.array(cols[1])
+        traces[vid] = times, probs, (probs >= DECISION_THRESHOLD).astype(int)
+    return traces, log.plans
 
 
 def prediction_runs(cfg: ScenarioConfig, model: MlpModel, seeds,
@@ -267,20 +252,20 @@ def prediction_runs(cfg: ScenarioConfig, model: MlpModel, seeds,
                                model) for seed in seeds])
 
 
-def ground_truth_bits(trace: PredictionTrace, events: list[ManeuverPlan],
+def ground_truth_bits(vehicle_id: int, times: np.ndarray, events: list[ManeuverPlan],
                       tau: float) -> np.ndarray:
-    """Per-timestep labels consistent with the positive labeling window."""
-    bits = np.zeros(len(trace.times), dtype=int)
+    """Labels of the vehicle's trace times, consistent with the positive labeling window."""
+    bits = np.zeros(len(times), dtype=int)
     for event in events:
-        if event.vehicle_id != trace.vehicle_id:
+        if event.vehicle_id != vehicle_id:
             continue
         lo, hi = event.t_end - tau, event.t_end
-        bits |= ((trace.times >= lo - 1e-9) & (trace.times <= hi + 1e-9)).astype(int)
+        bits |= ((times >= lo - 1e-9) & (times <= hi + 1e-9)).astype(int)
     return bits
 
 
 def _leg(cfg: ScenarioConfig, channel: ChannelConfig, model: MlpModel | None):
-    log = simulate_run(cfg, channel, model=model).log
+    log, _ = simulate_run(cfg, channel, model=model)
     return safety_report(log, log.ego_id)
 
 
@@ -289,7 +274,7 @@ def closed_loop_pair(cfg: ScenarioConfig, model: MlpModel, seed: int,
         -> tuple[SafetyReport, SafetyReport]:
     """Guided and baseline reports for one seed on identical scenarios.
 
-    Each run's artifacts die with its report, before the next run in its
+    Each run's log and store die with its report, before the next run in its
     process starts.
     """
     legs = [(replace(cfg, seed=seed).with_policy(policy), channel, run_model)

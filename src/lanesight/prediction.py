@@ -11,7 +11,8 @@ the snapshot's owner builds once and hands to every subject in it:
 
 The classifier is a deliberately small input-hidden-output network trained
 with seeded mini-batch gradient descent on standardized features; training
-and inference are deterministic given the seed.
+and inference are deterministic given the seed. The filters smooth one car's
+0/1 prediction bits, thresholded off the twin store by ``pipeline._traced``.
 """
 from __future__ import annotations
 
@@ -52,14 +53,6 @@ class LabeledSample:
     label: int
     t: float
     vehicle_id: int
-
-
-@dataclass
-class PredictionTrace:
-    vehicle_id: int
-    times: np.ndarray
-    probabilities: np.ndarray
-    binary: np.ndarray
 
 
 def features_from_states(index, subject: VehicleState, lane_count: int) -> np.ndarray:
@@ -179,9 +172,9 @@ def _sigmoid(z):
 
 
 def _forward(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The logits and the rectified hidden layer of standardized inputs x."""
     hidden = np.maximum(x @ model.w1.T + model.b1, 0.0)
-    prob = _sigmoid(hidden @ model.w2 + model.b2)
-    return prob, hidden
+    return hidden @ model.w2 + model.b2, hidden
 
 
 def loss_and_gradients(model: MlpModel, x: np.ndarray, y: np.ndarray):
@@ -191,8 +184,7 @@ def loss_and_gradients(model: MlpModel, x: np.ndarray, y: np.ndarray):
     at saturation and differentiates exactly to the (p - y) error term.
     """
     n = len(y)
-    hidden = np.maximum(x @ model.w1.T + model.b1, 0.0)
-    z = hidden @ model.w2 + model.b2
+    z, hidden = _forward(model, x)
     prob = _sigmoid(z)
     loss = float(np.mean(np.logaddexp(0.0, z) - y * z))
     delta = (prob - y) / n
@@ -244,10 +236,10 @@ def train(dataset: list[LabeledSample], cfg: TrainConfig = TrainConfig()) -> Mlp
 
 def infer(model: MlpModel, features) -> float:
     """Forward pass returning the lane-change probability. A model that
-    overflows gives NaN without a warning; the advisory's range check rejects it."""
+    overflows gives NaN without a warning; ``twinlink.publish_advisory`` rejects it."""
     x = np.asarray(features, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        prob, _ = _forward(model, model.standardize(x)[None, :])
+        prob = _sigmoid(_forward(model, model.standardize(x)[None, :])[0])
     return float(prob[0])
 
 
@@ -263,27 +255,24 @@ class FilterParams:
         check_fields(self)
 
 
-def aggressive_filter(trace: PredictionTrace, tau_a: int) -> PredictionTrace:
-    """Propagate each positive prediction over the following tau_a timesteps."""
-    raw = trace.binary
-    out = np.zeros_like(raw)
-    n = len(raw)
+def aggressive_filter(bits: np.ndarray, tau_a: int) -> np.ndarray:
+    """0/1 bits with each positive propagated over the following tau_a timesteps."""
+    out = np.zeros_like(bits)
+    n = len(bits)
     for t in range(n):
-        if raw[t] == 1:
+        if bits[t] == 1:
             out[t:min(t + tau_a + 1, n)] = 1
-    return PredictionTrace(trace.vehicle_id, trace.times, trace.probabilities, out)
+    return out
 
 
-def conservative_filter(trace: PredictionTrace, tau_c: int,
-                        thres: float) -> PredictionTrace:
-    """Positive only where the trailing (tau_c + 1)-wide mean exceeds thres."""
-    raw = trace.binary
-    out = np.zeros_like(raw)
-    for t in range(tau_c, len(raw)):
-        window = raw[t - tau_c:t + 1]
-        if window.mean() > thres:
+def conservative_filter(bits: np.ndarray, tau_c: int, thres: float) -> np.ndarray:
+    """0/1 bits, positive only where the trailing (tau_c + 1)-wide mean of the
+    input bits exceeds thres."""
+    out = np.zeros_like(bits)
+    for t in range(tau_c, len(bits)):
+        if bits[t - tau_c:t + 1].mean() > thres:
             out[t] = 1
-    return PredictionTrace(trace.vehicle_id, trace.times, trace.probabilities, out)
+    return out
 
 
 def save_model(model: MlpModel, path):

@@ -8,6 +8,9 @@ A vehicle's history is five typed columns, ``array("d")`` of publish time t
 and the body centroid's x, y, z and the speed v, one row per publish, 8 B
 per value. A publish appends one row; a query bisects the t column and
 builds a ``TwinRecord`` only for the row it returns.
+
+Lane-change predictions come back on the same channel and live only here:
+each car's advisories are two such columns, issued time and probability.
 """
 from __future__ import annotations
 
@@ -46,22 +49,10 @@ class ProbabilityOutOfRange(ValueError):
     """An advisory's probability is not in [0, 1]: NaN from an overflowing model."""
 
 
-@dataclass(frozen=True, slots=True)
-class CloudAdvisory:
-    target_id: int
-    lane_change_probability: float
-    issued_t: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.lane_change_probability <= 1.0:
-            raise ProbabilityOutOfRange(f"probability {self.lane_change_probability} "
-                                        "out of range")
-
-
 @dataclass
 class TwinStore:
     records: dict[int, tuple[array, ...]] = field(default_factory=dict)  # t, x, y, z, v
-    advisories: dict[int, list[CloudAdvisory]] = field(default_factory=dict)
+    advisories: dict[int, tuple[array, array]] = field(default_factory=dict)  # t, p
     meta: dict[int, tuple[str, float]] = field(default_factory=dict)  # kind, length
 
 
@@ -92,17 +83,22 @@ def query_target(store: TwinStore, vehicle_id: int, t: float,
     return TwinRecord(vehicle_id, WorldPoint(xs[i], ys[i], zs[i]), vs[i], ts[i])
 
 
-def publish_advisory(store: TwinStore, advisory: CloudAdvisory):
-    store.advisories.setdefault(advisory.target_id, []).append(advisory)
+def publish_advisory(store: TwinStore, vehicle_id: int, probability: float, t: float):
+    """Append the vehicle's lane-change probability issued at t; ProbabilityOutOfRange,
+    before any write, unless it lies in [0, 1]."""
+    if not 0.0 <= probability <= 1.0:
+        raise ProbabilityOutOfRange(f"probability {probability} out of range")
+    cols = store.advisories.setdefault(vehicle_id, (array("d"), array("d")))
+    cols[0].append(t)
+    cols[1].append(probability)
 
 
 def query_advisory(store: TwinStore, vehicle_id: int, t: float,
-                   cfg: ChannelConfig) -> CloudAdvisory | None:
-    """Latest advisory visible at time t, or None before the first delivery."""
-    history = store.advisories.get(vehicle_id, [])
-    bound = t - cfg.latency
-    idx = bisect_right(history, bound + 1e-12, key=lambda a: a.issued_t)
-    return history[idx - 1] if idx else None
+                   cfg: ChannelConfig) -> float | None:
+    """The latest advisory's probability visible at time t, or None before the first."""
+    cols = store.advisories.get(vehicle_id)
+    i = bisect_right(cols[0], t - cfg.latency + 1e-12) if cols is not None else 0
+    return cols[1][i - 1] if i else None
 
 
 def gnss_distance(ego_camera_position: WorldPoint, twin: TwinRecord) -> float:
@@ -116,13 +112,12 @@ def gnss_distance(ego_camera_position: WorldPoint, twin: TwinRecord) -> float:
 def write_channel_csv(store: TwinStore, path):
     rows = []
     for vid, cols in store.records.items():
-        advisories = store.advisories.get(vid, [])
-        issued = [a.issued_t for a in advisories]
+        issued, probs = store.advisories.get(vid, ((), ()))
         for t, x, y, z, v in zip(*cols):
             prob = ""
             idx = bisect_right(issued, t + 1e-12)
             if idx:
-                prob = f"{advisories[idx - 1].lane_change_probability:.6f}"
+                prob = f"{probs[idx - 1]:.6f}"
             rows.append((t, vid, x, y, z, v, prob))
     rows.sort(key=lambda r: (r[0], r[1]))
     with open(path, "w", newline="") as fh:

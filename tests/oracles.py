@@ -511,3 +511,14 @@ def query_target(records: dict, vehicle_id: int, t: float, cfg) -> TwinRecord:
     if idx == 0:
         raise NoData(f"no record for vehicle {vehicle_id} at or before t={bound:.3f}")
     return history[idx - 1]
+
+
+# Linear-scan reference of the advisory query: advisories maps id -> a list of
+# (issued t, probability) in issue order; the answer is the probability of the
+# last one issued at or before t - latency, or None.
+def query_advisory(advisories: dict, vehicle_id: int, t: float, cfg) -> float | None:
+    seen = None
+    for issued, probability in advisories.get(vehicle_id, []):
+        if issued <= t - cfg.latency + 1e-12:
+            seen = probability
+    return seen

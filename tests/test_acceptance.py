@@ -18,7 +18,6 @@ from lanesight.prediction import (
     FEATURE_SIZE,
     LabeledSample,
     MlpModel,
-    PredictionTrace,
     TrainConfig,
     WindowParams,
     aggressive_filter,
@@ -40,16 +39,10 @@ def report(number: int, ok: bool, detail: str):
     assert ok, f"criterion {number}: {detail}"
 
 
-def trace_of(bits):
-    arr = np.asarray(bits, dtype=int)
-    return PredictionTrace(1, np.arange(len(arr), dtype=float),
-                           arr.astype(float), arr)
-
-
 def test_criterion_1_printed_filter_columns():
-    raw = trace_of([0, 0, 0, 1, 0, 0, 0, 1])
-    aggressive = aggressive_filter(raw, tau_a=3).binary.tolist()
-    conservative = conservative_filter(raw, tau_c=3, thres=0.5).binary.tolist()
+    raw = np.array([0, 0, 0, 1, 0, 0, 0, 1])
+    aggressive = aggressive_filter(raw, tau_a=3).tolist()
+    conservative = conservative_filter(raw, tau_c=3, thres=0.5).tolist()
     ok = aggressive == [0, 0, 0, 1, 1, 1, 1, 1] and conservative == [0] * 8
     report(1, ok, f"aggressive={aggressive} conservative={conservative}")
 

@@ -74,6 +74,13 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
         rows = read_rows(out / "seed_1" / "trajectory.csv")
         assert len(rows) == 3  # initial state only: ego + two trucks
+        # the one frame, at t = 0, as round(duration / frame_period) + 1 frames gives
+        rasters = sorted((out / "seed_1" / "depth").iterdir())
+        assert [p.name for p in rasters] == ["frame_00000.dpt"]
+        assert rasters[0].stat().st_size == 12 + 4 * SMALL_CAMERA["width"] * SMALL_CAMERA["height"]
+        detections = read_rows(out / "seed_1" / "detections.csv")
+        assert sorted((row["t"], row["source_id"]) for row in detections) == [
+            ("0.00", "1"), ("0.00", "2")]  # both trucks, ahead of the ego
 
     def test_malformed_config_no_partial_outputs(self, tmp_path):
         # besides the bad JSON, each document used to pass validation and fail
@@ -190,7 +197,8 @@ class TestSimulate:
         cfg = write_config(tmp_path / "c.json", seeds=[2], scenario={"duration": 7.0})
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
-        plans = simulate_run(replace(load_config(cfg).scenario, seed=2)).log.plans
+        log, _ = simulate_run(replace(load_config(cfg).scenario, seed=2))
+        plans = log.plans
         assert plans
         assert read_rows(out / "seed_2" / "maneuvers.csv") == [
             {"id": str(p.vehicle_id), "t_start": f"{p.t_start:.3f}",
@@ -487,8 +495,8 @@ class TestFanOut:
     @example(frames=2, seed=1)  # fewer frames than processes
     @example(frames=5, seed=2)  # divisible by neither 2 nor 3
     def test_any_process_count_gives_identical_bytes(self, tmp_path_factory, frames, seed):
-        # simulate renders one frame per 0.1 s of scenario, so both commands
-        # sense `frames` frames (simulate none when frames is 1)
+        # simulate renders one frame per 0.1 s of scenario and one at t = 0,
+        # so both commands sense `frames` frames
         docs = {"simulate": {"scenario": {"duration": (frames - 1) * 0.1, "neighbor_count": 2,
                                           "potential_changer_count": 1},
                              "camera": SMALL_CAMERA},
@@ -507,7 +515,7 @@ class TestFanOut:
                 trees.append(tree_bytes(root / f"cpus_{count}"))
         assert trees[0] == trees[1] == trees[2]
         rasters = sum(name.endswith(".dpt") for name in trees[0])
-        assert rasters == (frames if frames > 1 else 0)
+        assert rasters == frames
 
     @pytest.mark.parametrize("command", ["simulate", "fuse-eval"])
     def test_a_frame_failing_in_a_helper_fails_as_the_serial_path_does(

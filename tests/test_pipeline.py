@@ -11,6 +11,7 @@ from lanesight.config import resolve_config
 from lanesight.evaluation import identification_accuracy
 from lanesight.fusion import FusionParams
 from lanesight.pipeline import (
+    DECISION_THRESHOLD,
     CameraMount,
     FuseCorpusConfig,
     build_dataset,
@@ -21,9 +22,10 @@ from lanesight.pipeline import (
     render_frames,
     simulate_run,
 )
-from lanesight.prediction import PredictionTrace, TrainConfig, WindowParams, train
+from lanesight.prediction import TrainConfig, WindowParams, train
 from lanesight.scene import LOG_PERIOD, ManeuverPlan, ScenarioConfig
 from lanesight.sensing import DetectorNoiseModel
+from lanesight.twinlink import ChannelConfig
 
 
 def small_cfg(**kw):
@@ -35,24 +37,25 @@ def small_cfg(**kw):
 
 class TestSimulateRun:
     def test_publish_cadence(self):
-        art = simulate_run(small_cfg(duration=3.0))
-        times = art.store.records[0][0]  # the ego's publish times
+        _, store = simulate_run(small_cfg(duration=3.0))
+        times = store.records[0][0]  # the ego's publish times
         assert len(times) == 31  # t = 0.0 .. 3.0 inclusive at 0.1 s
         assert list(times) == pytest.approx(list(np.arange(31) * 0.1))
 
-    def test_traces_only_with_model(self):
-        art = simulate_run(small_cfg(duration=2.0))
-        assert art.traces == {}
+    def test_advisories_only_with_model(self):
+        _, store = simulate_run(small_cfg(duration=2.0))
+        assert store.advisories == {}
 
     def test_trace_cadence_with_model(self):
         data = build_dataset(small_cfg(duration=16.0), WindowParams(sample_rate=1.0),
                              seeds=[31, 32, 33])
         model = train(data, TrainConfig(hidden=8, epochs=20))
-        art = simulate_run(small_cfg(duration=5.0), model=model)
-        for vid, trace in art.traces.items():
-            assert art.log.kind_of(vid) == "car"
-            assert trace.times.tolist() == pytest.approx([0, 1, 2, 3, 4, 5])
-            assert np.all((trace.probabilities >= 0) & (trace.probabilities <= 1))
+        log, store = simulate_run(small_cfg(duration=5.0), model=model)
+        assert store.advisories
+        for vid, (issued, probs) in store.advisories.items():
+            assert log.kind_of(vid) == "car"
+            assert issued.tolist() == pytest.approx([0, 1, 2, 3, 4, 5])
+            assert all(0 <= p <= 1 for p in probs)
 
     def test_one_lane_index_per_inference_tick(self, model, monkeypatch):
         # the tick's snapshot is ordered once; every subject's features read that order
@@ -64,14 +67,14 @@ class TestSimulateRun:
 
         monkeypatch.setattr(pipeline, "_lane_index", counted)
         monkeypatch.setattr(prediction, "_lane_index", counted)
-        art = simulate_run(small_cfg(duration=5.0), model=model)
-        assert built == [len(art.log.vehicle_ids)] * 6  # t = 0, 1, ..., 5
-        assert len(art.traces) > 1
+        log, store = simulate_run(small_cfg(duration=5.0), model=model)
+        assert built == [len(log.vehicle_ids)] * 6  # t = 0, 1, ..., 5
+        assert len(store.advisories) > 1
 
     def test_log_matches_scenario_duration(self):
-        art = simulate_run(small_cfg(duration=4.0))
-        assert art.log.times[-1] == pytest.approx(4.0)
-        assert len(art.log.times) == round(4.0 / LOG_PERIOD) + 1
+        log, _ = simulate_run(small_cfg(duration=4.0))
+        assert log.times[-1] == pytest.approx(4.0)
+        assert len(log.times) == round(4.0 / LOG_PERIOD) + 1
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**16), ticks=st.integers(0, 300),
@@ -85,9 +88,8 @@ class TestSimulateRun:
                         potential_changer_count=min(changers, neighbors))
         cfg = cfg.with_policy(policy)
         run_model = model if with_model else None
-        every = simulate_run(cfg, model=run_model, record_period=cfg.dt_sim)
-        strided = simulate_run(cfg, model=run_model, record_period=k * cfg.dt_sim)
-        got, want = strided.log, every.log
+        want, every = simulate_run(cfg, model=run_model, record_period=cfg.dt_sim)
+        got, strided = simulate_run(cfg, model=run_model, record_period=k * cfg.dt_sim)
         assert got.dt == k * cfg.dt_sim
         assert got.times.tobytes() == want.times[::k].tobytes()
         for vid in want.vehicle_ids:
@@ -95,27 +97,26 @@ class TestSimulateRun:
                 assert col.tobytes() == full[::k].tobytes()  # -0.0 too
         assert got.plans == want.plans
         assert got.collisions == want.collisions
-        assert strided.traces.keys() == every.traces.keys()
-        for vid, trace in every.traces.items():
-            other = strided.traces[vid]
-            for name in ("times", "probabilities", "binary"):
-                assert getattr(other, name).tobytes() == getattr(trace, name).tobytes()
+        assert strided.advisories.keys() == every.advisories.keys()
+        for vid, cols in every.advisories.items():
+            for col, full in zip(strided.advisories[vid], cols):
+                assert col.tobytes() == full.tobytes()
 
 
 class TestRenderFrames:
     def test_frame_count_and_contents(self):
-        art = simulate_run(small_cfg(duration=2.0))
-        frames = list(render_frames(art.log, CameraMount(),
+        log, _ = simulate_run(small_cfg(duration=2.0))
+        frames = list(render_frames(log, CameraMount(),
                                     DetectorNoiseModel(seed=0, frame_period=0.5)))
         assert len(frames) == 5
         for frame in frames:
             assert frame.depth.width == 960
             for det in frame.detections:
-                assert det.source_id != art.log.ego_id
+                assert det.source_id != log.ego_id
 
     def test_detections_reflect_vehicles_ahead(self):
-        art = simulate_run(small_cfg(duration=1.0))
-        frames = list(render_frames(art.log, CameraMount(),
+        log, _ = simulate_run(small_cfg(duration=1.0))
+        frames = list(render_frames(log, CameraMount(),
                                     DetectorNoiseModel(edge_jitter_sigma=0.0, seed=0,
                                                        frame_period=1.0)))
         # neighbors spawn ahead of the ego, so the first frame sees some
@@ -132,7 +133,7 @@ class TestRenderFrames:
             return project(centers, dims, *args)
 
         monkeypatch.setattr(sensing, "project_cuboid_hull", counted)
-        log = simulate_run(ScenarioConfig(duration=1.0)).log
+        log, _ = simulate_run(ScenarioConfig(duration=1.0))
         frames = list(render_frames(log, CameraMount(), DetectorNoiseModel(frame_period=0.5)))
         assert len(frames) == 3
         assert rows == [len(log.vehicle_ids) - 1] * len(frames)
@@ -140,17 +141,43 @@ class TestRenderFrames:
 
 class TestGroundTruthBits:
     def test_window_marks_tail_of_maneuver(self):
-        trace = PredictionTrace(7, np.arange(0.0, 21.0), np.zeros(21),
-                                np.zeros(21, dtype=int))
         events = [ManeuverPlan(7, 10.0, 14.0, 1, 2)]
-        bits = ground_truth_bits(trace, events, tau=5.0)
+        bits = ground_truth_bits(7, np.arange(0.0, 21.0), events, tau=5.0)
         assert np.flatnonzero(bits).tolist() == [9, 10, 11, 12, 13, 14]
 
     def test_other_vehicles_ignored(self):
-        trace = PredictionTrace(7, np.arange(0.0, 10.0), np.zeros(10),
-                                np.zeros(10, dtype=int))
         events = [ManeuverPlan(8, 3.0, 7.0, 1, 2)]
-        assert ground_truth_bits(trace, events, tau=5.0).sum() == 0
+        assert ground_truth_bits(7, np.arange(0.0, 10.0), events, tau=5.0).sum() == 0
+
+
+class TestTraced:
+    @pytest.mark.parametrize("trained", [True, False])  # else every probability is 0.5
+    def test_arrays_are_the_store_columns(self, model, monkeypatch, trained):
+        if not trained:
+            model = prediction.MlpModel(
+                w1=np.zeros((2, prediction.FEATURE_SIZE)), b1=np.zeros(2), w2=np.zeros(2),
+                b2=0.0, feat_mean=np.zeros(prediction.FEATURE_SIZE),
+                feat_std=np.ones(prediction.FEATURE_SIZE))
+        real, stores = pipeline.simulate_run, []
+
+        def kept(*args, **kwargs):
+            log, store = real(*args, **kwargs)
+            stores.append(store)
+            return log, store
+
+        monkeypatch.setattr(pipeline, "simulate_run", kept)
+        cfg = small_cfg(duration=8.0, seed=3)
+        traces, plans = pipeline._traced(cfg, ChannelConfig(latency=0.25), model)
+        (store,) = stores
+        assert traces and traces.keys() == store.advisories.keys()
+        for vid, (times, probs, bits) in traces.items():
+            issued, probabilities = store.advisories[vid]
+            assert times.tobytes() == issued.tobytes()
+            assert probs.tobytes() == probabilities.tobytes()
+            assert bits.dtype.kind == "i"
+            assert np.array_equal(bits, probs >= DECISION_THRESHOLD)
+            assert trained or bits.all()  # a probability at the threshold sets its bit
+        assert plans == simulate_run(cfg, ChannelConfig(latency=0.25), model)[0].plans
 
 
 class TestBuildDataset:
@@ -262,43 +289,67 @@ class TestClosedLoopPair:
             assert report.mean_abs_accel >= 0.0
             assert report.max_jerk >= 0.0
 
-    def test_guided_onset_not_later_on_conflict_seeds(self, model):
+    def test_guided_onset_not_later_on_conflict_seeds(self, model, monkeypatch):
         # paired-run comparison on a handful of seeds; whenever both runs
         # see a lane change ahead, guided may not start braking later
         from dataclasses import replace
+        real, scenarios = pipeline.build_scenario, []
+
+        def kept(cfg):  # the ego's bookkeeping lives on the Scenario, which the run drops
+            scenarios.append(real(cfg))
+            return scenarios[-1]
+
+        monkeypatch.setattr(pipeline, "build_scenario", kept)
         checked = 0
         for seed in range(6):
             onsets = {}
             for policy in ("guided", "baseline"):
                 cfg = replace(small_cfg(duration=14.0),
                               seed=seed).with_policy(policy)
-                art = simulate_run(cfg, model=model if policy == "guided" else None)
-                if not art.log.plans:
+                log, _ = simulate_run(cfg, model=model if policy == "guided" else None)
+                if not log.plans:
                     onsets = None
                     break
-                onsets[policy] = art.memory.decel_onset
+                onsets[policy] = scenarios[-1].memory.decel_onset
             if onsets and onsets["guided"] is not None and onsets["baseline"] is not None:
                 assert onsets["guided"] <= onsets["baseline"]
                 checked += 1
         assert checked >= 2
 
 
+class RunRefs(list):
+    """Weak references to each run's log, store and Scenario, in run order."""
+
+    kept = frozenset()  # of "log" and "store": what the loop keeps by design
+
+
 class TestOneRunAlive:
-    """Every loop over runs drops a run's artifacts before the next run in its
-    process starts."""
+    """Every loop over runs drops a run's log, store and Scenario before the
+    next run in its process starts; `simulate` keeps each seed's log and store
+    until it writes, and drops its Scenario."""
 
     @pytest.fixture
     def runs(self, monkeypatch, tmp_path):
-        real, refs = pipeline.simulate_run, []
+        real_run, real_build = pipeline.simulate_run, pipeline.build_scenario
+        refs, scenarios = RunRefs(), []
+
+        def tracked(cfg):
+            scn = real_build(cfg)
+            scenarios.append(weakref.ref(scn))
+            return scn
 
         def checked(*args, **kwargs):
-            assert all(ref() is None for ref in refs), "an earlier run is still alive"
-            art = real(*args, **kwargs)
-            refs.append(weakref.ref(art))
+            alive = [name for run in refs for name, ref in run.items()
+                     if name not in refs.kept and ref() is not None]
+            assert not alive, f"an earlier run is still alive: {alive}"
+            log, store = real_run(*args, **kwargs)
+            refs.append({"log": weakref.ref(log), "store": weakref.ref(store),
+                         "scenario": scenarios[-1]})
             with open(tmp_path / "run_pids", "a") as fh:
                 fh.write(f"{os.getpid()}\n")
-            return art
+            return log, store
 
+        monkeypatch.setattr(pipeline, "build_scenario", tracked)
         monkeypatch.setattr(pipeline, "simulate_run", checked)
         monkeypatch.setattr(cli, "simulate_run", checked)
         # one process, so every run is made where refs sees it
@@ -321,8 +372,10 @@ class TestOneRunAlive:
 
     def test_cmd_simulate(self, runs, tmp_path):
         cfg = self.run_config()
+        runs.kept = frozenset({"log", "store"})  # every seed runs before the first write
         assert cli.cmd_simulate(cfg, tmp_path, cli._simulate_runs(cfg, None)) == 0
         assert len(runs) == 2
+        assert all(run["scenario"]() is None for run in runs)
 
     def test_cmd_predict_eval(self, runs, tmp_path, model):
         cfg = self.run_config()
@@ -340,7 +393,7 @@ class TestOneRunAlive:
         assert len(set(pids)) == 2 and len(pids) == 4  # a helper ran seeds 2 and 4
 
     def test_scenario_dies_with_its_run(self, monkeypatch):
-        # the artifacts keep the log's NumPy copy, not the Scenario's columns
+        # the run gives the log's NumPy copy, not the Scenario's columns
         real, scenarios = pipeline.build_scenario, []
 
         def tracked(cfg):
@@ -349,6 +402,6 @@ class TestOneRunAlive:
             return scn
 
         monkeypatch.setattr(pipeline, "build_scenario", tracked)
-        art = simulate_run(small_cfg(duration=2.0))  # held: the artifacts stay alive
+        log, store = simulate_run(small_cfg(duration=2.0))  # held: both stay alive
         assert len(scenarios) == 1 and scenarios[0]() is None
-        assert art.memory is not None
+        assert len(log.times) == 21 and len(store.records[log.ego_id][0]) == 21

@@ -12,7 +12,6 @@ from lanesight.prediction import (
     DegenerateDataset,
     LabeledSample,
     MlpModel,
-    PredictionTrace,
     TrainConfig,
     WindowParams,
     aggressive_filter,
@@ -264,46 +263,44 @@ class TestInfer:
         assert infer(model, x) == pytest.approx(expected, abs=1e-12)
 
 
-def trace(bits, vid=1):
-    bits = np.asarray(bits, dtype=int)
-    times = np.arange(len(bits), dtype=float)
-    return PredictionTrace(vid, times, bits.astype(float) * 0.9, bits)
+def trace(bits):
+    return np.asarray(bits, dtype=int)
 
 
 class TestFilters:
     def test_aggressive_printed_example(self):
         out = aggressive_filter(trace([0, 0, 0, 1, 0, 0, 0, 1]), tau_a=3)
-        assert out.binary.tolist() == [0, 0, 0, 1, 1, 1, 1, 1]
+        assert out.tolist() == [0, 0, 0, 1, 1, 1, 1, 1]
 
     def test_aggressive_all_zero_unchanged(self):
         out = aggressive_filter(trace([0] * 6), tau_a=4)
-        assert out.binary.tolist() == [0] * 6
+        assert out.tolist() == [0] * 6
 
     def test_aggressive_clips_at_end(self):
         out = aggressive_filter(trace([0, 0, 0, 0, 1]), tau_a=5)
-        assert out.binary.tolist() == [0, 0, 0, 0, 1]
+        assert out.tolist() == [0, 0, 0, 0, 1]
 
-    def test_aggressive_monotone_and_preserves_probabilities(self):
+    def test_aggressive_monotone_and_leaves_its_input(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
             bits = rng.integers(0, 2, 30)
             tr = trace(bits)
             out = aggressive_filter(tr, tau_a=int(rng.integers(0, 6)))
-            assert np.all(out.binary >= tr.binary)
-            assert np.array_equal(out.probabilities, tr.probabilities)
+            assert np.all(out >= tr)
+            assert np.array_equal(tr, bits) and out.dtype == tr.dtype
 
     def test_conservative_printed_example(self):
         out = conservative_filter(trace([0, 0, 0, 1, 0, 0, 0, 1]), tau_c=3, thres=0.5)
-        assert out.binary.tolist() == [0] * 8
+        assert out.tolist() == [0] * 8
 
     def test_conservative_all_ones(self):
         out = conservative_filter(trace([1] * 8), tau_c=3, thres=0.5)
-        assert out.binary.tolist() == [0, 0, 0, 1, 1, 1, 1, 1]
+        assert out.tolist() == [0, 0, 0, 1, 1, 1, 1, 1]
 
     def test_conservative_window_of_one_is_identity(self):
         bits = [0, 1, 1, 0, 1, 0]
         out = conservative_filter(trace(bits), tau_c=0, thres=0.4)
-        assert out.binary.tolist() == bits
+        assert out.tolist() == bits
 
     def test_conservative_needs_positive_evidence(self):
         rng = np.random.default_rng(9)
@@ -311,7 +308,7 @@ class TestFilters:
             bits = rng.integers(0, 2, 40)
             tau_c = int(rng.integers(0, 6))
             out = conservative_filter(trace(bits), tau_c=tau_c, thres=0.0)
-            for t, val in enumerate(out.binary):
+            for t, val in enumerate(out):
                 if val == 1:
                     assert bits[max(0, t - tau_c):t + 1].sum() > 0
 
@@ -319,7 +316,7 @@ class TestFilters:
         rng = np.random.default_rng(4)
         bits = rng.integers(0, 2, 60)
         out = aggressive_filter(trace(bits), tau_a=2)
-        assert set(np.flatnonzero(bits)) <= set(np.flatnonzero(out.binary))
+        assert set(np.flatnonzero(bits)) <= set(np.flatnonzero(out))
 
 
 class TestModelFile:

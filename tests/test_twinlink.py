@@ -10,8 +10,8 @@ from lanesight.geometry import WorldPoint
 from lanesight.scene import VehicleState
 from lanesight.twinlink import (
     ChannelConfig,
-    CloudAdvisory,
     NoData,
+    ProbabilityOutOfRange,
     TwinRecord,
     TwinStore,
     gnss_distance,
@@ -42,6 +42,14 @@ def publish_histories(draw):
     positions = st.sampled_from([0.0, -0.0]) | st.floats(-50.0, 400.0)
     return [(state(vid=draw(st.integers(0, 2)), s=draw(positions), y=draw(positions),
                    v=draw(st.floats(0.0, 40.0))), t) for t in times]
+
+
+@st.composite
+def advisory_histories(draw):
+    """(vehicle id, probability, t) advisories of vehicles 0..2 in time order."""
+    times = sorted(draw(st.lists(query_times, max_size=30)))
+    probabilities = st.sampled_from([0.0, -0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
+    return [(draw(st.integers(0, 2)), draw(probabilities), t) for t in times]
 
 
 def record_bits(rec: TwinRecord) -> tuple:
@@ -183,8 +191,12 @@ class TestAdvisories:
     def build(self):
         store = TwinStore()
         for k, prob in enumerate((0.2, 0.9, 0.4)):  # issued at 1.0, 2.0, 3.0
-            publish_advisory(store, CloudAdvisory(1, prob, float(k + 1)))
+            publish_advisory(store, 1, prob, float(k + 1))
         return store
+
+    def test_a_row_is_two_typed_doubles(self):
+        assert [(col.typecode, col.tolist()) for col in self.build().advisories[1]] == [
+            ("d", [1.0, 2.0, 3.0]), ("d", [0.2, 0.9, 0.4])]
 
     def test_none_before_the_first_advisory(self):
         store = self.build()
@@ -196,14 +208,37 @@ class TestAdvisories:
         store = self.build()
         for t, latency, issued in ((1.0, 0.0, 1.0), (2.5, 0.0, 2.0), (3.0, 0.0, 3.0),
                                    (3.0, 0.5, 2.0), (3.5, 0.5, 3.0), (9.0, 0.0, 3.0)):
-            adv = query_advisory(store, 1, t, ChannelConfig(latency=latency))
-            assert adv.issued_t == issued
-            assert adv is store.advisories[1][int(issued) - 1]
+            prob = query_advisory(store, 1, t, ChannelConfig(latency=latency))
+            assert prob == (0.2, 0.9, 0.4)[int(issued) - 1]  # the row issued then
+            assert prob == store.advisories[1][1][int(issued) - 1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(advisory_histories(), st.lists(query_times, max_size=12),
+           st.sampled_from([0.0, 0.1, 0.25]) | st.floats(0.0, 5.0))
+    def test_equals_the_linear_scan_oracle(self, history, times, latency):
+        store, advisories = TwinStore(), {}
+        for vid, prob, t in history:
+            publish_advisory(store, vid, prob, t)
+            advisories.setdefault(vid, []).append((t, prob))
+        cfg = ChannelConfig(latency=latency)
+        for t in times + [issued + latency for _, _, issued in history]:  # the bound's edges
+            for vid in range(4):  # vehicle 3 is never advised
+                want = oracles.query_advisory(advisories, vid, t, cfg)
+                got = query_advisory(store, vid, t, cfg)
+                assert (got is None) == (want is None)
+                if want is not None:
+                    assert float(got).hex() == float(want).hex()  # -0.0 too
 
     @pytest.mark.parametrize("prob", [-0.01, 1.01, float("nan")])
     def test_probability_outside_the_unit_interval_rejected(self, prob):
-        with pytest.raises(ValueError):
-            CloudAdvisory(1, prob, 0.0)
+        store = self.build()
+        before = {vid: [col.tobytes() for col in cols] for vid, cols in store.advisories.items()}
+        for vid in (1, 2):  # an advised car, and one with no advisory yet
+            with pytest.raises(ProbabilityOutOfRange,
+                               match=re.escape(f"probability {prob} out of range")):
+                publish_advisory(store, vid, prob, 4.0)
+        assert {vid: [col.tobytes() for col in cols]
+                for vid, cols in store.advisories.items()} == before
 
     def test_channel_csv_shows_the_newest_advisory_at_each_publish(self, tmp_path):
         store = self.build()

@@ -25,7 +25,10 @@ happens in the calling process; both must report the same digest:
 
 `--src` names the lanesight source tree to import (default: this checkout's
 `src`). The set covers every command: `train` on seeds 1-3, `predict-eval` on
-held-out seeds, `closed-loop` on the default, on a 48-neighbour scene and on a
+held-out seeds with the default filters and once more at the filters' edges
+(`tau_a` 0, so the aggressive filter is the identity; a 7-wide conservative
+window at threshold 0.2; a 2 s labeling window; a channel publishing every
+0.2 s with 0.25 s latency), `closed-loop` on the default, on a 48-neighbour scene and on a
 channel that publishes every 0.2 s with 0.25 s latency (so the guided run's
 twin queries and advisories see stale rows off the default grid),
 `simulate` with the trained model (6 s, so its 960x540 rasters take about
@@ -54,6 +57,10 @@ DENSE = {"neighbor_count": 48, "potential_changer_count": 12, "spawn_max_s": 540
 RUNS = (
     ("train", {}, "1,2,3", "train"),
     ("predict-eval", MODEL, "1001,1002", "pred"),
+    ("predict-eval", {**MODEL, "filters": {"tau_a": 0, "tau_c": 6, "thres": 0.2},
+                      "window": {"tau": 2.0},
+                      "channel": {"publish_period": 0.2, "latency": 0.25}}, "1003,1004",
+     "pred_edges"),
     ("closed-loop", MODEL, "1,7", "loop"),
     ("closed-loop", {**MODEL, "scenario": DENSE}, "42", "loop_dense"),
     ("closed-loop", {**MODEL, "channel": {"publish_period": 0.2, "latency": 0.25}}, "1,7",
