@@ -197,13 +197,12 @@ def write_curve_csv(curves: dict[str, AccuracyCurve], path):
 
 def write_identifications_csv(rows, path):
     """One line per identification row: what was chosen and how well it
-    overlaps the target, which is vehicle 1 in every corpus frame."""
+    overlaps the target."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["t", "method", "chosen_source_id", "gt_target_id",
-                    "iou_vs_gt", "candidate_count"])
+        w.writerow(["t", "method", "chosen_source_id", "iou_vs_gt", "candidate_count"])
         for t, method, chosen, overlap, candidates in rows:
-            w.writerow([f"{t:.2f}", method, "" if chosen is None else chosen, 1,
+            w.writerow([f"{t:.2f}", method, "" if chosen is None else chosen,
                         f"{overlap:.6f}", candidates])
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from . import seeding
 from .geometry import BehindCamera, Box2D, PixelPoint, project_anchor
-from .params import POSITIVE, RUN_SEED, check_fields, rule
+from .params import POSITIVE, RUN_SEED, Checked, rule
 from .sensing import Detection, DepthMap, SensorFrame
 from .twinlink import TwinRecord
 
@@ -34,13 +34,10 @@ class IdentificationResult:
 
 
 @dataclass(frozen=True)
-class FusionParams:
+class FusionParams(Checked):
     shrink: float = field(default=0.8, metadata=rule(lambda x: 0.0 < x <= 1.0))
     samples: int = field(default=16, metadata=POSITIVE)
     seed: int = field(default=0, metadata=RUN_SEED)
-
-    def __post_init__(self):
-        check_fields(self)
 
 
 def shrink_box(b: Box2D, th: float) -> Box2D:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .params import NONNEGATIVE, POSITIVE, check_fields
+from .params import NONNEGATIVE, POSITIVE, Checked
 
 
 class BehindCamera(Exception):
@@ -84,7 +84,7 @@ class CameraExtrinsics:
 
 
 @dataclass(frozen=True)
-class CameraIntrinsics:
+class CameraIntrinsics(Checked):
     """Pinhole intrinsics: focal length in meters, pixel pitch in m/px."""
 
     focal_length: float = field(default=0.005, metadata=POSITIVE)
@@ -97,7 +97,7 @@ class CameraIntrinsics:
     near_plane: float = field(default=0.5, metadata=POSITIVE)
 
     def __post_init__(self):
-        check_fields(self)
+        super().__post_init__()
         if not (self.u0 < self.width and self.v0 < self.height):
             raise ValueError("u0/v0: principal point must lie inside the image")
 

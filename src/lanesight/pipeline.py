@@ -27,7 +27,7 @@ from . import seeding
 from .evaluation import SafetyReport, safety_report
 from .fusion import FusionParams, identify
 from .geometry import Camera, CameraExtrinsics, CameraIntrinsics, WorldPoint, iou
-from .params import DRAW_BOUND, FRACTION, POSITIVE, check_fields, rule
+from .params import DRAW_BOUND, FRACTION, POSITIVE, Checked, rule
 from .prediction import MlpModel, TrainConfig, WindowParams, features_from_states, infer, \
     label_windows, nonchanger_negatives
 from .scene import (
@@ -60,16 +60,13 @@ MAX_CORPUS_FRAMES = 10**6
 
 
 @dataclass(frozen=True)
-class CameraMount:
+class CameraMount(Checked):
     """Intrinsics plus the camera's pose offset from the ego body center."""
 
     intrinsics: CameraIntrinsics = field(default_factory=CameraIntrinsics)
     mount_forward: float = 2.0
     mount_up: float = field(default=1.4, metadata=POSITIVE)
     mount_left: float = 0.0
-
-    def __post_init__(self):
-        check_fields(self)
 
     def camera_for(self, ego: VehicleState) -> Camera:
         position = WorldPoint(ego.s + self.mount_forward, ego.y + self.mount_left,
@@ -283,7 +280,7 @@ def closed_loop_pair(cfg: ScenarioConfig, model: MlpModel, seed: int,
 
 
 @dataclass(frozen=True)
-class FuseCorpusConfig:
+class FuseCorpusConfig(Checked):
     """Layout of the synthetic identification corpus.
 
     A configurable fraction of frames contains an overlapping same-lane
@@ -309,7 +306,7 @@ class FuseCorpusConfig:
     thresholds: tuple[float, ...] = (0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95)
 
     def __post_init__(self):
-        check_fields(self)
+        super().__post_init__()
         if any(b <= a for a, b in zip(self.thresholds, self.thresholds[1:])):
             raise ValueError("thresholds must be strictly increasing")
         if not any(abs(th - REPORT_IOU) < 1e-9 for th in self.thresholds):

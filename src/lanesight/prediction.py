@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import seeding
-from .params import FRACTION, NONNEGATIVE, POSITIVE, check_fields, rule
+from .params import FRACTION, NONNEGATIVE, POSITIVE, Checked, rule
 from .scene import TrajectoryLog, VehicleState, _follower, _lane_index, _leader
 
 SENTINEL_GAP = 200.0
@@ -38,13 +38,10 @@ class DegenerateDataset(Exception):
 
 
 @dataclass(frozen=True)
-class WindowParams:
+class WindowParams(Checked):
     tau: float = field(default=5.0, metadata=POSITIVE)
     tau_g: float = field(default=3.0, metadata=NONNEGATIVE)
     sample_rate: float = field(default=2.0, metadata=POSITIVE)  # samples per second
-
-    def __post_init__(self):
-        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -130,7 +127,7 @@ def nonchanger_negatives(log: TrajectoryLog, events,
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(Checked):
     hidden: int = field(default=48, metadata=POSITIVE)
     learning_rate: float = field(default=0.01, metadata=POSITIVE)
     epochs: int = field(default=300, metadata=rule(lambda x: 0 < x <= MAX_EPOCHS))
@@ -138,9 +135,6 @@ class TrainConfig:
     seed: int = field(default=0, metadata=NONNEGATIVE)
     # add negatives from vehicles that never change lanes (nonchanger_negatives)
     include_nonchangers: bool = True
-
-    def __post_init__(self):
-        check_fields(self)
 
 
 @dataclass
@@ -244,15 +238,12 @@ def infer(model: MlpModel, features) -> float:
 
 
 @dataclass(frozen=True)
-class FilterParams:
+class FilterParams(Checked):
     """Smoothing windows for aggressive_filter and conservative_filter."""
 
     tau_a: int = field(default=3, metadata=NONNEGATIVE)
     tau_c: int = field(default=3, metadata=NONNEGATIVE)
     thres: float = field(default=0.5, metadata=FRACTION)
-
-    def __post_init__(self):
-        check_fields(self)
 
 
 def aggressive_filter(bits: np.ndarray, tau_a: int) -> np.ndarray:

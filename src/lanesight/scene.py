@@ -41,7 +41,7 @@ from operator import attrgetter
 import numpy as np
 
 from . import seeding
-from .params import FRACTION, NEGATIVE, NONNEGATIVE, POSITIVE, RUN_SEED, check_fields, rule
+from .params import FRACTION, NEGATIVE, NONNEGATIVE, POSITIVE, RUN_SEED, Checked, rule
 
 CAR_DIMS = (4.5, 1.8, 1.5)
 TRUCK_DIMS = (10.0, 2.5, 3.5)
@@ -54,14 +54,11 @@ class InfeasiblePlacement(Exception):
 
 
 @dataclass(frozen=True)
-class LaneSpec:
+class LaneSpec(Checked):
     # the highest lane index is logged as int64
     lane_count: int = field(default=3, metadata=rule(lambda x: 2 <= x <= 2**63))
     lane_width: float = field(default=3.5, metadata=POSITIVE)
     road_length: float = field(default=300.0, metadata=POSITIVE)
-
-    def __post_init__(self):
-        check_fields(self)
 
     def center(self, lane: int) -> float:
         return (lane + 0.5) * self.lane_width
@@ -95,16 +92,13 @@ class ManeuverPlan:
 
 
 @dataclass(frozen=True)
-class IdmParams:
+class IdmParams(Checked):
     time_headway: float = field(default=1.2, metadata=POSITIVE)
     a_max: float = field(default=2.0, metadata=POSITIVE)
     comfort_decel: float = field(default=2.5, metadata=POSITIVE)
     a_min: float = field(default=-8.0, metadata=NEGATIVE)
     jam_gap: float = field(default=2.0, metadata=POSITIVE)
     delta: float = field(default=4.0, metadata=POSITIVE)
-
-    def __post_init__(self):
-        check_fields(self)
 
     @cached_property
     def _idm_terms(self) -> tuple[float, float, float, float, float, float]:
@@ -118,7 +112,7 @@ class IdmParams:
 
 
 @dataclass(frozen=True)
-class DriverParams:
+class DriverParams(Checked):
     policy: str = field(default="baseline",
                         metadata=rule(lambda x: x in ("guided", "baseline")))
     p_trigger: float = field(default=0.5, metadata=FRACTION)
@@ -139,12 +133,9 @@ class DriverParams:
     # surprised braking sheds this much extra speed
     startle_overshoot: float = field(default=3.0, metadata=NONNEGATIVE)
 
-    def __post_init__(self):
-        check_fields(self)
-
 
 @dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(Checked):
     seed: int = field(default=0, metadata=RUN_SEED)
     dt_sim: float = field(default=0.01, metadata=POSITIVE)
     duration: float = field(default=30.0, metadata=NONNEGATIVE)
@@ -165,7 +156,7 @@ class ScenarioConfig:
     driver: DriverParams = field(default_factory=DriverParams)
 
     def __post_init__(self):
-        check_fields(self)
+        super().__post_init__()
         if self.potential_changer_count > self.neighbor_count:
             raise ValueError("potential_changer_count exceeds neighbor_count")
         if self.spawn_max_s <= self.spawn_min_s:

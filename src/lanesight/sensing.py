@@ -24,7 +24,7 @@ import numpy as np
 
 from . import seeding
 from .geometry import Box2D, Camera, CameraIntrinsics, project_cuboid_hull
-from .params import FRACTION, NONNEGATIVE, POSITIVE, RUN_SEED, check_fields
+from .params import FRACTION, NONNEGATIVE, POSITIVE, RUN_SEED, Checked
 from .scene import VehicleState
 
 
@@ -69,7 +69,7 @@ class Detection:
 
 
 @dataclass(frozen=True)
-class DetectorNoiseModel:
+class DetectorNoiseModel(Checked):
     """The sensor: detector and depth noise, and the period between frames."""
 
     edge_jitter_sigma: float = field(default=2.0, metadata=NONNEGATIVE)
@@ -79,9 +79,6 @@ class DetectorNoiseModel:
     false_positive_rate: float = field(default=0.0, metadata=NONNEGATIVE)
     frame_period: float = field(default=0.1, metadata=POSITIVE)
     seed: int = field(default=0, metadata=RUN_SEED)
-
-    def __post_init__(self):
-        check_fields(self)
 
     def for_frame(self, frame_index: int) -> "DetectorNoiseModel":
         return replace(self, seed=seeding.derived_seed(self.seed, seeding.DETECTOR,

@@ -20,7 +20,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .geometry import WorldPoint
-from .params import NONNEGATIVE, POSITIVE, check_fields
+from .params import NONNEGATIVE, POSITIVE, Checked
 from .scene import VehicleState
 
 
@@ -37,12 +37,9 @@ class TwinRecord:
 
 
 @dataclass(frozen=True)
-class ChannelConfig:
+class ChannelConfig(Checked):
     publish_period: float = field(default=0.1, metadata=POSITIVE)
     latency: float = field(default=0.0, metadata=NONNEGATIVE)
-
-    def __post_init__(self):
-        check_fields(self)
 
 
 class ProbabilityOutOfRange(ValueError):

@@ -239,6 +239,26 @@ class TestFuseEval:
         assert main(["fuse-eval", "--config", str(cfg), "--out", str(second)]) == 0
         assert tree_bytes(first) == tree_bytes(second)
 
+    def test_identifications_csv_has_two_rows_per_shown_frame_in_corpus_order(self, tmp_path):
+        # a far near plane hides the target in some frames, which get no row
+        cfg_path = write_config(tmp_path / "c.json", camera={"near_plane": 18.0},
+                                fuse_eval={"frames": 40})
+        out = tmp_path / "out"
+        assert main(["fuse-eval", "--config", str(cfg_path), "--out", str(out)]) == 0
+        with open(out / "seed_1" / "identifications.csv", newline="") as fh:
+            header, *lines = csv.reader(fh)
+        assert header == ["t", "method", "chosen_source_id", "iou_vs_gt", "candidate_count"]
+        cfg = load_config(cfg_path)
+        rows, frames, _ = pipeline.build_fuse_corpus(
+            cfg.fuse_eval, cfg.camera, replace(cfg.sensing, seed=1), cfg.fusion, 1)
+        assert 0 < frames < 40
+        assert len(lines) == 2 * frames
+        assert {len(line) for line in lines} == {len(header)}
+        assert [line[:2] for line in lines] == [[f"{t:.2f}", method] for t, method, *_ in rows]
+        assert [line[1] for line in lines] == ["fused", "baseline"] * frames
+        times = [float(line[0]) for line in lines[::2]]
+        assert [float(line[0]) for line in lines[1::2]] == times
+        assert times == sorted(set(times))
 
     def test_corpus_without_a_visible_target_exits_2_before_any_write(self, tmp_path,
                                                                       capsys):

@@ -1,11 +1,12 @@
 import json
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lanesight.config import ConfigError, load_config, resolve_config, write_echo
+from lanesight.config import ConfigError, RunConfig, load_config, resolve_config, write_echo
 from lanesight.fusion import FusionParams
+from lanesight.params import Checked
 from lanesight.pipeline import MAX_CORPUS_FRAMES, CameraMount, FuseCorpusConfig, \
     build_fuse_corpus
 from lanesight.prediction import MAX_EPOCHS
@@ -17,6 +18,20 @@ def write(tmp_path, doc):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+def _nested_classes(obj) -> list[type]:
+    """The classes of every dataclass nested in obj's fields, at any depth."""
+    found = []
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            found += [type(value), *_nested_classes(value)]
+    return found
+
+
+CHECKED_FIELDS = [(cls, f) for cls in _nested_classes(RunConfig())
+                  for f in fields(cls) if "check" in f.metadata]
 
 
 class TestResolve:
@@ -158,6 +173,25 @@ class TestResolve:
             resolve_config({"seeds": []})
         with pytest.raises(ConfigError, match="seeds"):
             resolve_config({"seeds": ["one"]})
+
+
+def test_the_walk_reaches_every_nested_section():
+    walked = {cls.__name__ for cls, _ in CHECKED_FIELDS}
+    assert {"LaneSpec", "IdmParams", "DriverParams", "CameraIntrinsics",
+            "FuseCorpusConfig"} <= walked
+
+
+@pytest.mark.parametrize("cls, f", CHECKED_FIELDS,
+                         ids=[f"{cls.__name__}.{f.name}" for cls, f in CHECKED_FIELDS])
+def test_direct_construction_enforces_every_field_rule(cls, f):
+    # the rule holds without resolve_config: the class derives from Checked,
+    # whose __post_init__ checks each field's rule
+    assert issubclass(cls, Checked)
+    bad = [value for value in (-1, 0, 1.5, 2**64) if not f.metadata["check"](value)]
+    assert bad, f"no candidate breaks {cls.__name__}.{f.name}'s rule"
+    with pytest.raises(ValueError) as raised:
+        cls(**{f.name: bad[0]})
+    assert str(raised.value).startswith(f"{f.name}: value")
 
 
 class TestLoad:

@@ -37,6 +37,14 @@ each, about 65 MB), `simulate` on two seeds of 2 s each (every seed runs
 before the first write), `fuse-eval` on the default corpus, and `fuse-eval`
 on two seeds of 300 frames that all hold an overlapping pair and up to four
 clutter cars, so many frames have several candidates.
+
+Two more runs reach the branches the others miss. `simulate` for 30 s (long
+enough for lane changes, so `maneuvers.csv` has rows) with a frame every 3 s
+(11 rasters, about 23 MB), missed detections, a false positive per frame on
+average and noiseless depth. `fuse-eval` on 200 frames with the same detector,
+a near plane at 18 m, so some frames do not show the target, and a GNSS error
+wide enough that some reported positions fall behind the camera or off the
+image.
 """
 from __future__ import annotations
 
@@ -71,6 +79,15 @@ RUNS = (
     ("fuse-eval", {}, "1", "fuse"),
     ("fuse-eval", {"fuse_eval": {"frames": 300, "overlap_fraction": 1.0, "clutter_max": 4}},
      "1,2", "fuse_crowded"),
+    ("simulate", {"scenario": {"duration": 30.0},
+                  "sensing": {"frame_period": 3.0, "miss_prob": 0.2,
+                              "false_positive_rate": 1.0, "depth_noise_sigma": 0.0}},
+     "1", "sim_sensor_edges"),
+    ("fuse-eval", {"camera": {"near_plane": 18.0},
+                   "sensing": {"miss_prob": 0.2, "false_positive_rate": 1.0,
+                               "depth_noise_sigma": 0.0},
+                   "fuse_eval": {"frames": 200, "gnss_sigma": [3.0, 12.0, 0.45]}},
+     "1", "fuse_edges"),
 )
 
 
