@@ -74,13 +74,19 @@ class CameraExtrinsics:
         """Camera at `position` pointing down the +x road axis.
 
         Camera x = world -y (right), camera y = world -z (down),
-        camera z = world +x (forward).
+        camera z = world +x (forward). The rotation is the constant
+        _ROAD_AXES, which went through the constructor's checks at import.
         """
-        r = np.array([[0.0, -1.0, 0.0],
-                      [0.0, 0.0, -1.0],
-                      [1.0, 0.0, 0.0]])
-        t = -r @ position.as_array()
-        return cls(r, t)
+        e = cls.__new__(cls)
+        e.rotation = _ROAD_AXES
+        e.translation = -_ROAD_AXES @ position.as_array()
+        return e
+
+
+_ROAD_AXES = CameraExtrinsics([[0.0, -1.0, 0.0],
+                               [0.0, 0.0, -1.0],
+                               [1.0, 0.0, 0.0]], np.zeros(3)).rotation
+_ROAD_AXES.setflags(write=False)  # shared by every along-road camera
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,11 @@ the snapshot's owner builds once and hands to every subject in it:
 
 The classifier is a deliberately small input-hidden-output network trained
 with seeded mini-batch gradient descent on standardized features; training
-and inference are deterministic given the seed. The filters smooth one car's
+and inference are deterministic given the seed. Its logistic output is
+1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) elsewhere, NaN included, with
+e^-|z| taken as exp(min(z, -z)) so that a NaN keeps its sign bit. Training
+and inference are bit-exact to that form evaluated element by element, as
+in the reference copy that tests/oracles.py keeps. The filters smooth one car's
 0/1 prediction bits, thresholded off the twin store by ``pipeline._traced``.
 """
 from __future__ import annotations
@@ -157,37 +161,41 @@ class MlpModel:
 
 
 def _sigmoid(z):
-    out = np.empty_like(z, dtype=float)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """The logistic function from one e^-|z| per element, which never overflows."""
+    e = np.exp(np.minimum(z, -z))
+    d = e + 1.0
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
-def _forward(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _forward(w1, b1, w2, b2, x):
     """The logits and the rectified hidden layer of standardized inputs x."""
-    hidden = np.maximum(x @ model.w1.T + model.b1, 0.0)
-    return hidden @ model.w2 + model.b2, hidden
+    hidden = x @ w1.T
+    hidden += b1
+    np.maximum(hidden, 0.0, out=hidden)
+    return hidden @ w2 + b2, hidden
 
 
-def loss_and_gradients(model: MlpModel, x: np.ndarray, y: np.ndarray):
+def _backward(w2, x, y, z, hidden):
+    """Gradients (w1, b1, w2, b2) of the mean cross-entropy of logits z, at
+    standardized inputs x with labels y, from the forward pass's hidden layer."""
+    delta = _sigmoid(z)
+    delta -= y
+    delta /= len(y)
+    back = delta[:, None] * w2
+    back *= hidden > 0
+    return back.T @ x, back.sum(axis=0), hidden.T @ delta, float(delta.sum())
+
+
+def _loss_and_gradients(model: MlpModel, x: np.ndarray, y: np.ndarray):
     """Mean binary cross-entropy and its gradients on standardized inputs.
 
     The loss is evaluated in logit form, log(1 + e^z) - y z, which is stable
     at saturation and differentiates exactly to the (p - y) error term.
     """
-    n = len(y)
-    z, hidden = _forward(model, x)
-    prob = _sigmoid(z)
+    z, hidden = _forward(model.w1, model.b1, model.w2, model.b2, x)
     loss = float(np.mean(np.logaddexp(0.0, z) - y * z))
-    delta = (prob - y) / n
-    grad_w2 = hidden.T @ delta
-    grad_b2 = float(delta.sum())
-    back = np.outer(delta, model.w2) * (hidden > 0)
-    grad_w1 = back.T @ x
-    grad_b1 = back.sum(axis=0)
-    return loss, {"w1": grad_w1, "b1": grad_b1, "w2": grad_w2, "b2": grad_b2}
+    grads = _backward(model.w2, x, y, z, hidden)
+    return loss, dict(zip(("w1", "b1", "w2", "b2"), grads))
 
 
 def train(dataset: list[LabeledSample], cfg: TrainConfig = TrainConfig()) -> MlpModel:
@@ -204,28 +212,25 @@ def train(dataset: list[LabeledSample], cfg: TrainConfig = TrainConfig()) -> Mlp
     std[std == 0.0] = 1.0
 
     rng = seeding.rng_for(cfg.seed, seeding.TRAINING)
-    scale = np.sqrt(2.0 / FEATURE_SIZE)
-    model = MlpModel(
-        w1=rng.normal(0.0, scale, size=(cfg.hidden, FEATURE_SIZE)),
-        b1=np.zeros(cfg.hidden),
-        w2=rng.normal(0.0, np.sqrt(1.0 / cfg.hidden), size=cfg.hidden),
-        b2=0.0,
-        feat_mean=mean,
-        feat_std=std,
-    )
+    w1 = rng.normal(0.0, np.sqrt(2.0 / FEATURE_SIZE), size=(cfg.hidden, FEATURE_SIZE))
+    b1 = np.zeros(cfg.hidden)
+    w2 = rng.normal(0.0, np.sqrt(1.0 / cfg.hidden), size=cfg.hidden)
+    b2 = 0.0
 
-    xs = model.standardize(x)
-    n = len(y)
+    xs = (x - mean) / std
+    n, size, lr = len(y), cfg.batch_size, cfg.learning_rate
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            batch = order[start:start + cfg.batch_size]
-            _, grads = loss_and_gradients(model, xs[batch], y[batch])
-            model.w1 -= cfg.learning_rate * grads["w1"]
-            model.b1 -= cfg.learning_rate * grads["b1"]
-            model.w2 -= cfg.learning_rate * grads["w2"]
-            model.b2 -= cfg.learning_rate * grads["b2"]
-    return model
+        x_epoch, y_epoch = xs[order], y[order]
+        for start in range(0, n, size):
+            xb = x_epoch[start:start + size]
+            z, hidden = _forward(w1, b1, w2, b2, xb)
+            g_w1, g_b1, g_w2, g_b2 = _backward(w2, xb, y_epoch[start:start + size], z, hidden)
+            for w, g in ((w1, g_w1), (b1, g_b1), (w2, g_w2)):
+                g *= lr
+                w -= g
+            b2 -= lr * g_b2
+    return MlpModel(w1=w1, b1=b1, w2=w2, b2=b2, feat_mean=mean, feat_std=std)
 
 
 def infer(model: MlpModel, features) -> float:
@@ -233,7 +238,8 @@ def infer(model: MlpModel, features) -> float:
     overflows gives NaN without a warning; ``twinlink.publish_advisory`` rejects it."""
     x = np.asarray(features, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        prob = _sigmoid(_forward(model, model.standardize(x)[None, :])[0])
+        z, _ = _forward(model.w1, model.b1, model.w2, model.b2, model.standardize(x)[None, :])
+        prob = _sigmoid(z)
     return float(prob[0])
 
 

@@ -10,8 +10,10 @@ its state's fields) and never calls the library's projection; so are the
 roster-scanning simulator tick with its leader and follower queries, its
 car-following model and its ego policy, the lane-change features with their
 own lead/lag scan, the target identification with its none/unique/tie
-branches written out in each matcher, and the twin store as a list of
-records per vehicle, searched by a key function.
+branches written out in each matcher, the twin store as a list of
+records per vehicle, searched by a key function, and the lane-change MLP's
+training and inference with their masked sigmoid, per-batch gathers and
+gradient dictionary.
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ import numpy as np
 from lanesight import seeding
 from lanesight.fusion import IdentificationResult, _sample_region, depth_evaluate
 from lanesight.geometry import BehindCamera, Box2D, PixelPoint, WorldPoint
-from lanesight.prediction import SENTINEL_GAP
+from lanesight.prediction import FEATURE_SIZE, SENTINEL_GAP, MlpModel
 from lanesight.scene import (DriverParams, EgoMemory, IdmParams, ManeuverPlan, Scenario,
                              VehicleState, lateral_profile)
 from lanesight.twinlink import NoData, TwinRecord
@@ -522,3 +524,75 @@ def query_advisory(advisories: dict, vehicle_id: int, t: float, cfg) -> float | 
         if issued <= t - cfg.latency + 1e-12:
             seen = probability
     return seen
+
+
+# Reference copy of the lane-change MLP as it stood before its lean kernel:
+# the sigmoid gathers and scatters through a sign mask, every batch is
+# gathered from the dataset by index, the backward pass takes an outer
+# product, and every batch's loss is computed. prediction.train and
+# prediction.infer must match it bit for bit, NaN sign bits included.
+
+def sigmoid(z):
+    out = np.empty_like(z, dtype=float)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def forward(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    hidden = np.maximum(x @ model.w1.T + model.b1, 0.0)
+    return hidden @ model.w2 + model.b2, hidden
+
+
+def loss_and_gradients(model: MlpModel, x: np.ndarray, y: np.ndarray):
+    n = len(y)
+    z, hidden = forward(model, x)
+    prob = sigmoid(z)
+    loss = float(np.mean(np.logaddexp(0.0, z) - y * z))
+    delta = (prob - y) / n
+    grad_w2 = hidden.T @ delta
+    grad_b2 = float(delta.sum())
+    back = np.outer(delta, model.w2) * (hidden > 0)
+    grad_w1 = back.T @ x
+    grad_b1 = back.sum(axis=0)
+    return loss, {"w1": grad_w1, "b1": grad_b1, "w2": grad_w2, "b2": grad_b2}
+
+
+def train(dataset, cfg) -> MlpModel:
+    """Seeded mini-batch gradient descent; the caller ensures two classes."""
+    x = np.asarray([s.features for s in dataset], dtype=float)
+    y = np.asarray([s.label for s in dataset], dtype=float)
+    mean = x.mean(axis=0)
+    std = x.std(axis=0)
+    std[std == 0.0] = 1.0
+    rng = seeding.rng_for(cfg.seed, seeding.TRAINING)
+    scale = np.sqrt(2.0 / FEATURE_SIZE)
+    model = MlpModel(
+        w1=rng.normal(0.0, scale, size=(cfg.hidden, FEATURE_SIZE)),
+        b1=np.zeros(cfg.hidden),
+        w2=rng.normal(0.0, np.sqrt(1.0 / cfg.hidden), size=cfg.hidden),
+        b2=0.0,
+        feat_mean=mean,
+        feat_std=std,
+    )
+    xs = model.standardize(x)
+    n = len(y)
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            batch = order[start:start + cfg.batch_size]
+            _, grads = loss_and_gradients(model, xs[batch], y[batch])
+            model.w1 -= cfg.learning_rate * grads["w1"]
+            model.b1 -= cfg.learning_rate * grads["b1"]
+            model.w2 -= cfg.learning_rate * grads["w2"]
+            model.b2 -= cfg.learning_rate * grads["b2"]
+    return model
+
+
+def infer(model: MlpModel, features) -> float:
+    x = np.asarray(features, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        prob = sigmoid(forward(model, model.standardize(x)[None, :])[0])
+    return float(prob[0])

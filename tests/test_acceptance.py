@@ -20,11 +20,11 @@ from lanesight.prediction import (
     MlpModel,
     TrainConfig,
     WindowParams,
+    _loss_and_gradients,
     aggressive_filter,
     conservative_filter,
     infer,
     label_windows,
-    loss_and_gradients,
     train,
 )
 from lanesight.scene import LaneSpec, ManeuverPlan, ScenarioConfig, TrajectoryLog
@@ -167,7 +167,7 @@ def test_criterion_6_mlp_verification():
         preact = x @ model.w1.T + model.b1
         if np.min(np.abs(preact)) > 1e-4:
             break
-    _, grads = loss_and_gradients(model, x, y)
+    _, grads = _loss_and_gradients(model, x, y)
     coords = [("w1", idx) for idx in np.ndindex(model.w1.shape)] \
         + [("b1", (i,)) for i in range(8)] + [("w2", (i,)) for i in range(8)] \
         + [("b2", ())]
@@ -184,7 +184,7 @@ def test_criterion_6_mlp_verification():
                 m.b2 += delta
             else:
                 getattr(m, name)[idx] += delta
-            return loss_and_gradients(m, x, y)[0]
+            return _loss_and_gradients(m, x, y)[0]
 
         fd = (loss_with(h) - loss_with(-h)) / (2 * h)
         analytic = grads[name] if name == "b2" else grads[name][idx]

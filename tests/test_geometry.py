@@ -144,6 +144,15 @@ class TestProjectAnchor:
         got = project_anchor(WorldPoint(*point), e, INTR)
         assert (got.u, got.v, got.depth) == (want.u, want.v, want.depth)
 
+    @settings(max_examples=300, deadline=None)
+    @given(mount=st.tuples(*[st.floats(-1e4, 1e4)] * 3))
+    def test_along_road_equals_the_checked_constructor(self, mount):
+        r = np.array([[0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]])
+        want = CameraExtrinsics(r, -r @ np.array(mount))
+        got = CameraExtrinsics.looking_along_road(WorldPoint(*mount))
+        assert got.rotation.tobytes() == want.rotation.tobytes()
+        assert got.translation.tobytes() == want.translation.tobytes()
+
 
 def bodies(*rows):
     """Center and (length, width, height) arrays of (x, y, z, l, w, h) rows."""

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -14,13 +15,14 @@ from lanesight.prediction import (
     MlpModel,
     TrainConfig,
     WindowParams,
+    _loss_and_gradients,
+    _sigmoid,
     aggressive_filter,
     conservative_filter,
     features_from_states,
     infer,
     label_windows,
     load_model,
-    loss_and_gradients,
     save_model,
     train,
 )
@@ -201,7 +203,7 @@ class TestTrain:
         )
         x = rng.normal(0, 1, (40, FEATURE_SIZE))
         y = rng.integers(0, 2, 40).astype(float)
-        _, grads = loss_and_gradients(model, x, y)
+        _, grads = _loss_and_gradients(model, x, y)
 
         flat = [("w1", idx) for idx in np.ndindex(model.w1.shape)] \
             + [("b1", (i,)) for i in range(8)] \
@@ -217,7 +219,7 @@ class TestTrain:
                     m.b2 += delta
                 else:
                     getattr(m, name)[idx] += delta
-                return loss_and_gradients(m, x, y)[0]
+                return _loss_and_gradients(m, x, y)[0]
             fd = (loss_with(h) - loss_with(-h)) / (2 * h)
             analytic = grads[name] if name == "b2" else grads[name][idx]
             denom = max(abs(fd), abs(analytic), 1e-6)
@@ -261,6 +263,75 @@ class TestInfer:
         z = 0.3 * h0 + 0.6 * h1 + 0.05
         expected = 1.0 / (1.0 + np.exp(-z))
         assert infer(model, x) == pytest.approx(expected, abs=1e-12)
+
+
+def bits(value) -> bytes:
+    return np.asarray(value, dtype=float).tobytes()
+
+
+# NaN of either sign, the infinities, both zeros, subnormals and the exponent's
+# edges around +-745, where e^-|z| underflows to 0
+EDGE_FLOATS = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
+                               5e-324, -5e-324, 1e-310, -1e-310, 745.0, -745.0,
+                               709.8, -709.8, 36.8, -36.8])
+ANY_FLOAT = EDGE_FLOATS | st.floats(allow_nan=True, allow_infinity=True)
+
+
+@st.composite
+def training_cases(draw):
+    """Labeled samples with both classes, some constant features, and a config
+    whose batches may be partial or larger than the dataset and whose learning
+    rate may drive the weights to inf or NaN."""
+    n = draw(st.integers(2, 120))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(0.0, draw(st.sampled_from([1e-3, 1.0, 40.0])), (n, FEATURE_SIZE))
+    x[:, draw(st.lists(st.integers(0, FEATURE_SIZE - 1), max_size=3))] = 7.0
+    y = rng.integers(0, 2, n)
+    y[:2] = (0, 1)
+    data = [LabeledSample(tuple(row), int(label), float(i), 1)
+            for i, (row, label) in enumerate(zip(x, y))]
+    rate = st.sampled_from([1e-3, 0.01, 0.5, 3.0, 1e3, 1e200]) | st.floats(1e-4, 10.0)
+    cfg = TrainConfig(hidden=draw(st.integers(1, 64)), learning_rate=draw(rate),
+                      epochs=draw(st.integers(1, 4)),
+                      batch_size=draw(st.integers(1, n + 8)),
+                      seed=draw(st.integers(0, 2**16)))
+    return data, cfg
+
+
+class TestKernelMatchesOracle:
+    """Training and inference are bit-equal to the reference copy in oracles;
+    the printed outputs round probabilities to 6 decimals and cannot show it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(training_cases())
+    # 40 samples in batches of 7, the last one short, at a rate that ends in NaN
+    @example((blob_dataset(40, seed=1),
+              TrainConfig(hidden=8, learning_rate=1e200, epochs=2, batch_size=7)))
+    def test_train_weights_bit_equal(self, case):
+        data, cfg = case
+        with np.errstate(all="ignore"):
+            got, want = train(data, cfg), oracles.train(data, cfg)
+        for name in ("w1", "b1", "w2", "b2", "feat_mean", "feat_std"):
+            assert bits(getattr(got, name)) == bits(getattr(want, name)), name
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 64), st.integers(0, 2**32 - 1), st.sampled_from([0.1, 1.0, 30.0]),
+           st.lists(ANY_FLOAT, min_size=FEATURE_SIZE, max_size=FEATURE_SIZE))
+    def test_infer_bit_equal(self, hidden, seed, scale, features):
+        rng = np.random.default_rng(seed)
+        model = MlpModel(rng.normal(0.0, scale, (hidden, FEATURE_SIZE)),
+                         rng.normal(0.0, scale, hidden), rng.normal(0.0, scale, hidden),
+                         float(rng.normal(0.0, scale)), rng.normal(0.0, 5.0, FEATURE_SIZE),
+                         rng.uniform(0.1, 10.0, FEATURE_SIZE))
+        with np.errstate(all="ignore"):
+            assert bits(infer(model, features)) == bits(oracles.infer(model, features))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(ANY_FLOAT, min_size=1, max_size=70))
+    @example([math.nan, -math.nan, 0.0, -0.0, math.inf, -math.inf, 745.0, -745.0, 5e-324])
+    def test_sigmoid_bit_equal(self, z):
+        z = np.asarray(z, dtype=float)
+        assert bits(_sigmoid(z)) == bits(oracles.sigmoid(z))
 
 
 def trace(bits):

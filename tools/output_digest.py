@@ -25,7 +25,9 @@ happens in the calling process; both must report the same digest:
 
 `--src` names the lanesight source tree to import (default: this checkout's
 `src`). The set covers every command: `train` on seeds 1-3, `predict-eval` on
-held-out seeds with the default filters and once more at the filters' edges
+held-out seeds with the default filters, `train` on seeds 4-5 with one hidden
+unit and a batch larger than the dataset (so each epoch is one short batch),
+`predict-eval` on that model, `predict-eval` once more at the filters' edges
 (`tau_a` 0, so the aggressive filter is the identity; a 7-wide conservative
 window at threshold 0.2; a 2 s labeling window; a channel publishing every
 0.2 s with 0.25 s latency), `closed-loop` on the default, on a 48-neighbour scene and on a
@@ -65,6 +67,9 @@ DENSE = {"neighbor_count": 48, "potential_changer_count": 12, "spawn_max_s": 540
 RUNS = (
     ("train", {}, "1,2,3", "train"),
     ("predict-eval", MODEL, "1001,1002", "pred"),
+    ("train", {"training": {"batch_size": 1000, "hidden": 1, "epochs": 40}}, "4,5",
+     "train_one"),
+    ("predict-eval", {"model_path": "train_one/model.json"}, "1005,1006", "pred_one"),
     ("predict-eval", {**MODEL, "filters": {"tau_a": 0, "tau_c": 6, "thres": 0.2},
                       "window": {"tau": 2.0},
                       "channel": {"publish_period": 0.2, "latency": 0.25}}, "1003,1004",
