@@ -2,10 +2,12 @@
 
 The closed-loop runner owns the cadence logic: the scene is recorded on the
 grid its log is read at, vehicle states publish to the twin store every
-channel period, the classifier infers per neighbor once per second from twin
-snapshots, advisories publish back on the same channel, and the ego's
-guidance view refreshes every guidance tick subject to latency. The store is
-the one home of a run's predictions; `_traced` reads them for predict-eval.
+channel period, and once per second the classifier scores every car of a twin
+snapshot in one forward pass, whose advisories publish back on the same
+channel in snapshot order. On a publish tick where another of those rounds
+becomes visible through the latency, the ego's guidance view is rebuilt;
+between them it is the same dict. The store is the one home of a run's
+predictions; `_traced` reads them for predict-eval.
 
 Work that never reads other work of its kind (a closed-loop pair's two legs,
 the seeds of a training set or of a held-out evaluation, the sensor frames of
@@ -16,6 +18,7 @@ and the outputs are byte-identical at any CPU count.
 from __future__ import annotations
 
 import os
+from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from itertools import count, islice
@@ -87,8 +90,10 @@ def _place(caller_cpu: int):
 
 def _fan_out(fn, items: list[tuple]) -> list:
     """[fn(*item) for item in items] over k = min(len(items), usable CPUs)
-    processes: the caller runs items[0::k] and k - 1 forked helpers the rest.
-    Results, and the first error, come in item order; helpers are joined first."""
+    processes: the caller runs items[0::k], all of them before it waits on a
+    helper, and k - 1 forked helpers the rest. Results come in item order. The
+    caller stops at its own first error; the error raised is the first in item
+    order, as in one process. Helpers are joined first."""
     k = min(len(items), _cpu_count())
     if k < 2:
         return [fn(*item) for item in items]
@@ -99,7 +104,16 @@ def _fan_out(fn, items: list[tuple]) -> list:
     with ProcessPoolExecutor(k - 1, mp_context=get_context("fork"), initializer=_place,
                              initargs=(cpu,)) as pool:
         helped = {i: pool.submit(fn, *item) for i, item in enumerate(items) if i % k}
-        return [helped[i].result() if i % k else fn(*item) for i, item in enumerate(items)]
+        own = []
+        try:
+            for item in items[::k]:
+                own.append(fn(*item))
+        except Exception:  # at item k * len(own): a helper's earlier error wins
+            for i in range(1, k * len(own)):
+                if i % k:
+                    helped[i].result()
+            raise
+        return [helped[i].result() if i % k else own[i // k] for i in range(len(items))]
 
 
 def _by_frame(fn, frames: int, *args) -> list:
@@ -141,6 +155,8 @@ def simulate_run(cfg: ScenarioConfig, channel: ChannelConfig = ChannelConfig(),
     infer_stride = grid_stride(INFER_PERIOD, cfg.dt_sim)
     guided = cfg.driver.policy == "guided"
     guidance: dict[int, float] = {}
+    issued: list[float] = []  # each inference round's time; a car's advisories are a subset
+    shown = 0  # how many of those rounds guidance reflects
 
     for k in range(n_steps + 1):
         t = scn.t
@@ -152,13 +168,19 @@ def simulate_run(cfg: ScenarioConfig, channel: ChannelConfig = ChannelConfig(),
             if model is not None and k % infer_stride == 0:
                 snapshot = _twin_snapshot(store, t, channel, cfg.lanes)  # in id order
                 index = _lane_index(snapshot)
-                for subject in snapshot:
-                    if subject.kind == "car":
-                        feats = features_from_states(index, subject, cfg.lanes.lane_count)
-                        publish_advisory(store, subject.id, infer(model, feats), t)
-            if guided:
-                guidance = {vid: prob for vid in store.advisories  # the cars
-                            if (prob := query_advisory(store, vid, t, channel)) is not None}
+                cars = [subject for subject in snapshot if subject.kind == "car"]
+                if cars:
+                    probs = infer(model, [features_from_states(index, car, cfg.lanes.lane_count)
+                                          for car in cars])
+                    for car, prob in zip(cars, probs):
+                        publish_advisory(store, car.id, prob, t)
+                issued.append(t)
+            if guided:  # query_advisory's bound: a car's answer moves only when a round shows
+                visible = bisect_right(issued, t - channel.latency + 1e-12)
+                if visible != shown:
+                    shown = visible
+                    guidance = {vid: prob for vid in store.advisories  # the cars
+                                if (prob := query_advisory(store, vid, t, channel)) is not None}
         if k < n_steps:
             step(scn, guidance if guided else None)
     return scn.build_log(record_period), store

@@ -11,9 +11,10 @@ roster-scanning simulator tick with its leader and follower queries, its
 car-following model and its ego policy, the lane-change features with their
 own lead/lag scan, the target identification with its none/unique/tie
 branches written out in each matcher, the twin store as a list of
-records per vehicle, searched by a key function, and the lane-change MLP's
+records per vehicle, searched by a key function, the lane-change MLP's
 training and inference with their masked sigmoid, per-batch gathers and
-gradient dictionary.
+gradient dictionary, and the closed-loop run that scores one car per forward
+pass and rebuilds the guided ego's guidance on every publish tick.
 """
 from __future__ import annotations
 
@@ -23,6 +24,10 @@ from dataclasses import replace
 
 import numpy as np
 
+import lanesight.pipeline
+import lanesight.prediction
+import lanesight.scene
+import lanesight.twinlink
 from lanesight import seeding
 from lanesight.fusion import IdentificationResult, _sample_region, depth_evaluate
 from lanesight.geometry import BehindCamera, Box2D, PixelPoint, WorldPoint
@@ -596,3 +601,45 @@ def infer(model: MlpModel, features) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         prob = sigmoid(forward(model, model.standardize(x)[None, :])[0])
     return float(prob[0])
+
+
+# Reference copy of pipeline.simulate_run's loop as it stood before one stacked
+# forward pass per inference tick: each car's features go through their own
+# call of the reference infer above, and a guided run rebuilds its guidance on
+# every publish tick. It drives the library's scenario, tick (looked up on
+# lanesight.scene at each call), twin store and snapshot, so
+# pipeline.simulate_run must give the same log, store and guidance bit for bit.
+def simulate_run(cfg, channel, model):
+    scn = lanesight.scene.build_scenario(cfg)
+    store = lanesight.twinlink.TwinStore()
+    n_steps = int(round(cfg.duration / cfg.dt_sim))
+    record_stride = lanesight.scene.grid_stride(lanesight.scene.LOG_PERIOD, cfg.dt_sim)
+    publish_stride = lanesight.scene.grid_stride(channel.publish_period, cfg.dt_sim)
+    infer_stride = lanesight.scene.grid_stride(lanesight.pipeline.INFER_PERIOD, cfg.dt_sim)
+    guided = cfg.driver.policy == "guided"
+    guidance = {}
+    for k in range(n_steps + 1):
+        t = scn.t
+        if k % record_stride == 0:
+            scn.record()
+        if k % publish_stride == 0:
+            for veh in scn.vehicles:
+                lanesight.twinlink.publish(store, veh, t)
+            if model is not None and k % infer_stride == 0:
+                snapshot = lanesight.pipeline._twin_snapshot(store, t, channel, cfg.lanes)
+                index = lanesight.scene._lane_index(snapshot)
+                for subject in snapshot:
+                    if subject.kind == "car":
+                        feats = lanesight.prediction.features_from_states(
+                            index, subject, cfg.lanes.lane_count)
+                        lanesight.twinlink.publish_advisory(store, subject.id,
+                                                            infer(model, feats), t)
+            if guided:
+                guidance = {}
+                for vid in store.advisories:
+                    prob = lanesight.twinlink.query_advisory(store, vid, t, channel)
+                    if prob is not None:
+                        guidance[vid] = prob
+        if k < n_steps:
+            lanesight.scene.step(scn, guidance if guided else None)
+    return scn.build_log(lanesight.scene.LOG_PERIOD), store

@@ -1,12 +1,15 @@
 import os
+import time
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lanesight import cli, fusion, pipeline, prediction, seeding, sensing
+import oracles
+from lanesight import cli, fusion, pipeline, prediction, scene, seeding, sensing
 from lanesight.config import resolve_config
 from lanesight.evaluation import identification_accuracy
 from lanesight.fusion import FusionParams
@@ -315,6 +318,99 @@ class TestClosedLoopPair:
                 assert onsets["guided"] <= onsets["baseline"]
                 checked += 1
         assert checked >= 2
+
+
+def run_bytes(log, store):
+    """Every column of a run's log and twin store as bytes, in store order, with
+    the log's plans and collisions and the store's vehicle kinds and lengths."""
+    def columns(table):
+        return [(vid, [np.asarray(col).tobytes() for col in cols]) for vid, cols in table.items()]
+    return (log.times.tobytes(), columns(log.data), log.plans, log.collisions,
+            columns(store.records), store.meta, columns(store.advisories))
+
+
+class TestInferenceLoopMatchesOracle:
+    """One stacked forward pass per inference tick, and guidance rebuilt only when
+    another round becomes visible, give bit for bit what the car-by-car loop that
+    rebuilds on every publish tick gives (oracles.simulate_run): the log, the
+    store and the guidance handed to every tick."""
+
+    # 1.0 and just below it sit on the inference period; 7.0 outlasts the run; at
+    # t = 4.1, t - 0.1 falls an ulp short of round 4, which only the 1e-12 slack shows
+    @pytest.mark.parametrize("latency", [0.0, 0.05, 0.1, 0.25, 1.0, 1.0 - 1e-12, 7.0])
+    @pytest.mark.parametrize("publish_period", [0.1, 0.2, 0.3])
+    @pytest.mark.parametrize("policy", ["guided", "baseline"])
+    def test_bit_equal(self, model, monkeypatch, policy, publish_period, latency):
+        cfg = small_cfg(seed=7, duration=6.0, neighbor_count=8,
+                        potential_changer_count=3).with_policy(policy)
+        channel = ChannelConfig(publish_period=publish_period, latency=latency)
+        model = replace(model, b2=model.b2 + 1.0)  # so a fifth of the advisories alert the ego
+        real, handed = scene.step, {pipeline: [], scene: []}
+
+        def recorder(calls):
+            def recorded(scn, guidance=None):
+                calls.append(None if guidance is None else list(guidance.items()))
+                real(scn, guidance)
+            return recorded
+
+        for module, calls in handed.items():
+            monkeypatch.setattr(module, "step", recorder(calls))
+        got = run_bytes(*simulate_run(cfg, channel, model=model))
+        want = run_bytes(*oracles.simulate_run(cfg, channel, model))
+        assert got == want
+        assert handed[pipeline] == handed[scene]
+        assert len(handed[pipeline]) == 600
+        shown = [guidance for guidance in handed[pipeline] if guidance]
+        if policy == "baseline" or latency > cfg.duration:
+            assert not shown
+        else:  # the guidance reaches the ego: some car is above its trigger
+            assert any(prob > cfg.driver.p_trigger for guidance in shown for _, prob in guidance)
+
+
+def _handshake(marker, item):
+    """Item 2 writes the marker; item 1 waits up to 10 s for it."""
+    if item == 2:
+        marker.write_text("item 2 ran")
+    deadline = time.monotonic() + 10.0
+    while item == 1 and not marker.exists():
+        if time.monotonic() > deadline:
+            raise TimeoutError("item 1 waited 10 s for item 2")
+        time.sleep(0.005)
+    return item
+
+
+def _fail_at(failing, ran, item):
+    (ran / str(item)).touch()
+    if item in failing:
+        raise ValueError(f"item {item}")
+    return item
+
+
+class TestFanOutOrder:
+    """The caller runs its whole share before it waits on a helper; the error
+    raised is the first in item order, as in one process."""
+
+    def test_the_caller_runs_its_share_before_it_waits(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(pipeline, "_cpu_count", lambda: 2)
+        # the caller runs items 0 and 2, the helper item 1, which needs item 2 done
+        items = [(tmp_path / "marker", item) for item in range(3)]
+        assert pipeline._fan_out(_handshake, items) == [0, 1, 2]
+
+    # with two processes the caller runs items 0, 2 and 4, the helper 1 and 3
+    @pytest.mark.parametrize("failing, raised", [({1, 2}, 1), ({0, 1}, 0), ({2, 3}, 2),
+                                                 ({3}, 3), ({1, 4}, 1), ({2}, 2)])
+    def test_the_first_error_in_item_order_is_raised(self, monkeypatch, tmp_path, failing,
+                                                     raised):
+        for processes in (1, 2):
+            monkeypatch.setattr(pipeline, "_cpu_count", lambda: processes)
+            ran = tmp_path / str(processes)
+            ran.mkdir()
+            with pytest.raises(ValueError, match=f"^item {raised}$"):
+                pipeline._fan_out(_fail_at, [(failing, ran, item) for item in range(5)])
+            own = [item for item in range(5) if processes == 1 or item % 2 == 0]
+            stop = next((i for i, item in enumerate(own) if item in failing), len(own))
+            # the caller ran its items up to its own first error, and none after it
+            assert [item for item in own if (ran / str(item)).exists()] == own[:stop + 1]
 
 
 class RunRefs(list):

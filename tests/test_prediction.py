@@ -277,6 +277,14 @@ EDGE_FLOATS = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, -math.n
 ANY_FLOAT = EDGE_FLOATS | st.floats(allow_nan=True, allow_infinity=True)
 
 
+def random_model(rng, hidden: int, scale: float) -> MlpModel:
+    """Weights and biases drawn at the given scale, with a drawn feature scaling."""
+    return MlpModel(rng.normal(0.0, scale, (hidden, FEATURE_SIZE)),
+                    rng.normal(0.0, scale, hidden), rng.normal(0.0, scale, hidden),
+                    float(rng.normal(0.0, scale)), rng.normal(0.0, 5.0, FEATURE_SIZE),
+                    rng.uniform(0.1, 10.0, FEATURE_SIZE))
+
+
 @st.composite
 def training_cases(draw):
     """Labeled samples with both classes, some constant features, and a config
@@ -318,13 +326,30 @@ class TestKernelMatchesOracle:
     @given(st.integers(1, 64), st.integers(0, 2**32 - 1), st.sampled_from([0.1, 1.0, 30.0]),
            st.lists(ANY_FLOAT, min_size=FEATURE_SIZE, max_size=FEATURE_SIZE))
     def test_infer_bit_equal(self, hidden, seed, scale, features):
-        rng = np.random.default_rng(seed)
-        model = MlpModel(rng.normal(0.0, scale, (hidden, FEATURE_SIZE)),
-                         rng.normal(0.0, scale, hidden), rng.normal(0.0, scale, hidden),
-                         float(rng.normal(0.0, scale)), rng.normal(0.0, 5.0, FEATURE_SIZE),
-                         rng.uniform(0.1, 10.0, FEATURE_SIZE))
+        model = random_model(np.random.default_rng(seed), hidden, scale)
         with np.errstate(all="ignore"):
             assert bits(infer(model, features)) == bits(oracles.infer(model, features))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 64), st.integers(1, 70), st.integers(0, 2**32 - 1),
+           st.sampled_from([0.1, 1.0, 30.0, 1e154, 1e160]),
+           st.lists(st.tuples(st.integers(0, 69), st.integers(0, FEATURE_SIZE - 1), ANY_FLOAT),
+                    max_size=6))
+    # weights of 1e154 overflow 43 of these logits to inf of either sign and leave 3
+    # finite; the NaN features give NaNs of both signs (1e160 gives NaN by inf - inf)
+    @example(hidden=4, rows=48, seed=1, scale=1e154,
+             edits=[(0, 0, math.nan), (1, 5, -math.nan)])
+    def test_batched_infer_bit_equal_row_by_row(self, hidden, rows, seed, scale, edits):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, hidden, scale)
+        x = rng.normal(0.0, 30.0, (rows, FEATURE_SIZE))
+        for row, col, value in edits:
+            x[row % rows, col] = value
+        with np.errstate(all="ignore"):
+            got = infer(model, list(x))  # as simulate_run passes them: one array per car
+            assert isinstance(got, list) and all(type(prob) is float for prob in got)
+            assert bits(got) == bits([infer(model, row) for row in x])
+            assert bits(got) == bits([oracles.infer(model, row) for row in x])
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(ANY_FLOAT, min_size=1, max_size=70))

@@ -30,9 +30,11 @@ unit and a batch larger than the dataset (so each epoch is one short batch),
 `predict-eval` on that model, `predict-eval` once more at the filters' edges
 (`tau_a` 0, so the aggressive filter is the identity; a 7-wide conservative
 window at threshold 0.2; a 2 s labeling window; a channel publishing every
-0.2 s with 0.25 s latency), `closed-loop` on the default, on a 48-neighbour scene and on a
+0.2 s with 0.25 s latency), `closed-loop` on the default, on a 48-neighbour scene, on a
 channel that publishes every 0.2 s with 0.25 s latency (so the guided run's
-twin queries and advisories see stale rows off the default grid),
+twin queries and advisories see stale rows off the default grid), on a latency
+equal to the 1 s inference period (each round shows as the next is issued) and
+on a latency longer than the 10 s run (no advisory ever shows),
 `simulate` with the trained model (6 s, so its 960x540 rasters take about
 130 MB), `simulate` on the 48-neighbour scene (3 s: 31 rasters of 50 bodies
 each, about 65 MB), `simulate` on two seeds of 2 s each (every seed runs
@@ -78,6 +80,9 @@ RUNS = (
     ("closed-loop", {**MODEL, "scenario": DENSE}, "42", "loop_dense"),
     ("closed-loop", {**MODEL, "channel": {"publish_period": 0.2, "latency": 0.25}}, "1,7",
      "loop_latency"),
+    ("closed-loop", {**MODEL, "channel": {"latency": 1.0}}, "1,7", "loop_latency_period"),
+    ("closed-loop", {**MODEL, "scenario": {"duration": 10.0}, "channel": {"latency": 11.0}},
+     "1", "loop_latency_beyond"),
     ("simulate", {**MODEL, "scenario": {"duration": 6.0}}, "1", "sim"),
     ("simulate", {"scenario": {**DENSE, "duration": 3.0}}, "42", "sim_dense"),
     ("simulate", {"scenario": {"duration": 2.0}}, "1,2", "sim_seeds"),
