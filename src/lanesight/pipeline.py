@@ -11,13 +11,17 @@ predictions; `_traced` reads them for predict-eval.
 
 Work that never reads other work of its kind (a closed-loop pair's two legs,
 the seeds of a training set or of a held-out evaluation, the sensor frames of
-a finished log or of a fuse-eval corpus) fans out over the CPUs of the
-process's affinity mask; `taskset -c 0` runs it all in the calling process,
-and the outputs are byte-identical at any CPU count.
+a finished log or of a fuse-eval corpus) fans out over the k CPUs of the
+process's affinity mask. The calling process runs every k-th item itself;
+each of k - 1 forked helpers inherits the inputs by fork, runs its share and
+sends only its results back, as one pickle through its own pipe, before it
+exits. `taskset -c 0` runs it all in the calling process, and the outputs
+are byte-identical at any CPU count.
 """
 from __future__ import annotations
 
 import os
+import pickle
 from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
@@ -88,32 +92,68 @@ def _place(caller_cpu: int):
     os.sched_setaffinity(0, mask)
 
 
+def _share(fn, items: list[tuple]) -> tuple[list, Exception | None]:
+    """[fn(*item) for item in items] up to the first error, and that error."""
+    results = []
+    try:
+        for item in items:
+            results.append(fn(*item))
+    except Exception as exc:
+        return results, exc
+    return results, None
+
+
+def _help(fn, items: list[tuple], caller_cpu: int, fd: int):
+    """A forked helper: its share, written to fd as one pickle; an error that does
+    not pickle goes as a RuntimeError naming it. It leaves by os._exit."""
+    try:
+        _place(caller_cpu)
+        results, error = _share(fn, items)
+        try:
+            pickle.loads(pickle.dumps(error))
+        except Exception:
+            error = RuntimeError(f"a helper raised {error!r}, which does not pickle")
+        with open(fd, "wb") as pipe:
+            pipe.write(pickle.dumps((results, error)))
+    finally:
+        os._exit(0)
+
+
 def _fan_out(fn, items: list[tuple]) -> list:
     """[fn(*item) for item in items] over k = min(len(items), usable CPUs)
-    processes: the caller runs items[0::k], all of them before it waits on a
-    helper, and k - 1 forked helpers the rest. Results come in item order. The
-    caller stops at its own first error; the error raised is the first in item
-    order, as in one process. Helpers are joined first."""
+    processes: the caller runs items[0::k], all of them before it reads a
+    helper, and forked helper h = 1 .. k - 1 runs items[h::k] and sends its
+    results through its own pipe; inputs reach it by fork. Results come in
+    item order. Each process stops at its own first error; the error raised
+    is the first in item order, as in one process. Every pipe is read to its
+    end before its helper is reaped, and every helper is reaped on every path."""
     k = min(len(items), _cpu_count())
     if k < 2:
         return [fn(*item) for item in items]
-    from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import get_context
     with open("/proc/self/stat") as fh:  # field 39: the CPU this process last ran on
         cpu = int(fh.read().rsplit(")", 1)[1].split()[36])
-    with ProcessPoolExecutor(k - 1, mp_context=get_context("fork"), initializer=_place,
-                             initargs=(cpu,)) as pool:
-        helped = {i: pool.submit(fn, *item) for i, item in enumerate(items) if i % k}
-        own = []
-        try:
-            for item in items[::k]:
-                own.append(fn(*item))
-        except Exception:  # at item k * len(own): a helper's earlier error wins
-            for i in range(1, k * len(own)):
-                if i % k:
-                    helped[i].result()
-            raise
-        return [helped[i].result() if i % k else own[i // k] for i in range(len(items))]
+    helpers = []  # (pid, read end), helper h at index h - 1
+    try:
+        for h in range(1, k):
+            read, write = os.pipe()
+            if (pid := os.fork()) == 0:
+                _help(fn, items[h::k], cpu, write)
+            os.close(write)  # before the next fork, so only helper h holds it
+            helpers.append((pid, read))
+        shares = [_share(fn, items[::k])]
+        for _, read in helpers:
+            with open(read, "rb", closefd=False) as pipe:
+                sent = pipe.read()
+            shares.append(pickle.loads(sent) if sent else
+                          ([], RuntimeError("a helper exited without sending its results")))
+    finally:
+        for pid, read in helpers:
+            os.close(read)
+            os.waitpid(pid, 0)
+    failed = [h + k * len(got) for h, (got, error) in enumerate(shares) if error is not None]
+    if failed:  # at item i, process i % k stopped
+        raise shares[min(failed) % k][1]
+    return [shares[i % k][0][i // k] for i in range(len(items))]
 
 
 def _by_frame(fn, frames: int, *args) -> list:

@@ -186,18 +186,6 @@ def _backward(w2, x, y, z, hidden):
     return back.T @ x, back.sum(axis=0), hidden.T @ delta, float(delta.sum())
 
 
-def _loss_and_gradients(model: MlpModel, x: np.ndarray, y: np.ndarray):
-    """Mean binary cross-entropy and its gradients on standardized inputs.
-
-    The loss is evaluated in logit form, log(1 + e^z) - y z, which is stable
-    at saturation and differentiates exactly to the (p - y) error term.
-    """
-    z, hidden = _forward(model.w1, model.b1, model.w2, model.b2, x)
-    loss = float(np.mean(np.logaddexp(0.0, z) - y * z))
-    grads = _backward(model.w2, x, y, z, hidden)
-    return loss, dict(zip(("w1", "b1", "w2", "b2"), grads))
-
-
 def train(dataset: list[LabeledSample], cfg: TrainConfig = TrainConfig()) -> MlpModel:
     """Seeded mini-batch gradient descent on the labeled samples."""
     if not dataset:

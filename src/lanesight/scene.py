@@ -209,15 +209,18 @@ def _idm(follower: VehicleState, leader: VehicleState | None, terms) -> float:
     a_max, delta, a_min, jam_gap, time_headway, sqrt_term = terms
     v, vd = follower.v, follower.v_desired
     vd = 0.1 if 0.1 > vd else vd
-    acc = a_max * (1.0 - (v / vd) ** delta)
-    if leader is not None:
-        gap = leader.s - follower.s - 0.5 * (leader.length + follower.length)
-        if gap <= 0.1:
-            return a_min
-        dv = v - leader.v
-        brake = v * time_headway + v * dv / sqrt_term
-        s_star = jam_gap + (brake if brake > 0.0 else 0.0)
-        acc -= a_max * (s_star / gap) ** 2
+    try:  # speeds are never negative, so an overflowing term is one the clamp cuts to a_min
+        acc = a_max * (1.0 - (v / vd) ** delta)
+        if leader is not None:
+            gap = leader.s - follower.s - 0.5 * (leader.length + follower.length)
+            if gap <= 0.1:
+                return a_min
+            dv = v - leader.v
+            brake = v * time_headway + v * dv / sqrt_term
+            s_star = jam_gap + (brake if brake > 0.0 else 0.0)
+            acc -= a_max * (s_star / gap) ** 2
+    except OverflowError:
+        return a_min
     acc = a_min if a_min > acc else acc
     return a_max if a_max < acc else acc
 

@@ -14,7 +14,9 @@ branches written out in each matcher, the twin store as a list of
 records per vehicle, searched by a key function, the lane-change MLP's
 training and inference with their masked sigmoid, per-batch gathers and
 gradient dictionary, and the closed-loop run that scores one car per forward
-pass and rebuilds the guided ego's guidance on every publish tick.
+pass and rebuilds the guided ego's guidance on every publish tick. One
+function here is no reference: the fit's own loss and gradients, built on the
+library's kernel, which the finite-difference checks differentiate.
 """
 from __future__ import annotations
 
@@ -529,6 +531,20 @@ def query_advisory(advisories: dict, vehicle_id: int, t: float, cfg) -> float | 
         if issued <= t - cfg.latency + 1e-12:
             seen = probability
     return seen
+
+
+def kernel_loss_and_gradients(model: MlpModel, x: np.ndarray, y: np.ndarray):
+    """Mean binary cross-entropy and its gradients on standardized inputs,
+    through the forward and backward passes prediction.train runs: not a
+    reference, but the fit's own kernel, for finite-difference checks.
+
+    The loss is evaluated in logit form, log(1 + e^z) - y z, which is stable
+    at saturation and differentiates exactly to the (p - y) error term.
+    """
+    z, hidden = lanesight.prediction._forward(model.w1, model.b1, model.w2, model.b2, x)
+    loss = float(np.mean(np.logaddexp(0.0, z) - y * z))
+    grads = lanesight.prediction._backward(model.w2, x, y, z, hidden)
+    return loss, dict(zip(("w1", "b1", "w2", "b2"), grads))
 
 
 # Reference copy of the lane-change MLP as it stood before its lean kernel:

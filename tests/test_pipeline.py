@@ -379,11 +379,53 @@ def _handshake(marker, item):
     return item
 
 
+def _fail_or_die(item):
+    if item == 0:
+        raise ValueError("item 0")
+    if item == 1:
+        os._exit(1)
+    return item
+
+
 def _fail_at(failing, ran, item):
     (ran / str(item)).touch()
     if item in failing:
         raise ValueError(f"item {item}")
     return item
+
+
+def _die_at(dying, item):
+    if item in dying:
+        os._exit(1)
+    return item
+
+
+def _big(item):
+    return bytes([item]) * 3_000_000  # larger than a pipe buffer
+
+
+class _NeedsTwoArgs(Exception):
+    """Pickles, but does not unpickle: its __init__ takes two arguments."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
+
+
+class _HoldsALambda(Exception):
+    def __init__(self):
+        super().__init__("holds a lambda")
+        self.hook = lambda: None
+
+
+def _raise_unpicklable(kind, item):
+    if item == 1:
+        raise _NeedsTwoArgs(1, 2) if kind == "init" else _HoldsALambda()
+    return item
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestFanOutOrder:
@@ -395,22 +437,63 @@ class TestFanOutOrder:
         # the caller runs items 0 and 2, the helper item 1, which needs item 2 done
         items = [(tmp_path / "marker", item) for item in range(3)]
         assert pipeline._fan_out(_handshake, items) == [0, 1, 2]
+        assert_no_child_left()
 
-    # with two processes the caller runs items 0, 2 and 4, the helper 1 and 3
+    # with two processes the caller runs items 0, 2 and 4, the helper 1 and 3;
+    # with three the caller runs 0 and 3, helper 1 items 1 and 4, helper 2 item 2
     @pytest.mark.parametrize("failing, raised", [({1, 2}, 1), ({0, 1}, 0), ({2, 3}, 2),
-                                                 ({3}, 3), ({1, 4}, 1), ({2}, 2)])
+                                                 ({3}, 3), ({1, 4}, 1), ({2}, 2),
+                                                 ({4}, 4), ({3, 4}, 3)])
     def test_the_first_error_in_item_order_is_raised(self, monkeypatch, tmp_path, failing,
                                                      raised):
-        for processes in (1, 2):
+        for processes in (1, 2, 3):
             monkeypatch.setattr(pipeline, "_cpu_count", lambda: processes)
             ran = tmp_path / str(processes)
             ran.mkdir()
             with pytest.raises(ValueError, match=f"^item {raised}$"):
                 pipeline._fan_out(_fail_at, [(failing, ran, item) for item in range(5)])
-            own = [item for item in range(5) if processes == 1 or item % 2 == 0]
-            stop = next((i for i, item in enumerate(own) if item in failing), len(own))
-            # the caller ran its items up to its own first error, and none after it
-            assert [item for item in own if (ran / str(item)).exists()] == own[:stop + 1]
+            assert_no_child_left()
+            for share in (list(range(part, 5, processes)) for part in range(processes)):
+                stop = next((i for i, item in enumerate(share) if item in failing), len(share))
+                # each process ran its items up to its own first error, and none after it
+                assert [item for item in share if (ran / str(item)).exists()] \
+                    == share[:stop + 1]
+
+
+class TestFanOutPipes:
+    """Each helper sends its results through its own pipe; no path leaves a
+    child behind or waits forever."""
+
+    @pytest.mark.parametrize("processes", [2, 3])
+    def test_a_helper_that_dies_without_sending_raises(self, monkeypatch, processes):
+        monkeypatch.setattr(pipeline, "_cpu_count", lambda: processes)
+        with pytest.raises(RuntimeError, match="^a helper exited without sending"):
+            pipeline._fan_out(_die_at, [({1}, item) for item in range(5)])
+        assert_no_child_left()
+
+    def test_a_helper_dying_after_the_callers_error_still_raises_in_item_order(
+            self, monkeypatch):
+        # the caller fails at item 0; helper 1 dies at item 1, which comes later
+        monkeypatch.setattr(pipeline, "_cpu_count", lambda: 2)
+        with pytest.raises(ValueError, match="^item 0$"):
+            pipeline._fan_out(_fail_or_die, [(item,) for item in range(4)])
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("processes", [2, 3])
+    def test_results_larger_than_a_pipe_buffer_come_back_intact(self, monkeypatch,
+                                                                processes):
+        monkeypatch.setattr(pipeline, "_cpu_count", lambda: processes)
+        got = pipeline._fan_out(_big, [(item,) for item in range(5)])
+        assert got == [_big(item) for item in range(5)]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("kind", ["init", "lambda"])
+    def test_an_unpicklable_error_in_a_helper_surfaces_as_an_error(self, monkeypatch, kind):
+        monkeypatch.setattr(pipeline, "_cpu_count", lambda: 2)
+        name = {"init": "_NeedsTwoArgs", "lambda": "_HoldsALambda"}[kind]
+        with pytest.raises(RuntimeError, match=f"^a helper raised {name}\\(.*does not pickle$"):
+            pipeline._fan_out(_raise_unpicklable, [(kind, item) for item in range(4)])
+        assert_no_child_left()
 
 
 class RunRefs(list):

@@ -15,7 +15,6 @@ from lanesight.prediction import (
     MlpModel,
     TrainConfig,
     WindowParams,
-    _loss_and_gradients,
     _sigmoid,
     aggressive_filter,
     conservative_filter,
@@ -203,7 +202,7 @@ class TestTrain:
         )
         x = rng.normal(0, 1, (40, FEATURE_SIZE))
         y = rng.integers(0, 2, 40).astype(float)
-        _, grads = _loss_and_gradients(model, x, y)
+        _, grads = oracles.kernel_loss_and_gradients(model, x, y)
 
         flat = [("w1", idx) for idx in np.ndindex(model.w1.shape)] \
             + [("b1", (i,)) for i in range(8)] \
@@ -219,7 +218,7 @@ class TestTrain:
                     m.b2 += delta
                 else:
                     getattr(m, name)[idx] += delta
-                return _loss_and_gradients(m, x, y)[0]
+                return oracles.kernel_loss_and_gradients(m, x, y)[0]
             fd = (loss_with(h) - loss_with(-h)) / (2 * h)
             analytic = grads[name] if name == "b2" else grads[name][idx]
             denom = max(abs(fd), abs(analytic), 1e-6)

@@ -132,6 +132,17 @@ class TestIdmBodyMatchesOracle:
             want = bits(oracles.car_following_accel(follower, leader, p))
             assert bits(_idm(follower, leader, p._idm_terms)) == want
 
+    @pytest.mark.parametrize("delta, follower, leader", [
+        (300.0, idm_car(v=1e200, v_desired=1.0), None),  # the free-road term
+        (4.0, idm_car(v=1e160, v_desired=1e160), idm_car(s=10.0, v=1e160)),  # the gap term
+    ])
+    def test_an_overflowing_term_gives_a_min(self, delta, follower, leader):
+        # the max/min copy raises, where the clamp would have given a_min
+        p = replace(IDM, delta=delta)
+        with pytest.raises(OverflowError):
+            oracles.car_following_accel(follower, leader, p)
+        assert _idm(follower, leader, p._idm_terms) == p.a_min
+
     def test_terms_are_cached_per_params(self):
         terms = [p._idm_terms for p in IDM_VARIANTS]
         assert [p._idm_terms for p in IDM_VARIANTS] == terms
