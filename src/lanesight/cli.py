@@ -71,6 +71,11 @@ def _seed_dir(out: Path, seed: int) -> Path:
     return path
 
 
+def _dump_json(doc, path, allow_nan: bool = True):
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True, allow_nan=allow_nan)
+
+
 def _load_model_for(cfg: RunConfig, required: bool):
     if not cfg.model_path:
         if required:
@@ -82,9 +87,9 @@ def _load_model_for(cfg: RunConfig, required: bool):
         raise ConfigError(f"model_path: cannot load {cfg.model_path!r}: {exc}") from exc
 
 
-def _simulate_runs(cfg: RunConfig, model) -> list:
+def _simulate(cfg: RunConfig, model) -> list:
     """Each seed's (log, store), recorded on the coarsest grid that holds every
-    trajectory row and every frame."""
+    trajectory row and every frame; a placement or a model can fail in any run."""
     dt = cfg.scenario.dt_sim
     record_period = math.gcd(grid_stride(LOG_PERIOD, dt),
                              grid_stride(cfg.sensing.frame_period, dt)) * dt
@@ -92,7 +97,7 @@ def _simulate_runs(cfg: RunConfig, model) -> list:
                          record_period=record_period) for seed in cfg.seeds]
 
 
-def cmd_simulate(cfg: RunConfig, out: Path, runs) -> int:
+def _simulate_files(cfg: RunConfig, out: Path, runs):
     for seed, (log, store) in zip(cfg.seeds, runs):
         sdir = _seed_dir(out, seed)
         write_trajectory_csv(log, sdir / "trajectory.csv")
@@ -100,71 +105,66 @@ def cmd_simulate(cfg: RunConfig, out: Path, runs) -> int:
         write_channel_csv(store, sdir / "twin_channel.csv")
         depth_dir = sdir / "depth"
         depth_dir.mkdir(exist_ok=True)
-        # (t, detections) per frame; each raster is written and dropped
+        # (t, detections) per frame; each raster is rendered, written and dropped
         detections = sense_log(log, cfg.camera, replace(cfg.sensing, seed=seed), depth_dir)
         write_detections_csv(detections, sdir / "detections.csv")
-    return 0
 
 
-def _draw_corpora(cfg: RunConfig) -> dict[int, tuple]:
-    """Each seed's fuse-eval corpus; ConfigError on a seed whose frames never show the target."""
-    corpora = {}
+def _fuse_eval(cfg: RunConfig, model) -> list:
+    """Per seed: its identification rows, accuracy curves and summary; ConfigError
+    on a seed whose frames never show the target, which depends on the draw."""
+    scored = []
     for seed in cfg.seeds:
         rows, frames, overlap_pairs = build_fuse_corpus(
             cfg.fuse_eval, cfg.camera, replace(cfg.sensing, seed=seed), cfg.fusion, seed)
         if frames == 0:
             raise ConfigError(f"seed {seed}: no fuse-eval corpus frame shows the target")
-        corpora[seed] = rows, frames, overlap_pairs
-    return corpora
-
-
-def cmd_fuse_eval(cfg: RunConfig, out: Path, corpora: dict[int, tuple]) -> int:
-    for seed, (rows, frames, overlap_pairs) in corpora.items():
         curves = identification_accuracy(rows, cfg.fuse_eval.thresholds)
-        sdir = _seed_dir(out, seed)
-        write_curve_csv(curves, sdir / "curve.csv")
-        write_identifications_csv(rows, sdir / "identifications.csv")
         fused_07 = curves["fused"].at(REPORT_IOU)
         base_07 = curves["baseline"].at(REPORT_IOU)
-        summary = {
+        scored.append((rows, curves, {
             "frames": frames,
             "overlap_pair_fraction": overlap_pairs / frames,
             "accuracy_fused_at_0.7": fused_07,
             "accuracy_baseline_at_0.7": base_07,
             "gap_at_0.7": fused_07 - base_07,
-        }
-        with open(sdir / "summary.json", "w") as fh:
-            json.dump(summary, fh, indent=1, sort_keys=True)
-    return 0
+        }))
+    return scored
 
 
-def _fit(cfg: RunConfig):
+def _fuse_eval_files(cfg: RunConfig, out: Path, scored: list):
+    for seed, (rows, curves, summary) in zip(cfg.seeds, scored):
+        sdir = _seed_dir(out, seed)
+        write_curve_csv(curves, sdir / "curve.csv")
+        write_identifications_csv(rows, sdir / "identifications.csv")
+        _dump_json(summary, sdir / "summary.json")
+
+
+def _train(cfg: RunConfig, model):
     """The training dataset and the model fitted to it; DegenerateDataset when
-    the dataset is empty or holds a single class."""
+    the dataset is empty or holds a single class, which only the runs show."""
     dataset = build_dataset(cfg.scenario, cfg.window, cfg.seeds, cfg.channel,
                             include_nonchangers=cfg.training.include_nonchangers)
     return dataset, train(dataset, cfg.training)
 
 
-def cmd_train(cfg: RunConfig, out: Path, fitted) -> int:
+def _train_files(cfg: RunConfig, out: Path, fitted):
     dataset, model = fitted
     save_model(model, out / "model.json")
     write_dataset_csv(dataset, out / "dataset.csv")
-    summary = {
-        "samples": len(dataset),
-        "positives": int(sum(s.label for s in dataset)),
-        "train_seeds": list(cfg.seeds),
-        "hidden": cfg.training.hidden,
-        "epochs": cfg.training.epochs,
-    }
-    with open(out / "training_summary.json", "w") as fh:
-        json.dump(summary, fh, indent=1, sort_keys=True)
-    return 0
+    _dump_json({"samples": len(dataset),
+                "positives": int(sum(s.label for s in dataset)),
+                "train_seeds": list(cfg.seeds),
+                "hidden": cfg.training.hidden,
+                "epochs": cfg.training.epochs}, out / "training_summary.json")
 
 
-def cmd_predict_eval(cfg: RunConfig, out: Path, runs) -> int:
+def _predict_eval(cfg: RunConfig, model):
+    """Per seed its trace rows (vehicle, t, probability, raw, aggressive and
+    conservative bits), and each kind of bit's metrics over every seed."""
     combined = {"raw": ([], []), "aggressive": ([], []), "conservative": ([], [])}
-    for seed, (traces, plans) in zip(cfg.seeds, runs):
+    traced = []
+    for traces, plans in prediction_runs(cfg.scenario, model, cfg.seeds, cfg.channel):
         rows = []
         for vid in sorted(traces):
             times, probs, raw = traces[vid]
@@ -176,35 +176,49 @@ def cmd_predict_eval(cfg: RunConfig, out: Path, runs) -> int:
                 combined[name][1].extend(truth.tolist())
             rows.extend((vid, *row) for row in zip(times.tolist(), probs.tolist(),
                                                    raw.tolist(), agg.tolist(), cons.tolist()))
-        write_traces_csv(rows, _seed_dir(out, seed) / "traces.csv")
+        traced.append(rows)
     metrics = {}
     for name, (pred, truth) in combined.items():
         accuracy, tpr, fpr = classification_metrics(pred, truth)
         metrics[name] = {"accuracy": accuracy, "true_positive_rate": tpr,
                          "false_positive_rate": fpr,
                          "timesteps": len(pred)}
-    with open(out / "metrics.json", "w") as fh:
-        json.dump(metrics, fh, indent=1, sort_keys=True, allow_nan=False)
-    return 0
+    return traced, metrics
 
 
-def cmd_closed_loop(cfg: RunConfig, out: Path, pairs) -> int:
+def _predict_eval_files(cfg: RunConfig, out: Path, evaluated):
+    traced, metrics = evaluated
+    for seed, rows in zip(cfg.seeds, traced):
+        write_traces_csv(rows, _seed_dir(out, seed) / "traces.csv")
+    _dump_json(metrics, out / "metrics.json", allow_nan=False)
+
+
+def _closed_loop(cfg: RunConfig, model):
+    """Each seed's (guided, baseline) reports, and their paired comparison."""
+    pairs = [closed_loop_pair(cfg.scenario, model, seed, cfg.channel) for seed in cfg.seeds]
+    return pairs, compare_paired_runs(*zip(*pairs))  # guided reports, baseline reports
+
+
+def _closed_loop_files(cfg: RunConfig, out: Path, compared):
+    pairs, comparison = compared
     for seed, (guided, baseline) in zip(cfg.seeds, pairs):
         sdir = _seed_dir(out, seed)
         write_safety_report_json(guided, sdir / "report_guided.json")
         write_safety_report_json(baseline, sdir / "report_baseline.json")
-    comparison = compare_paired_runs(*zip(*pairs))  # guided reports, baseline reports
-    with open(out / "comparison.json", "w") as fh:
-        json.dump(asdict(comparison), fh, indent=1, sort_keys=True)
-    return 0
+    _dump_json(asdict(comparison), out / "comparison.json")
 
 
+# name -> (compute(cfg, model), write(cfg, out, computed), whether it requires a
+# model). compute does all of the command's work, so each failure it can meet
+# comes before the first write, and returns only what write reads; write only
+# formats and writes. The one exception is simulate's sense_log: it renders
+# each raster as it writes it, so that one raster is alive per process.
 COMMANDS = {
-    "simulate": cmd_simulate,
-    "fuse-eval": cmd_fuse_eval,
-    "train": cmd_train,
-    "predict-eval": cmd_predict_eval,
-    "closed-loop": cmd_closed_loop,
+    "simulate": (_simulate, _simulate_files, False),
+    "fuse-eval": (_fuse_eval, _fuse_eval_files, False),
+    "train": (_train, _train_files, False),
+    "predict-eval": (_predict_eval, _predict_eval_files, True),
+    "closed-loop": (_closed_loop, _closed_loop_files, True),
 }
 
 
@@ -225,28 +239,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:  # nothing is written until every check here has passed
+    compute, write, model_required = COMMANDS[args.command]
+    try:  # nothing is written until every check and all of the work have passed
         cfg = load_config(args.config)
         if args.seeds is not None:
             try:
                 cfg = replace(cfg, seeds=[int(s) for s in args.seeds.split(",") if s])
             except ValueError as exc:
                 raise ConfigError(f"--seeds: {exc}") from exc
-        needs_model = args.command in ("predict-eval", "closed-loop")
-        # what the command writes from besides its config: the model, then the
-        # command's whole work, done before its first write
-        given = _load_model_for(cfg, required=needs_model)
-        if args.command == "simulate":  # a placement or a model can fail in any run
-            given = _simulate_runs(cfg, given)
-        elif args.command == "fuse-eval":  # whether a target shows depends on the draw
-            given = _draw_corpora(cfg)
-        elif args.command == "train":  # only the runs show whether both classes occur
-            given = _fit(cfg)
-        elif args.command == "predict-eval":
-            given = prediction_runs(cfg.scenario, given, cfg.seeds, cfg.channel)
-        else:
-            given = [closed_loop_pair(cfg.scenario, given, seed, cfg.channel)
-                     for seed in cfg.seeds]
+        computed = compute(cfg, _load_model_for(cfg, required=model_required))
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        write_echo(cfg, out / "config.echo.json")
+        write(cfg, out, computed)
     except (ConfigError, InfeasiblePlacement, DegenerateDataset) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -256,15 +261,7 @@ def main(argv=None) -> int:
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-
-    out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        write_echo(cfg, out / "config.echo.json")
-        return COMMANDS[args.command](cfg, out, given)
-    except Exception as exc:  # pragma: no cover - defensive
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    return 0
 
 
 if __name__ == "__main__":

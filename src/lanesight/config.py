@@ -55,8 +55,9 @@ class RunConfig:
     def __post_init__(self):
         if (not isinstance(self.seeds, list) or not self.seeds
                 or not all(isinstance(s, int) and not isinstance(s, bool) and s >= 0
-                           for s in self.seeds)):
-            raise ValueError("seeds: expected a non-empty list of nonnegative integers")
+                           for s in self.seeds)
+                or len(set(self.seeds)) < len(self.seeds)):  # a seed names its outputs
+            raise ValueError("seeds: expected a non-empty list of distinct nonnegative integers")
         if self.model_path is not None and not isinstance(self.model_path, str):
             raise ValueError("model_path: expected a string or null")
         for period in (self.channel.publish_period, self.sensing.frame_period,

@@ -26,10 +26,7 @@ from .twinlink import TwinRecord
 
 @dataclass(frozen=True)
 class IdentificationResult:
-    t: float
     chosen: Detection | None
-    method: str  # "fused" | "baseline"
-    anchor: PixelPoint | None
     candidate_count: int
 
 
@@ -94,9 +91,9 @@ def identify(frame: SensorFrame, twin: TwinRecord, d_g: float,
     try:
         anchor = project_anchor(twin.position, frame.camera.extrinsics, intr)
     except BehindCamera:
-        return IdentificationResult(frame.t, None, method, None, 0)
+        return IdentificationResult(None, 0)
     if not (0.0 <= anchor.u < intr.width and 0.0 <= anchor.v < intr.height):
-        return IdentificationResult(frame.t, None, method, anchor, 0)
+        return IdentificationResult(None, 0)
 
     dets = frame.detections
     cand = [i for i, det in enumerate(dets) if det.box.contains(anchor.u, anchor.v)]
@@ -108,4 +105,4 @@ def identify(frame: SensorFrame, twin: TwinRecord, d_g: float,
                                        th=params.shrink, n=params.samples, seed=params.seed)
             depth = dict(zip(evaluable, estimates))
             pool, cost = evaluable, lambda i: abs(depth[i] - d_g)
-    return IdentificationResult(frame.t, _choose(dets, pool, cost), method, anchor, len(cand))
+    return IdentificationResult(_choose(dets, pool, cost), len(cand))

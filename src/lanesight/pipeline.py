@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import os
 import pickle
-from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from itertools import count, islice
@@ -53,7 +52,7 @@ from .scene import (
 )
 from .sensing import Detection, DetectorNoiseModel, SensorFrame, emulate_detections, \
     render_depth_map, render_truth_boxes, write_depth_map
-from .twinlink import ChannelConfig, NoData, TwinRecord, TwinStore, \
+from .twinlink import ChannelConfig, NoData, TwinRecord, TwinStore, _visible, \
     gnss_distance, publish, publish_advisory, query_advisory, query_target
 
 INFER_PERIOD = 1.0  # seconds between per-vehicle predictions
@@ -216,7 +215,7 @@ def simulate_run(cfg: ScenarioConfig, channel: ChannelConfig = ChannelConfig(),
                         publish_advisory(store, car.id, prob, t)
                 issued.append(t)
             if guided:  # query_advisory's bound: a car's answer moves only when a round shows
-                visible = bisect_right(issued, t - channel.latency + 1e-12)
+                visible = _visible(issued, t, channel.latency)
                 if visible != shown:
                     shown = visible
                     guidance = {vid: prob for vid in store.advisories  # the cars
@@ -451,7 +450,7 @@ def _score_part(corpus: FuseCorpusConfig, mount: CameraMount, noise: DetectorNoi
         for method in ("fused", "baseline"):
             res = identify(frame, twin, d_g, frame_params, method=method)
             chosen = res.chosen
-            scored.append((res.t, method, None if chosen is None else chosen.source_id,
+            scored.append((frame.t, method, None if chosen is None else chosen.source_id,
                            0.0 if chosen is None else float(iou(chosen.box, boxes[1])),
                            res.candidate_count))
         rows.append((2 in boxes and iou(boxes[1], boxes[2]) > 0.0, scored))

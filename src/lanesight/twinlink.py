@@ -67,14 +67,18 @@ def publish(store: TwinStore, state: VehicleState, t: float):
     vs.append(state.v)
 
 
+def _visible(times, t: float, latency: float) -> int:
+    """How many of the ascending times are at most t - latency, give or take grid rounding."""
+    return bisect_right(times, t - latency + 1e-12)
+
+
 def query_target(store: TwinStore, vehicle_id: int, t: float,
                  cfg: ChannelConfig) -> TwinRecord:
     """Latest record visible at time t given the channel latency."""
     cols = store.records.get(vehicle_id)
-    bound = t - cfg.latency
-    i = bisect_right(cols[0], bound + 1e-12) if cols is not None else 0
+    i = _visible(cols[0], t, cfg.latency) if cols is not None else 0
     if i == 0:
-        raise NoData(f"no record for vehicle {vehicle_id} at or before t={bound:.3f}")
+        raise NoData(f"no record for vehicle {vehicle_id} at or before t={t - cfg.latency:.3f}")
     ts, xs, ys, zs, vs = cols
     i -= 1
     return TwinRecord(vehicle_id, WorldPoint(xs[i], ys[i], zs[i]), vs[i], ts[i])
@@ -94,7 +98,7 @@ def query_advisory(store: TwinStore, vehicle_id: int, t: float,
                    cfg: ChannelConfig) -> float | None:
     """The latest advisory's probability visible at time t, or None before the first."""
     cols = store.advisories.get(vehicle_id)
-    i = bisect_right(cols[0], t - cfg.latency + 1e-12) if cols is not None else 0
+    i = _visible(cols[0], t, cfg.latency) if cols is not None else 0
     return cols[1][i - 1] if i else None
 
 
@@ -111,10 +115,8 @@ def write_channel_csv(store: TwinStore, path):
     for vid, cols in store.records.items():
         issued, probs = store.advisories.get(vid, ((), ()))
         for t, x, y, z, v in zip(*cols):
-            prob = ""
-            idx = bisect_right(issued, t + 1e-12)
-            if idx:
-                prob = f"{probs[idx - 1]:.6f}"
+            idx = _visible(issued, t, 0.0)
+            prob = f"{probs[idx - 1]:.6f}" if idx else ""
             rows.append((t, vid, x, y, z, v, prob))
     rows.sort(key=lambda r: (r[0], r[1]))
     with open(path, "w", newline="") as fh:

@@ -429,7 +429,7 @@ def step(scn: Scenario, guidance: dict[int, float] | None = None):
 # decision path: the anchor goes through its own per-point transform and
 # divide, and each matcher writes out its no-match, unique and tie branches.
 # For valid methods, fusion.identify must choose the very same detection
-# object, with the same anchor and candidate count.
+# object, with the same candidate count.
 
 def project_anchor(p_w, e, i) -> PixelPoint:
     v = e.rotation @ p_w.as_array() + e.translation
@@ -445,31 +445,31 @@ def _candidates(anchor, detections) -> list[int]:
     return [i for i, det in enumerate(detections) if det.box.contains(anchor.u, anchor.v)]
 
 
-def match_target(anchor, detections, depths, d_g, t=0.0) -> IdentificationResult:
+def match_target(anchor, detections, depths, d_g) -> IdentificationResult:
     if len(depths) != len(detections):
         raise ValueError("depth estimates must align with detections")
     cand = _candidates(anchor, detections)
     if not cand:
-        return IdentificationResult(t, None, "fused", anchor, 0)
+        return IdentificationResult(None, 0)
     if len(cand) == 1:
-        return IdentificationResult(t, detections[cand[0]], "fused", anchor, 1)
+        return IdentificationResult(detections[cand[0]], 1)
     best = min(cand, key=lambda i: (abs(depths[i] - d_g), i))
-    return IdentificationResult(t, detections[best], "fused", anchor, len(cand))
+    return IdentificationResult(detections[best], len(cand))
 
 
-def match_target_baseline(anchor, detections, t=0.0) -> IdentificationResult:
+def match_target_baseline(anchor, detections) -> IdentificationResult:
     cand = _candidates(anchor, detections)
     if not cand:
-        return IdentificationResult(t, None, "baseline", anchor, 0)
+        return IdentificationResult(None, 0)
     if len(cand) == 1:
-        return IdentificationResult(t, detections[cand[0]], "baseline", anchor, 1)
+        return IdentificationResult(detections[cand[0]], 1)
 
     def center_dist(i: int) -> float:
         cu, cv = detections[i].box.center
         return (cu - anchor.u) ** 2 + (cv - anchor.v) ** 2
 
     best = min(cand, key=lambda i: (center_dist(i), i))
-    return IdentificationResult(t, detections[best], "baseline", anchor, len(cand))
+    return IdentificationResult(detections[best], len(cand))
 
 
 def identify(frame, twin, d_g, params, method="fused") -> IdentificationResult:
@@ -477,31 +477,31 @@ def identify(frame, twin, d_g, params, method="fused") -> IdentificationResult:
     try:
         anchor = project_anchor(twin.position, frame.camera.extrinsics, intr)
     except BehindCamera:
-        return IdentificationResult(frame.t, None, method, None, 0)
+        return IdentificationResult(None, 0)
     if not (0.0 <= anchor.u < intr.width and 0.0 <= anchor.v < intr.height):
-        return IdentificationResult(frame.t, None, method, anchor, 0)
+        return IdentificationResult(None, 0)
 
     if method == "baseline":
-        return match_target_baseline(anchor, frame.detections, t=frame.t)
+        return match_target_baseline(anchor, frame.detections)
     if method != "fused":
         raise ValueError(f"unknown method {method!r}")
 
     cand = _candidates(anchor, frame.detections)
     if len(cand) <= 1:
         chosen = frame.detections[cand[0]] if cand else None
-        return IdentificationResult(frame.t, chosen, "fused", anchor, len(cand))
+        return IdentificationResult(chosen, len(cand))
 
     evaluable = [i for i in cand
                  if _sample_region(frame.detections[i].box, params.shrink) is not None]
     if not evaluable:
         # no candidate offers depth pixels; fall back to the image-only rule
-        result = match_target_baseline(anchor, frame.detections, t=frame.t)
-        return IdentificationResult(frame.t, result.chosen, "fused", anchor, len(cand))
+        result = match_target_baseline(anchor, frame.detections)
+        return IdentificationResult(result.chosen, len(cand))
     subset = [frame.detections[i] for i in evaluable]
     depths = depth_evaluate(frame.depth, [d.box for d in subset],
                             th=params.shrink, n=params.samples, seed=params.seed)
-    result = match_target(anchor, subset, depths, d_g, t=frame.t)
-    return IdentificationResult(frame.t, result.chosen, "fused", anchor, len(cand))
+    result = match_target(anchor, subset, depths, d_g)
+    return IdentificationResult(result.chosen, len(cand))
 
 
 # Reference copy of the twin store as it stood before typed columns: each

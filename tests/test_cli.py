@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from lanesight import cli, pipeline, sensing
 from lanesight.cli import main
-from lanesight.config import load_config
+from lanesight.config import ConfigError, load_config
 from lanesight.pipeline import simulate_run
 from lanesight.prediction import FEATURE_SIZE, MlpModel, load_model, save_model
 
@@ -35,6 +35,15 @@ def write_config(path: Path, **overrides) -> Path:
         else:
             doc[key] = value
     path.write_text(json.dumps(doc))
+    return path
+
+
+def zero_model(tmp_path: Path) -> Path:
+    """A loadable model whose every weight is zero: each probability is 0.5."""
+    path = tmp_path / "model.json"
+    save_model(MlpModel(w1=np.zeros((4, FEATURE_SIZE)), b1=np.zeros(4), w2=np.zeros(4),
+                        b2=0.0, feat_mean=np.zeros(FEATURE_SIZE),
+                        feat_std=np.ones(FEATURE_SIZE)), path)
     return path
 
 
@@ -334,10 +343,7 @@ class TestTrainAndPredict:
     def test_undefined_figures_are_null_in_strict_json(self, tmp_path):
         # with no lane changer no timestep is positive, and with no neighbour
         # there is no timestep at all; such a figure is null, never NaN
-        model_path = tmp_path / "model.json"
-        save_model(MlpModel(w1=np.zeros((4, FEATURE_SIZE)), b1=np.zeros(4), w2=np.zeros(4),
-                            b2=0.0, feat_mean=np.zeros(FEATURE_SIZE),
-                            feat_std=np.ones(FEATURE_SIZE)), model_path)
+        model_path = zero_model(tmp_path)
 
         def not_json(constant):
             raise ValueError(f"{constant} is not JSON")
@@ -464,10 +470,7 @@ class TestFanOut:
             return real(cfg, *args, **kwargs)
 
         monkeypatch.setattr(pipeline, "simulate_run", broken)
-        model_path = tmp_path / "model.json"
-        save_model(MlpModel(w1=np.zeros((4, FEATURE_SIZE)), b1=np.zeros(4), w2=np.zeros(4),
-                            b2=0.0, feat_mean=np.zeros(FEATURE_SIZE),
-                            feat_std=np.ones(FEATURE_SIZE)), model_path)
+        model_path = zero_model(tmp_path)
         cfg = write_config(tmp_path / "c.json", seeds=[1, 2], model_path=str(model_path))
         out = tmp_path / "out"
         for count in (1, 2):
@@ -581,16 +584,34 @@ class TestPreWriteFailures:
         assert not out.exists()
         assert "deep_model.json" in capsys.readouterr().err
 
-    def test_any_other_failure_is_a_runtime_error(self, tmp_path, capsys, monkeypatch):
-        def fail(cfg):
-            raise RuntimeError("placement broke")
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    @pytest.mark.parametrize("error,code,label", [(RuntimeError, 3, "error"),
+                                                  (ConfigError, 2, "config error")])
+    def test_any_other_failure_is_a_runtime_error(self, tmp_path, capsys, monkeypatch,
+                                                   command, error, code, label):
+        # a command's compute does all of its work, so whatever it raises
+        # comes before the first write
+        def fail(cfg, model):
+            raise error("compute broke")
 
-        monkeypatch.setattr(pipeline, "build_scenario", fail)
-        cfg = write_config(tmp_path / "c.json")
+        _, write, model_required = cli.COMMANDS[command]
+        monkeypatch.setitem(cli.COMMANDS, command, (fail, write, model_required))
+        cfg = write_config(tmp_path / "c.json", model_path=str(zero_model(tmp_path)))
         out = tmp_path / "out"
-        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == code
         assert not out.exists()
-        assert capsys.readouterr().err == "error: placement broke\n"
+        assert capsys.readouterr().err == f"{label}: compute broke\n"
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_a_repeated_seed_exits_2_before_any_write(self, tmp_path, capsys, command):
+        # closed-loop used to count one scenario as two pairs, predict-eval
+        # to count both runs in metrics.json but keep one traces.csv, and
+        # fuse-eval to run the seed once
+        cfg = write_config(tmp_path / "c.json", model_path=str(zero_model(tmp_path)))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out), "--seeds", "3,3"]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("config error: --seeds: seeds: expected")
 
 
     @pytest.mark.parametrize("command", ["simulate", "fuse-eval", "train", "predict-eval",
@@ -677,10 +698,7 @@ class TestOnceExit3:
     @pytest.mark.parametrize("command", COMMANDS)
     @pytest.mark.parametrize("idm", [{"delta": 1e12}, {"delta": 300, "a_max": 1e12}])
     def test_an_overflowing_idm_term_never_exits_3(self, tmp_path, capsys, command, idm):
-        model_path = tmp_path / "model.json"
-        save_model(MlpModel(w1=np.zeros((4, FEATURE_SIZE)), b1=np.zeros(4), w2=np.zeros(4),
-                            b2=0.0, feat_mean=np.zeros(FEATURE_SIZE),
-                            feat_std=np.ones(FEATURE_SIZE)), model_path)
+        model_path = zero_model(tmp_path)
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"idm": idm, "scenario": {"duration": 4.0},
                                    "model_path": str(model_path)}))

@@ -182,6 +182,15 @@ class TestResolve:
         with pytest.raises(ConfigError, match="seeds"):
             resolve_config({"seeds": ["one"]})
 
+    def test_seeds_are_distinct(self):
+        # a seed names its run's outputs, so a repeat would overwrite them
+        with pytest.raises(ConfigError, match="seeds: expected .* distinct"):
+            resolve_config({"seeds": [3, 1, 3]})
+        # replace reruns the rule, as the CLI's --seeds override does
+        with pytest.raises(ValueError, match="seeds: expected .* distinct"):
+            replace(resolve_config({"seeds": [1, 3]}), seeds=[3, 3])
+        assert resolve_config({"seeds": [3, 1]}).seeds == [3, 1]
+
 
 def test_the_walk_reaches_every_nested_section():
     walked = {cls.__name__ for cls, _ in CHECKED_FIELDS}

@@ -129,10 +129,10 @@ def identify_at(u, v, dets, depth, d_g=20.0, method="fused"):
     x = 20.0  # meters ahead of the camera
     position = WorldPoint(x, 5.25 - (u - INTR.u0) * x / INTR.fx,
                           1.4 - (v - INTR.v0) * x / INTR.fy)
+    anchor = project_anchor(position, CAM.extrinsics, INTR)
+    assert (anchor.u, anchor.v) == (pytest.approx(u), pytest.approx(v))
     frame = SensorFrame(t=0.0, detections=dets, depth=depth, camera=CAM)
-    res = identify(frame, TwinRecord(1, position, 17.0, 0.0), d_g, FusionParams(), method)
-    assert (res.anchor.u, res.anchor.v) == (pytest.approx(u), pytest.approx(v))
-    return res
+    return identify(frame, TwinRecord(1, position, 17.0, 0.0), d_g, FusionParams(), method)
 
 
 class TestFusedMatch:
@@ -261,7 +261,6 @@ class TestIdentify:
                             depth=flat_depth(10.0), camera=CAM)
         res = identify(frame, twin, 20.0, FusionParams(), method="fused")
         assert res.chosen is centered
-        assert res.method == "fused"
         assert res.candidate_count == 2
 
     def test_branch_consistency_on_unique_candidates(self):
@@ -346,6 +345,3 @@ class TestSingleDecisionPath:
         want = oracles.identify(frame, twin, d_g, params, method=method)
         assert got.chosen is want.chosen
         assert got.candidate_count == want.candidate_count
-        assert got.method == want.method
-        assert got.anchor == want.anchor
-        assert got.t == want.t

@@ -21,7 +21,6 @@ from lanesight.pipeline import (
     build_fuse_corpus,
     closed_loop_pair,
     ground_truth_bits,
-    prediction_runs,
     render_frames,
     simulate_run,
 )
@@ -549,17 +548,18 @@ class TestOneRunAlive:
         build_dataset(small_cfg(duration=2.0), WindowParams(), seeds=[1, 2, 3])
         assert len(runs) == 3
 
-    def test_cmd_simulate(self, runs, tmp_path):
+    def test_simulate_command(self, runs, tmp_path):
         cfg = self.run_config()
         runs.kept = frozenset({"log", "store"})  # every seed runs before the first write
-        assert cli.cmd_simulate(cfg, tmp_path, cli._simulate_runs(cfg, None)) == 0
+        compute, write, _ = cli.COMMANDS["simulate"]
+        write(cfg, tmp_path, compute(cfg, None))
         assert len(runs) == 2
         assert all(run["scenario"]() is None for run in runs)
 
-    def test_cmd_predict_eval(self, runs, tmp_path, model):
+    def test_predict_eval_command(self, runs, tmp_path, model):
         cfg = self.run_config()
-        given = prediction_runs(cfg.scenario, model, cfg.seeds, cfg.channel)
-        assert cli.cmd_predict_eval(cfg, tmp_path, given) == 0
+        compute, write, _ = cli.COMMANDS["predict-eval"]
+        write(cfg, tmp_path, compute(cfg, model))
         assert len(runs) == 2
 
     def test_each_process_of_a_fan_out_holds_one_run(self, runs, monkeypatch, tmp_path):
