@@ -245,8 +245,8 @@ def main(argv=None) -> int:
         if args.seeds is not None:
             try:
                 cfg = replace(cfg, seeds=[int(s) for s in args.seeds.split(",") if s])
-            except ValueError as exc:
-                raise ConfigError(f"--seeds: {exc}") from exc
+            except ValueError as exc:  # RunConfig's own message names the field
+                raise ConfigError(f"--seeds: {str(exc).removeprefix('seeds: ')}") from exc
         computed = compute(cfg, _load_model_for(cfg, required=model_required))
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

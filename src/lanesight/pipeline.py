@@ -12,19 +12,21 @@ predictions; `_traced` reads them for predict-eval.
 Work that never reads other work of its kind (a closed-loop pair's two legs,
 the seeds of a training set or of a held-out evaluation, the sensor frames of
 a finished log or of a fuse-eval corpus) fans out over the k CPUs of the
-process's affinity mask. The calling process runs every k-th item itself;
-each of k - 1 forked helpers inherits the inputs by fork, runs its share and
-sends only its results back, as one pickle through its own pipe, before it
-exits. `taskset -c 0` runs it all in the calling process, and the outputs
-are byte-identical at any CPU count.
+process's affinity mask, one item per run, leg or frame. Every random draw of
+a frame comes from streams keyed by (seed, frame number), so a frame needs no
+other frame. The calling process runs every k-th item itself; each of k - 1
+forked helpers inherits the inputs by fork, runs its share and sends only its
+results back, as one pickle through its own pipe, before it exits.
+`taskset -c 0` runs it all in the calling process, and the outputs are
+byte-identical at any CPU count.
 """
 from __future__ import annotations
 
 import os
 import pickle
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, replace
-from itertools import count, islice
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -60,8 +62,8 @@ DECISION_THRESHOLD = 0.5  # an advisory's probability at or above this sets its 
 REPORT_IOU = 0.7  # fuse-eval summaries report accuracy at this IoU threshold
 ABREAST_OFFSET = (0.05, 0.3)  # fuse-eval: an abreast target's offset from the lane center
 # the most frames a fuse-eval corpus may draw: on a 2-vCPU Xeon host about
-# 6 min, with peaks of 524 MB in the calling process and 365 MB in its helper,
-# which pickles its half of the rows back; on one CPU 10.5 min and 477 MB
+# 7.6 min, with peaks of 518 MB in the calling process and 357 MB in its helper,
+# which pickles its half of the rows back; on one CPU 11.5 min and 454 MB
 MAX_CORPUS_FRAMES = 10**6
 
 
@@ -84,29 +86,21 @@ def _cpu_count() -> int:  # of the affinity mask; 1 where there is none
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _place(caller_cpu: int):
-    """Move a forked helper off the caller's CPU, where it would stay, then free it."""
-    mask = os.sched_getaffinity(0)
-    os.sched_setaffinity(0, mask - {caller_cpu} or mask)
-    os.sched_setaffinity(0, mask)
-
-
-def _share(fn, items: list[tuple]) -> tuple[list, Exception | None]:
-    """[fn(*item) for item in items] up to the first error, and that error."""
+def _share(fn, items: Sequence) -> tuple[list, Exception | None]:
+    """[fn(item) for item in items] up to the first error, and that error."""
     results = []
     try:
         for item in items:
-            results.append(fn(*item))
+            results.append(fn(item))
     except Exception as exc:
         return results, exc
     return results, None
 
 
-def _help(fn, items: list[tuple], caller_cpu: int, fd: int):
+def _help(fn, items: Sequence, fd: int):
     """A forked helper: its share, written to fd as one pickle; an error that does
     not pickle goes as a RuntimeError naming it. It leaves by os._exit."""
     try:
-        _place(caller_cpu)
         results, error = _share(fn, items)
         try:
             pickle.loads(pickle.dumps(error))
@@ -118,25 +112,25 @@ def _help(fn, items: list[tuple], caller_cpu: int, fd: int):
         os._exit(0)
 
 
-def _fan_out(fn, items: list[tuple]) -> list:
-    """[fn(*item) for item in items] over k = min(len(items), usable CPUs)
-    processes: the caller runs items[0::k], all of them before it reads a
-    helper, and forked helper h = 1 .. k - 1 runs items[h::k] and sends its
-    results through its own pipe; inputs reach it by fork. Results come in
-    item order. Each process stops at its own first error; the error raised
-    is the first in item order, as in one process. Every pipe is read to its
-    end before its helper is reaped, and every helper is reaped on every path."""
+def _fan_out(fn, items: Sequence) -> list:
+    """[fn(item) for item in items] over k = min(len(items), usable CPUs)
+    processes, items being any sequence that slices, such as a range, and fn
+    a partial that binds what the items share, the item coming last. The
+    caller runs items[0::k], all of them before it reads a helper, and forked
+    helper h = 1 .. k - 1 runs items[h::k] and sends its results through its
+    own pipe; inputs reach it by fork. Results come in item order. Each process
+    stops at its own first error; the error raised is the first in item order,
+    as in one process. Every pipe is read to its end before its helper is
+    reaped, and every helper is reaped on every path."""
     k = min(len(items), _cpu_count())
     if k < 2:
-        return [fn(*item) for item in items]
-    with open("/proc/self/stat") as fh:  # field 39: the CPU this process last ran on
-        cpu = int(fh.read().rsplit(")", 1)[1].split()[36])
+        return [fn(item) for item in items]
     helpers = []  # (pid, read end), helper h at index h - 1
     try:
         for h in range(1, k):
             read, write = os.pipe()
             if (pid := os.fork()) == 0:
-                _help(fn, items[h::k], cpu, write)
+                _help(fn, items[h::k], write)
             os.close(write)  # before the next fork, so only helper h holds it
             helpers.append((pid, read))
         shares = [_share(fn, items[::k])]
@@ -153,16 +147,6 @@ def _fan_out(fn, items: list[tuple]) -> list:
     if failed:  # at item i, process i % k stopped
         raise shares[min(failed) % k][1]
     return [shares[i % k][0][i // k] for i in range(len(items))]
-
-
-def _by_frame(fn, frames: int, *args) -> list:
-    """The rows of frames 0 .. frames - 1, in order, where fn(*args, part, parts)
-    gives the rows of frames part, part + parts, ...; one part per process."""
-    parts = min(frames, _cpu_count())
-    rows = [None] * frames
-    for part, got in enumerate(_fan_out(fn, [(*args, part, parts) for part in range(parts)])):
-        rows[part::parts] = got
-    return rows
 
 
 def _twin_snapshot(store: TwinStore, t: float, channel: ChannelConfig,
@@ -225,21 +209,27 @@ def simulate_run(cfg: ScenarioConfig, channel: ChannelConfig = ChannelConfig(),
     return scn.build_log(record_period), store
 
 
+def _frame_rows(log: TrajectoryLog, noise: DetectorNoiseModel) -> range:
+    """The log row of each sensor frame, one every noise.frame_period."""
+    return range(0, len(log.times), grid_stride(noise.frame_period, log.dt))
+
+
 def render_frames(log: TrajectoryLog, mount: CameraMount, noise: DetectorNoiseModel,
-                  part: int = 0, parts: int = 1) -> Iterator[SensorFrame]:
-    """Post-hoc sensor frames every noise.frame_period of a finished log:
-    frames part, part + parts, part + 2 * parts, ...
+                  frames: Sequence[int] | None = None) -> Iterator[SensorFrame]:
+    """Post-hoc sensor frames every noise.frame_period of a finished log: the
+    given frame numbers, all of them by default.
 
     Frames are rendered one at a time as the caller iterates, so a caller that
     drops each frame holds one depth raster at a time.
     """
-    stride = grid_stride(noise.frame_period, log.dt)
-    for k in range(part * stride, len(log.times), parts * stride):
+    rows = _frame_rows(log, noise)
+    for i in range(len(rows)) if frames is None else frames:
+        k = rows[i]
         states = log.states_at(k)
         ego = next(s for s in states if s.id == log.ego_id)
         others = [s for s in states if s.id != log.ego_id]
         camera = mount.camera_for(ego)
-        frame_noise = noise.for_frame(k // stride)
+        frame_noise = noise.for_frame(i)
         truth = render_truth_boxes(others, camera)
         depth = render_depth_map(truth, mount.intrinsics, noise=frame_noise)
         dets = emulate_detections(truth, frame_noise, mount.intrinsics.width,
@@ -247,13 +237,11 @@ def render_frames(log: TrajectoryLog, mount: CameraMount, noise: DetectorNoiseMo
         yield SensorFrame(t=float(log.times[k]), detections=dets, depth=depth, camera=camera)
 
 
-def _sense_part(log: TrajectoryLog, mount: CameraMount, noise: DetectorNoiseModel,
-                depth_dir: Path, part: int, parts: int):
-    rows = []
-    for i, frame in zip(count(part, parts), render_frames(log, mount, noise, part, parts)):
-        write_depth_map(frame.depth, depth_dir / f"frame_{i:05d}.dpt")
-        rows.append((frame.t, frame.detections))
-    return rows
+def _sense_frame(log: TrajectoryLog, mount: CameraMount, noise: DetectorNoiseModel,
+                 depth_dir: Path, i: int) -> tuple[float, list[Detection]]:
+    (frame,) = render_frames(log, mount, noise, (i,))
+    write_depth_map(frame.depth, depth_dir / f"frame_{i:05d}.dpt")
+    return frame.t, frame.detections
 
 
 def sense_log(log: TrajectoryLog, mount: CameraMount, noise: DetectorNoiseModel,
@@ -261,15 +249,14 @@ def sense_log(log: TrajectoryLog, mount: CameraMount, noise: DetectorNoiseModel,
     """Render every frame of a finished log, writing frame i's depth raster to
     depth_dir/frame_<i>.dpt as soon as it is rendered; (t, detections) per frame.
 
-    The frames fan out in strided parts, one per process, and each process
-    holds one raster at a time.
+    The frames fan out one by one, and each process holds one raster at a time.
     """
-    frames = len(range(0, len(log.times), grid_stride(noise.frame_period, log.dt)))
-    return _by_frame(_sense_part, frames, log, mount, noise, depth_dir)
+    return _fan_out(partial(_sense_frame, log, mount, noise, depth_dir),
+                    range(len(_frame_rows(log, noise))))
 
 
-def _samples(cfg: ScenarioConfig, window: WindowParams, channel: ChannelConfig,
-             include_nonchangers: bool):
+def _samples(window: WindowParams, channel: ChannelConfig, include_nonchangers: bool,
+             cfg: ScenarioConfig):
     log, _ = simulate_run(cfg, channel)
     events = extract_lane_changes(log)
     samples = label_windows(events, log, window)
@@ -287,12 +274,12 @@ def build_dataset(cfg: ScenarioConfig, window: WindowParams, seeds,
     from vehicles that never maneuver (queued or free-flowing traffic), so
     the classifier sees the full range of stay-put behavior.
     """
-    runs = [(replace(cfg, seed=int(seed)).with_policy("baseline"), window, channel,
-             include_nonchangers) for seed in seeds]
-    return [sample for samples in _fan_out(_samples, runs) for sample in samples]
+    runs = [replace(cfg, seed=int(seed)).with_policy("baseline") for seed in seeds]
+    each = partial(_samples, window, channel, include_nonchangers)
+    return [sample for samples in _fan_out(each, runs) for sample in samples]
 
 
-def _traced(cfg: ScenarioConfig, channel: ChannelConfig, model: MlpModel):
+def _traced(channel: ChannelConfig, model: MlpModel, cfg: ScenarioConfig):
     """{car id: (issued times, probabilities, probability >= DECISION_THRESHOLD)}
     off the run's advisory columns, and its maneuver plans."""
     log, store = simulate_run(cfg, channel, model=model)
@@ -306,8 +293,8 @@ def _traced(cfg: ScenarioConfig, channel: ChannelConfig, model: MlpModel):
 def prediction_runs(cfg: ScenarioConfig, model: MlpModel, seeds,
                     channel: ChannelConfig = ChannelConfig()):
     """Each seed's (traces, maneuver plans) from a baseline run with the model."""
-    return _fan_out(_traced, [(replace(cfg, seed=seed).with_policy("baseline"), channel,
-                               model) for seed in seeds])
+    return _fan_out(partial(_traced, channel, model),
+                    [replace(cfg, seed=seed).with_policy("baseline") for seed in seeds])
 
 
 def ground_truth_bits(vehicle_id: int, times: np.ndarray, events: list[ManeuverPlan],
@@ -322,8 +309,10 @@ def ground_truth_bits(vehicle_id: int, times: np.ndarray, events: list[ManeuverP
     return bits
 
 
-def _leg(cfg: ScenarioConfig, channel: ChannelConfig, model: MlpModel | None):
-    log, _ = simulate_run(cfg, channel, model=model)
+def _leg(cfg: ScenarioConfig, channel: ChannelConfig, model: MlpModel, policy: str):
+    """The policy's report; only the guided leg runs the model."""
+    log, _ = simulate_run(cfg.with_policy(policy), channel,
+                          model=model if policy == "guided" else None)
     return safety_report(log, log.ego_id)
 
 
@@ -335,9 +324,8 @@ def closed_loop_pair(cfg: ScenarioConfig, model: MlpModel, seed: int,
     Each run's log and store die with its report, before the next run in its
     process starts.
     """
-    legs = [(replace(cfg, seed=seed).with_policy(policy), channel, run_model)
-            for policy, run_model in (("guided", model), ("baseline", None))]
-    return tuple(_fan_out(_leg, legs))
+    return tuple(_fan_out(partial(_leg, replace(cfg, seed=seed), channel, model),
+                          ("guided", "baseline")))
 
 
 @dataclass(frozen=True)
@@ -380,81 +368,69 @@ def _corpus_vehicle(vid, s, y, v=17.0):
                         length=length, width=width, height=height, v_desired=v)
 
 
-def _layouts(corpus: FuseCorpusConfig, ego_y: float, seed: int) \
-        -> Iterator[list[VehicleState]]:
-    """Each frame's vehicles, the target first, all drawn from the seed's one CORPUS stream."""
-    rng = seeding.rng_for(seed, seeding.CORPUS)
+def _layout(corpus: FuseCorpusConfig, ego_y: float, rng: np.random.Generator) \
+        -> list[VehicleState]:
+    """One frame's vehicles, the target first."""
     lanes = LaneSpec()
-    for _ in range(corpus.frames):
-        target_s = rng.uniform(*corpus.target_range)
-        side = float(rng.choice((-1.0, 1.0)))
-        if rng.random() < corpus.overlap_fraction:
-            if rng.random() < corpus.abreast_fraction:
-                target = _corpus_vehicle(1, s=target_s,
-                                         y=ego_y + side * rng.uniform(*ABREAST_OFFSET))
-                comp_y = target.y - side * rng.uniform(*corpus.abreast_separation)
-                comp_s = target_s - rng.uniform(*corpus.abreast_gap)
-                states = [target, _corpus_vehicle(2, s=comp_s, y=comp_y)]
-            else:
-                target = _corpus_vehicle(1, s=target_s,
-                                         y=ego_y + side * rng.uniform(*corpus.stagger_range))
-                occ_y = ego_y - side * rng.uniform(*corpus.stagger_range)
-                occ_s = max(target_s - rng.uniform(*corpus.occluder_gap), 7.0)
-                states = [target, _corpus_vehicle(2, s=occ_s, y=occ_y)]
+    target_s = rng.uniform(*corpus.target_range)
+    side = float(rng.choice((-1.0, 1.0)))
+    if rng.random() < corpus.overlap_fraction:
+        if rng.random() < corpus.abreast_fraction:
+            target = _corpus_vehicle(1, s=target_s,
+                                     y=ego_y + side * rng.uniform(*ABREAST_OFFSET))
+            comp_y = target.y - side * rng.uniform(*corpus.abreast_separation)
+            comp_s = target_s - rng.uniform(*corpus.abreast_gap)
+            states = [target, _corpus_vehicle(2, s=comp_s, y=comp_y)]
         else:
             target = _corpus_vehicle(1, s=target_s,
                                      y=ego_y + side * rng.uniform(*corpus.stagger_range))
-            states = [target]
-        for c in range(int(rng.integers(0, corpus.clutter_max + 1))):
-            lane = int(rng.choice((0, 2)))
-            states.append(_corpus_vehicle(10 + c, s=rng.uniform(8.0, 45.0),
-                                          y=lanes.center(lane) + rng.uniform(-0.5, 0.5)))
-        yield states
+            occ_y = ego_y - side * rng.uniform(*corpus.stagger_range)
+            occ_s = max(target_s - rng.uniform(*corpus.occluder_gap), 7.0)
+            states = [target, _corpus_vehicle(2, s=occ_s, y=occ_y)]
+    else:
+        target = _corpus_vehicle(1, s=target_s,
+                                 y=ego_y + side * rng.uniform(*corpus.stagger_range))
+        states = [target]
+    for c in range(int(rng.integers(0, corpus.clutter_max + 1))):
+        lane = int(rng.choice((0, 2)))
+        states.append(_corpus_vehicle(10 + c, s=rng.uniform(8.0, 45.0),
+                                      y=lanes.center(lane) + rng.uniform(-0.5, 0.5)))
+    return states
 
 
-def _score_part(corpus: FuseCorpusConfig, mount: CameraMount, noise: DetectorNoiseModel,
-                fusion: FusionParams, seed: int, part: int, parts: int):
-    """Per frame part, part + parts, ...: None where the target does not show,
-    else (whether the pair overlaps, the fused and the baseline row), each row
-    (t, method, chosen source id or None, IoU against the target's box,
-    candidate count)."""
-    intr = mount.intrinsics
-    ego_y = LaneSpec().center(1)
-    # the ego, and so the camera, sits at the same pose in every frame
-    camera = mount.camera_for(_corpus_vehicle(-1, s=-mount.mount_forward, y=ego_y))
-    cam_center = camera.extrinsics.camera_center()
-    rows = []
-    for index, states in islice(enumerate(_layouts(corpus, ego_y, seed)), part, None, parts):
-        truth = render_truth_boxes(states, camera)
-        boxes = {vid: box for vid, box, _ in truth}
-        if 1 not in boxes:
-            rows.append(None)
-            continue
-        frame_noise = noise.for_frame(index)
-        depth = render_depth_map(truth, intr, noise=frame_noise)
-        dets = emulate_detections(truth, frame_noise, intr.width, intr.height)
-        frame = SensorFrame(t=float(index), detections=dets, depth=depth,
-                            camera=camera)
+def _score_frame(corpus: FuseCorpusConfig, noise: DetectorNoiseModel, fusion: FusionParams,
+                 seed: int, camera: Camera, ego_y: float, index: int):
+    """None where the target does not show in frame index, else (whether the
+    pair overlaps, the fused and the baseline row), each row (t, method, chosen
+    source id or None, IoU against the target's box, candidate count). Every
+    draw of the frame comes from a stream keyed by (seed, index)."""
+    intr = camera.intrinsics
+    states = _layout(corpus, ego_y, seeding.rng_for(seed, seeding.CORPUS, index))
+    truth = render_truth_boxes(states, camera)
+    boxes = {vid: box for vid, box, _ in truth}
+    if 1 not in boxes:
+        return None
+    frame_noise = noise.for_frame(index)
+    depth = render_depth_map(truth, intr, noise=frame_noise)
+    dets = emulate_detections(truth, frame_noise, intr.width, intr.height)
+    frame = SensorFrame(t=float(index), detections=dets, depth=depth, camera=camera)
 
-        gnss_rng = seeding.rng_for(seed, seeding.GNSS, index)
-        err = gnss_rng.normal(0.0, 1.0, 3) * np.asarray(corpus.gnss_sigma)
-        target = states[0]
-        reported = WorldPoint(target.s + err[0], target.y + err[1],
-                              0.5 * CAR_DIMS[2] + err[2])
-        twin = TwinRecord(1, reported, target.v, float(index))
-        d_g = gnss_distance(cam_center, twin)
+    gnss_rng = seeding.rng_for(seed, seeding.GNSS, index)
+    err = gnss_rng.normal(0.0, 1.0, 3) * np.asarray(corpus.gnss_sigma)
+    target = states[0]
+    reported = WorldPoint(target.s + err[0], target.y + err[1], 0.5 * CAR_DIMS[2] + err[2])
+    twin = TwinRecord(1, reported, target.v, float(index))
+    d_g = gnss_distance(camera.extrinsics.camera_center(), twin)
 
-        frame_params = replace(fusion, seed=seeding.derived_seed(seed, seeding.SAMPLER,
-                                                                 index))
-        scored = []
-        for method in ("fused", "baseline"):
-            res = identify(frame, twin, d_g, frame_params, method=method)
-            chosen = res.chosen
-            scored.append((frame.t, method, None if chosen is None else chosen.source_id,
-                           0.0 if chosen is None else float(iou(chosen.box, boxes[1])),
-                           res.candidate_count))
-        rows.append((2 in boxes and iou(boxes[1], boxes[2]) > 0.0, scored))
-    return rows
+    frame_params = replace(fusion, seed=seeding.derived_seed(seed, seeding.SAMPLER, index))
+    scored = []
+    for method in ("fused", "baseline"):
+        res = identify(frame, twin, d_g, frame_params, method=method)
+        chosen = res.chosen
+        scored.append((frame.t, method, None if chosen is None else chosen.source_id,
+                       0.0 if chosen is None else float(iou(chosen.box, boxes[1])),
+                       res.candidate_count))
+    return 2 in boxes and iou(boxes[1], boxes[2]) > 0.0, scored
 
 
 def build_fuse_corpus(corpus: FuseCorpusConfig, mount: CameraMount,
@@ -464,10 +440,14 @@ def build_fuse_corpus(corpus: FuseCorpusConfig, mount: CameraMount,
     the rows of every frame that shows the target, the count of those frames
     and the count of them whose target overlaps a second car.
 
-    The frames fan out in strided parts, one per process; each part draws
-    every layout and scores its own frames.
+    The frames fan out one by one; frame i's layout, GNSS error, detector
+    noise and depth samples are its own draws, whatever the frame count.
     """
-    shown = [row for row in _by_frame(_score_part, corpus.frames, corpus, mount, noise,
-                                      fusion, seed) if row is not None]
+    ego_y = LaneSpec().center(1)
+    # the ego, and so the camera, sits at the same pose in every frame
+    camera = mount.camera_for(_corpus_vehicle(-1, s=-mount.mount_forward, y=ego_y))
+    shown = [row for row in _fan_out(partial(_score_frame, corpus, noise, fusion, seed,
+                                             camera, ego_y), range(corpus.frames))
+             if row is not None]
     return ([row for _, scored in shown for row in scored], len(shown),
             sum(overlaps for overlaps, _ in shown))

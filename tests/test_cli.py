@@ -538,12 +538,32 @@ class TestFanOut:
         rasters = sum(name.endswith(".dpt") for name in trees[0])
         assert rasters == frames
 
+    def test_fuse_eval_gives_identical_bytes_at_one_two_and_three_processes(self, tmp_path,
+                                                                            monkeypatch):
+        # each frame is one fan-out item; a far near plane hides some targets
+        cfg = write_config(tmp_path / "c.json", camera={**SMALL_CAMERA, "near_plane": 18.0},
+                           fuse_eval={"frames": 40, "overlap_fraction": 1.0})
+        trees = []
+        for count in (1, 2, 3):
+            self.force_processes(monkeypatch, count)
+            out = tmp_path / f"cpus_{count}"
+            assert main(["fuse-eval", "--config", str(cfg), "--out", str(out)]) == 0
+            self.assert_no_child_left()
+            trees.append(tree_bytes(out))
+        assert trees[0] == trees[1] == trees[2]
+        shown = json.loads(trees[0]["seed_1/summary.json"])["frames"]
+        assert 0 < shown < 40
+
     @pytest.mark.parametrize("command", ["simulate", "fuse-eval"])
     def test_a_frame_failing_in_a_helper_fails_as_the_serial_path_does(
             self, tmp_path, monkeypatch, capsys, command):
+        # a helper renders the odd frames; the first odd frame that draws its
+        # noise is frame 1 in simulate and, as the set-aside camera misses the
+        # target before it, frame 17 in fuse-eval
+        first = {"simulate": 1, "fuse-eval": 17}[command]
         real = sensing.DetectorNoiseModel.for_frame
 
-        def broken(noise, index):  # a helper renders the odd frames, frame 1 in both commands
+        def broken(noise, index):
             if index % 2:
                 raise RuntimeError(f"frame {index} broke")
             return real(noise, index)
@@ -559,7 +579,7 @@ class TestFanOut:
             assert out.exists() == (command == "simulate")  # simulate writes as it runs
             errors.add(capsys.readouterr().err)
             self.assert_no_child_left()
-        assert errors == {"error: frame 1 broke\n"}
+        assert errors == {f"error: frame {first} broke\n"}
 
 
 class TestPreWriteFailures:
@@ -611,7 +631,8 @@ class TestPreWriteFailures:
         out = tmp_path / "out"
         assert main([command, "--config", str(cfg), "--out", str(out), "--seeds", "3,3"]) == 2
         assert not out.exists()
-        assert capsys.readouterr().err.startswith("config error: --seeds: seeds: expected")
+        assert capsys.readouterr().err == ("config error: --seeds: expected a non-empty list "
+                                           "of distinct nonnegative integers\n")
 
 
     @pytest.mark.parametrize("command", ["simulate", "fuse-eval", "train", "predict-eval",

@@ -2,6 +2,7 @@ import os
 import time
 import weakref
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -28,6 +29,22 @@ from lanesight.prediction import TrainConfig, WindowParams, train
 from lanesight.scene import LOG_PERIOD, ManeuverPlan, ScenarioConfig
 from lanesight.sensing import DetectorNoiseModel
 from lanesight.twinlink import ChannelConfig
+
+
+def frame_scorer(corpus, noise, seed):
+    """build_fuse_corpus's rows, and the one-frame function it fanned out."""
+    scorers = []
+
+    def serial(fn, items):
+        scorers.append(fn)
+        return [fn(item) for item in items]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "_fan_out", serial)
+        rows, _, _ = build_fuse_corpus(corpus, CameraMount(), noise, FusionParams(), seed)
+    (score,) = scorers
+    assert score.func is pipeline._score_frame
+    return rows, score
 
 
 def small_cfg(**kw):
@@ -169,7 +186,7 @@ class TestTraced:
 
         monkeypatch.setattr(pipeline, "simulate_run", kept)
         cfg = small_cfg(duration=8.0, seed=3)
-        traces, plans = pipeline._traced(cfg, ChannelConfig(latency=0.25), model)
+        traces, plans = pipeline._traced(ChannelConfig(latency=0.25), model, cfg)
         (store,) = stores
         assert traces and traces.keys() == store.advisories.keys()
         for vid, (times, probs, bits) in traces.items():
@@ -244,12 +261,25 @@ class TestFuseCorpus:
         painted = streams.count(seeding.DEPTH)
         assert 0 < painted == len(evaluated) < frames
 
+    def test_a_frame_is_scored_alone(self):
+        # frame i draws only from streams keyed by (seed, i): a shorter corpus
+        # gives the first rows of a longer one, and each frame, scored by
+        # itself in any order, gives its rows in the corpus
+        noise = DetectorNoiseModel(seed=7)
+        rows_40, _ = frame_scorer(FuseCorpusConfig(frames=40), noise, 7)
+        rows_60, score = frame_scorer(FuseCorpusConfig(frames=60), noise, 7)
+        assert 0 < len(rows_40) < len(rows_60)
+        assert rows_60[:len(rows_40)] == rows_40
+        assert {row[0] for row in rows_40} == {row[0] for row in rows_60 if row[0] < 40}
+        alone = {i: score(i) for i in reversed(range(60))}
+        assert [row for i in range(60) if alone[i] is not None
+                for row in alone[i][1]] == rows_60
+
     def test_rows_hold_only_plain_values(self):
         # what a helper pickles back: no lanesight or NumPy object crosses the pipe
         corpus = FuseCorpusConfig(frames=40, overlap_fraction=1.0, clutter_max=4)
-        shown = [frame for frame in pipeline._score_part(
-            corpus, CameraMount(), DetectorNoiseModel(seed=6), FusionParams(), 6, 0, 1)
-            if frame is not None]
+        _, score = frame_scorer(corpus, DetectorNoiseModel(seed=6), 6)
+        shown = [frame for frame in map(score, range(corpus.frames)) if frame is not None]
         assert shown
         for overlaps, rows in shown:
             assert type(overlaps) is bool
@@ -434,8 +464,8 @@ class TestFanOutOrder:
     def test_the_caller_runs_its_share_before_it_waits(self, monkeypatch, tmp_path):
         monkeypatch.setattr(pipeline, "_cpu_count", lambda: 2)
         # the caller runs items 0 and 2, the helper item 1, which needs item 2 done
-        items = [(tmp_path / "marker", item) for item in range(3)]
-        assert pipeline._fan_out(_handshake, items) == [0, 1, 2]
+        assert pipeline._fan_out(partial(_handshake, tmp_path / "marker"), range(3)) \
+            == [0, 1, 2]
         assert_no_child_left()
 
     # with two processes the caller runs items 0, 2 and 4, the helper 1 and 3;
@@ -450,7 +480,7 @@ class TestFanOutOrder:
             ran = tmp_path / str(processes)
             ran.mkdir()
             with pytest.raises(ValueError, match=f"^item {raised}$"):
-                pipeline._fan_out(_fail_at, [(failing, ran, item) for item in range(5)])
+                pipeline._fan_out(partial(_fail_at, failing, ran), range(5))
             assert_no_child_left()
             for share in (list(range(part, 5, processes)) for part in range(processes)):
                 stop = next((i for i, item in enumerate(share) if item in failing), len(share))
@@ -467,7 +497,7 @@ class TestFanOutPipes:
     def test_a_helper_that_dies_without_sending_raises(self, monkeypatch, processes):
         monkeypatch.setattr(pipeline, "_cpu_count", lambda: processes)
         with pytest.raises(RuntimeError, match="^a helper exited without sending"):
-            pipeline._fan_out(_die_at, [({1}, item) for item in range(5)])
+            pipeline._fan_out(partial(_die_at, {1}), range(5))
         assert_no_child_left()
 
     def test_a_helper_dying_after_the_callers_error_still_raises_in_item_order(
@@ -475,14 +505,14 @@ class TestFanOutPipes:
         # the caller fails at item 0; helper 1 dies at item 1, which comes later
         monkeypatch.setattr(pipeline, "_cpu_count", lambda: 2)
         with pytest.raises(ValueError, match="^item 0$"):
-            pipeline._fan_out(_fail_or_die, [(item,) for item in range(4)])
+            pipeline._fan_out(_fail_or_die, range(4))
         assert_no_child_left()
 
     @pytest.mark.parametrize("processes", [2, 3])
     def test_results_larger_than_a_pipe_buffer_come_back_intact(self, monkeypatch,
                                                                 processes):
         monkeypatch.setattr(pipeline, "_cpu_count", lambda: processes)
-        got = pipeline._fan_out(_big, [(item,) for item in range(5)])
+        got = pipeline._fan_out(_big, range(5))
         assert got == [_big(item) for item in range(5)]
         assert_no_child_left()
 
@@ -491,7 +521,7 @@ class TestFanOutPipes:
         monkeypatch.setattr(pipeline, "_cpu_count", lambda: 2)
         name = {"init": "_NeedsTwoArgs", "lambda": "_HoldsALambda"}[kind]
         with pytest.raises(RuntimeError, match=f"^a helper raised {name}\\(.*does not pickle$"):
-            pipeline._fan_out(_raise_unpicklable, [(kind, item) for item in range(4)])
+            pipeline._fan_out(partial(_raise_unpicklable, kind), range(4))
         assert_no_child_left()
 
 

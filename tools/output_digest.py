@@ -49,6 +49,10 @@ average and noiseless depth. `fuse-eval` on 200 frames with the same detector,
 a near plane at 18 m, so some frames do not show the target, and a GNSS error
 wide enough that some reported positions fall behind the camera or off the
 image.
+
+One more run shows no vehicle at all: `simulate` for 0.5 s with the camera
+1,000 m ahead of the ego, so its 6 frames hold no box and no detection and
+`detections.csv` is its header alone.
 """
 from __future__ import annotations
 
@@ -98,6 +102,8 @@ RUNS = (
                                "depth_noise_sigma": 0.0},
                    "fuse_eval": {"frames": 200, "gnss_sigma": [3.0, 12.0, 0.45]}},
      "1", "fuse_edges"),
+    ("simulate", {"scenario": {"duration": 0.5}, "camera": {"mount_forward": 1000.0}}, "1",
+     "sim_empty"),
 )
 
 
