@@ -37,7 +37,6 @@ from .evaluation import (
     identification_accuracy,
     write_curve_csv,
     write_identifications_csv,
-    write_safety_report_json,
 )
 from .pipeline import (
     REPORT_IOU,
@@ -120,8 +119,8 @@ def _fuse_eval(cfg: RunConfig, model) -> list:
         if frames == 0:
             raise ConfigError(f"seed {seed}: no fuse-eval corpus frame shows the target")
         curves = identification_accuracy(rows, cfg.fuse_eval.thresholds)
-        fused_07 = curves["fused"].at(REPORT_IOU)
-        base_07 = curves["baseline"].at(REPORT_IOU)
+        at = [abs(th - REPORT_IOU) < 1e-9 for th in cfg.fuse_eval.thresholds].index(True)
+        fused_07, base_07 = curves["fused"][at], curves["baseline"][at]
         scored.append((rows, curves, {
             "frames": frames,
             "overlap_pair_fraction": overlap_pairs / frames,
@@ -135,7 +134,7 @@ def _fuse_eval(cfg: RunConfig, model) -> list:
 def _fuse_eval_files(cfg: RunConfig, out: Path, scored: list):
     for seed, (rows, curves, summary) in zip(cfg.seeds, scored):
         sdir = _seed_dir(out, seed)
-        write_curve_csv(curves, sdir / "curve.csv")
+        write_curve_csv(curves, sdir / "curve.csv", cfg.fuse_eval.thresholds)
         write_identifications_csv(rows, sdir / "identifications.csv")
         _dump_json(summary, sdir / "summary.json")
 
@@ -203,9 +202,9 @@ def _closed_loop_files(cfg: RunConfig, out: Path, compared):
     pairs, comparison = compared
     for seed, (guided, baseline) in zip(cfg.seeds, pairs):
         sdir = _seed_dir(out, seed)
-        write_safety_report_json(guided, sdir / "report_guided.json")
-        write_safety_report_json(baseline, sdir / "report_baseline.json")
-    _dump_json(asdict(comparison), out / "comparison.json")
+        _dump_json(asdict(guided), sdir / "report_guided.json")
+        _dump_json(asdict(baseline), sdir / "report_baseline.json")
+    _dump_json(comparison, out / "comparison.json")
 
 
 # name -> (compute(cfg, model), write(cfg, out, computed), whether it requires a

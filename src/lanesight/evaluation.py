@@ -12,24 +12,11 @@ jerk is the difference quotient of acceleration between adjacent samples.
 from __future__ import annotations
 
 import csv
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .scene import TrajectoryLog
-
-
-@dataclass(frozen=True)
-class AccuracyCurve:
-    thresholds: tuple[float, ...]
-    accuracies: tuple[float, ...]
-
-    def at(self, threshold: float) -> float:
-        for th, acc in zip(self.thresholds, self.accuracies):
-            if abs(th - threshold) < 1e-9:
-                return acc
-        raise KeyError(f"threshold {threshold} not on the curve")
 
 
 @dataclass(frozen=True)
@@ -41,19 +28,17 @@ class SafetyReport:
     trip_duration: float
 
 
-def identification_accuracy(rows, thresholds) -> dict[str, AccuracyCurve]:
-    """Per-method accuracy over IoU thresholds, from identification rows
-    (t, method, chosen source id or None, IoU against the target's box,
-    candidate count); a no-match has IoU 0 and counts as incorrect."""
-    thresholds = tuple(float(t) for t in thresholds)
+def identification_accuracy(rows, thresholds) -> dict[str, tuple[float, ...]]:
+    """Per-method accuracy at each of the IoU thresholds, in their order, from
+    identification rows (t, method, chosen source id or None, IoU against the
+    target's box, candidate count); a no-match has IoU 0 and counts as incorrect."""
     by_method: dict[str, list[float]] = {}
     for _, method, _, overlap, _ in rows:
         by_method.setdefault(method, []).append(overlap)
     curves = {}
     for method, overlaps in by_method.items():
         arr = np.asarray(overlaps)
-        accs = tuple(float(np.mean(arr >= th)) for th in thresholds)
-        curves[method] = AccuracyCurve(thresholds, accs)
+        curves[method] = tuple(float(np.mean(arr >= th)) for th in thresholds)
     return curves
 
 
@@ -143,55 +128,27 @@ def safety_report(log: TrajectoryLog, ego_id: int) -> SafetyReport:
                         trip_duration=float(log.times[-1] - log.times[0]))
 
 
-@dataclass(frozen=True)
-class MetricComparison:
-    median_improvement: float | None
-    improve_fraction: float | None
-    pairs_compared: int
+def compare_paired_runs(guided: list[SafetyReport], baseline: list[SafetyReport]) -> dict:
+    """Paired per-metric differences oriented so positive means guided wins,
+    as comparison.json's document; a pair missing a metric's value is skipped."""
+    doc = {"pair_count": len(guided)}
+    for metric, higher_is_better in (("avg_ttc", True), ("mean_abs_accel", False),
+                                     ("max_jerk", False)):
+        pairs = [(getattr(g, metric), getattr(b, metric)) for g, b in zip(guided, baseline)]
+        diffs = [g - b if higher_is_better else b - g
+                 for g, b in pairs if g is not None and b is not None]
+        arr = np.asarray(diffs)
+        doc[metric] = {"median_improvement": float(np.median(arr)) if diffs else None,
+                       "improve_fraction": float(np.mean(arr > 0)) if diffs else None,
+                       "pairs_compared": len(diffs)}
+    return doc
 
 
-@dataclass(frozen=True)
-class PairedComparison:
-    """Guided-vs-baseline comparison; the field names are comparison.json's keys."""
-
-    avg_ttc: MetricComparison
-    mean_abs_accel: MetricComparison
-    max_jerk: MetricComparison
-    pair_count: int
-
-
-def _compare(values: list[tuple[float | None, float | None]],
-             higher_is_better: bool) -> MetricComparison:
-    diffs = []
-    for guided, baseline in values:
-        if guided is None or baseline is None:
-            continue
-        diffs.append(guided - baseline if higher_is_better else baseline - guided)
-    if not diffs:
-        return MetricComparison(None, None, 0)
-    arr = np.asarray(diffs)
-    return MetricComparison(float(np.median(arr)), float(np.mean(arr > 0)), len(diffs))
-
-
-def compare_paired_runs(guided: list[SafetyReport],
-                        baseline: list[SafetyReport]) -> PairedComparison:
-    """Paired per-metric differences oriented so positive means guided wins."""
-    ttc = _compare([(g.avg_ttc, b.avg_ttc) for g, b in zip(guided, baseline)],
-                   higher_is_better=True)
-    accel = _compare([(g.mean_abs_accel, b.mean_abs_accel)
-                      for g, b in zip(guided, baseline)], higher_is_better=False)
-    jerk = _compare([(g.max_jerk, b.max_jerk) for g, b in zip(guided, baseline)],
-                    higher_is_better=False)
-    return PairedComparison(avg_ttc=ttc, mean_abs_accel=accel, max_jerk=jerk,
-                            pair_count=len(guided))
-
-
-def write_curve_csv(curves: dict[str, AccuracyCurve], path):
-    fused, baseline = curves["fused"], curves["baseline"]
+def write_curve_csv(curves: dict[str, tuple[float, ...]], path, thresholds):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["threshold", "accuracy_fused", "accuracy_baseline"])
-        for th, acc_f, acc_b in zip(fused.thresholds, fused.accuracies, baseline.accuracies):
+        for th, acc_f, acc_b in zip(thresholds, curves["fused"], curves["baseline"]):
             w.writerow([f"{th:.2f}", f"{acc_f:.6f}", f"{acc_b:.6f}"])
 
 
@@ -204,8 +161,3 @@ def write_identifications_csv(rows, path):
         for t, method, chosen, overlap, candidates in rows:
             w.writerow([f"{t:.2f}", method, "" if chosen is None else chosen,
                         f"{overlap:.6f}", candidates])
-
-
-def write_safety_report_json(report: SafetyReport, path):
-    with open(path, "w") as fh:
-        json.dump(asdict(report), fh, indent=1, sort_keys=True)

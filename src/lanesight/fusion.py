@@ -18,10 +18,9 @@ import math
 from dataclasses import dataclass, field
 
 from . import seeding
-from .geometry import BehindCamera, Box2D, PixelPoint, project_anchor
+from .geometry import BehindCamera, Box2D, PixelPoint, WorldPoint, project_anchor
 from .params import POSITIVE, RUN_SEED, Checked, rule
 from .sensing import Detection, DepthMap, SensorFrame
-from .twinlink import TwinRecord
 
 
 @dataclass(frozen=True)
@@ -84,12 +83,13 @@ def _center_distance(anchor: PixelPoint, detections):
     return cost
 
 
-def identify(frame: SensorFrame, twin: TwinRecord, d_g: float,
+def identify(frame: SensorFrame, reported: WorldPoint, d_g: float,
              params: FusionParams, method: str = "fused") -> IdentificationResult:
-    """Per-frame identification pipeline; degenerate frames yield no-match."""
+    """Per-frame identification pipeline from the cloud-reported position;
+    degenerate frames yield no-match."""
     intr = frame.camera.intrinsics
     try:
-        anchor = project_anchor(twin.position, frame.camera.extrinsics, intr)
+        anchor = project_anchor(reported, frame.camera.extrinsics, intr)
     except BehindCamera:
         return IdentificationResult(None, 0)
     if not (0.0 <= anchor.u < intr.width and 0.0 <= anchor.v < intr.height):

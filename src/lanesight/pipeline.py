@@ -34,7 +34,7 @@ import numpy as np
 from . import seeding
 from .evaluation import SafetyReport, safety_report
 from .fusion import FusionParams, identify
-from .geometry import Camera, CameraExtrinsics, CameraIntrinsics, WorldPoint, iou
+from .geometry import Box2D, Camera, CameraExtrinsics, CameraIntrinsics, WorldPoint, iou
 from .params import DRAW_BOUND, FRACTION, POSITIVE, Checked, rule
 from .prediction import MlpModel, TrainConfig, WindowParams, features_from_states, infer, \
     label_windows, nonchanger_negatives
@@ -54,8 +54,8 @@ from .scene import (
 )
 from .sensing import Detection, DetectorNoiseModel, SensorFrame, emulate_detections, \
     render_depth_map, render_truth_boxes, write_depth_map
-from .twinlink import ChannelConfig, NoData, TwinRecord, TwinStore, _visible, \
-    gnss_distance, publish, publish_advisory, query_advisory, query_target
+from .twinlink import ChannelConfig, TwinStore, _visible, gnss_distance, \
+    publish, publish_advisory, query_advisory, query_target
 
 INFER_PERIOD = 1.0  # seconds between per-vehicle predictions
 DECISION_THRESHOLD = 0.5  # an advisory's probability at or above this sets its bit
@@ -153,9 +153,8 @@ def _twin_snapshot(store: TwinStore, t: float, channel: ChannelConfig,
                    lanes: LaneSpec) -> list[VehicleState]:
     states = []
     for vid in sorted(store.records):
-        try:
-            rec = query_target(store, vid, t, channel)
-        except NoData:
+        rec = query_target(store, vid, t, channel)
+        if rec is None:
             continue
         kind, length = store.meta[vid]
         states.append(VehicleState(
@@ -214,6 +213,16 @@ def _frame_rows(log: TrajectoryLog, noise: DetectorNoiseModel) -> range:
     return range(0, len(log.times), grid_stride(noise.frame_period, log.dt))
 
 
+def _sensor_frame(truth: list[tuple[int, Box2D, float]], camera: Camera,
+                  noise: DetectorNoiseModel, i: int, t: float) -> SensorFrame:
+    """Frame i's depth raster and detections of its truth boxes, with frame i's noise."""
+    intr = camera.intrinsics
+    frame_noise = noise.for_frame(i)
+    depth = render_depth_map(truth, intr, noise=frame_noise)
+    dets = emulate_detections(truth, frame_noise, intr.width, intr.height)
+    return SensorFrame(t=t, detections=dets, depth=depth, camera=camera)
+
+
 def render_frames(log: TrajectoryLog, mount: CameraMount, noise: DetectorNoiseModel,
                   frames: Sequence[int] | None = None) -> Iterator[SensorFrame]:
     """Post-hoc sensor frames every noise.frame_period of a finished log: the
@@ -229,12 +238,8 @@ def render_frames(log: TrajectoryLog, mount: CameraMount, noise: DetectorNoiseMo
         ego = next(s for s in states if s.id == log.ego_id)
         others = [s for s in states if s.id != log.ego_id]
         camera = mount.camera_for(ego)
-        frame_noise = noise.for_frame(i)
-        truth = render_truth_boxes(others, camera)
-        depth = render_depth_map(truth, mount.intrinsics, noise=frame_noise)
-        dets = emulate_detections(truth, frame_noise, mount.intrinsics.width,
-                                  mount.intrinsics.height)
-        yield SensorFrame(t=float(log.times[k]), detections=dets, depth=depth, camera=camera)
+        yield _sensor_frame(render_truth_boxes(others, camera), camera, noise, i,
+                            float(log.times[k]))
 
 
 def _sense_frame(log: TrajectoryLog, mount: CameraMount, noise: DetectorNoiseModel,
@@ -404,28 +409,23 @@ def _score_frame(corpus: FuseCorpusConfig, noise: DetectorNoiseModel, fusion: Fu
     pair overlaps, the fused and the baseline row), each row (t, method, chosen
     source id or None, IoU against the target's box, candidate count). Every
     draw of the frame comes from a stream keyed by (seed, index)."""
-    intr = camera.intrinsics
     states = _layout(corpus, ego_y, seeding.rng_for(seed, seeding.CORPUS, index))
     truth = render_truth_boxes(states, camera)
     boxes = {vid: box for vid, box, _ in truth}
     if 1 not in boxes:
         return None
-    frame_noise = noise.for_frame(index)
-    depth = render_depth_map(truth, intr, noise=frame_noise)
-    dets = emulate_detections(truth, frame_noise, intr.width, intr.height)
-    frame = SensorFrame(t=float(index), detections=dets, depth=depth, camera=camera)
+    frame = _sensor_frame(truth, camera, noise, index, float(index))
 
     gnss_rng = seeding.rng_for(seed, seeding.GNSS, index)
     err = gnss_rng.normal(0.0, 1.0, 3) * np.asarray(corpus.gnss_sigma)
     target = states[0]
     reported = WorldPoint(target.s + err[0], target.y + err[1], 0.5 * CAR_DIMS[2] + err[2])
-    twin = TwinRecord(1, reported, target.v, float(index))
-    d_g = gnss_distance(camera.extrinsics.camera_center(), twin)
+    d_g = gnss_distance(camera.extrinsics.camera_center(), reported)
 
     frame_params = replace(fusion, seed=seeding.derived_seed(seed, seeding.SAMPLER, index))
     scored = []
     for method in ("fused", "baseline"):
-        res = identify(frame, twin, d_g, frame_params, method=method)
+        res = identify(frame, reported, d_g, frame_params, method=method)
         chosen = res.chosen
         scored.append((frame.t, method, None if chosen is None else chosen.source_id,
                        0.0 if chosen is None else float(iou(chosen.box, boxes[1])),

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import seeding
 from .params import FRACTION, NONNEGATIVE, POSITIVE, Checked, rule
-from .scene import TrajectoryLog, VehicleState, _follower, _lane_index, _leader
+from .scene import LOG_PERIOD, TrajectoryLog, VehicleState, _follower, _lane_index, _leader
 
 SENTINEL_GAP = 200.0
 FEATURE_SIZE = 13
@@ -45,7 +45,8 @@ class DegenerateDataset(Exception):
 class WindowParams(Checked):
     tau: float = field(default=5.0, metadata=POSITIVE)
     tau_g: float = field(default=3.0, metadata=NONNEGATIVE)
-    sample_rate: float = field(default=2.0, metadata=POSITIVE)  # samples per second
+    # samples per second; a faster rate would round several samples onto one log row
+    sample_rate: float = field(default=2.0, metadata=rule(lambda x: 0 < x <= 1 / LOG_PERIOD))
 
 
 @dataclass(frozen=True)

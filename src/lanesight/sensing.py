@@ -19,6 +19,7 @@ import struct
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from itertools import compress
+from typing import ClassVar
 
 import numpy as np
 
@@ -41,7 +42,7 @@ class DepthMap:
     block: np.ndarray | Callable[[], np.ndarray]
     row: int = 0
     col: int = 0
-    far_value: float = 1000.0
+    far_value: ClassVar[float] = 1000.0
 
     def _painted(self) -> np.ndarray:
         if callable(self.block):

@@ -24,10 +24,6 @@ from .params import NONNEGATIVE, POSITIVE, Checked
 from .scene import VehicleState
 
 
-class NoData(Exception):
-    """No record satisfies the latency bound for the requested time."""
-
-
 @dataclass(frozen=True, slots=True)
 class TwinRecord:
     vehicle_id: int
@@ -73,12 +69,12 @@ def _visible(times, t: float, latency: float) -> int:
 
 
 def query_target(store: TwinStore, vehicle_id: int, t: float,
-                 cfg: ChannelConfig) -> TwinRecord:
-    """Latest record visible at time t given the channel latency."""
+                 cfg: ChannelConfig) -> TwinRecord | None:
+    """Latest record visible at time t given the channel latency, or None before the first."""
     cols = store.records.get(vehicle_id)
     i = _visible(cols[0], t, cfg.latency) if cols is not None else 0
     if i == 0:
-        raise NoData(f"no record for vehicle {vehicle_id} at or before t={t - cfg.latency:.3f}")
+        return None
     ts, xs, ys, zs, vs = cols
     i -= 1
     return TwinRecord(vehicle_id, WorldPoint(xs[i], ys[i], zs[i]), vs[i], ts[i])
@@ -102,11 +98,11 @@ def query_advisory(store: TwinStore, vehicle_id: int, t: float,
     return cols[1][i - 1] if i else None
 
 
-def gnss_distance(ego_camera_position: WorldPoint, twin: TwinRecord) -> float:
+def gnss_distance(ego_camera_position: WorldPoint, reported: WorldPoint) -> float:
     """Euclidean distance from the camera to the cloud-reported position."""
-    dx = ego_camera_position.x - twin.position.x
-    dy = ego_camera_position.y - twin.position.y
-    dz = ego_camera_position.z - twin.position.z
+    dx = ego_camera_position.x - reported.x
+    dy = ego_camera_position.y - reported.y
+    dz = ego_camera_position.z - reported.z
     return (dx * dx + dy * dy + dz * dz) ** 0.5
 
 

@@ -36,7 +36,7 @@ from lanesight.geometry import BehindCamera, Box2D, PixelPoint, WorldPoint
 from lanesight.prediction import FEATURE_SIZE, SENTINEL_GAP, MlpModel
 from lanesight.scene import (DriverParams, EgoMemory, IdmParams, ManeuverPlan, Scenario,
                              VehicleState, lateral_profile)
-from lanesight.twinlink import NoData, TwinRecord
+from lanesight.twinlink import TwinRecord
 
 
 def rodrigues(axis, angle: float) -> np.ndarray:
@@ -472,10 +472,10 @@ def match_target_baseline(anchor, detections) -> IdentificationResult:
     return IdentificationResult(detections[best], len(cand))
 
 
-def identify(frame, twin, d_g, params, method="fused") -> IdentificationResult:
+def identify(frame, reported, d_g, params, method="fused") -> IdentificationResult:
     intr = frame.camera.intrinsics
     try:
-        anchor = project_anchor(twin.position, frame.camera.extrinsics, intr)
+        anchor = project_anchor(reported, frame.camera.extrinsics, intr)
     except BehindCamera:
         return IdentificationResult(None, 0)
     if not (0.0 <= anchor.u < intr.width and 0.0 <= anchor.v < intr.height):
@@ -513,13 +513,10 @@ def publish(records: dict, state: VehicleState, t: float):
     records.setdefault(state.id, []).append(record)
 
 
-def query_target(records: dict, vehicle_id: int, t: float, cfg) -> TwinRecord:
+def query_target(records: dict, vehicle_id: int, t: float, cfg) -> TwinRecord | None:
     history = records.get(vehicle_id, [])
-    bound = t - cfg.latency
-    idx = bisect_right(history, bound + 1e-12, key=lambda r: r.publish_t)
-    if idx == 0:
-        raise NoData(f"no record for vehicle {vehicle_id} at or before t={bound:.3f}")
-    return history[idx - 1]
+    idx = bisect_right(history, t - cfg.latency + 1e-12, key=lambda r: r.publish_t)
+    return history[idx - 1] if idx else None
 
 
 # Linear-scan reference of the advisory query: advisories maps id -> a list of

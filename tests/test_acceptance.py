@@ -28,7 +28,6 @@ from lanesight.prediction import (
 )
 from lanesight.scene import LaneSpec, ManeuverPlan, ScenarioConfig, TrajectoryLog
 from lanesight.sensing import DepthMap, Detection, DetectorNoiseModel, SensorFrame
-from lanesight.twinlink import TwinRecord
 
 from oracles import kernel_loss_and_gradients, project_point_oracle, rodrigues
 
@@ -61,14 +60,14 @@ def test_criterion_2_overlap_case_distance_matching():
     camera = Camera(CameraExtrinsics.looking_along_road(WorldPoint(0.0, 0.0, 1.4)),
                     CameraIntrinsics())
     frame = SensorFrame(0.0, detections, img, camera)
-    twin = TwinRecord(1, WorldPoint(18.7, 0.0, 0.839), 17.0, 0.0)
+    reported = WorldPoint(18.7, 0.0, 0.839)
     params = FusionParams(shrink=0.8, samples=32, seed=0)
     depths = depth_evaluate(img, [far_box, near_box], th=params.shrink, n=params.samples,
                             seed=params.seed)
     ok_depths = (abs(depths[0] - 18.69) < 1e-9
                  and abs(depths[1] - 8.46) < 1e-9)
-    fused = identify(frame, twin, 18.7, params, method="fused")
-    baseline = identify(frame, twin, 18.7, params, method="baseline")
+    fused = identify(frame, reported, 18.7, params, method="fused")
+    baseline = identify(frame, reported, 18.7, params, method="baseline")
     ok = ok_depths and fused.chosen.source_id == 1 and fused.candidate_count == 2
     report(2, ok, f"fused picked source {fused.chosen.source_id} "
                   f"(baseline picked {baseline.chosen.source_id})")
@@ -84,11 +83,12 @@ def test_criterion_3_identification_accuracy_ordering():
     thresholds = (0.5, 0.6, 0.7, 0.8, 0.9)
     curves = identification_accuracy(rows, thresholds)
     fused, base = curves["fused"], curves["baseline"]
-    dominated = all(f >= b for f, b in zip(fused.accuracies, base.accuracies))
-    gap = fused.at(0.7) - base.at(0.7)
+    dominated = all(f >= b for f, b in zip(fused, base))
+    at = thresholds.index(0.7)
+    gap = fused[at] - base[at]
     elapsed = time.time() - start
     ok = overlap_fraction >= 0.30 and dominated and gap >= 0.05 and elapsed < 60
-    report(3, ok, f"fused@0.7={fused.at(0.7):.3f} baseline@0.7={base.at(0.7):.3f} "
+    report(3, ok, f"fused@0.7={fused[at]:.3f} baseline@0.7={base[at]:.3f} "
                   f"gap={gap:+.3f} overlap_pairs={overlap_fraction:.2f} "
                   f"dominated={dominated} ({elapsed:.1f}s)")
 
@@ -240,17 +240,16 @@ def test_criterion_8_closed_loop_directional_claims():
         baseline.append(b)
     cmp = compare_paired_runs(guided, baseline)
     elapsed = time.time() - start
-    fractions = (cmp.avg_ttc.improve_fraction, cmp.mean_abs_accel.improve_fraction,
-                 cmp.max_jerk.improve_fraction)
-    medians = (cmp.avg_ttc.median_improvement, cmp.mean_abs_accel.median_improvement,
-               cmp.max_jerk.median_improvement)
+    metrics = (cmp["avg_ttc"], cmp["mean_abs_accel"], cmp["max_jerk"])
+    fractions = tuple(m["improve_fraction"] for m in metrics)
+    medians = tuple(m["median_improvement"] for m in metrics)
     ok = (all(f is not None and f >= 0.8 for f in fractions)
           and all(m is not None and m > 0 for m in medians)
           and elapsed < 300)
     report(8, ok, f"improve fractions ttc/accel/jerk = "
                   f"{fractions[0]:.2f}/{fractions[1]:.2f}/{fractions[2]:.2f}, "
                   f"medians = {medians[0]:.2f}s/{medians[1]:.3f}m/s^2/"
-                  f"{medians[2]:.1f}m/s^3 over {cmp.pair_count} pairs ({elapsed:.0f}s)")
+                  f"{medians[2]:.1f}m/s^3 over {cmp['pair_count']} pairs ({elapsed:.0f}s)")
 
 
 def test_criterion_9_cli_determinism(tmp_path):

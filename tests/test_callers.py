@@ -3,11 +3,17 @@
 A name counts as used when some module of the package names it in code (a
 name, an attribute, or an import), apart from its own definition; a mention
 in a comment or docstring does not count, and neither does a test.
+
+Every `write_*` function that `cli` imports takes the output path as its
+second argument: perfbench times each one as `cli.write` and reads the size
+of the file named by argument 1.
 """
 import ast
+import inspect
 from pathlib import Path
 
 import lanesight
+from lanesight import cli
 
 PACKAGE = Path(lanesight.__file__).parent
 
@@ -38,3 +44,12 @@ def test_every_public_definition_is_named_elsewhere_in_the_package():
     orphans = [f"{module}:{name}" for module, tree in trees.items()
                for name in _public_definitions(tree) if name not in used]
     assert orphans == []
+
+
+def test_every_writer_cli_imports_takes_the_path_second():
+    writers = {name: fn for name, fn in vars(cli).items()
+               if name.startswith("write_") and inspect.isfunction(fn)}
+    assert "write_curve_csv" in writers
+    misplaced = [name for name, fn in writers.items()
+                 if list(inspect.signature(fn).parameters)[1:2] != ["path"]]
+    assert misplaced == []

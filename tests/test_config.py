@@ -4,6 +4,7 @@ from dataclasses import fields, is_dataclass, replace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from lanesight.cli import main
 from lanesight.config import ConfigError, RunConfig, load_config, resolve_config, write_echo
 from lanesight.fusion import FusionParams
 from lanesight.params import Checked
@@ -114,6 +115,18 @@ class TestResolve:
         for value in (MAX_FALSE_POSITIVE_RATE + 1, 1e19, float("inf"), float("nan"), -1.0):
             with pytest.raises(ConfigError, match="^sensing.false_positive_rate: "):
                 resolve_config({"sensing": {"false_positive_rate": value}})
+
+    def test_window_sample_rate_is_at_most_one_per_log_row(self, tmp_path, capsys):
+        # above 10/s several window times used to round onto one log row, and
+        # train took ever longer on the repeated samples
+        assert resolve_config({"window": {"sample_rate": 10}}).window.sample_rate == 10
+        with pytest.raises(ConfigError, match="^window.sample_rate: value 10.5 out of range"):
+            resolve_config({"window": {"sample_rate": 10.5}})
+        out = tmp_path / "out"
+        cfg = write(tmp_path, {"window": {"sample_rate": 10.5}})
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "window.sample_rate" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_road_holds_the_blockage_and_every_spawn(self):
         # the far end of the truck at accident_s, and the front of a car at spawn_max_s

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -33,13 +35,13 @@ class TestIdentificationAccuracy:
         box = Box2D(0, 0, 100, 60)
         frames = [row("fused", box, box) for _ in range(5)]
         curves = identification_accuracy(frames, [0.5, 0.7, 0.9])
-        assert curves["fused"].accuracies == (1.0, 1.0, 1.0)
+        assert curves["fused"] == (1.0, 1.0, 1.0)
 
     def test_all_no_match(self):
         box = Box2D(0, 0, 100, 60)
         frames = [row("baseline", None, box) for _ in range(4)]
         curves = identification_accuracy(frames, [0.5, 0.7])
-        assert curves["baseline"].accuracies == (0.0, 0.0)
+        assert curves["baseline"] == (0.0, 0.0)
 
     def test_counting_with_known_ious(self):
         # 6 frames at IoU 0.9, 2 at 0.6, 2 misses:
@@ -53,8 +55,8 @@ class TestIdentificationAccuracy:
         for _ in range(2):
             frames.append(row("fused", None, base))
         curves = identification_accuracy(frames, [0.5, 0.7])
-        assert curves["fused"].at(0.5) == pytest.approx(0.8)
-        assert curves["fused"].at(0.7) == pytest.approx(0.6)
+        assert curves["fused"][0] == pytest.approx(0.8)  # at 0.5
+        assert curves["fused"][1] == pytest.approx(0.6)  # at 0.7
 
     def test_monotone_in_threshold(self):
         rng = np.random.default_rng(3)
@@ -62,7 +64,7 @@ class TestIdentificationAccuracy:
         frames = [row("fused", shifted_box(base, rng.uniform(0, 0.9)), base)
                   for _ in range(60)]
         curves = identification_accuracy(frames, np.arange(0.1, 1.0, 0.1))
-        accs = curves["fused"].accuracies
+        accs = curves["fused"]
         assert all(b <= a + 1e-12 for a, b in zip(accs, accs[1:]))
 
 
@@ -193,21 +195,28 @@ class TestComparePairedRuns:
     def test_identical_runs(self):
         runs = [report(5.0, 1.0, 10.0) for _ in range(4)]
         cmp = compare_paired_runs(runs, list(runs))
-        assert cmp.avg_ttc.median_improvement == 0.0
-        assert cmp.mean_abs_accel.improve_fraction == 0.0
-        assert cmp.max_jerk.median_improvement == 0.0
+        assert cmp["avg_ttc"]["median_improvement"] == 0.0
+        assert cmp["mean_abs_accel"]["improve_fraction"] == 0.0
+        assert cmp["max_jerk"]["median_improvement"] == 0.0
+
+    def test_a_tie_keeps_a_positive_zero(self):
+        # comparison.json writes the median as computed; == 0.0 also holds for -0.0
+        runs = [report(5.0 + k, 1.0 + 0.1 * k, 10.0 + k) for k in range(4)]
+        cmp = compare_paired_runs(runs, list(runs))
+        for metric in ("avg_ttc", "mean_abs_accel", "max_jerk"):
+            assert math.copysign(1.0, cmp[metric]["median_improvement"]) == 1.0
 
     def test_uniform_ttc_gain(self):
         base = [report(5.0, 1.0, 10.0) for _ in range(5)]
         guided = [report(6.5, 1.0, 10.0) for _ in range(5)]
         cmp = compare_paired_runs(guided, base)
-        assert cmp.avg_ttc.median_improvement == pytest.approx(1.5)
-        assert cmp.avg_ttc.improve_fraction == 1.0
+        assert cmp["avg_ttc"]["median_improvement"] == pytest.approx(1.5)
+        assert cmp["avg_ttc"]["improve_fraction"] == 1.0
 
     def test_undefined_ttc_excluded(self):
         base = [report(5.0, 1.0, 10.0), report(None, 1.0, 10.0)]
         guided = [report(6.0, 0.8, 9.0), report(None, 0.8, 9.0)]
         cmp = compare_paired_runs(guided, base)
-        assert cmp.avg_ttc.pairs_compared == 1
-        assert cmp.mean_abs_accel.pairs_compared == 2
-        assert cmp.mean_abs_accel.improve_fraction == 1.0
+        assert cmp["avg_ttc"]["pairs_compared"] == 1
+        assert cmp["mean_abs_accel"]["pairs_compared"] == 2
+        assert cmp["mean_abs_accel"]["improve_fraction"] == 1.0

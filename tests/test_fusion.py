@@ -29,7 +29,7 @@ from lanesight.sensing import (
     render_depth_map,
     render_truth_boxes,
 )
-from lanesight.twinlink import TwinRecord, gnss_distance
+from lanesight.twinlink import gnss_distance
 
 INTR = CameraIntrinsics(focal_length=0.005, pixel_size_x=5e-6, pixel_size_y=5e-6,
                         u0=480.0, v0=270.0, width=960, height=540)
@@ -125,14 +125,14 @@ def painted(*layers):
 
 
 def identify_at(u, v, dets, depth, d_g=20.0, method="fused"):
-    """identify on a CAM frame of dets, for a twin whose anchor is pixel (u, v)."""
+    """identify on a CAM frame of dets, for a reported position whose anchor is pixel (u, v)."""
     x = 20.0  # meters ahead of the camera
     position = WorldPoint(x, 5.25 - (u - INTR.u0) * x / INTR.fx,
                           1.4 - (v - INTR.v0) * x / INTR.fy)
     anchor = project_anchor(position, CAM.extrinsics, INTR)
     assert (anchor.u, anchor.v) == (pytest.approx(u), pytest.approx(v))
     frame = SensorFrame(t=0.0, detections=dets, depth=depth, camera=CAM)
-    return identify(frame, TwinRecord(1, position, 17.0, 0.0), d_g, FusionParams(), method)
+    return identify(frame, position, d_g, FusionParams(), method)
 
 
 class TestFusedMatch:
@@ -210,11 +210,11 @@ class TestIdentify:
     def test_single_detection_both_methods(self):
         states = [car(1, s=22.25)]
         frame = build_frame(states)
-        twin = TwinRecord(1, WorldPoint(22.25, 5.25, 0.75), 17.0, 0.0)
-        d_g = gnss_distance(CAM.extrinsics.camera_center(), twin)
+        reported = WorldPoint(22.25, 5.25, 0.75)
+        d_g = gnss_distance(CAM.extrinsics.camera_center(), reported)
         params = FusionParams()
-        fused = identify(frame, twin, d_g, params, method="fused")
-        base = identify(frame, twin, d_g, params, method="baseline")
+        fused = identify(frame, reported, d_g, params, method="fused")
+        base = identify(frame, reported, d_g, params, method="baseline")
         assert fused.chosen.source_id == 1
         assert base.chosen.source_id == 1
 
@@ -225,25 +225,25 @@ class TestIdentify:
         near = car(1, s=8.46 + 2.25, y=4.6)
         target = car(2, s=18.69 + 2.25, y=5.65)
         frame = build_frame([near, target])
-        twin = TwinRecord(2, WorldPoint(target.s, target.y, 0.75), 17.0, 0.0)
-        d_g = gnss_distance(CAM.extrinsics.camera_center(), twin)
-        fused = identify(frame, twin, d_g, FusionParams(), method="fused")
+        reported = WorldPoint(target.s, target.y, 0.75)
+        d_g = gnss_distance(CAM.extrinsics.camera_center(), reported)
+        fused = identify(frame, reported, d_g, FusionParams(), method="fused")
         assert fused.candidate_count == 2
         assert fused.chosen.source_id == 2
-        base = identify(frame, twin, d_g, FusionParams(), method="baseline")
+        base = identify(frame, reported, d_g, FusionParams(), method="baseline")
         assert base.candidate_count == 2  # recorded; choice may differ
 
     def test_anchor_behind_camera_no_match(self):
         frame = build_frame([car(1, s=22.25)])
-        twin = TwinRecord(2, WorldPoint(-30.0, 5.25, 0.75), 17.0, 0.0)
-        res = identify(frame, twin, 30.0, FusionParams(), method="fused")
+        reported = WorldPoint(-30.0, 5.25, 0.75)
+        res = identify(frame, reported, 30.0, FusionParams(), method="fused")
         assert res.chosen is None
         assert res.candidate_count == 0
 
     def test_anchor_off_image_no_match(self):
         frame = build_frame([car(1, s=22.25)])
-        twin = TwinRecord(2, WorldPoint(10.0, 40.0, 0.75), 17.0, 0.0)
-        res = identify(frame, twin, 35.0, FusionParams(), method="baseline")
+        reported = WorldPoint(10.0, 40.0, 0.75)
+        res = identify(frame, reported, 35.0, FusionParams(), method="baseline")
         assert res.chosen is None
 
     def test_fused_without_sampling_region_uses_center_distance(self, monkeypatch):
@@ -253,13 +253,13 @@ class TestIdentify:
             raise AssertionError("depth read for boxes without a sampling region")
 
         monkeypatch.setattr(fusion, "depth_evaluate", no_depth)
-        twin = TwinRecord(1, WorldPoint(22.25, 5.25, 0.75), 17.0, 0.0)
-        a = project_anchor(twin.position, CAM.extrinsics, INTR)
+        reported = WorldPoint(22.25, 5.25, 0.75)
+        a = project_anchor(reported, CAM.extrinsics, INTR)
         off_center = det(a.u - 0.1, a.v - 0.1, a.u + 0.8, a.v + 0.8, source=1)
         centered = det(a.u - 0.4, a.v - 0.4, a.u + 0.4, a.v + 0.4, source=2)
         frame = SensorFrame(t=0.0, detections=[off_center, centered],
                             depth=flat_depth(10.0), camera=CAM)
-        res = identify(frame, twin, 20.0, FusionParams(), method="fused")
+        res = identify(frame, reported, 20.0, FusionParams(), method="fused")
         assert res.chosen is centered
         assert res.candidate_count == 2
 
@@ -270,10 +270,10 @@ class TestIdentify:
             states = [car(1, s=rng.uniform(12, 60)),
                       car(2, s=rng.uniform(12, 60), y=1.75)]
             frame = build_frame(states, noise=DetectorNoiseModel(seed=trial))
-            twin = TwinRecord(1, WorldPoint(states[0].s, states[0].y, 0.75), 17.0, 0.0)
-            d_g = gnss_distance(CAM.extrinsics.camera_center(), twin)
-            fused = identify(frame, twin, d_g, params, method="fused")
-            base = identify(frame, twin, d_g, params, method="baseline")
+            reported = WorldPoint(states[0].s, states[0].y, 0.75)
+            d_g = gnss_distance(CAM.extrinsics.camera_center(), reported)
+            fused = identify(frame, reported, d_g, params, method="fused")
+            base = identify(frame, reported, d_g, params, method="baseline")
             if fused.candidate_count == 1:
                 assert base.chosen == fused.chosen
 
@@ -333,15 +333,15 @@ def identification_cases(draw):
                           samples=draw(st.integers(1, 4)), seed=draw(st.integers(0, 3)))
     d_g = draw(st.one_of(st.sampled_from([10.0, 12.5, 15.0, 17.5, 20.0]),
                          st.floats(0.0, 30.0)))
-    return frame, TwinRecord(1, position, 17.0, 0.0), d_g, params
+    return frame, position, d_g, params
 
 
 class TestSingleDecisionPath:
     @settings(max_examples=400, deadline=None)
     @given(case=identification_cases(), method=st.sampled_from(["fused", "baseline"]))
     def test_identify_matches_per_branch_reference(self, case, method):
-        frame, twin, d_g, params = case
-        got = identify(frame, twin, d_g, params, method=method)
-        want = oracles.identify(frame, twin, d_g, params, method=method)
+        frame, reported, d_g, params = case
+        got = identify(frame, reported, d_g, params, method=method)
+        want = oracles.identify(frame, reported, d_g, params, method=method)
         assert got.chosen is want.chosen
         assert got.candidate_count == want.candidate_count

@@ -295,8 +295,7 @@ class TestFuseCorpus:
         noise = DetectorNoiseModel(seed=3)
         rows, _, _ = build_fuse_corpus(corpus, CameraMount(), noise, FusionParams(), seed=3)
         curves = identification_accuracy(rows, np.arange(0.3, 1.0, 0.05))
-        for curve in curves.values():
-            accs = curve.accuracies
+        for accs in curves.values():
             assert all(b <= a + 1e-12 for a, b in zip(accs, accs[1:]))
 
 
