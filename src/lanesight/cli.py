@@ -142,7 +142,7 @@ def _fuse_eval_files(cfg: RunConfig, out: Path, scored: list):
 def _train(cfg: RunConfig, model):
     """The training dataset and the model fitted to it; DegenerateDataset when
     the dataset is empty or holds a single class, which only the runs show."""
-    dataset = build_dataset(cfg.scenario, cfg.window, cfg.seeds, cfg.channel,
+    dataset = build_dataset(cfg.scenario, cfg.window, cfg.seeds,
                             include_nonchangers=cfg.training.include_nonchangers)
     return dataset, train(dataset, cfg.training)
 

@@ -4,10 +4,13 @@ The closed-loop runner owns the cadence logic: the scene is recorded on the
 grid its log is read at, vehicle states publish to the twin store every
 channel period, and once per second the classifier scores every car of a twin
 snapshot in one forward pass, whose advisories publish back on the same
-channel in snapshot order. On a publish tick where another of those rounds
-becomes visible through the latency, the ego's guidance view is rebuilt;
-between them it is the same dict. The store is the one home of a run's
-predictions; `_traced` reads them for predict-eval.
+channel in snapshot order. The guided ego gets the flagged set, the cars whose
+visible advisory is above `driver.p_trigger`, once per advisory round: it is
+rebuilt on the publish tick where another round becomes visible through the
+latency, and between them it is the same set. The store is the one home of a
+run's predictions; `_traced` reads them for predict-eval. A run whose store
+would be dropped (`train`'s runs, the baseline `closed-loop` leg) has no
+channel and publishes nothing.
 
 Work that never reads other work of its kind (a closed-loop pair's two legs,
 the seeds of a training set or of a held-out evaluation, the sensor frames of
@@ -153,38 +156,39 @@ def _twin_snapshot(store: TwinStore, t: float, channel: ChannelConfig,
                    lanes: LaneSpec) -> list[VehicleState]:
     states = []
     for vid in sorted(store.records):
-        rec = query_target(store, vid, t, channel)
-        if rec is None:
+        row = query_target(store, vid, t, channel)
+        if row is None:
             continue
+        _, x, y, _, v = row
         kind, length = store.meta[vid]
         states.append(VehicleState(
-            id=vid, kind=kind, s=rec.position.x, y=rec.position.y, v=rec.speed,
-            a=0.0, lane=lanes.lane_of(rec.position.y), length=length,
-            width=CAR_DIMS[1], height=CAR_DIMS[2], v_desired=rec.speed))
+            id=vid, kind=kind, s=x, y=y, v=v, a=0.0, lane=lanes.lane_of(y), length=length,
+            width=CAR_DIMS[1], height=CAR_DIMS[2], v_desired=v))
     return states
 
 
-def simulate_run(cfg: ScenarioConfig, channel: ChannelConfig = ChannelConfig(),
+def simulate_run(cfg: ScenarioConfig, channel: ChannelConfig | None = ChannelConfig(),
                  model: MlpModel | None = None,
                  record_period: float = LOG_PERIOD) -> tuple[TrajectoryLog, TwinStore]:
     """Run one scenario: its log, recorded every record_period, and its twin store,
-    where a model's predictions flow. The Scenario dies on return."""
+    where a model's predictions flow. With no channel nothing publishes, the
+    model never runs and the store stays empty. The Scenario dies on return."""
     scn = build_scenario(cfg)
     store = TwinStore()
     n_steps = int(round(cfg.duration / cfg.dt_sim))
     record_stride = grid_stride(record_period, cfg.dt_sim)
-    publish_stride = grid_stride(channel.publish_period, cfg.dt_sim)
+    publish_stride = 0 if channel is None else grid_stride(channel.publish_period, cfg.dt_sim)
     infer_stride = grid_stride(INFER_PERIOD, cfg.dt_sim)
     guided = cfg.driver.policy == "guided"
-    guidance: dict[int, float] = {}
+    flagged: frozenset[int] = frozenset()
     issued: list[float] = []  # each inference round's time; a car's advisories are a subset
-    shown = 0  # how many of those rounds guidance reflects
+    shown = 0  # how many of those rounds flagged reflects
 
     for k in range(n_steps + 1):
         t = scn.t
         if k % record_stride == 0:
             scn.record()
-        if k % publish_stride == 0:
+        if publish_stride and k % publish_stride == 0:
             for veh in scn.vehicles:
                 publish(store, veh, t)
             if model is not None and k % infer_stride == 0:
@@ -201,10 +205,11 @@ def simulate_run(cfg: ScenarioConfig, channel: ChannelConfig = ChannelConfig(),
                 visible = _visible(issued, t, channel.latency)
                 if visible != shown:
                     shown = visible
-                    guidance = {vid: prob for vid in store.advisories  # the cars
-                                if (prob := query_advisory(store, vid, t, channel)) is not None}
+                    flagged = frozenset(  # the cars; p_trigger >= 0 flags no car without one
+                        vid for vid in store.advisories
+                        if (query_advisory(store, vid, t, channel) or 0.0) > cfg.driver.p_trigger)
         if k < n_steps:
-            step(scn, guidance if guided else None)
+            step(scn, flagged)
     return scn.build_log(record_period), store
 
 
@@ -260,9 +265,8 @@ def sense_log(log: TrajectoryLog, mount: CameraMount, noise: DetectorNoiseModel,
                     range(len(_frame_rows(log, noise))))
 
 
-def _samples(window: WindowParams, channel: ChannelConfig, include_nonchangers: bool,
-             cfg: ScenarioConfig):
-    log, _ = simulate_run(cfg, channel)
+def _samples(window: WindowParams, include_nonchangers: bool, cfg: ScenarioConfig):
+    log, _ = simulate_run(cfg, None)
     events = extract_lane_changes(log)
     samples = label_windows(events, log, window)
     if include_nonchangers:
@@ -271,7 +275,6 @@ def _samples(window: WindowParams, channel: ChannelConfig, include_nonchangers: 
 
 
 def build_dataset(cfg: ScenarioConfig, window: WindowParams, seeds,
-                  channel: ChannelConfig = ChannelConfig(),
                   include_nonchangers: bool = TrainConfig.include_nonchangers):
     """Labeled samples from fresh baseline runs over the given seeds.
 
@@ -280,7 +283,7 @@ def build_dataset(cfg: ScenarioConfig, window: WindowParams, seeds,
     the classifier sees the full range of stay-put behavior.
     """
     runs = [replace(cfg, seed=int(seed)).with_policy("baseline") for seed in seeds]
-    each = partial(_samples, window, channel, include_nonchangers)
+    each = partial(_samples, window, include_nonchangers)
     return [sample for samples in _fan_out(each, runs) for sample in samples]
 
 
@@ -315,9 +318,10 @@ def ground_truth_bits(vehicle_id: int, times: np.ndarray, events: list[ManeuverP
 
 
 def _leg(cfg: ScenarioConfig, channel: ChannelConfig, model: MlpModel, policy: str):
-    """The policy's report; only the guided leg runs the model."""
-    log, _ = simulate_run(cfg.with_policy(policy), channel,
-                          model=model if policy == "guided" else None)
+    """The policy's report; only the guided leg has a channel and runs the model."""
+    guided = policy == "guided"
+    log, _ = simulate_run(cfg.with_policy(policy), channel if guided else None,
+                          model=model if guided else None)
     return safety_report(log, log.ego_id)
 
 

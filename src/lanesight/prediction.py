@@ -57,7 +57,7 @@ class LabeledSample:
     vehicle_id: int
 
 
-def features_from_states(index, subject: VehicleState, lane_count: int) -> np.ndarray:
+def features_from_states(index, subject: VehicleState, lane_count: int) -> list[float]:
     """Subject speed plus (speed difference, bumper gap) for six neighbor slots.
 
     ``index`` is the ``scene._lane_index`` of the snapshot holding the subject.
@@ -76,7 +76,7 @@ def features_from_states(index, subject: VehicleState, lane_count: int) -> np.nd
             else:
                 gap = abs(neighbor.s - subject.s) - 0.5 * (neighbor.length + subject.length)
                 feats += [neighbor.v - subject.v, gap]
-    return np.asarray(feats)
+    return feats
 
 
 def _sample(log: TrajectoryLog, vehicle_id: int, t: float, label: int) -> LabeledSample:
@@ -315,6 +315,7 @@ def load_model(path) -> MlpModel:
 
 
 def write_dataset_csv(dataset: list[LabeledSample], path):
+    """One row per sample; each feature as the shortest decimal that reads back to it."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["vehicle_id", "t", "label"] + [f"f{i}" for i in range(1, 14)])

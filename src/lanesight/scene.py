@@ -6,9 +6,10 @@ rightmost lanes, neighbor cars approach them, and a subset of neighbors
 ego vehicle starts rearmost in the leftmost lane and is driven by one of two
 reactive policies:
 
-  guided    decelerates gently as soon as a neighbor ahead carries a high
-            delivered lane-change probability, and acknowledges an alerted
-            cut-in immediately;
+  guided    decelerates gently as soon as a neighbor ahead is flagged, and
+            acknowledges an alerted cut-in immediately; the runner hands it
+            the flagged set, the cars whose visible lane-change probability is
+            above ``p_trigger``, built once per advisory round;
   baseline  ignores neighbors until one's center enters the ego lane, then
             reacts after a fixed delay with a hard deceleration.
 
@@ -17,8 +18,8 @@ One per-lane order by s (``_lane_index``) answers every neighbour query:
 and the lane-change features, which index the states they are given. Ties
 go to the first vehicle in the order the index was built from. A scenario
 keeps one order from tick to tick. A tick first gives the ego its policy and
-each active changer the least IDM acceleration over the lanes it spans, read
-off the unmoved order; then one walk per lane, in ascending s, moves every
+each active changer the least IDM acceleration over its plan's two lanes,
+read off the unmoved order; then one walk per lane, in ascending s, moves every
 vehicle, each other neighbor first running the one IDM body, ``_idm``, on
 the next vehicle in its lane at a larger s. The order stays in place while
 no vehicle changes lane and each lane stays strictly ascending in s, else
@@ -34,6 +35,7 @@ import csv
 import math
 from array import array
 from bisect import bisect_left, bisect_right
+from collections.abc import Set
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from operator import attrgetter
@@ -281,38 +283,32 @@ def _ahead(index, me: VehicleState, lane: int) -> list[VehicleState]:
     return members[bisect_right(keys, me.s):]
 
 
-def ego_policy(ego: VehicleState, index,
-               guidance: dict[int, float] | None, params: DriverParams,
+def ego_policy(ego: VehicleState, index, flagged: Set[int], params: DriverParams,
                idm: IdmParams, memory: EgoMemory, t: float) -> float:
-    """Acceleration command for the ego under the selected policy, read from index."""
-    guidance = guidance or {}
+    """Acceleration command for the ego under the selected policy, read from index.
+
+    flagged holds the cars whose advisory is above ``params.p_trigger``; only
+    the guided policy reads it."""
     guided = params.policy == "guided"
+    alerted = memory.alerted
+    if guided and flagged:
+        alerted |= flagged
 
-    if guided:
-        for vid, prob in guidance.items():
-            if prob > params.p_trigger:
-                memory.alerted.add(vid)
-
-    ahead = _ahead(index, ego, ego.lane)
-    for other in ahead:
-        memory.encroach_t.setdefault(other.id, t)
-
-    def acknowledged(veh: VehicleState) -> bool:
-        entered = memory.encroach_t.get(veh.id)
-        if entered is None:
-            return False
-        if guided and veh.id in memory.alerted:
-            return True
-        return t >= entered + params.reaction_time
-
-    leader = next((v for v in ahead if acknowledged(v)), None)
-    follow_idm = idm
-    if guided and leader is not None and leader.id in memory.alerted:
-        # an advised driver hangs farther back behind the merged vehicle
-        follow_idm = _aware_idm(idm, params.aware_headway)
+    # record when each car ahead entered the lane; the leader is the nearest
+    # acknowledged one: alerted (guided), or there for the reaction time
+    encroach_t = memory.encroach_t
+    leader = None
+    for other in _ahead(index, ego, ego.lane):
+        entered = encroach_t.setdefault(other.id, t)
+        if leader is None and (guided and other.id in alerted
+                               or t >= entered + params.reaction_time):
+            leader = other
+    aware = guided and leader is not None and leader.id in alerted
+    # an advised driver hangs farther back behind the merged vehicle
+    follow_idm = _aware_idm(idm, params.aware_headway) if aware else idm
     acc = _idm(ego, leader, follow_idm._idm_terms)
 
-    if leader is not None and guided and leader.id in memory.alerted:
+    if aware:
         # A forewarned merge is regulated comfortably unless genuinely
         # critical (short gap or short projected time to contact).
         gap = _bumper_gap(ego, leader)
@@ -340,11 +336,11 @@ def ego_policy(ego: VehicleState, index,
         # hold there; the cap is latched so a recovering threat does not pull
         # the ego into accelerate-brake churn.
         cap_v = None
-        for lane in (ego.lane - 1, ego.lane + 1):
+        for lane in (ego.lane - 1, ego.lane + 1) if flagged else ():
             for other in _ahead(index, ego, lane):
                 if other.s - ego.s > params.react_range:
                     break
-                if guidance.get(other.id, 0.0) > params.p_trigger:
+                if other.id in flagged:
                     cap = max(other.v + params.guided_margin,
                               ego.v_desired - params.caution_drop)
                     cap_v = cap if cap_v is None else min(cap_v, cap)
@@ -537,7 +533,7 @@ def _maybe_trigger_changes(scn: Scenario, index):
         scn.pending_changers = [v for v in scn.pending_changers if v not in done]
 
 
-def step(scn: Scenario, guidance: dict[int, float] | None = None):
+def step(scn: Scenario, flagged: Set[int] = frozenset()):
     """Advance every vehicle by one dt_sim tick, in the order the module describes.
 
     The walk writes each new s into the kept order's keys, and ``_collide``
@@ -555,10 +551,10 @@ def step(scn: Scenario, guidance: dict[int, float] | None = None):
     maneuvers = scn.active_maneuvers
     cross: dict[int, float] = {}  # the accelerations of vehicles that read other lanes
     for vid, plan in maneuvers.items():
-        veh = scn.vehicle(vid)
-        cross[vid] = min(_idm(veh, _leader(index, veh, lane), terms)
-                         for lane in sorted({veh.lane, plan.from_lane, plan.to_lane}))
-    cross[scn.ego_id] = ego_policy(scn.ego, index, guidance, cfg.driver, cfg.idm,
+        veh = scn.vehicle(vid)  # in one of the plan's lanes; to_lane is from_lane + 1
+        cross[vid] = min(_idm(veh, _leader(index, veh, plan.from_lane), terms),
+                         _idm(veh, _leader(index, veh, plan.to_lane), terms))
+    cross[scn.ego_id] = ego_policy(scn.ego, index, flagged, cfg.driver, cfg.idm,
                                    scn.memory, scn.t)
     for keys, members in index.values():
         last = len(members) - 1

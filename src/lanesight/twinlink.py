@@ -7,7 +7,7 @@ the newest record whose publish time is at most t - latency.
 A vehicle's history is five typed columns, ``array("d")`` of publish time t
 and the body centroid's x, y, z and the speed v, one row per publish, 8 B
 per value. A publish appends one row; a query bisects the t column and
-builds a ``TwinRecord`` only for the row it returns.
+returns the visible row as a tuple.
 
 Lane-change predictions come back on the same channel and live only here:
 each car's advisories are two such columns, issued time and probability.
@@ -22,14 +22,6 @@ from dataclasses import dataclass, field
 from .geometry import WorldPoint
 from .params import NONNEGATIVE, POSITIVE, Checked
 from .scene import VehicleState
-
-
-@dataclass(frozen=True, slots=True)
-class TwinRecord:
-    vehicle_id: int
-    position: WorldPoint
-    speed: float
-    publish_t: float
 
 
 @dataclass(frozen=True)
@@ -69,15 +61,16 @@ def _visible(times, t: float, latency: float) -> int:
 
 
 def query_target(store: TwinStore, vehicle_id: int, t: float,
-                 cfg: ChannelConfig) -> TwinRecord | None:
-    """Latest record visible at time t given the channel latency, or None before the first."""
+                 cfg: ChannelConfig) -> tuple[float, float, float, float, float] | None:
+    """The latest row (t, x, y, z, v) visible at time t given the channel latency,
+    or None before the first."""
     cols = store.records.get(vehicle_id)
     i = _visible(cols[0], t, cfg.latency) if cols is not None else 0
     if i == 0:
         return None
     ts, xs, ys, zs, vs = cols
     i -= 1
-    return TwinRecord(vehicle_id, WorldPoint(xs[i], ys[i], zs[i]), vs[i], ts[i])
+    return ts[i], xs[i], ys[i], zs[i], vs[i]
 
 
 def publish_advisory(store: TwinStore, vehicle_id: int, probability: float, t: float):

@@ -32,11 +32,10 @@ import lanesight.scene
 import lanesight.twinlink
 from lanesight import seeding
 from lanesight.fusion import IdentificationResult, _sample_region, depth_evaluate
-from lanesight.geometry import BehindCamera, Box2D, PixelPoint, WorldPoint
+from lanesight.geometry import BehindCamera, Box2D, PixelPoint
 from lanesight.prediction import FEATURE_SIZE, SENTINEL_GAP, MlpModel
 from lanesight.scene import (DriverParams, EgoMemory, IdmParams, ManeuverPlan, Scenario,
                              VehicleState, lateral_profile)
-from lanesight.twinlink import TwinRecord
 
 
 def rodrigues(axis, angle: float) -> np.ndarray:
@@ -279,6 +278,11 @@ def ego_policy(ego: VehicleState, others: list[VehicleState],
     return acc
 
 
+def flagged_by(guidance: dict[int, float] | None, p_trigger: float) -> set[int]:
+    """The cars of a guidance dict that the reference ego policy above alerts on."""
+    return {vid for vid, prob in (guidance or {}).items() if prob > p_trigger}
+
+
 # Reference copy of the lane-change features as they stood before they read a
 # lane index: each slot scans every state, and strict comparisons give ties
 # to the first vehicle in states order.
@@ -505,17 +509,16 @@ def identify(frame, reported, d_g, params, method="fused") -> IdentificationResu
 
 
 # Reference copy of the twin store as it stood before typed columns: each
-# publish appends a TwinRecord to its vehicle's list, and a query bisects the
-# list by publish time through a key function. records maps id -> list.
+# publish appends a record (t, x, y, z, v) to its vehicle's list, and a query
+# bisects the list by publish time through a key function. records maps id -> list.
 def publish(records: dict, state: VehicleState, t: float):
-    record = TwinRecord(state.id, WorldPoint(state.s, state.y, 0.5 * state.height),
-                        state.v, t)
-    records.setdefault(state.id, []).append(record)
+    records.setdefault(state.id, []).append((t, state.s, state.y, 0.5 * state.height,
+                                             state.v))
 
 
-def query_target(records: dict, vehicle_id: int, t: float, cfg) -> TwinRecord | None:
+def query_target(records: dict, vehicle_id: int, t: float, cfg) -> tuple | None:
     history = records.get(vehicle_id, [])
-    idx = bisect_right(history, t - cfg.latency + 1e-12, key=lambda r: r.publish_t)
+    idx = bisect_right(history, t - cfg.latency + 1e-12, key=lambda r: r[0])
     return history[idx - 1] if idx else None
 
 
@@ -619,9 +622,10 @@ def infer(model: MlpModel, features) -> float:
 # Reference copy of pipeline.simulate_run's loop as it stood before one stacked
 # forward pass per inference tick: each car's features go through their own
 # call of the reference infer above, and a guided run rebuilds its guidance on
-# every publish tick. It drives the library's scenario, tick (looked up on
-# lanesight.scene at each call), twin store and snapshot, so
-# pipeline.simulate_run must give the same log, store and guidance bit for bit.
+# every publish tick and hands the tick the cars above p_trigger. It drives the
+# library's scenario, tick (looked up on lanesight.scene at each call), twin
+# store and snapshot, so pipeline.simulate_run must give the same log, store and
+# flagged sets bit for bit.
 def simulate_run(cfg, channel, model):
     scn = lanesight.scene.build_scenario(cfg)
     store = lanesight.twinlink.TwinStore()
@@ -654,5 +658,5 @@ def simulate_run(cfg, channel, model):
                     if prob is not None:
                         guidance[vid] = prob
         if k < n_steps:
-            lanesight.scene.step(scn, guidance if guided else None)
+            lanesight.scene.step(scn, flagged_by(guidance, cfg.driver.p_trigger))
     return scn.build_log(lanesight.scene.LOG_PERIOD), store

@@ -302,6 +302,21 @@ class TestTrainAndPredict:
         summary = json.loads((model_path.parent / "training_summary.json").read_text())
         assert summary["samples"] > 0 and summary["positives"] > 0
 
+    def test_dataset_features_are_plain_decimals(self, tmp_path):
+        # each feature field reads back with float() to its training row, bit for bit
+        cfg = load_config(write_config(tmp_path / "train.json", seeds=[11, 12],
+                                       scenario={"duration": 20.0, "neighbor_count": 4,
+                                                 "potential_changer_count": 2},
+                                       training={"epochs": 2, "hidden": 2}))
+        compute, write, _ = cli.COMMANDS["train"]
+        dataset, model = compute(cfg, None)
+        write(cfg, tmp_path, (dataset, model))
+        rows = read_rows(tmp_path / "dataset.csv")
+        assert len(rows) == len(dataset) > 0
+        for row, sample in zip(rows, dataset):
+            got = [float(row[f"f{i}"]).hex() for i in range(1, FEATURE_SIZE + 1)]
+            assert got == [float(f).hex() for f in sample.features]
+
     def test_predict_eval_and_identity_filters(self, tmp_path):
         model_path = train_tiny_model(tmp_path)
         cfg = write_config(tmp_path / "eval.json",

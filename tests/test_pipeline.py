@@ -358,10 +358,11 @@ def run_bytes(log, store):
 
 
 class TestInferenceLoopMatchesOracle:
-    """One stacked forward pass per inference tick, and guidance rebuilt only when
-    another round becomes visible, give bit for bit what the car-by-car loop that
-    rebuilds on every publish tick gives (oracles.simulate_run): the log, the
-    store and the guidance handed to every tick."""
+    """One stacked forward pass per inference tick, and the flagged set rebuilt
+    only when another round becomes visible, give bit for bit what the car-by-car
+    loop that rebuilds its guidance on every publish tick gives
+    (oracles.simulate_run): the log, the store and the flagged set handed to
+    every tick."""
 
     # 1.0 and just below it sit on the inference period; 7.0 outlasts the run; at
     # t = 4.1, t - 0.1 falls an ulp short of round 4, which only the 1e-12 slack shows
@@ -376,9 +377,9 @@ class TestInferenceLoopMatchesOracle:
         real, handed = scene.step, {pipeline: [], scene: []}
 
         def recorder(calls):
-            def recorded(scn, guidance=None):
-                calls.append(None if guidance is None else list(guidance.items()))
-                real(scn, guidance)
+            def recorded(scn, flagged=frozenset()):
+                calls.append(sorted(flagged))
+                real(scn, flagged)
             return recorded
 
         for module, calls in handed.items():
@@ -388,11 +389,11 @@ class TestInferenceLoopMatchesOracle:
         assert got == want
         assert handed[pipeline] == handed[scene]
         assert len(handed[pipeline]) == 600
-        shown = [guidance for guidance in handed[pipeline] if guidance]
+        shown = [flagged for flagged in handed[pipeline] if flagged]
         if policy == "baseline" or latency > cfg.duration:
             assert not shown
         else:  # the guidance reaches the ego: some car is above its trigger
-            assert any(prob > cfg.driver.p_trigger for guidance in shown for _, prob in guidance)
+            assert shown
 
 
 def _handshake(marker, item):

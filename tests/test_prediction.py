@@ -107,7 +107,7 @@ class TestFeaturesMatchRosterScans:
         for subject in states:
             got = features_from_states(index, subject, lane_count)
             want = oracles.features_from_states(states, subject.id, lane_count)
-            assert got.tobytes() == want.tobytes()
+            assert type(got) is list and np.asarray(got).tobytes() == want.tobytes()
 
 
 def constant_log(duration=120.0, dt=0.1):
@@ -345,7 +345,7 @@ class TestKernelMatchesOracle:
         for row, col, value in edits:
             x[row % rows, col] = value
         with np.errstate(all="ignore"):
-            got = infer(model, list(x))  # as simulate_run passes them: one array per car
+            got = infer(model, x.tolist())  # as simulate_run passes them: one list per car
             assert isinstance(got, list) and all(type(prob) is float for prob in got)
             assert bits(got) == bits([infer(model, row) for row in x])
             assert bits(got) == bits([oracles.infer(model, row) for row in x])

@@ -40,15 +40,14 @@ from lanesight.scene import (
 IDM = IdmParams()
 
 
-def run_steps(scn: Scenario, n_steps: int, guidance_fn=None):
+def run_steps(scn: Scenario, n_steps: int, flagged_fn=None):
     """Advance n_steps ticks, recording every tick from the initial one.
 
-    guidance_fn(t) supplies the per-tick probability map.
+    flagged_fn(t) supplies the per-tick flagged set.
     """
     scn.record()
     for _ in range(n_steps):
-        guidance = guidance_fn(scn.t) if guidance_fn is not None else None
-        step(scn, guidance)
+        step(scn, flagged_fn(scn.t) if flagged_fn is not None else frozenset())
         scn.record()
 
 
@@ -358,7 +357,7 @@ class TestEgoPolicy:
         ego = make_car(vid=0, v=15.0, lane=2, v_desired=19.0)
         expected = _idm(ego, None, IDM._idm_terms)
         for policy in ("guided", "baseline"):
-            got = ego_policy(ego, _lane_index([ego]), None, DriverParams(policy=policy),
+            got = ego_policy(ego, _lane_index([ego]), set(), DriverParams(policy=policy),
                              IDM, EgoMemory(), t=0.0)
             assert got == pytest.approx(expected)
 
@@ -368,10 +367,10 @@ class TestEgoPolicy:
         flagged = make_car(vid=1, s=40.0, v=17.0, lane=1, lanes=lanes)
         params = DriverParams(policy="guided")
         index = _lane_index([ego, flagged])
-        acc = ego_policy(ego, index, {1: 1.0}, params, IDM, EgoMemory(), t=5.0)
+        acc = ego_policy(ego, index, {1}, params, IDM, EgoMemory(), t=5.0)
         assert acc == pytest.approx(params.guided_decel)
-        # below-trigger probability leaves the ego in free driving
-        acc2 = ego_policy(ego, index, {1: 0.2}, params, IDM, EgoMemory(), t=5.0)
+        # a car that is not flagged leaves the ego in free driving
+        acc2 = ego_policy(ego, index, set(), params, IDM, EgoMemory(), t=5.0)
         assert acc2 == pytest.approx(0.0, abs=1e-9)
 
     def test_baseline_reacts_only_after_delay(self):
@@ -382,26 +381,26 @@ class TestEgoPolicy:
         intruder = make_car(vid=1, s=20.0, v=17.0, lane=2, lanes=lanes)
         # first sighting at t=1.0: no reaction until t reaches 1.0 + t_r
         index = _lane_index([ego, intruder])
-        a0 = ego_policy(ego, index, None, params, IDM, memory, t=1.0)
+        a0 = ego_policy(ego, index, set(), params, IDM, memory, t=1.0)
         assert a0 == pytest.approx(0.0, abs=1e-9)
-        a1 = ego_policy(ego, index, None, params, IDM, memory, t=1.5)
+        a1 = ego_policy(ego, index, set(), params, IDM, memory, t=1.5)
         assert a1 == pytest.approx(0.0, abs=1e-9)
-        a2 = ego_policy(ego, index, None, params, IDM, memory, t=1.75)
+        a2 = ego_policy(ego, index, set(), params, IDM, memory, t=1.75)
         assert a2 <= params.late_decel
 
     def test_guided_onset_at_first_tick_after_publication(self):
-        # probability 1.0 delivered from t=5 s: deceleration begins at the
+        # the changers flagged from t=5 s: deceleration begins at the
         # first guidance tick at or after 5 s
         cfg = ScenarioConfig(seed=2, duration=8.0).with_policy("guided")
         scn = build_scenario(cfg)
-        flagged = {vid: 1.0 for vid in scn.changer_ids}
+        flagged = frozenset(scn.changer_ids)
         tick = 0.1
 
-        def guidance_fn(t):
+        def flagged_fn(t):
             latest_tick = math.floor(t / tick + 1e-9) * tick
-            return flagged if latest_tick >= 5.0 - 1e-9 else {}
+            return flagged if latest_tick >= 5.0 - 1e-9 else frozenset()
 
-        run_steps(scn, int(cfg.duration / cfg.dt_sim), guidance_fn)
+        run_steps(scn, int(cfg.duration / cfg.dt_sim), flagged_fn)
         onset = scn.memory.decel_onset
         assert onset is not None
         assert 5.0 - 1e-9 <= onset <= 5.0 + tick + 1e-9
@@ -412,9 +411,9 @@ class TestEgoPolicy:
         for policy in ("guided", "baseline"):
             cfg = ScenarioConfig(seed=21, duration=20.0).with_policy(policy)
             scn = build_scenario(cfg)
-            flagged = {vid: 1.0 for vid in scn.changer_ids}
-            guidance_fn = (lambda t: flagged) if policy == "guided" else None
-            run_steps(scn, int(cfg.duration / cfg.dt_sim), guidance_fn)
+            flagged = frozenset(scn.changer_ids)
+            flagged_fn = (lambda t: flagged) if policy == "guided" else None
+            run_steps(scn, int(cfg.duration / cfg.dt_sim), flagged_fn)
             assert any(p.to_lane == scn.ego.lane for p in scn.plans)
             onsets[policy] = scn.memory.decel_onset
         assert onsets["guided"] is not None and onsets["baseline"] is not None
@@ -572,7 +571,8 @@ class TestEgoPolicyMatchesRosterScans:
         memory, ref_memory = EgoMemory(), EgoMemory()
         for ego, others, at, guidance, t in calls:
             index = _lane_index(others[:at] + [ego] + others[at:])
-            got = ego_policy(ego, index, guidance, params, idm, memory, t)
+            flagged = oracles.flagged_by(guidance, params.p_trigger)
+            got = ego_policy(ego, index, flagged, params, idm, memory, t)
             want = oracles.ego_policy(ego, others, guidance, params, idm, ref_memory, t)
             assert bits(got) == bits(want)
             assert memory == ref_memory
@@ -625,7 +625,7 @@ def assert_steps_match_scanning_tick(scn, guidance, ticks):
     scn.record()
     ref.record()
     for _ in range(ticks):
-        step(scn, guidance)
+        step(scn, oracles.flagged_by(guidance, scn.cfg.driver.p_trigger))
         oracles.step(ref, guidance)
         assert_holds_the_lane_order(scn)
         scn.record()
@@ -741,7 +741,7 @@ class TestRecording:
         for k in range(ticks):
             if k == split:  # a log taken mid-run neither stops nor sees later ticks
                 early = scn.build_log(dt)
-            step(scn, guidance)
+            step(scn, oracles.flagged_by(guidance, scn.cfg.driver.p_trigger))
             scn.record()
             collect()
         if split == ticks:

@@ -11,7 +11,6 @@ from lanesight.scene import VehicleState
 from lanesight.twinlink import (
     ChannelConfig,
     ProbabilityOutOfRange,
-    TwinRecord,
     TwinStore,
     gnss_distance,
     publish,
@@ -51,11 +50,9 @@ def advisory_histories(draw):
     return [(draw(st.integers(0, 2)), draw(probabilities), t) for t in times]
 
 
-def record_bits(rec: TwinRecord) -> tuple:
-    """The record with each float as its exact bits, so -0.0 differs from 0.0."""
-    pos = rec.position
-    return (rec.vehicle_id, *(float(x).hex() for x in
-                              (pos.x, pos.y, pos.z, rec.speed, rec.publish_t)))
+def row_bits(row: tuple) -> tuple:
+    """The row (t, x, y, z, v) with each float as its exact bits, so -0.0 differs from 0.0."""
+    return tuple(float(x).hex() for x in row)
 
 
 class TestPublish:
@@ -85,8 +82,8 @@ class TestPublish:
     def test_position_is_body_centroid(self):
         store = TwinStore()
         publish(store, state(s=12.0), 0.0)
-        pos = query_target(store, 1, 0.0, ChannelConfig()).position
-        assert (pos.x, pos.y, pos.z) == (12.0, 5.25, 0.75)
+        _, x, y, z, _ = query_target(store, 1, 0.0, ChannelConfig())
+        assert (x, y, z) == (12.0, 5.25, 0.75)
 
     def test_a_row_is_five_typed_doubles(self):
         store = TwinStore()
@@ -106,15 +103,15 @@ class TestQueryTarget:
 
     def test_zero_latency_at_publish_instant(self):
         store = self.build()
-        rec = query_target(store, 1, 1.0, ChannelConfig(latency=0.0))
-        assert rec.publish_t == pytest.approx(1.0)
+        row = query_target(store, 1, 1.0, ChannelConfig(latency=0.0))
+        assert row[0] == pytest.approx(1.0)
 
     def test_latency_returns_stale_record(self):
         # latency 0.25 at t=1.0 leaves records up to 0.75 visible; the grid
         # point is 0.7
         store = self.build()
-        rec = query_target(store, 1, 1.0, ChannelConfig(latency=0.25))
-        assert rec.publish_t == pytest.approx(0.7)
+        row = query_target(store, 1, 1.0, ChannelConfig(latency=0.25))
+        assert row[0] == pytest.approx(0.7)
 
     def test_before_first_publish(self):
         store = self.build()
@@ -137,16 +134,16 @@ class TestQueryTarget:
                 if want is None:
                     assert query_target(store, vid, t, cfg) is None
                     continue
-                assert record_bits(query_target(store, vid, t, cfg)) == record_bits(want)
+                assert row_bits(query_target(store, vid, t, cfg)) == row_bits(want)
 
     def test_monotone_staleness(self):
         store = self.build()
         previous = None
         for latency in (0.0, 0.05, 0.1, 0.3, 0.7, 1.0):
-            rec = query_target(store, 1, 1.0, ChannelConfig(latency=latency))
+            row = query_target(store, 1, 1.0, ChannelConfig(latency=latency))
             if previous is not None:
-                assert rec.publish_t <= previous
-            previous = rec.publish_t
+                assert row[0] <= previous
+            previous = row[0]
 
 
 class TestGnssDistance:
@@ -173,10 +170,10 @@ class TestGnssDistance:
         for k in range(0, 31):
             publish(store, state(s=17.0 * k * period), k * period)
         t = 3.0
-        rec = query_target(store, 1, t, ChannelConfig(latency=latency))
+        row = query_target(store, 1, t, ChannelConfig(latency=latency))
         true_s = 17.0 * t
         ego_cam = WorldPoint(0.0, 5.25, 0.75)
-        d_g = gnss_distance(ego_cam, rec.position)
+        d_g = gnss_distance(ego_cam, WorldPoint(*row[1:4]))
         true_d = true_s - 0.0
         assert abs(d_g - true_d) <= 17.0 * latency + 1e-6
 

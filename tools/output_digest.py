@@ -33,8 +33,10 @@ window at threshold 0.2; a 2 s labeling window; a channel publishing every
 0.2 s with 0.25 s latency), `closed-loop` on the default, on a 48-neighbour scene, on a
 channel that publishes every 0.2 s with 0.25 s latency (so the guided run's
 twin queries and advisories see stale rows off the default grid), on a latency
-equal to the 1 s inference period (each round shows as the next is issued) and
-on a latency longer than the 10 s run (no advisory ever shows),
+equal to the 1 s inference period (each round shows as the next is issued), on
+a latency longer than the 10 s run (no advisory ever shows) and at the guided
+driver's trigger edges, `driver.p_trigger` 0.0 (every car with a visible
+advisory above 0 is flagged) and 1.0 (no car is ever flagged),
 `simulate` with the trained model (6 s, so its 960x540 rasters take about
 130 MB), `simulate` on the 48-neighbour scene (3 s: 31 rasters of 50 bodies
 each, about 65 MB), `simulate` on two seeds of 2 s each (every seed runs
@@ -87,6 +89,8 @@ RUNS = (
     ("closed-loop", {**MODEL, "channel": {"latency": 1.0}}, "1,7", "loop_latency_period"),
     ("closed-loop", {**MODEL, "scenario": {"duration": 10.0}, "channel": {"latency": 11.0}},
      "1", "loop_latency_beyond"),
+    ("closed-loop", {**MODEL, "driver": {"p_trigger": 0.0}}, "1,7", "loop_trigger_0"),
+    ("closed-loop", {**MODEL, "driver": {"p_trigger": 1.0}}, "1,7", "loop_trigger_1"),
     ("simulate", {**MODEL, "scenario": {"duration": 6.0}}, "1", "sim"),
     ("simulate", {"scenario": {**DENSE, "duration": 3.0}}, "42", "sim_dense"),
     ("simulate", {"scenario": {"duration": 2.0}}, "1,2", "sim_seeds"),
