@@ -51,7 +51,6 @@ from .scene import (
     VehicleState,
     _lane_index,
     build_scenario,
-    extract_lane_changes,
     grid_stride,
     step,
 )
@@ -267,10 +266,9 @@ def sense_log(log: TrajectoryLog, mount: CameraMount, noise: DetectorNoiseModel,
 
 def _samples(window: WindowParams, include_nonchangers: bool, cfg: ScenarioConfig):
     log, _ = simulate_run(cfg, None)
-    events = extract_lane_changes(log)
-    samples = label_windows(events, log, window)
+    samples = label_windows(log.plans, log, window)
     if include_nonchangers:
-        samples.extend(nonchanger_negatives(log, events, window))
+        samples.extend(nonchanger_negatives(log, log.plans, window))
     return samples
 
 

@@ -1,9 +1,12 @@
 """Lane-change prediction: labeling, a small MLP classifier, and filters.
 
-Samples are labeled with a time-window rule anchored at the maneuver end
-point t_end: times in [t_end - tau, t_end] are positive, and an equally
-sized window shifted tau + tau_g seconds earlier is negative. The gap keeps
-near-boundary frames with near-identical features out of opposite classes.
+Samples are labeled with a time-window rule anchored at the end point t_end
+of each maneuver the simulator ran, ``TrajectoryLog.plans``, the event list
+``pipeline.ground_truth_bits`` scores predictions against: log rows in
+[t_end - tau, t_end] are positive, and those of an equally sized window
+shifted tau + tau_g seconds earlier are negative. The gap keeps
+near-boundary frames with near-identical features out of opposite classes;
+at tau_g 0 the windows share an edge row, which stays positive only.
 
 Features read one snapshot's per-lane order (``scene._lane_index``), which
 the snapshot's owner builds once and hands to every subject in it:
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,7 +49,7 @@ class DegenerateDataset(Exception):
 class WindowParams(Checked):
     tau: float = field(default=5.0, metadata=POSITIVE)
     tau_g: float = field(default=3.0, metadata=NONNEGATIVE)
-    # samples per second; a faster rate would round several samples onto one log row
+    # samples per second; a faster rate would put several samples on one log row
     sample_rate: float = field(default=2.0, metadata=rule(lambda x: 0 < x <= 1 / LOG_PERIOD))
 
 
@@ -79,33 +83,39 @@ def features_from_states(index, subject: VehicleState, lane_count: int) -> list[
     return feats
 
 
-def _sample(log: TrajectoryLog, vehicle_id: int, t: float, label: int) -> LabeledSample:
-    """The sample of vehicle_id at the log row nearest t."""
-    row = round(t / log.dt)
+def _sample(log: TrajectoryLog, vehicle_id: int, row: int, label: int) -> LabeledSample:
     feats = features_from_states(_lane_index(log.states_at(row)),
                                  log.state_at(vehicle_id, row), log.lanes.lane_count)
     return LabeledSample(tuple(feats), label, row * log.dt, vehicle_id)
 
 
-def _window_times(t_hi: float, tau: float, rate: float, t_min: float) -> list[float]:
-    count = int(round(tau * rate))
-    times = [t_hi - k / rate for k in range(count + 1)]
-    return sorted(t for t in times if t >= t_min - 1e-9)
+def _window_rows(log: TrajectoryLog, hi: float, w: WindowParams) -> list[int]:
+    """The log rows of [hi - tau, hi], ascending: the newest row at or below hi,
+    then every 1/sample_rate seconds back the row at or above that time, less
+    the rows outside the log."""
+    lo, n = hi - w.tau, len(log.times)
+    if lo - 1e-9 > (n - 1) * log.dt:  # wholly past the log, however far: skip its rows
+        return []
+    top = math.floor(hi / log.dt + 1e-9)
+    rows, row, k = [], top, 0
+    while row >= 0 and row * log.dt >= lo - 1e-9:
+        if row < n:
+            rows.append(row)
+        k += 1
+        row = top - math.floor(k / (w.sample_rate * log.dt) + 1e-9)
+    return rows[::-1]
 
 
 def label_windows(events, log: TrajectoryLog, w: WindowParams) -> list[LabeledSample]:
-    """Build positive/negative samples around each lane-change end point."""
-    t_min = float(log.times[0])
-    t_max = float(log.times[-1])
+    """Positive then negative samples of each lane change's two windows; a
+    negative row at or above the positive window's start is dropped."""
     samples: list[LabeledSample] = []
     for event in events:
-        t_end = event.t_end
-        windows = ((1, t_end), (0, t_end - w.tau - w.tau_g))
-        if all(hi < t_min for _, hi in windows):
-            continue
-        for label, hi in windows:
-            for t in _window_times(min(hi, t_max), w.tau, w.sample_rate, t_min):
-                samples.append(_sample(log, event.vehicle_id, t, label))
+        lo = event.t_end - w.tau
+        samples += [_sample(log, event.vehicle_id, row, 1)
+                    for row in _window_rows(log, event.t_end, w)]
+        samples += [_sample(log, event.vehicle_id, row, 0)
+                    for row in _window_rows(log, lo - w.tau_g, w) if row * log.dt < lo - 1e-9]
     return samples
 
 
@@ -119,16 +129,9 @@ def nonchanger_negatives(log: TrajectoryLog, events,
     balanced.
     """
     changed = {e.vehicle_id for e in events}
-    samples = []
-    t_min, t_max = float(log.times[0]), float(log.times[-1])
-    for vid in log.vehicle_ids:
-        if vid in changed or log.kind_of(vid) != "car":
-            continue
-        t = t_min
-        while t <= t_max + 1e-9:
-            samples.append(_sample(log, vid, t, 0))
-            t += 5.0
-    return samples
+    rows = range(0, len(log.times), round(5.0 / log.dt))
+    return [_sample(log, vid, row, 0) for vid in log.vehicle_ids
+            if vid not in changed and log.kind_of(vid) == "car" for row in rows]
 
 
 @dataclass(frozen=True)

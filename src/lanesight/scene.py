@@ -1,10 +1,10 @@
 """Deterministic multi-lane highway micro-simulation.
 
-The scenario reproduces an accident scene: two stopped trucks block the two
-rightmost lanes, neighbor cars approach them, and a subset of neighbors
-("potential changers") moves one lane left when close to the blockage. The
-ego vehicle starts rearmost in the leftmost lane and is driven by one of two
-reactive policies:
+The scenario reproduces an accident scene: a stopped truck blocks each lane
+but the leftmost, neighbor cars approach the blockage, and a subset of
+neighbors ("potential changers") moves from the lane next to the leftmost
+into it when close to the blockage. The ego vehicle starts rearmost in the
+leftmost lane and is driven by one of two reactive policies:
 
   guided    decelerates gently as soon as a neighbor ahead is flagged, and
             acknowledges an alerted cut-in immediately; the runner hands it
@@ -43,7 +43,7 @@ from operator import attrgetter
 import numpy as np
 
 from . import seeding
-from .params import FRACTION, NEGATIVE, NONNEGATIVE, POSITIVE, RUN_SEED, Checked, rule
+from .params import NEGATIVE, NONNEGATIVE, POSITIVE, RUN_SEED, Checked, rule
 
 CAR_DIMS = (4.5, 1.8, 1.5)
 TRUCK_DIMS = (10.0, 2.5, 3.5)
@@ -57,8 +57,8 @@ class InfeasiblePlacement(Exception):
 
 @dataclass(frozen=True)
 class LaneSpec(Checked):
-    # the highest lane index is logged as int64
-    lane_count: int = field(default=3, metadata=rule(lambda x: 2 <= x <= 2**63))
+    # every lane but the ego's holds a truck, so the roster grows with the lanes
+    lane_count: int = field(default=3, metadata=rule(lambda x: 2 <= x <= 8))
     lane_width: float = field(default=3.5, metadata=POSITIVE)
     road_length: float = field(default=300.0, metadata=POSITIVE)
 
@@ -117,7 +117,8 @@ class IdmParams(Checked):
 class DriverParams(Checked):
     policy: str = field(default="baseline",
                         metadata=rule(lambda x: x in ("guided", "baseline")))
-    p_trigger: float = field(default=0.5, metadata=FRACTION)
+    # a car is flagged above this probability, and no probability is above 1
+    p_trigger: float = field(default=0.5, metadata=rule(lambda x: 0.0 <= x < 1.0))
     react_range: float = field(default=60.0, metadata=POSITIVE)
     guided_decel: float = field(default=-2.0, metadata=NEGATIVE)
     # keep this much closing speed over a flagged threat
@@ -494,7 +495,7 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
                                      length=CAR_DIMS[0], width=CAR_DIMS[1],
                                      height=CAR_DIMS[2], v_desired=cfg.neighbor_v0))
 
-    for j, lane in enumerate((0, 1)):
+    for j, lane in enumerate(range(lanes.lane_count - 1)):
         vehicles.append(VehicleState(
             id=cfg.neighbor_count + 1 + j, kind="truck", s=cfg.accident_s,
             y=lanes.center(lane), v=0.0, a=0.0, lane=lane,
@@ -662,45 +663,6 @@ def grid_stride(period: float, dt: float) -> int:
     if stride < 1 or abs(stride * dt - period) > 1e-9:
         raise ValueError(f"period {period} must be a multiple of dt {dt}")
     return stride
-
-
-def extract_lane_changes(log: TrajectoryLog) -> list[ManeuverPlan]:
-    """Recover maneuvers from lateral motion in a log.
-
-    A lane-index transition marks the crossing; the end point is the first
-    sample after it that is both near the new lane center (within 0.3 m)
-    and laterally settled (per-sample motion below 1e-6 m). The start point
-    mirrors this backwards.
-    """
-    events: list[ManeuverPlan] = []
-    for vid in log.vehicle_ids:
-        y = log.column(vid, "y")
-        lane = log.column(vid, "lane").astype(int)
-        n = len(y)
-        k = 1
-        while k < n:
-            if lane[k] == lane[k - 1]:
-                k += 1
-                continue
-            from_lane, to_lane = int(lane[k - 1]), int(lane[k])
-            if abs(to_lane - from_lane) != 1:  # should not happen on sim logs
-                k += 1
-                continue
-            j = k
-            while j > 0 and abs(y[j] - y[j - 1]) > 1e-6:
-                j -= 1
-            t_start = float(log.times[j])
-            j = k
-            target = log.lanes.center(to_lane)
-            while j < n - 1 and (abs(y[j] - y[j - 1]) > 1e-6
-                                 or abs(y[j] - target) >= 0.3):
-                j += 1
-            t_end = float(log.times[j])
-            if t_end > t_start:
-                events.append(ManeuverPlan(vid, t_start, t_end, from_lane, to_lane))
-            k = j + 1
-    events.sort(key=lambda e: (e.t_start, e.vehicle_id))
-    return events
 
 
 def write_trajectory_csv(log: TrajectoryLog, path):

@@ -128,6 +128,19 @@ class TestResolve:
         assert "window.sample_rate" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_p_trigger_is_below_one(self, tmp_path, capsys):
+        # a car is flagged above p_trigger and no advisory is above 1, so at 1.0
+        # the guided leg flagged no car and reported what the baseline leg did
+        assert resolve_config({"driver": {"p_trigger": 0.999}}).scenario.driver.p_trigger \
+            == 0.999
+        with pytest.raises(ConfigError, match="^driver.p_trigger: value 1.0 out of range"):
+            resolve_config({"driver": {"p_trigger": 1.0}})
+        out = tmp_path / "out"
+        cfg = write(tmp_path, {"driver": {"p_trigger": 1.0}})
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "driver.p_trigger" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_road_holds_the_blockage_and_every_spawn(self):
         # the far end of the truck at accident_s, and the front of a car at spawn_max_s
         for scenario in ({"road_length": 100}, {"spawn_max_s": 400},

@@ -25,7 +25,8 @@ from lanesight.pipeline import (
     render_frames,
     simulate_run,
 )
-from lanesight.prediction import TrainConfig, WindowParams, train
+from lanesight.prediction import TrainConfig, WindowParams, label_windows, \
+    nonchanger_negatives, train
 from lanesight.scene import LOG_PERIOD, ManeuverPlan, ScenarioConfig
 from lanesight.sensing import DetectorNoiseModel
 from lanesight.twinlink import ChannelConfig
@@ -167,6 +168,25 @@ class TestGroundTruthBits:
     def test_other_vehicles_ignored(self):
         events = [ManeuverPlan(8, 3.0, 7.0, 1, 2)]
         assert ground_truth_bits(7, np.arange(0.0, 10.0), events, tau=5.0).sum() == 0
+
+    @pytest.mark.parametrize("duration,window", [
+        (30.0, WindowParams()),
+        (20.0, WindowParams()),  # the run's end cuts maneuvers off
+        (30.0, WindowParams(tau_g=0.0)),  # the two windows share an edge row
+        (30.0, WindowParams(tau=2.5, sample_rate=3.0)),  # 1/3 s is no whole number of rows
+    ])
+    def test_training_labels_are_the_scored_truth(self, duration, window):
+        # train labels its samples from the plans predict-eval scores against,
+        # and each label is the truth at the sample's own vehicle and time
+        for seed in (1, 2, 3):
+            cfg = ScenarioConfig(seed=seed, duration=duration).with_policy("baseline")
+            log, _ = simulate_run(cfg, None)
+            samples = (label_windows(log.plans, log, window)
+                       + nonchanger_negatives(log, log.plans, window))
+            assert log.plans and samples == pipeline._samples(window, True, cfg)
+            for s in samples:
+                truth = ground_truth_bits(s.vehicle_id, np.array([s.t]), log.plans, window.tau)
+                assert s.label == truth[0], s
 
 
 class TestTraced:

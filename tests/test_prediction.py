@@ -138,12 +138,38 @@ class TestLabelWindows:
         assert len(pos) == len(neg)
 
     def test_zero_gap_abuts(self):
+        # the windows share the row at 95 s, which stays a positive only
         log = constant_log()
         event = ManeuverPlan(1, 96.0, 100.0, 1, 2)
         samples = label_windows([event], log, WindowParams(tau=5.0, tau_g=0.0,
                                                           sample_rate=1.0))
+        pos = sorted(s.t for s in samples if s.label == 1)
         neg = sorted(s.t for s in samples if s.label == 0)
-        assert neg == pytest.approx([90.0, 91.0, 92.0, 93.0, 94.0, 95.0])
+        assert pos == pytest.approx([95.0, 96.0, 97.0, 98.0, 99.0, 100.0])
+        assert neg == pytest.approx([90.0, 91.0, 92.0, 93.0, 94.0])
+
+    def test_windows_between_log_rows_keep_to_rows_inside(self):
+        # a plan ends on the 0.01 s tick grid: the newest row at or below each
+        # window's end, then a row every second back while inside the window
+        event = ManeuverPlan(1, 92.37, 96.37, 1, 2)
+        samples = label_windows([event], constant_log(), WindowParams(tau=5.0, tau_g=3.0,
+                                                                      sample_rate=1.0))
+        pos = [s.t for s in samples if s.label == 1]
+        neg = [s.t for s in samples if s.label == 0]
+        assert pos == pytest.approx([92.3, 93.3, 94.3, 95.3, 96.3])
+        assert neg == pytest.approx([84.3, 85.3, 86.3, 87.3, 88.3])
+
+    def test_cut_off_at_log_end(self):
+        # the run ends at 12 s, before the plan's end: the window stays where the
+        # plan puts it, and its rows past the log are dropped
+        log = constant_log(duration=12.0)
+        event = ManeuverPlan(1, 10.2, 14.2, 1, 2)
+        samples = label_windows([event], log, WindowParams(tau=5.0, tau_g=3.0,
+                                                          sample_rate=1.0))
+        pos = [s.t for s in samples if s.label == 1]
+        neg = [s.t for s in samples if s.label == 0]
+        assert pos == pytest.approx([9.2, 10.2, 11.2])
+        assert neg == pytest.approx([1.2, 2.2, 3.2, 4.2, 5.2, 6.2])
 
     def test_no_events(self):
         assert label_windows([], constant_log(), WindowParams()) == []

@@ -34,9 +34,10 @@ window at threshold 0.2; a 2 s labeling window; a channel publishing every
 channel that publishes every 0.2 s with 0.25 s latency (so the guided run's
 twin queries and advisories see stale rows off the default grid), on a latency
 equal to the 1 s inference period (each round shows as the next is issued), on
-a latency longer than the 10 s run (no advisory ever shows) and at the guided
-driver's trigger edges, `driver.p_trigger` 0.0 (every car with a visible
-advisory above 0 is flagged) and 1.0 (no car is ever flagged),
+a latency longer than the 10 s run (no advisory ever shows), at the guided
+driver's lowest trigger, `driver.p_trigger` 0.0 (every car with a visible
+advisory above 0 is flagged), and on 2 lanes (3 neighbours, the changers in
+the rightmost lane) and on 4, each lane but the ego's blocked by a truck,
 `simulate` with the trained model (6 s, so its 960x540 rasters take about
 130 MB), `simulate` on the 48-neighbour scene (3 s: 31 rasters of 50 bodies
 each, about 65 MB), `simulate` on two seeds of 2 s each (every seed runs
@@ -90,7 +91,9 @@ RUNS = (
     ("closed-loop", {**MODEL, "scenario": {"duration": 10.0}, "channel": {"latency": 11.0}},
      "1", "loop_latency_beyond"),
     ("closed-loop", {**MODEL, "driver": {"p_trigger": 0.0}}, "1,7", "loop_trigger_0"),
-    ("closed-loop", {**MODEL, "driver": {"p_trigger": 1.0}}, "1,7", "loop_trigger_1"),
+    ("closed-loop", {**MODEL, "scenario": {"lane_count": 2, "neighbor_count": 3}}, "1,7",
+     "loop_lanes_2"),
+    ("closed-loop", {**MODEL, "scenario": {"lane_count": 4}}, "1,7", "loop_lanes_4"),
     ("simulate", {**MODEL, "scenario": {"duration": 6.0}}, "1", "sim"),
     ("simulate", {"scenario": {**DENSE, "duration": 3.0}}, "42", "sim_dense"),
     ("simulate", {"scenario": {"duration": 2.0}}, "1,2", "sim_seeds"),
