@@ -9,7 +9,9 @@ Subsystems:
   prediction  lane-change labeling, MLP classifier, prediction filters
   evaluation  identification accuracy, TTC/accel/jerk safety metrics
   pipeline    end-to-end runners used by the command-line interface
-  cli         batch entry points (simulate, fuse-eval, train, ...)
+  config      JSON config schema derived from the dataclasses, validation
+  cli         batch entry points (simulate, fuse-eval, train, ...) and the
+              writers of every CSV file and the config echo
 """
 
 __version__ = "0.1.0"

@@ -13,11 +13,16 @@ Commands (each takes --config, --out, and an optional --seeds override):
   closed-loop   paired guided/baseline runs per seed with safety reports
                 and the paired comparison
 
+This module owns the text output formats: each CSV file, written through one
+helper, and the config echo. The DPT1 rasters and the model file keep theirs in
+``sensing`` and ``prediction``, next to their readers.
+
 Exit codes: 0 success, 2 configuration error, 3 runtime failure.
 """
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -30,14 +35,8 @@ from pathlib import Path
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
-from .config import ConfigError, RunConfig, load_config, write_echo
-from .evaluation import (
-    classification_metrics,
-    compare_paired_runs,
-    identification_accuracy,
-    write_curve_csv,
-    write_identifications_csv,
-)
+from .config import ConfigError, RunConfig, load_config
+from .evaluation import classification_metrics, compare_paired_runs, identification_accuracy
 from .pipeline import (
     REPORT_IOU,
     build_dataset,
@@ -49,19 +48,16 @@ from .pipeline import (
     simulate_run,
 )
 from .prediction import (
+    FEATURE_SIZE,
     DegenerateDataset,
     aggressive_filter,
     conservative_filter,
     load_model,
     save_model,
     train,
-    write_dataset_csv,
-    write_traces_csv,
 )
-from .scene import LOG_PERIOD, InfeasiblePlacement, grid_stride, write_maneuvers_csv, \
-    write_trajectory_csv
-from .sensing import write_detections_csv
-from .twinlink import ProbabilityOutOfRange, write_channel_csv
+from .scene import LOG_PERIOD, InfeasiblePlacement, grid_stride
+from .twinlink import ProbabilityOutOfRange, _visible
 
 
 def _seed_dir(out: Path, seed: int) -> Path:
@@ -73,6 +69,84 @@ def _seed_dir(out: Path, seed: int) -> Path:
 def _dump_json(doc, path, allow_nan: bool = True):
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True, allow_nan=allow_nan)
+
+
+def _csv(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def write_echo(cfg: RunConfig, path):
+    with open(path, "w") as fh:
+        json.dump(cfg.effective_dict(), fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+def write_trajectory_csv(log, path):
+    """One row per vehicle per LOG_PERIOD."""
+    def rows():
+        for i in range(0, len(log.times), grid_stride(LOG_PERIOD, log.dt)):
+            for vid in log.vehicle_ids:
+                s, y, v, a, lane = (log.data[vid][k][i] for k in range(5))
+                yield (f"{log.times[i]:.2f}", vid, log.kind_of(vid), f"{s:.6f}", f"{y:.6f}",
+                       f"{v:.6f}", f"{a:.6f}", int(lane))
+    _csv(path, ("t", "id", "kind", "s", "y", "v", "a", "lane"), rows())
+
+
+def write_maneuvers_csv(plans, path):
+    _csv(path, ("id", "t_start", "t_end", "from_lane", "to_lane"),
+         ((p.vehicle_id, f"{p.t_start:.3f}", f"{p.t_end:.3f}", p.from_lane, p.to_lane)
+          for p in plans))
+
+
+def write_channel_csv(store, path):
+    """Every published row in (t, id) order, with the newest advisory issued by its t."""
+    rows = []
+    for vid, cols in store.records.items():
+        issued, probs = store.advisories.get(vid, ((), ()))
+        for t, x, y, z, v in zip(*cols):
+            idx = _visible(issued, t, 0.0)
+            rows.append((t, vid, x, y, z, v, f"{probs[idx - 1]:.6f}" if idx else ""))
+    rows.sort(key=lambda r: (r[0], r[1]))
+    _csv(path, ("t", "id", "x", "y", "z", "v", "probability"),
+         ((f"{t:.2f}", vid, f"{x:.6f}", f"{y:.6f}", f"{z:.6f}", f"{v:.6f}", prob)
+          for t, vid, x, y, z, v, prob in rows))
+
+
+def write_detections_csv(frames, path):
+    """One row per detection; frames holds each frame's (t, detections)."""
+    _csv(path, ("t", "source_id", "u_min", "v_min", "u_max", "v_max"),
+         ((f"{t:.2f}", det.source_id, f"{det.box.u_min:.3f}", f"{det.box.v_min:.3f}",
+           f"{det.box.u_max:.3f}", f"{det.box.v_max:.3f}")
+          for t, detections in frames for det in detections))
+
+
+def write_curve_csv(curves, path, thresholds):
+    _csv(path, ("threshold", "accuracy_fused", "accuracy_baseline"),
+         ((f"{th:.2f}", f"{acc_f:.6f}", f"{acc_b:.6f}")
+          for th, acc_f, acc_b in zip(thresholds, curves["fused"], curves["baseline"])))
+
+
+def write_identifications_csv(rows, path):
+    """One row per identification; a blank chosen_source_id is no match."""
+    _csv(path, ("t", "method", "chosen_source_id", "iou_vs_gt", "candidate_count"),
+         ((f"{t:.2f}", method, chosen, f"{overlap:.6f}", candidates)
+          for t, method, chosen, overlap, candidates in rows))
+
+
+def write_dataset_csv(dataset, path):
+    """One row per sample; each feature as the shortest decimal that reads back to it."""
+    _csv(path, ["vehicle_id", "t", "label"] + [f"f{i}" for i in range(1, FEATURE_SIZE + 1)],
+         ((s.vehicle_id, f"{s.t:.2f}", s.label, *map(repr, s.features)) for s in dataset))
+
+
+def write_traces_csv(rows, path):
+    """rows: (vehicle_id, t, probability, raw, aggressive, conservative)"""
+    _csv(path, ("vehicle_id", "t", "probability", "raw", "aggressive", "conservative"),
+         ((vid, f"{t:.2f}", f"{prob:.6f}", raw, agg, cons)
+          for vid, t, prob, raw, agg, cons in rows))
 
 
 def _load_model_for(cfg: RunConfig, required: bool):

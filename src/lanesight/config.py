@@ -8,8 +8,9 @@ shares its parent's section (``scenario.lanes``, ``camera.intrinsics``)
 unless it is named in ``OWN_SECTION``. Unknown keys are rejected, errors
 report the dotted path of the offending key, and every domain object is built
 here, so an invalid config fails before a command writes anything. The
-resolved (defaults merged) document is echoed next to command outputs so a
-run can be reproduced from its own artifacts.
+resolved (defaults merged) document, ``RunConfig.effective_dict``, is echoed
+next to command outputs by ``cli.write_echo``, so a run can be reproduced
+from its own artifacts.
 """
 from __future__ import annotations
 
@@ -188,9 +189,3 @@ def load_config(path) -> RunConfig:
     except RecursionError as exc:
         raise ConfigError(f"config {str(path)!r} is nested too deeply to parse") from exc
     return resolve_config(doc)
-
-
-def write_echo(cfg: RunConfig, path):
-    with open(path, "w") as fh:
-        json.dump(cfg.effective_dict(), fh, indent=1, sort_keys=True)
-        fh.write("\n")

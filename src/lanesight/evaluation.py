@@ -11,7 +11,6 @@ jerk is the difference quotient of acceleration between adjacent samples.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,22 +141,3 @@ def compare_paired_runs(guided: list[SafetyReport], baseline: list[SafetyReport]
                        "improve_fraction": float(np.mean(arr > 0)) if diffs else None,
                        "pairs_compared": len(diffs)}
     return doc
-
-
-def write_curve_csv(curves: dict[str, tuple[float, ...]], path, thresholds):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["threshold", "accuracy_fused", "accuracy_baseline"])
-        for th, acc_f, acc_b in zip(thresholds, curves["fused"], curves["baseline"]):
-            w.writerow([f"{th:.2f}", f"{acc_f:.6f}", f"{acc_b:.6f}"])
-
-
-def write_identifications_csv(rows, path):
-    """One line per identification row: what was chosen and how well it
-    overlaps the target."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "method", "chosen_source_id", "iou_vs_gt", "candidate_count"])
-        for t, method, chosen, overlap, candidates in rows:
-            w.writerow([f"{t:.2f}", method, "" if chosen is None else chosen,
-                        f"{overlap:.6f}", candidates])

@@ -31,13 +31,12 @@ runner calls ``Scenario.record`` at the ticks it reads, into typed columns,
 """
 from __future__ import annotations
 
-import csv
 import math
 from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Set
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 from operator import attrgetter
 
 import numpy as np
@@ -272,12 +271,6 @@ def _bumper_gap(rear: VehicleState, front: VehicleState) -> float:
     return front.s - rear.s - 0.5 * (front.length + rear.length)
 
 
-@lru_cache(maxsize=8)
-def _aware_idm(idm: IdmParams, aware_headway: float) -> IdmParams:
-    """idm with its time headway raised to aware_headway, built once per pair."""
-    return replace(idm, time_headway=max(idm.time_headway, aware_headway))
-
-
 def _ahead(index, me: VehicleState, lane: int) -> list[VehicleState]:
     """Vehicles strictly ahead of me in lane, nearest first, ties in index order."""
     keys, members = index.get(lane, ((), ()))
@@ -305,9 +298,10 @@ def ego_policy(ego: VehicleState, index, flagged: Set[int], params: DriverParams
                                or t >= entered + params.reaction_time):
             leader = other
     aware = guided and leader is not None and leader.id in alerted
-    # an advised driver hangs farther back behind the merged vehicle
-    follow_idm = _aware_idm(idm, params.aware_headway) if aware else idm
-    acc = _idm(ego, leader, follow_idm._idm_terms)
+    terms = idm._idm_terms
+    if aware:  # an advised driver hangs farther back behind the merged vehicle
+        terms = (*terms[:4], max(idm.time_headway, params.aware_headway), terms[5])
+    acc = _idm(ego, leader, terms)
 
     if aware:
         # A forewarned merge is regulated comfortably unless genuinely
@@ -663,23 +657,3 @@ def grid_stride(period: float, dt: float) -> int:
     if stride < 1 or abs(stride * dt - period) > 1e-9:
         raise ValueError(f"period {period} must be a multiple of dt {dt}")
     return stride
-
-
-def write_trajectory_csv(log: TrajectoryLog, path):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "id", "kind", "s", "y", "v", "a", "lane"])
-        for i in range(0, len(log.times), grid_stride(LOG_PERIOD, log.dt)):
-            for vid in log.vehicle_ids:
-                s, y, v, a, lane = (log.data[vid][k][i] for k in range(5))
-                w.writerow([f"{log.times[i]:.2f}", vid, log.kind_of(vid), f"{s:.6f}",
-                            f"{y:.6f}", f"{v:.6f}", f"{a:.6f}", int(lane)])
-
-
-def write_maneuvers_csv(plans: list[ManeuverPlan], path):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["id", "t_start", "t_end", "from_lane", "to_lane"])
-        for p in plans:
-            w.writerow([p.vehicle_id, f"{p.t_start:.3f}", f"{p.t_end:.3f}",
-                        p.from_lane, p.to_lane])

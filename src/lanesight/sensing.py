@@ -13,7 +13,6 @@ painted on first read.
 """
 from __future__ import annotations
 
-import csv
 import math
 import struct
 from collections.abc import Callable
@@ -200,15 +199,3 @@ def write_depth_map(dm: DepthMap, path):
     with open(path, "wb") as fh:
         fh.write(struct.pack("<4sII", DEPTH_MAGIC, dm.width, dm.height))
         fh.write(dm.raster("<f4"))
-
-
-def write_detections_csv(frames: list[tuple[float, list[Detection]]], path):
-    """One row per detection; `frames` holds each frame's (t, detections)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "source_id", "u_min", "v_min", "u_max", "v_max"])
-        for t, detections in frames:
-            for det in detections:
-                b = det.box
-                w.writerow([f"{t:.2f}", det.source_id, f"{b.u_min:.3f}",
-                            f"{b.v_min:.3f}", f"{b.u_max:.3f}", f"{b.v_max:.3f}"])

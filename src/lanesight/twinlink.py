@@ -14,7 +14,6 @@ each car's advisories are two such columns, issued time and probability.
 """
 from __future__ import annotations
 
-import csv
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -97,20 +96,3 @@ def gnss_distance(ego_camera_position: WorldPoint, reported: WorldPoint) -> floa
     dy = ego_camera_position.y - reported.y
     dz = ego_camera_position.z - reported.z
     return (dx * dx + dy * dy + dz * dz) ** 0.5
-
-
-def write_channel_csv(store: TwinStore, path):
-    rows = []
-    for vid, cols in store.records.items():
-        issued, probs = store.advisories.get(vid, ((), ()))
-        for t, x, y, z, v in zip(*cols):
-            idx = _visible(issued, t, 0.0)
-            prob = f"{probs[idx - 1]:.6f}" if idx else ""
-            rows.append((t, vid, x, y, z, v, prob))
-    rows.sort(key=lambda r: (r[0], r[1]))
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "id", "x", "y", "z", "v", "probability"])
-        for t, vid, x, y, z, v, prob in rows:
-            w.writerow([f"{t:.2f}", vid, f"{x:.6f}", f"{y:.6f}", f"{z:.6f}",
-                        f"{v:.6f}", prob])

@@ -757,6 +757,27 @@ class TestOnceExit3:
         assert not out.exists()
         assert "config error: sensing.false_positive_rate:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, doc, message", [
+        # simulate wrote 6 files, then a raster's np.full failed
+        ("simulate", {"camera": {"width": 2_000_000, "height": 2_000_000}},
+         "camera.width/height: the image holds more than"),
+        ("train", {"training": {"hidden": 10**12}}, "training.hidden: value"),
+        ("fuse-eval", {"fusion": {"samples": 10**12}}, "fusion.samples: value"),
+        # the fit diverged to NaN weights, which train wrote to model.json
+        ("train", {"seeds": [1, 2, 3], "training": {"learning_rate": 1e300, "epochs": 3}},
+         "training diverged to a non-finite weight"),
+    ])
+    def test_an_allocation_or_a_fit_out_of_bounds_exits_2_before_any_write(
+            self, tmp_path, capsys, command, doc, message):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():  # the fit's overflows are refused, not warned of
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert f"config error: {message}" in capsys.readouterr().err
+
 
 class TestModuleEntry:
     def test_python_m_lanesight_runs_the_cli(self, tmp_path):

@@ -1,16 +1,18 @@
 import json
+import math
 from dataclasses import fields, is_dataclass, replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lanesight.cli import main
-from lanesight.config import ConfigError, RunConfig, load_config, resolve_config, write_echo
-from lanesight.fusion import FusionParams
+from lanesight.cli import main, write_echo
+from lanesight.config import ConfigError, RunConfig, load_config, resolve_config
+from lanesight.fusion import MAX_FUSION_SAMPLES, FusionParams
+from lanesight.geometry import MAX_IMAGE_PIXELS
 from lanesight.params import Checked
 from lanesight.pipeline import MAX_CORPUS_FRAMES, CameraMount, FuseCorpusConfig, \
     build_fuse_corpus
-from lanesight.prediction import MAX_EPOCHS
+from lanesight.prediction import MAX_EPOCHS, MAX_HIDDEN
 from lanesight.sensing import MAX_FALSE_POSITIVE_RATE, DetectorNoiseModel
 from lanesight.scene import MAX_TICKS, VehicleState
 
@@ -96,17 +98,27 @@ class TestResolve:
             with pytest.raises(ConfigError, match="scenario.duration: .* above the 10000000"):
                 resolve_config({"scenario": scenario})
 
-    def test_corpus_frames_and_training_epochs_are_bounded(self):
+    def test_corpus_frames_training_sizes_and_fusion_samples_are_bounded(self):
         # each used to be accepted at any size, and its command then computed
-        # practically forever before its first write
-        assert resolve_config({"fuse_eval": {"frames": MAX_CORPUS_FRAMES}}).fuse_eval.frames \
-            == MAX_CORPUS_FRAMES
-        assert resolve_config({"training": {"epochs": MAX_EPOCHS}}).training.epochs == MAX_EPOCHS
+        # practically forever before its first write (frames, epochs) or failed
+        # to allocate at 1e12 (hidden units, depth samples)
         for section, key, bound in (("fuse_eval", "frames", MAX_CORPUS_FRAMES),
-                                    ("training", "epochs", MAX_EPOCHS)):
+                                    ("training", "epochs", MAX_EPOCHS),
+                                    ("training", "hidden", MAX_HIDDEN),
+                                    ("fusion", "samples", MAX_FUSION_SAMPLES)):
+            assert getattr(getattr(resolve_config({section: {key: bound}}), section), key) \
+                == bound
             for value in (bound + 1, 10**12):
                 with pytest.raises(ConfigError, match=f"{section}.{key}: value {value} out"):
                     resolve_config({section: {key: value}})
+
+    def test_image_pixels_are_bounded(self):
+        side = math.isqrt(MAX_IMAGE_PIXELS)
+        camera = {"width": side, "height": side, "u0": side / 2, "v0": side / 2}
+        assert resolve_config({"camera": camera}).camera.intrinsics.width == side
+        for width, height in ((side + 1, side), (MAX_IMAGE_PIXELS + 1, 1), (2 * 10**6,) * 2):
+            with pytest.raises(ConfigError, match="^camera.width/height: the image holds"):
+                resolve_config({"camera": {"width": width, "height": height, "u0": 0, "v0": 0}})
 
     def test_false_positive_rate_is_bounded(self):
         # 1e19 used to be accepted, and numpy's Poisson draw then failed with exit 3

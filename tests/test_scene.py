@@ -21,7 +21,6 @@ from lanesight.scene import (
     Scenario,
     ScenarioConfig,
     VehicleState,
-    _aware_idm,
     _follower,
     _idm,
     _lane_index,
@@ -85,7 +84,7 @@ class TestCarFollowing:
 # the free-road term above a_max, and a jam gap of 0.01 m keeps a stopped car
 # at a 0.1 m gap off the a_min clamp. The aware-headway params are the ego's.
 IDM_VARIANTS = (IDM, replace(IDM, a_max=1.5, comfort_decel=1.0, a_min=-4.0, jam_gap=0.01,
-                             time_headway=0.6, delta=3.0), _aware_idm(IDM, 1.8))
+                             time_headway=0.6, delta=3.0), replace(IDM, time_headway=1.8))
 idm_speeds = st.sampled_from([0.0, -0.0]) | st.floats(0.0, 40.0)
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from lanesight.cli import write_channel_csv
 from lanesight.geometry import WorldPoint
 from lanesight.scene import VehicleState
 from lanesight.twinlink import (
@@ -17,7 +18,6 @@ from lanesight.twinlink import (
     publish_advisory,
     query_advisory,
     query_target,
-    write_channel_csv,
 )
 
 
