@@ -94,7 +94,7 @@ def identify(frame: SensorFrame, reported: WorldPoint, d_g: float,
     degenerate frames yield no-match."""
     intr = frame.camera.intrinsics
     try:
-        anchor = project_anchor(reported, frame.camera.extrinsics, intr)
+        anchor = project_anchor(reported, frame.camera.position, intr)
     except BehindCamera:
         return IdentificationResult(None, 0)
     if not (0.0 <= anchor.u < intr.width and 0.0 <= anchor.v < intr.height):

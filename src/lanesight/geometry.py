@@ -15,8 +15,10 @@ Camera frame (right-handed, standard computer vision):
 Image frame:
   - origin top-left, u right, v down, units pixels
 
-One projection serves the anchor point and the vehicle bodies alike:
-`world_to_camera` on rows of points, then a near-plane check and a divide.
+Every camera sits at a world position and looks down the +x road axis, so
+one projection serves the anchor point and the vehicle bodies alike:
+`world_to_camera` on rows of points, one subtraction per axis, then a
+near-plane check and a divide.
 `project_cuboid_hull` takes every body of a frame at once, as rows of
 centers and dimensions, and reports which bodies are wholly beyond the near
 plane; `project_anchor` raises BehindCamera for a single point.
@@ -40,53 +42,11 @@ class WorldPoint:
     y: float
     z: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=float)
-
 
 @dataclass(frozen=True)
 class PixelPoint:
     u: float
     v: float
-    depth: float
-
-
-class CameraExtrinsics:
-    """World-to-camera rigid transform: p_cam = R @ p_world + t."""
-
-    def __init__(self, rotation, translation):
-        r = np.asarray(rotation, dtype=float).reshape(3, 3)
-        t = np.asarray(translation, dtype=float).reshape(3)
-        if not np.allclose(r.T @ r, np.eye(3), atol=1e-9):
-            raise ValueError("rotation matrix is not orthonormal")
-        if abs(np.linalg.det(r) - 1.0) > 1e-9:
-            raise ValueError("rotation matrix determinant is not +1")
-        self.rotation = r
-        self.translation = t
-
-    def camera_center(self) -> WorldPoint:
-        """World position of the optical center (solves R c + t = 0)."""
-        c = -self.rotation.T @ self.translation
-        return WorldPoint(c[0], c[1], c[2])
-
-    @classmethod
-    def looking_along_road(cls, position: WorldPoint) -> "CameraExtrinsics":
-        """Camera at `position` pointing down the +x road axis.
-
-        Camera x = world -y (right), camera y = world -z (down),
-        camera z = world +x (forward). The rotation is the constant
-        _ROAD_AXES, which went through the constructor's checks at import.
-        """
-        e = cls.__new__(cls)
-        e.rotation = _ROAD_AXES
-        e.translation = -_ROAD_AXES @ position.as_array()
-        return e
-
-
-_ROAD_AXES = CameraExtrinsics([[0.0, -1.0, 0.0],
-                               [0.0, 0.0, -1.0],
-                               [1.0, 0.0, 0.0]], np.zeros(3)).rotation
-_ROAD_AXES.setflags(write=False)  # shared by every along-road camera
 
 
 # the most pixels a frame may hold: at it, on a 2-vCPU Xeon host, a frame whose
@@ -129,9 +89,13 @@ class CameraIntrinsics(Checked):
 
 @dataclass(frozen=True)
 class Camera:
-    """Extrinsics + intrinsics bundle for one mounted camera."""
+    """A camera at `position` looking down the +x road axis.
 
-    extrinsics: CameraExtrinsics
+    Camera x = world -y (right), camera y = world -z (down), camera z =
+    world +x (forward).
+    """
+
+    position: WorldPoint
     intrinsics: CameraIntrinsics
 
 
@@ -174,23 +138,24 @@ _CORNER_SIGNS = np.array([(sx, sy, sz) for sx in (-1.0, 1.0) for sy in (-1.0, 1.
                           for sz in (-1.0, 1.0)])
 
 
-def world_to_camera(points: np.ndarray, e: CameraExtrinsics) -> np.ndarray:
-    """Apply the rigid world-to-camera transform to each row of `points`."""
-    return points @ e.rotation.T + e.translation
+def world_to_camera(points: np.ndarray, position: WorldPoint) -> np.ndarray:
+    """Each row (x, y, z) of `points` as (c.y - y, c.z - z, x - c.x) in the
+    frame of the along-road camera at `position` c."""
+    return points[:, [1, 2, 0]] * (-1.0, -1.0, 1.0) + (position.y, position.z, -position.x)
 
 
-def project_anchor(p_w: WorldPoint, e: CameraExtrinsics, i: CameraIntrinsics) -> PixelPoint:
+def project_anchor(p_w: WorldPoint, position: WorldPoint, i: CameraIntrinsics) -> PixelPoint:
     """Project a world point into the image; may land outside the frame.
 
     Raises BehindCamera when the point is at or behind the near plane.
     """
-    (x, y, z), = world_to_camera(p_w.as_array()[None], e)
+    (x, y, z), = world_to_camera(np.array([[p_w.x, p_w.y, p_w.z]]), position)
     if z <= i.near_plane:
         raise BehindCamera(f"z_c={z:.3f} <= near_plane={i.near_plane:.3f}")
-    return PixelPoint(i.u0 + i.fx * (x / z), i.v0 + i.fy * (y / z), z)
+    return PixelPoint(i.u0 + i.fx * (x / z), i.v0 + i.fy * (y / z))
 
 
-def project_cuboid_hull(centers: np.ndarray, dims: np.ndarray, e: CameraExtrinsics,
+def project_cuboid_hull(centers: np.ndarray, dims: np.ndarray, position: WorldPoint,
                         i: CameraIntrinsics) -> tuple[np.ndarray, list[tuple], list[float]]:
     """Project axis-aligned bodies, one per row of `centers` and of `dims`
     (length, width, height), in one array pass.
@@ -202,7 +167,7 @@ def project_cuboid_hull(centers: np.ndarray, dims: np.ndarray, e: CameraExtrinsi
     A body outside the frustum sideways clips to a zero-area hull.
     """
     corners = centers[:, None, :] + _CORNER_SIGNS * (0.5 * dims)[:, None, :]
-    cam = world_to_camera(corners.reshape(-1, 3), e).reshape(-1, 8, 3)
+    cam = world_to_camera(corners.reshape(-1, 3), position).reshape(-1, 8, 3)
     nearest = cam[:, :, 2].min(axis=1)
     visible = nearest > i.near_plane
     cam = cam[visible]

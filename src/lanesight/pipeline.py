@@ -37,7 +37,7 @@ import numpy as np
 from . import seeding
 from .evaluation import SafetyReport, safety_report
 from .fusion import FusionParams, identify
-from .geometry import Box2D, Camera, CameraExtrinsics, CameraIntrinsics, WorldPoint, iou
+from .geometry import Box2D, Camera, CameraIntrinsics, WorldPoint, iou
 from .params import DRAW_BOUND, FRACTION, POSITIVE, Checked, rule
 from .prediction import MlpModel, TrainConfig, WindowParams, features_from_states, infer, \
     label_windows, nonchanger_negatives
@@ -79,9 +79,8 @@ class CameraMount(Checked):
     mount_left: float = 0.0
 
     def camera_for(self, ego: VehicleState) -> Camera:
-        position = WorldPoint(ego.s + self.mount_forward, ego.y + self.mount_left,
-                              self.mount_up)
-        return Camera(CameraExtrinsics.looking_along_road(position), self.intrinsics)
+        return Camera(WorldPoint(ego.s + self.mount_forward, ego.y + self.mount_left,
+                                 self.mount_up), self.intrinsics)
 
 
 def _cpu_count() -> int:  # of the affinity mask; 1 where there is none
@@ -166,7 +165,7 @@ def _twin_snapshot(store: TwinStore, t: float, channel: ChannelConfig,
     return states
 
 
-def simulate_run(cfg: ScenarioConfig, channel: ChannelConfig | None = ChannelConfig(),
+def simulate_run(cfg: ScenarioConfig, channel: ChannelConfig | None,
                  model: MlpModel | None = None,
                  record_period: float = LOG_PERIOD) -> tuple[TrajectoryLog, TwinStore]:
     """Run one scenario: its log, recorded every record_period, and its twin store,
@@ -296,8 +295,7 @@ def _traced(channel: ChannelConfig, model: MlpModel, cfg: ScenarioConfig):
     return traces, log.plans
 
 
-def prediction_runs(cfg: ScenarioConfig, model: MlpModel, seeds,
-                    channel: ChannelConfig = ChannelConfig()):
+def prediction_runs(cfg: ScenarioConfig, model: MlpModel, seeds, channel: ChannelConfig):
     """Each seed's (traces, maneuver plans) from a baseline run with the model."""
     return _fan_out(partial(_traced, channel, model),
                     [replace(cfg, seed=seed).with_policy("baseline") for seed in seeds])
@@ -324,8 +322,7 @@ def _leg(cfg: ScenarioConfig, channel: ChannelConfig, model: MlpModel, policy: s
 
 
 def closed_loop_pair(cfg: ScenarioConfig, model: MlpModel, seed: int,
-                     channel: ChannelConfig = ChannelConfig())\
-        -> tuple[SafetyReport, SafetyReport]:
+                     channel: ChannelConfig) -> tuple[SafetyReport, SafetyReport]:
     """Guided and baseline reports for one seed on identical scenarios.
 
     Each run's log and store die with its report, before the next run in its
@@ -422,7 +419,7 @@ def _score_frame(corpus: FuseCorpusConfig, noise: DetectorNoiseModel, fusion: Fu
     err = gnss_rng.normal(0.0, 1.0, 3) * np.asarray(corpus.gnss_sigma)
     target = states[0]
     reported = WorldPoint(target.s + err[0], target.y + err[1], 0.5 * CAR_DIMS[2] + err[2])
-    d_g = gnss_distance(camera.extrinsics.camera_center(), reported)
+    d_g = gnss_distance(camera.position, reported)
 
     frame_params = replace(fusion, seed=seeding.derived_seed(seed, seeding.SAMPLER, index))
     scored = []

@@ -232,21 +232,21 @@ def train(dataset: list[LabeledSample], cfg: TrainConfig = TrainConfig()) -> Mlp
     return MlpModel(w1=w1, b1=b1, w2=w2, b2=b2, feat_mean=mean, feat_std=std)
 
 
-def infer(model: MlpModel, features) -> float | list[float]:
-    """Forward pass returning the lane-change probability of one feature row, or
-    the list of them for a stack of rows. A model that overflows gives NaN
-    without a warning; ``twinlink.publish_advisory`` rejects it.
+def infer(model: MlpModel, features) -> list[float]:
+    """Forward pass returning the lane-change probability of each row of a stack
+    of feature rows. A model that overflows gives NaN without a warning;
+    ``twinlink.publish_advisory`` rejects it.
 
     Each row passes as its own (1, FEATURE_SIZE) slice of a stacked operand, so
-    NumPy makes the same vector-matrix BLAS call per row as for a lone row and
-    a batch is bit-equal to row-by-row calls; a (rows, FEATURE_SIZE) matrix
+    NumPy makes the same vector-matrix BLAS call per row as for a one-row stack,
+    and a batch is bit-equal to row-by-row calls; a (rows, FEATURE_SIZE) matrix
     product would go to gemm and round differently."""
     x = np.asarray(features, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         z, _ = _forward(model.w1, model.b1, model.w2, model.b2,
-                        model.standardize(x)[..., None, :])
+                        model.standardize(x)[:, None, :])
         prob = _sigmoid(z)
-    return float(prob[0]) if x.ndim == 1 else prob[:, 0].tolist()
+    return prob[:, 0].tolist()
 
 
 @dataclass(frozen=True)

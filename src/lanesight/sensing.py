@@ -110,7 +110,7 @@ def render_truth_boxes(states: list[VehicleState],
     bodies = np.array([(st.s, st.y, 0.5 * st.height, st.length, st.width, st.height)
                        for st in states]).reshape(-1, 6)
     visible, hulls, nearest = project_cuboid_hull(bodies[:, :3], bodies[:, 3:],
-                                                  camera.extrinsics, camera.intrinsics)
+                                                  camera.position, camera.intrinsics)
     out = []
     for state, hull, depth in zip(compress(states, visible), hulls, nearest):
         box = Box2D(*hull)
@@ -120,11 +120,11 @@ def render_truth_boxes(states: list[VehicleState],
 
 
 def render_depth_map(truth: list[tuple[int, Box2D, float]], intrinsics: CameraIntrinsics,
-                     noise: DetectorNoiseModel | None = None) -> DepthMap:
+                     noise: DetectorNoiseModel) -> DepthMap:
     """Planar depth raster: each truth hull's pixels get its nearest-face depth.
 
     Overlaps resolve nearest-wins; background pixels carry DepthMap.far_value.
-    With a noise model, per-pixel Gaussian noise is added on vehicle regions only.
+    Per-pixel Gaussian noise of the model's depth sigma is added on vehicle regions only.
     """
     # a visible hull has positive area, so its pixel rectangle is never empty
     layers = [(depth, (math.floor(box.v_min), math.ceil(box.v_max),
@@ -138,7 +138,7 @@ def render_depth_map(truth: list[tuple[int, Box2D, float]], intrinsics: CameraIn
     shape = (max(bottom) - r0, max(right) - c0)
 
     def paint() -> np.ndarray:
-        noisy = noise is not None and noise.depth_noise_sigma > 0
+        noisy = noise.depth_noise_sigma > 0
         if noisy:  # one draw per pixel of the union bounding box, covered or not
             rng = seeding.rng_for(noise.seed, seeding.DEPTH)
             block = rng.normal(0.0, noise.depth_noise_sigma, size=shape)

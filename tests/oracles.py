@@ -38,16 +38,6 @@ from lanesight.scene import (DriverParams, EgoMemory, IdmParams, ManeuverPlan, S
                              VehicleState, lateral_profile)
 
 
-def rodrigues(axis, angle: float) -> np.ndarray:
-    """Rotation matrix from axis-angle via the Rodrigues formula."""
-    a = np.asarray(axis, dtype=float)
-    a = a / np.linalg.norm(a)
-    k = np.array([[0.0, -a[2], a[1]],
-                  [a[2], 0.0, -a[0]],
-                  [-a[1], a[0], 0.0]])
-    return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
-
-
 def homogeneous_world_to_camera(r: np.ndarray, t: np.ndarray, p_world) -> np.ndarray:
     """4x4 [R|t] homogeneous transform applied to a 3D point."""
     m = np.eye(4)
@@ -89,7 +79,19 @@ def project_point_oracle(r, t, p_world, f, d_x, d_y, u0, v0) -> tuple[float, flo
 # its center and dimensions (for a vehicle, read off its state's fields), every
 # corner goes through its own rigid transform and perspective divide, and the
 # depth raster is painted and masked over the full frame. The library must
-# match it exactly for cameras built by CameraExtrinsics.looking_along_road.
+# match it exactly.
+
+# The along-road camera's rotation: camera x = world -y, camera y = world -z,
+# camera z = world +x.
+ROAD_AXES = np.array([[0.0, -1.0, 0.0],
+                      [0.0, 0.0, -1.0],
+                      [1.0, 0.0, 0.0]])
+
+
+def road_extrinsics(position) -> tuple[np.ndarray, np.ndarray]:
+    """(R, t) of the along-road camera at `position`: p_cam = R @ p_world + t."""
+    return ROAD_AXES, -ROAD_AXES @ np.array([position.x, position.y, position.z])
+
 
 def body_of(state):
     """A vehicle's body as (center, (length, width, height)), read off its state."""
@@ -102,12 +104,13 @@ def per_corner_world(center, dims) -> list[tuple[float, float, float]]:
             for dx in (-hl, hl) for dy in (-hw, hw) for dz in (-hh, hh)]
 
 
-def per_corner_hull(center, dims, e, i):
+def per_corner_hull(center, dims, position, i):
     """(u_min, v_min, u_max, v_max) clipped to the image, or None when a
     corner is at or behind the near plane."""
+    r, t = road_extrinsics(position)
     us, vs = [], []
     for corner in per_corner_world(center, dims):
-        v = e.rotation @ np.array(corner, dtype=float) + e.translation
+        v = r @ np.array(corner, dtype=float) + t
         if v[2] <= i.near_plane:
             return None
         us.append(i.u0 + i.fx * (v[0] / v[2]))
@@ -116,16 +119,16 @@ def per_corner_hull(center, dims, e, i):
             min(max(max(us), 0.0), float(i.width)), min(max(max(vs), 0.0), float(i.height)))
 
 
-def per_corner_nearest_depth(center, dims, e) -> float:
+def per_corner_nearest_depth(center, dims, position) -> float:
     """The smallest camera-frame z over the 8 corners, one transform each."""
-    return min((e.rotation @ np.array(p, dtype=float) + e.translation)[2]
-               for p in per_corner_world(center, dims))
+    r, t = road_extrinsics(position)
+    return min((r @ np.array(p, dtype=float) + t)[2] for p in per_corner_world(center, dims))
 
 
 def per_corner_truth_boxes(states, camera) -> list[tuple[int, Box2D]]:
     out = []
     for state in states:
-        edges = per_corner_hull(*body_of(state), camera.extrinsics, camera.intrinsics)
+        edges = per_corner_hull(*body_of(state), camera.position, camera.intrinsics)
         if edges is not None and Box2D(*edges).area > 0:
             out.append((state.id, Box2D(*edges)))
     return out
@@ -138,7 +141,7 @@ def full_frame_depth_values(states, camera, noise=None) -> np.ndarray:
     by_id = {state.id: state for state in states}
     layers = []
     for vid, box in per_corner_truth_boxes(states, camera):
-        depth = per_corner_nearest_depth(*body_of(by_id[vid]), camera.extrinsics)
+        depth = per_corner_nearest_depth(*body_of(by_id[vid]), camera.position)
         layers.append((depth, box))
     layers.sort(key=lambda item: -item[0])
     covered = np.zeros_like(values, dtype=bool)
@@ -435,14 +438,15 @@ def step(scn: Scenario, guidance: dict[int, float] | None = None):
 # For valid methods, fusion.identify must choose the very same detection
 # object, with the same candidate count.
 
-def project_anchor(p_w, e, i) -> PixelPoint:
-    v = e.rotation @ p_w.as_array() + e.translation
+def project_anchor(p_w, position, i) -> PixelPoint:
+    r, t = road_extrinsics(position)
+    v = r @ np.array([p_w.x, p_w.y, p_w.z], dtype=float) + t
     x_c, y_c, z_c = v[0], v[1], v[2]
     if z_c <= i.near_plane:
         raise BehindCamera(f"z_c={z_c:.3f} <= near_plane={i.near_plane:.3f}")
     u = i.u0 + i.fx * (x_c / z_c)
     v = i.v0 + i.fy * (y_c / z_c)
-    return PixelPoint(u, v, z_c)
+    return PixelPoint(u, v)
 
 
 def _candidates(anchor, detections) -> list[int]:
@@ -479,7 +483,7 @@ def match_target_baseline(anchor, detections) -> IdentificationResult:
 def identify(frame, reported, d_g, params, method="fused") -> IdentificationResult:
     intr = frame.camera.intrinsics
     try:
-        anchor = project_anchor(reported, frame.camera.extrinsics, intr)
+        anchor = project_anchor(reported, frame.camera.position, intr)
     except BehindCamera:
         return IdentificationResult(None, 0)
     if not (0.0 <= anchor.u < intr.width and 0.0 <= anchor.v < intr.height):

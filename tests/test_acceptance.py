@@ -10,8 +10,7 @@ import pytest
 from lanesight.cli import main as cli_main
 from lanesight.evaluation import compare_paired_runs, identification_accuracy
 from lanesight.fusion import FusionParams, depth_evaluate, identify
-from lanesight.geometry import Box2D, Camera, CameraExtrinsics, CameraIntrinsics, \
-    WorldPoint, project_anchor
+from lanesight.geometry import Box2D, Camera, CameraIntrinsics, WorldPoint, project_anchor
 from lanesight.pipeline import CameraMount, FuseCorpusConfig, build_dataset, \
     build_fuse_corpus, closed_loop_pair
 from lanesight.prediction import (
@@ -28,8 +27,9 @@ from lanesight.prediction import (
 )
 from lanesight.scene import LaneSpec, ManeuverPlan, ScenarioConfig, TrajectoryLog
 from lanesight.sensing import DepthMap, Detection, DetectorNoiseModel, SensorFrame
+from lanesight.twinlink import ChannelConfig
 
-from oracles import kernel_loss_and_gradients, project_point_oracle, rodrigues
+from oracles import kernel_loss_and_gradients, project_point_oracle, road_extrinsics
 
 
 def report(number: int, ok: bool, detail: str):
@@ -57,8 +57,7 @@ def test_criterion_2_overlap_case_distance_matching():
     img = DepthMap(960, 540, values)
     detections = [Detection(far_box, source_id=1), Detection(near_box, source_id=2)]
     # the cloud anchor 18.7 m ahead, 0.561 m below the camera, projects to (480, 300)
-    camera = Camera(CameraExtrinsics.looking_along_road(WorldPoint(0.0, 0.0, 1.4)),
-                    CameraIntrinsics())
+    camera = Camera(WorldPoint(0.0, 0.0, 1.4), CameraIntrinsics())
     frame = SensorFrame(0.0, detections, img, camera)
     reported = WorldPoint(18.7, 0.0, 0.839)
     params = FusionParams(shrink=0.8, samples=32, seed=0)
@@ -101,12 +100,12 @@ def test_criterion_4_projection_matches_matrix_oracle():
     worst = 0.0
     checked = 0
     while checked < 1000:
-        r = rodrigues(rng.normal(size=3), rng.uniform(-math.pi, math.pi))
-        t = rng.uniform(-5, 5, 3)
+        position = WorldPoint(*rng.uniform(-5, 5, 3))
+        r, t = road_extrinsics(position)
         w = rng.uniform(-50, 50, 3)
         if (r @ w + t)[2] <= intr.near_plane + 0.05:
             continue
-        got = project_anchor(WorldPoint(*w), CameraExtrinsics(r, t), intr)
+        got = project_anchor(WorldPoint(*w), position, intr)
         u, v, _ = project_point_oracle(r, t, w, intr.focal_length, intr.pixel_size_x,
                                        intr.pixel_size_y, intr.u0, intr.v0)
         scale = max(abs(u), abs(v), 1.0)
@@ -194,8 +193,8 @@ def test_criterion_6_mlp_verification():
 
     data = separable_dataset()
     trained = train(data[:700], TrainConfig(hidden=32, epochs=60, seed=3))
-    correct = sum((infer(trained, s.features) >= 0.5) == bool(s.label)
-                  for s in data[700:])
+    probs = infer(trained, [s.features for s in data[700:]])
+    correct = sum((p >= 0.5) == bool(s.label) for p, s in zip(probs, data[700:]))
     heldout = correct / 300
 
     again = train(data[:700], TrainConfig(hidden=32, epochs=60, seed=3))
@@ -235,7 +234,7 @@ def test_criterion_8_closed_loop_directional_claims():
     model = train(data, TrainConfig(hidden=48, epochs=300, seed=0))
     guided, baseline = [], []
     for seed in range(50):
-        g, b = closed_loop_pair(cfg, model, seed)
+        g, b = closed_loop_pair(cfg, model, seed, ChannelConfig())
         guided.append(g)
         baseline.append(b)
     cmp = compare_paired_runs(guided, baseline)

@@ -205,7 +205,8 @@ class TestSimulate:
         cfg = write_config(tmp_path / "c.json", seeds=[2], scenario={"duration": 7.0})
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
-        log, _ = simulate_run(replace(load_config(cfg).scenario, seed=2))
+        loaded = load_config(cfg)
+        log, _ = simulate_run(replace(loaded.scenario, seed=2), loaded.channel)
         plans = log.plans
         assert plans
         assert read_rows(out / "seed_2" / "maneuvers.csv") == [

@@ -9,7 +9,6 @@ from lanesight.geometry import (
     BehindCamera,
     Box2D,
     Camera,
-    CameraExtrinsics,
     CameraIntrinsics,
     WorldPoint,
     project_anchor,
@@ -33,7 +32,7 @@ from lanesight.twinlink import gnss_distance
 
 INTR = CameraIntrinsics(focal_length=0.005, pixel_size_x=5e-6, pixel_size_y=5e-6,
                         u0=480.0, v0=270.0, width=960, height=540)
-CAM = Camera(CameraExtrinsics.looking_along_road(WorldPoint(0.0, 5.25, 1.4)), INTR)
+CAM = Camera(WorldPoint(0.0, 5.25, 1.4), INTR)
 
 
 def det(u0, v0, u1, v1, source=None):
@@ -129,7 +128,7 @@ def identify_at(u, v, dets, depth, d_g=20.0, method="fused"):
     x = 20.0  # meters ahead of the camera
     position = WorldPoint(x, 5.25 - (u - INTR.u0) * x / INTR.fx,
                           1.4 - (v - INTR.v0) * x / INTR.fy)
-    anchor = project_anchor(position, CAM.extrinsics, INTR)
+    anchor = project_anchor(position, CAM.position, INTR)
     assert (anchor.u, anchor.v) == (pytest.approx(u), pytest.approx(v))
     frame = SensorFrame(t=0.0, detections=dets, depth=depth, camera=CAM)
     return identify(frame, position, d_g, FusionParams(), method)
@@ -194,7 +193,7 @@ class TestBaselineMatch:
         assert res.candidate_count == 0
 
 
-def build_frame(states, t=0.0, noise=None):
+def build_frame(states, t=0.0, noise=DetectorNoiseModel(depth_noise_sigma=0.0)):
     truth = render_truth_boxes(states, CAM)
     depth = render_depth_map(truth, INTR, noise=noise)
     dets = [Detection(box, source_id=vid) for vid, box, _ in truth]
@@ -211,7 +210,7 @@ class TestIdentify:
         states = [car(1, s=22.25)]
         frame = build_frame(states)
         reported = WorldPoint(22.25, 5.25, 0.75)
-        d_g = gnss_distance(CAM.extrinsics.camera_center(), reported)
+        d_g = gnss_distance(CAM.position, reported)
         params = FusionParams()
         fused = identify(frame, reported, d_g, params, method="fused")
         base = identify(frame, reported, d_g, params, method="baseline")
@@ -226,7 +225,7 @@ class TestIdentify:
         target = car(2, s=18.69 + 2.25, y=5.65)
         frame = build_frame([near, target])
         reported = WorldPoint(target.s, target.y, 0.75)
-        d_g = gnss_distance(CAM.extrinsics.camera_center(), reported)
+        d_g = gnss_distance(CAM.position, reported)
         fused = identify(frame, reported, d_g, FusionParams(), method="fused")
         assert fused.candidate_count == 2
         assert fused.chosen.source_id == 2
@@ -254,7 +253,7 @@ class TestIdentify:
 
         monkeypatch.setattr(fusion, "depth_evaluate", no_depth)
         reported = WorldPoint(22.25, 5.25, 0.75)
-        a = project_anchor(reported, CAM.extrinsics, INTR)
+        a = project_anchor(reported, CAM.position, INTR)
         off_center = det(a.u - 0.1, a.v - 0.1, a.u + 0.8, a.v + 0.8, source=1)
         centered = det(a.u - 0.4, a.v - 0.4, a.u + 0.4, a.v + 0.4, source=2)
         frame = SensorFrame(t=0.0, detections=[off_center, centered],
@@ -271,7 +270,7 @@ class TestIdentify:
                       car(2, s=rng.uniform(12, 60), y=1.75)]
             frame = build_frame(states, noise=DetectorNoiseModel(seed=trial))
             reported = WorldPoint(states[0].s, states[0].y, 0.75)
-            d_g = gnss_distance(CAM.extrinsics.camera_center(), reported)
+            d_g = gnss_distance(CAM.position, reported)
             fused = identify(frame, reported, d_g, params, method="fused")
             base = identify(frame, reported, d_g, params, method="baseline")
             if fused.candidate_count == 1:
@@ -284,8 +283,7 @@ class TestIdentify:
 # depths and d_g can fall between them.
 SMALL_INTR = CameraIntrinsics(pixel_size_x=25e-6, pixel_size_y=25e-6,
                               u0=96.0, v0=54.0, width=192, height=108)
-SMALL_CAM = Camera(CameraExtrinsics.looking_along_road(WorldPoint(0.0, 5.25, 1.4)),
-                   SMALL_INTR)
+SMALL_CAM = Camera(WorldPoint(0.0, 5.25, 1.4), SMALL_INTR)
 _ROWS, _COLS = np.mgrid[0:108, 0:192]
 DEPTH_RASTERS = (flat_depth(15.0, 192, 108),
                  DepthMap(192, 108, np.floor(8.0 + 0.12 * _ROWS + 0.03 * _COLS)))
@@ -309,7 +307,7 @@ def identification_cases(draw):
     x = draw(st.floats(3.0, 60.0) if ahead else st.floats(-5.0, 0.5))
     position = WorldPoint(x, 5.25 - (u - 96.0) * x / 200.0, 1.4 - (v - 54.0) * x / 200.0)
     try:
-        anchor = project_anchor(position, SMALL_CAM.extrinsics, SMALL_INTR)
+        anchor = project_anchor(position, SMALL_CAM.position, SMALL_INTR)
         au, av = anchor.u, anchor.v
     except BehindCamera:
         au, av = SMALL_INTR.u0, SMALL_INTR.v0

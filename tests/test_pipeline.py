@@ -57,20 +57,20 @@ def small_cfg(**kw):
 
 class TestSimulateRun:
     def test_publish_cadence(self):
-        _, store = simulate_run(small_cfg(duration=3.0))
+        _, store = simulate_run(small_cfg(duration=3.0), ChannelConfig())
         times = store.records[0][0]  # the ego's publish times
         assert len(times) == 31  # t = 0.0 .. 3.0 inclusive at 0.1 s
         assert list(times) == pytest.approx(list(np.arange(31) * 0.1))
 
     def test_advisories_only_with_model(self):
-        _, store = simulate_run(small_cfg(duration=2.0))
+        _, store = simulate_run(small_cfg(duration=2.0), ChannelConfig())
         assert store.advisories == {}
 
     def test_trace_cadence_with_model(self):
         data = build_dataset(small_cfg(duration=16.0), WindowParams(sample_rate=1.0),
                              seeds=[31, 32, 33])
         model = train(data, TrainConfig(hidden=8, epochs=20))
-        log, store = simulate_run(small_cfg(duration=5.0), model=model)
+        log, store = simulate_run(small_cfg(duration=5.0), ChannelConfig(), model=model)
         assert store.advisories
         for vid, (issued, probs) in store.advisories.items():
             assert log.kind_of(vid) == "car"
@@ -87,12 +87,12 @@ class TestSimulateRun:
 
         monkeypatch.setattr(pipeline, "_lane_index", counted)
         monkeypatch.setattr(prediction, "_lane_index", counted)
-        log, store = simulate_run(small_cfg(duration=5.0), model=model)
+        log, store = simulate_run(small_cfg(duration=5.0), ChannelConfig(), model=model)
         assert built == [len(log.vehicle_ids)] * 6  # t = 0, 1, ..., 5
         assert len(store.advisories) > 1
 
     def test_log_matches_scenario_duration(self):
-        log, _ = simulate_run(small_cfg(duration=4.0))
+        log, _ = simulate_run(small_cfg(duration=4.0), ChannelConfig())
         assert log.times[-1] == pytest.approx(4.0)
         assert len(log.times) == round(4.0 / LOG_PERIOD) + 1
 
@@ -108,8 +108,10 @@ class TestSimulateRun:
                         potential_changer_count=min(changers, neighbors))
         cfg = cfg.with_policy(policy)
         run_model = model if with_model else None
-        want, every = simulate_run(cfg, model=run_model, record_period=cfg.dt_sim)
-        got, strided = simulate_run(cfg, model=run_model, record_period=k * cfg.dt_sim)
+        want, every = simulate_run(cfg, ChannelConfig(), model=run_model,
+                                   record_period=cfg.dt_sim)
+        got, strided = simulate_run(cfg, ChannelConfig(), model=run_model,
+                                    record_period=k * cfg.dt_sim)
         assert got.dt == k * cfg.dt_sim
         assert got.times.tobytes() == want.times[::k].tobytes()
         for vid in want.vehicle_ids:
@@ -125,7 +127,7 @@ class TestSimulateRun:
 
 class TestRenderFrames:
     def test_frame_count_and_contents(self):
-        log, _ = simulate_run(small_cfg(duration=2.0))
+        log, _ = simulate_run(small_cfg(duration=2.0), ChannelConfig())
         frames = list(render_frames(log, CameraMount(),
                                     DetectorNoiseModel(seed=0, frame_period=0.5)))
         assert len(frames) == 5
@@ -135,7 +137,7 @@ class TestRenderFrames:
                 assert det.source_id != log.ego_id
 
     def test_detections_reflect_vehicles_ahead(self):
-        log, _ = simulate_run(small_cfg(duration=1.0))
+        log, _ = simulate_run(small_cfg(duration=1.0), ChannelConfig())
         frames = list(render_frames(log, CameraMount(),
                                     DetectorNoiseModel(edge_jitter_sigma=0.0, seed=0,
                                                        frame_period=1.0)))
@@ -153,7 +155,7 @@ class TestRenderFrames:
             return project(centers, dims, *args)
 
         monkeypatch.setattr(sensing, "project_cuboid_hull", counted)
-        log, _ = simulate_run(ScenarioConfig(duration=1.0))
+        log, _ = simulate_run(ScenarioConfig(duration=1.0), ChannelConfig())
         frames = list(render_frames(log, CameraMount(), DetectorNoiseModel(frame_period=0.5)))
         assert len(frames) == 3
         assert rows == [len(log.vehicle_ids) - 1] * len(frames)
@@ -329,12 +331,13 @@ def model():
 class TestClosedLoopPair:
     def test_pair_is_deterministic(self, model):
         cfg = small_cfg(duration=12.0)
-        first = closed_loop_pair(cfg, model, seed=9)
-        second = closed_loop_pair(cfg, model, seed=9)
+        first = closed_loop_pair(cfg, model, seed=9, channel=ChannelConfig())
+        second = closed_loop_pair(cfg, model, seed=9, channel=ChannelConfig())
         assert first == second
 
     def test_reports_cover_both_policies(self, model):
-        guided, baseline = closed_loop_pair(small_cfg(duration=12.0), model, seed=4)
+        guided, baseline = closed_loop_pair(small_cfg(duration=12.0), model, seed=4,
+                                            channel=ChannelConfig())
         for report in (guided, baseline):
             assert report.trip_duration == pytest.approx(12.0)
             assert report.mean_abs_accel >= 0.0
@@ -357,7 +360,8 @@ class TestClosedLoopPair:
             for policy in ("guided", "baseline"):
                 cfg = replace(small_cfg(duration=14.0),
                               seed=seed).with_policy(policy)
-                log, _ = simulate_run(cfg, model=model if policy == "guided" else None)
+                log, _ = simulate_run(cfg, ChannelConfig(),
+                                      model=model if policy == "guided" else None)
                 if not log.plans:
                     onsets = None
                     break
@@ -591,7 +595,7 @@ class TestOneRunAlive:
             "camera": {"width": 192, "height": 108, "u0": 96.0, "v0": 54.0}})
 
     def test_closed_loop_pair(self, runs, model):
-        closed_loop_pair(small_cfg(duration=2.0), model, seed=3)
+        closed_loop_pair(small_cfg(duration=2.0), model, seed=3, channel=ChannelConfig())
         assert len(runs) == 2
 
     def test_build_dataset(self, runs):
@@ -631,6 +635,7 @@ class TestOneRunAlive:
             return scn
 
         monkeypatch.setattr(pipeline, "build_scenario", tracked)
-        log, store = simulate_run(small_cfg(duration=2.0))  # held: both stay alive
+        # held: both stay alive
+        log, store = simulate_run(small_cfg(duration=2.0), ChannelConfig())
         assert len(scenarios) == 1 and scenarios[0]() is None
         assert len(log.times) == 21 and len(store.records[log.ego_id][0]) == 21

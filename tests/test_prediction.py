@@ -202,8 +202,8 @@ class TestTrain:
     def test_separable_dataset_high_heldout_accuracy(self):
         data = blob_dataset()
         model = train(data[:700], TrainConfig(hidden=32, epochs=60))
-        correct = sum((infer(model, s.features) >= 0.5) == bool(s.label)
-                      for s in data[700:])
+        probs = infer(model, [s.features for s in data[700:]])
+        correct = sum((p >= 0.5) == bool(s.label) for p, s in zip(probs, data[700:]))
         assert correct / 300 >= 0.95
 
     def test_seeded_training_is_bit_identical(self):
@@ -264,13 +264,12 @@ class TestInfer:
                         np.ones(FEATURE_SIZE))
 
     def test_zero_weights_give_half(self):
-        assert infer(self.zero_model(), np.ones(FEATURE_SIZE)) == 0.5
+        assert infer(self.zero_model(), [np.ones(FEATURE_SIZE)]) == [0.5]
 
     def test_output_in_open_interval(self):
         rng = np.random.default_rng(1)
         model = train(blob_dataset(200, seed=5), TrainConfig(hidden=32, epochs=10))
-        for _ in range(50):
-            p = infer(model, rng.normal(0, 3, FEATURE_SIZE))
+        for p in infer(model, rng.normal(0, 3, (50, FEATURE_SIZE))):
             assert 0.0 < p < 1.0
 
     def test_matches_hand_computed_forward_pass(self):
@@ -287,7 +286,7 @@ class TestInfer:
         h1 = max(-1.0 * 1 + 0.75 * 2 - 0.2, 0.0)  # 0.3
         z = 0.3 * h0 + 0.6 * h1 + 0.05
         expected = 1.0 / (1.0 + np.exp(-z))
-        assert infer(model, x) == pytest.approx(expected, abs=1e-12)
+        assert infer(model, [x]) == [pytest.approx(expected, abs=1e-12)]
 
 
 def bits(value) -> bytes:
@@ -359,7 +358,7 @@ class TestKernelMatchesOracle:
     def test_infer_bit_equal(self, hidden, seed, scale, features):
         model = random_model(np.random.default_rng(seed), hidden, scale)
         with np.errstate(all="ignore"):
-            assert bits(infer(model, features)) == bits(oracles.infer(model, features))
+            assert bits(infer(model, [features])) == bits([oracles.infer(model, features)])
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 64), st.integers(1, 70), st.integers(0, 2**32 - 1),
@@ -379,7 +378,7 @@ class TestKernelMatchesOracle:
         with np.errstate(all="ignore"):
             got = infer(model, x.tolist())  # as simulate_run passes them: one list per car
             assert isinstance(got, list) and all(type(prob) is float for prob in got)
-            assert bits(got) == bits([infer(model, row) for row in x])
+            assert bits(got) == bits([p for row in x for p in infer(model, row[None])])
             assert bits(got) == bits([oracles.infer(model, row) for row in x])
 
     @settings(max_examples=300, deadline=None)
@@ -459,7 +458,7 @@ class TestModelFile:
         assert np.array_equal(back.feat_mean, model.feat_mean)
         assert np.array_equal(back.feat_std, model.feat_std)
         x = np.full(FEATURE_SIZE, 0.7)
-        assert infer(back, x) == infer(model, x)
+        assert infer(back, [x]) == infer(model, [x])
 
     def test_versioned_format(self, tmp_path):
         model = train(blob_dataset(100, seed=8), TrainConfig(hidden=32, epochs=5))

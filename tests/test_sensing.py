@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lanesight.geometry import Box2D, Camera, CameraExtrinsics, CameraIntrinsics, \
-    WorldPoint, project_cuboid_hull
+from lanesight.geometry import Box2D, Camera, CameraIntrinsics, WorldPoint, \
+    project_cuboid_hull
 from lanesight.scene import VehicleState
 from lanesight.sensing import (
     DepthMap,
@@ -24,7 +24,8 @@ from oracles import body_of, full_frame_depth_values, per_corner_hull, \
 
 INTR = CameraIntrinsics(focal_length=0.005, pixel_size_x=5e-6, pixel_size_y=5e-6,
                         u0=480.0, v0=270.0, width=960, height=540)
-CAM = Camera(CameraExtrinsics.looking_along_road(WorldPoint(0.0, 5.25, 1.4)), INTR)
+CAM = Camera(WorldPoint(0.0, 5.25, 1.4), INTR)
+NOISELESS = DetectorNoiseModel(depth_noise_sigma=0.0)
 
 
 def car(vid, s, y=5.25, v=17.0):
@@ -36,7 +37,7 @@ def truth_boxes(states, camera=CAM):
     return {vid: box for vid, box, _ in render_truth_boxes(states, camera)}
 
 
-def depth_map(states, camera=CAM, noise=None):
+def depth_map(states, camera=CAM, noise=NOISELESS):
     return render_depth_map(render_truth_boxes(states, camera), camera.intrinsics, noise=noise)
 
 
@@ -62,7 +63,7 @@ class TestRenderTruthBoxes:
 
 class TestRenderDepthMap:
     def test_background_only(self):
-        dm = render_depth_map([], INTR)
+        dm = render_depth_map([], INTR, NOISELESS)
         assert np.all(dm.raster() == dm.far_value)
 
     def test_single_vehicle_planar_depth(self):
@@ -143,14 +144,14 @@ class TestArrayPathMatchesPerCornerReference:
            intr=st.sampled_from([INTR, SMALL_INTR]),
            sigma=st.sampled_from([0.0, 0.1, 3.0]), seed=st.integers(0, 2**32 - 1))
     def test_boxes_and_raster_bit_equal(self, states, position, intr, sigma, seed):
-        camera = Camera(CameraExtrinsics.looking_along_road(WorldPoint(*position)), intr)
+        camera = Camera(WorldPoint(*position), intr)
         truth = render_truth_boxes(states, camera)
         assert [(vid, box) for vid, box, _ in truth] == per_corner_truth_boxes(states, camera)
         by_id = {state.id: state for state in states}
         for vid, _, depth in truth:
-            assert depth == per_corner_nearest_depth(*body_of(by_id[vid]), camera.extrinsics)
+            assert depth == per_corner_nearest_depth(*body_of(by_id[vid]), camera.position)
         noise = DetectorNoiseModel(depth_noise_sigma=sigma, seed=seed)
-        for model in (None, noise):
+        for model in (NOISELESS, noise):
             assert np.array_equal(render_depth_map(truth, intr, noise=model).raster(),
                                   full_frame_depth_values(states, camera, noise=model))
 
@@ -164,7 +165,7 @@ class TestArrayPathMatchesPerCornerReference:
     def test_lazy_map_reads_and_writes_the_full_frame(self, states, intr, sigma, seed,
                                                        picks):
         # each read path paints a fresh map, so none relies on another's painting
-        camera = Camera(CameraExtrinsics.looking_along_road(WorldPoint(0.0, 5.25, 1.4)), intr)
+        camera = Camera(WorldPoint(0.0, 5.25, 1.4), intr)
         truth = render_truth_boxes(states, camera)
         noise = DetectorNoiseModel(depth_noise_sigma=sigma, seed=seed)
         expected = full_frame_depth_values(states, camera, noise=noise)
@@ -203,14 +204,14 @@ class TestArrayPathMatchesPerCornerReference:
     @example(bodies=[((20.0, 5.0, 1.0), (4.5, 1.8, 1.5)), ((3.0, -20.0, 1.0), (4.5, 1.8, 1.5)),
                      ((3.0, 5.0, 1.0), (5.0, 2.0, 1.5))], position=(0.0, 5.0, 1.4))
     def test_batch_hull_bit_equal(self, bodies, position):
-        extrinsics = CameraExtrinsics.looking_along_road(WorldPoint(*position))
+        position = WorldPoint(*position)
         centers = np.array([c for c, _ in bodies]).reshape(-1, 3)
         dims = np.array([d for _, d in bodies]).reshape(-1, 3)
-        visible, hulls, nearest = project_cuboid_hull(centers, dims, extrinsics, INTR)
-        expected = [per_corner_hull(c, d, extrinsics, INTR) for c, d in bodies]
+        visible, hulls, nearest = project_cuboid_hull(centers, dims, position, INTR)
+        expected = [per_corner_hull(c, d, position, INTR) for c, d in bodies]
         assert visible.tolist() == [edges is not None for edges in expected]
         assert hulls == [edges for edges in expected if edges is not None]
-        assert nearest == [per_corner_nearest_depth(c, d, extrinsics)
+        assert nearest == [per_corner_nearest_depth(c, d, position)
                            for (c, d), edges in zip(bodies, expected) if edges is not None]
 
 

@@ -56,6 +56,13 @@ image.
 One more run shows no vehicle at all: `simulate` for 0.5 s with the camera
 1,000 m ahead of the ego, so its 6 frames hold no box and no detection and
 `detections.csv` is its header alone.
+
+The last two move the camera off the default pose, which every other run
+keeps (`mount_left` 0, `mount_up` 1.4): `simulate` for 3 s with the camera
+0.9 m right of the ego's center line, 1.5 m behind its center and 2.2 m up,
+and `fuse-eval` on 200 frames of seed 3 with the camera 0.6 m left, 1.5 m
+back and 2.2 m up (the corpus moves the ego so that the camera stays at
+world x = 0).
 """
 from __future__ import annotations
 
@@ -111,6 +118,11 @@ RUNS = (
      "1", "fuse_edges"),
     ("simulate", {"scenario": {"duration": 0.5}, "camera": {"mount_forward": 1000.0}}, "1",
      "sim_empty"),
+    ("simulate", {"scenario": {"duration": 3.0},
+                  "camera": {"mount_left": -0.9, "mount_forward": -1.5, "mount_up": 2.2}},
+     "1", "sim_offset_camera"),
+    ("fuse-eval", {"camera": {"mount_left": 0.6, "mount_forward": -1.5, "mount_up": 2.2},
+                   "fuse_eval": {"frames": 200}}, "3", "fuse_offset_camera"),
 )
 
 
