@@ -57,6 +57,16 @@ class TestWorldToCamera:
         got = world_to_camera(p, WorldPoint(*position))
         assert got.tobytes() == (p @ r.T + (-r) @ c).tobytes()
 
+    def test_moving_camera_and_points_together_changes_nothing(self):
+        # integer coordinates keep every sum and difference exact
+        rng = np.random.default_rng(11)
+        for _ in range(25):
+            points = rng.integers(-100, 100, size=(6, 3)).astype(float)
+            position = rng.integers(-10, 10, size=3).astype(float)
+            shift = rng.integers(-50, 50, size=3).astype(float)
+            got = world_to_camera(points + shift, WorldPoint(*(position + shift)))
+            assert got.tolist() == world_to_camera(points, WorldPoint(*position)).tolist()
+
     def test_preserves_pairwise_distance(self):
         rng = np.random.default_rng(3)
         for _ in range(25):
@@ -212,6 +222,19 @@ class TestProjectCuboidHull:
         assert visible.tolist() == [True, False, True]
         assert nearest == [19.5, 9.5]
         assert hulls[0][2] - hulls[0][0] < hulls[1][2] - hulls[1][0]
+
+    def test_offset_camera_equals_bodies_moved_the_other_way(self):
+        rng = np.random.default_rng(13)
+        rows = [(rng.uniform(-3, 3), rng.uniform(-2, 2), rng.uniform(8, 40),
+                 rng.uniform(0.5, 6.0), rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0))
+                for _ in range(30)]
+        centers, dims = bodies(*rows)
+        mount = np.array([4.0, 5.25, 1.4])
+        got = project_cuboid_hull(centers + mount, dims, WorldPoint(*mount), INTR)
+        want = project_cuboid_hull(centers, dims, ORIGIN, INTR)
+        assert got[0].tolist() == want[0].tolist()
+        assert np.allclose(got[1], want[1], rtol=1e-9, atol=1e-9)
+        assert np.allclose(got[2], want[2], rtol=1e-9, atol=1e-9)
 
     def test_no_bodies(self):
         visible, hulls, nearest = project_cuboid_hull(*bodies(), ORIGIN, INTR)
