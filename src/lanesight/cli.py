@@ -102,17 +102,16 @@ def write_maneuvers_csv(plans, path):
 
 
 def write_channel_csv(store, path):
-    """Every published row in (t, id) order, with the newest advisory issued by its t."""
-    rows = []
-    for vid, cols in store.records.items():
-        issued, probs = store.advisories.get(vid, ((), ()))
-        for t, x, y, z, v in zip(*cols):
-            idx = _visible(issued, t, 0.0)
-            rows.append((t, vid, x, y, z, v, f"{probs[idx - 1]:.6f}" if idx else ""))
-    rows.sort(key=lambda r: (r[0], r[1]))
-    _csv(path, ("t", "id", "x", "y", "z", "v", "probability"),
-         ((f"{t:.2f}", vid, f"{x:.6f}", f"{y:.6f}", f"{z:.6f}", f"{v:.6f}", prob)
-          for t, vid, x, y, z, v, prob in rows))
+    """Each publish tick's rows in id order, with the newest advisory issued by its t."""
+    def rows():
+        for i, t in enumerate(store.times):
+            r = _visible(store.issued, t, 0.0) - 1
+            for vid, (xs, ys, vs) in store.records.items():
+                probs = store.advisories.get(vid)
+                yield (f"{t:.2f}", vid, f"{xs[i]:.6f}", f"{ys[i]:.6f}",
+                       f"{store.meta[vid][2]:.6f}", f"{vs[i]:.6f}",
+                       f"{probs[r]:.6f}" if probs and r >= 0 else "")
+    _csv(path, ("t", "id", "x", "y", "z", "v", "probability"), rows())
 
 
 def write_detections_csv(frames, path):

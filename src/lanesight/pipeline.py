@@ -1,10 +1,10 @@
 """End-to-end runners: closed-loop simulation, corpus building, datasets.
 
 The closed-loop runner owns the cadence logic: the scene is recorded on the
-grid its log is read at, vehicle states publish to the twin store every
+grid its log is read at, the whole roster publishes to the twin store every
 channel period, and once per second the classifier scores every car of a twin
 snapshot in one forward pass, whose advisories publish back on the same
-channel in snapshot order. The guided ego gets the flagged set, the cars whose
+channel as one round. The guided ego gets the flagged set, the cars whose
 visible advisory is above `driver.p_trigger`, once per advisory round: it is
 rebuilt on the publish tick where another round becomes visible through the
 latency, and between them it is the same set. The store is the one home of a
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import os
 import pickle
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
@@ -152,17 +152,10 @@ def _fan_out(fn, items: Sequence) -> list:
 
 def _twin_snapshot(store: TwinStore, t: float, channel: ChannelConfig,
                    lanes: LaneSpec) -> list[VehicleState]:
-    states = []
-    for vid in sorted(store.records):
-        row = query_target(store, vid, t, channel)
-        if row is None:
-            continue
-        _, x, y, _, v = row
-        kind, length = store.meta[vid]
-        states.append(VehicleState(
-            id=vid, kind=kind, s=x, y=y, v=v, a=0.0, lane=lanes.lane_of(y), length=length,
-            width=CAR_DIMS[1], height=CAR_DIMS[2], v_desired=v))
-    return states
+    return [VehicleState(id=vid, kind=store.meta[vid][0], s=x, y=y, v=v, a=0.0,
+                         lane=lanes.lane_of(y), length=store.meta[vid][1], width=CAR_DIMS[1],
+                         height=CAR_DIMS[2], v_desired=v)
+            for vid, x, y, _, v in query_target(store, t, channel)]
 
 
 def simulate_run(cfg: ScenarioConfig, channel: ChannelConfig | None,
@@ -179,33 +172,28 @@ def simulate_run(cfg: ScenarioConfig, channel: ChannelConfig | None,
     infer_stride = grid_stride(INFER_PERIOD, cfg.dt_sim)
     guided = cfg.driver.policy == "guided"
     flagged: frozenset[int] = frozenset()
-    issued: list[float] = []  # each inference round's time; a car's advisories are a subset
-    shown = 0  # how many of those rounds flagged reflects
+    shown = 0  # how many of the store's rounds flagged reflects
 
     for k in range(n_steps + 1):
         t = scn.t
         if k % record_stride == 0:
             scn.record()
         if publish_stride and k % publish_stride == 0:
-            for veh in scn.vehicles:
-                publish(store, veh, t)
+            publish(store, scn.vehicles, t)
             if model is not None and k % infer_stride == 0:
                 snapshot = _twin_snapshot(store, t, channel, cfg.lanes)  # in id order
                 index = _lane_index(snapshot)
                 cars = [subject for subject in snapshot if subject.kind == "car"]
-                if cars:
+                if cars:  # none while the latency hides every publish, or with no car
                     probs = infer(model, [features_from_states(index, car, cfg.lanes.lane_count)
                                           for car in cars])
-                    for car, prob in zip(cars, probs):
-                        publish_advisory(store, car.id, prob, t)
-                issued.append(t)
-            if guided:  # query_advisory's bound: a car's answer moves only when a round shows
-                visible = _visible(issued, t, channel.latency)
+                    publish_advisory(store, {car.id: p for car, p in zip(cars, probs)}, t)
+            if guided:  # query_advisory's bound: its answer moves only when a round shows
+                visible = _visible(store.issued, t, channel.latency)
                 if visible != shown:
                     shown = visible
-                    flagged = frozenset(  # the cars; p_trigger >= 0 flags no car without one
-                        vid for vid in store.advisories
-                        if (query_advisory(store, vid, t, channel) or 0.0) > cfg.driver.p_trigger)
+                    flagged = frozenset(vid for vid, p in query_advisory(store, t, channel).items()
+                                        if p > cfg.driver.p_trigger)
         if k < n_steps:
             step(scn, flagged)
     return scn.build_log(record_period), store
@@ -227,22 +215,19 @@ def _sensor_frame(truth: list[tuple[int, Box2D, float]], camera: Camera,
 
 
 def render_frames(log: TrajectoryLog, mount: CameraMount, noise: DetectorNoiseModel,
-                  frames: Sequence[int] | None = None) -> Iterator[SensorFrame]:
-    """Post-hoc sensor frames every noise.frame_period of a finished log: the
-    given frame numbers, all of them by default.
-
-    Frames are rendered one at a time as the caller iterates, so a caller that
-    drops each frame holds one depth raster at a time.
-    """
+                  frames: Sequence[int]) -> list[SensorFrame]:
+    """The given post-hoc sensor frames of a finished log, which has one every
+    noise.frame_period; each holds its depth raster."""
     rows = _frame_rows(log, noise)
-    for i in range(len(rows)) if frames is None else frames:
-        k = rows[i]
-        states = log.states_at(k)
+    rendered = []
+    for i in frames:
+        states = log.states_at(rows[i])
         ego = next(s for s in states if s.id == log.ego_id)
         others = [s for s in states if s.id != log.ego_id]
         camera = mount.camera_for(ego)
-        yield _sensor_frame(render_truth_boxes(others, camera), camera, noise, i,
-                            float(log.times[k]))
+        rendered.append(_sensor_frame(render_truth_boxes(others, camera), camera, noise, i,
+                                      float(log.times[rows[i]])))
+    return rendered
 
 
 def _sense_frame(log: TrajectoryLog, mount: CameraMount, noise: DetectorNoiseModel,
@@ -285,12 +270,12 @@ def build_dataset(cfg: ScenarioConfig, window: WindowParams, seeds,
 
 
 def _traced(channel: ChannelConfig, model: MlpModel, cfg: ScenarioConfig):
-    """{car id: (issued times, probabilities, probability >= DECISION_THRESHOLD)}
+    """{car id: (round times, probabilities, probability >= DECISION_THRESHOLD)}
     off the run's advisory columns, and its maneuver plans."""
     log, store = simulate_run(cfg, channel, model=model)
-    traces = {}
-    for vid, cols in store.advisories.items():
-        times, probs = np.array(cols[0]), np.array(cols[1])
+    times, traces = np.array(store.issued), {}  # every car is advised each round
+    for vid, col in store.advisories.items():
+        probs = np.array(col)
         traces[vid] = times, probs, (probs >= DECISION_THRESHOLD).astype(int)
     return traces, log.plans
 

@@ -644,23 +644,20 @@ def simulate_run(cfg, channel, model):
         if k % record_stride == 0:
             scn.record()
         if k % publish_stride == 0:
-            for veh in scn.vehicles:
-                lanesight.twinlink.publish(store, veh, t)
+            lanesight.twinlink.publish(store, scn.vehicles, t)
             if model is not None and k % infer_stride == 0:
                 snapshot = lanesight.pipeline._twin_snapshot(store, t, channel, cfg.lanes)
                 index = lanesight.scene._lane_index(snapshot)
+                advised = {}
                 for subject in snapshot:
                     if subject.kind == "car":
                         feats = lanesight.prediction.features_from_states(
                             index, subject, cfg.lanes.lane_count)
-                        lanesight.twinlink.publish_advisory(store, subject.id,
-                                                            infer(model, feats), t)
+                        advised[subject.id] = infer(model, feats)
+                if advised:
+                    lanesight.twinlink.publish_advisory(store, advised, t)
             if guided:
-                guidance = {}
-                for vid in store.advisories:
-                    prob = lanesight.twinlink.query_advisory(store, vid, t, channel)
-                    if prob is not None:
-                        guidance[vid] = prob
+                guidance = lanesight.twinlink.query_advisory(store, t, channel)
         if k < n_steps:
             lanesight.scene.step(scn, flagged_by(guidance, cfg.driver.p_trigger))
     return scn.build_log(lanesight.scene.LOG_PERIOD), store

@@ -58,13 +58,13 @@ def small_cfg(**kw):
 class TestSimulateRun:
     def test_publish_cadence(self):
         _, store = simulate_run(small_cfg(duration=3.0), ChannelConfig())
-        times = store.records[0][0]  # the ego's publish times
+        times = store.times
         assert len(times) == 31  # t = 0.0 .. 3.0 inclusive at 0.1 s
         assert list(times) == pytest.approx(list(np.arange(31) * 0.1))
 
     def test_advisories_only_with_model(self):
         _, store = simulate_run(small_cfg(duration=2.0), ChannelConfig())
-        assert store.advisories == {}
+        assert store.advisories == {} and not store.issued
 
     def test_trace_cadence_with_model(self):
         data = build_dataset(small_cfg(duration=16.0), WindowParams(sample_rate=1.0),
@@ -72,10 +72,10 @@ class TestSimulateRun:
         model = train(data, TrainConfig(hidden=8, epochs=20))
         log, store = simulate_run(small_cfg(duration=5.0), ChannelConfig(), model=model)
         assert store.advisories
-        for vid, (issued, probs) in store.advisories.items():
+        assert store.issued.tolist() == pytest.approx([0, 1, 2, 3, 4, 5])
+        for vid, probs in store.advisories.items():
             assert log.kind_of(vid) == "car"
-            assert issued.tolist() == pytest.approx([0, 1, 2, 3, 4, 5])
-            assert all(0 <= p <= 1 for p in probs)
+            assert len(probs) == 6 and all(0 <= p <= 1 for p in probs)
 
     def test_one_lane_index_per_inference_tick(self, model, monkeypatch):
         # the tick's snapshot is ordered once; every subject's features read that order
@@ -119,17 +119,17 @@ class TestSimulateRun:
                 assert col.tobytes() == full[::k].tobytes()  # -0.0 too
         assert got.plans == want.plans
         assert got.collisions == want.collisions
+        assert strided.issued.tobytes() == every.issued.tobytes()
         assert strided.advisories.keys() == every.advisories.keys()
-        for vid, cols in every.advisories.items():
-            for col, full in zip(strided.advisories[vid], cols):
-                assert col.tobytes() == full.tobytes()
+        for vid, col in every.advisories.items():
+            assert strided.advisories[vid].tobytes() == col.tobytes()
 
 
 class TestRenderFrames:
     def test_frame_count_and_contents(self):
         log, _ = simulate_run(small_cfg(duration=2.0), ChannelConfig())
-        frames = list(render_frames(log, CameraMount(),
-                                    DetectorNoiseModel(seed=0, frame_period=0.5)))
+        frames = render_frames(log, CameraMount(),
+                               DetectorNoiseModel(seed=0, frame_period=0.5), range(5))
         assert len(frames) == 5
         for frame in frames:
             assert frame.depth.width == 960
@@ -138,9 +138,9 @@ class TestRenderFrames:
 
     def test_detections_reflect_vehicles_ahead(self):
         log, _ = simulate_run(small_cfg(duration=1.0), ChannelConfig())
-        frames = list(render_frames(log, CameraMount(),
-                                    DetectorNoiseModel(edge_jitter_sigma=0.0, seed=0,
-                                                       frame_period=1.0)))
+        frames = render_frames(log, CameraMount(),
+                               DetectorNoiseModel(edge_jitter_sigma=0.0, seed=0,
+                                                  frame_period=1.0), range(2))
         # neighbors spawn ahead of the ego, so the first frame sees some
         assert len(frames[0].detections) >= 1
 
@@ -156,7 +156,8 @@ class TestRenderFrames:
 
         monkeypatch.setattr(sensing, "project_cuboid_hull", counted)
         log, _ = simulate_run(ScenarioConfig(duration=1.0), ChannelConfig())
-        frames = list(render_frames(log, CameraMount(), DetectorNoiseModel(frame_period=0.5)))
+        frames = render_frames(log, CameraMount(), DetectorNoiseModel(frame_period=0.5),
+                               range(3))
         assert len(frames) == 3
         assert rows == [len(log.vehicle_ids) - 1] * len(frames)
 
@@ -212,9 +213,8 @@ class TestTraced:
         (store,) = stores
         assert traces and traces.keys() == store.advisories.keys()
         for vid, (times, probs, bits) in traces.items():
-            issued, probabilities = store.advisories[vid]
-            assert times.tobytes() == issued.tobytes()
-            assert probs.tobytes() == probabilities.tobytes()
+            assert times.tobytes() == store.issued.tobytes()
+            assert probs.tobytes() == store.advisories[vid].tobytes()
             assert bits.dtype.kind == "i"
             assert np.array_equal(bits, probs >= DECISION_THRESHOLD)
             assert trained or bits.all()  # a probability at the threshold sets its bit
@@ -374,11 +374,13 @@ class TestClosedLoopPair:
 
 def run_bytes(log, store):
     """Every column of a run's log and twin store as bytes, in store order, with
-    the log's plans and collisions and the store's vehicle kinds and lengths."""
+    the log's plans and collisions and the store's vehicle kinds, lengths and z."""
     def columns(table):
         return [(vid, [np.asarray(col).tobytes() for col in cols]) for vid, cols in table.items()]
+    advisories = {vid: (col,) for vid, col in store.advisories.items()}
     return (log.times.tobytes(), columns(log.data), log.plans, log.collisions,
-            columns(store.records), store.meta, columns(store.advisories))
+            store.times.tobytes(), columns(store.records), list(store.meta.items()),
+            store.issued.tobytes(), columns(advisories))
 
 
 class TestInferenceLoopMatchesOracle:
@@ -638,4 +640,4 @@ class TestOneRunAlive:
         # held: both stay alive
         log, store = simulate_run(small_cfg(duration=2.0), ChannelConfig())
         assert len(scenarios) == 1 and scenarios[0]() is None
-        assert len(log.times) == 21 and len(store.records[log.ego_id][0]) == 21
+        assert len(log.times) == 21 and len(store.times) == 21

@@ -63,6 +63,16 @@ keeps (`mount_left` 0, `mount_up` 1.4): `simulate` for 3 s with the camera
 and `fuse-eval` on 200 frames of seed 3 with the camera 0.6 m left, 1.5 m
 back and 2.2 m up (the corpus moves the ego so that the camera stays at
 world x = 0).
+
+The last five reach the twin channel's edges. `simulate` for 4 s with the
+model on a channel that publishes every 0.05 s with 0.25 s latency, so
+`twin_channel.csv` has rows between the trajectory's and the first round,
+at t = 0, sees no publish and advises no car; `simulate` for 2 s with the
+model and no neighbour, so no car is ever advised; `predict-eval` for 5 s
+with 6 s latency, so no round ever shows and `traces.csv` is its header
+alone; and `predict-eval` and `closed-loop` on a channel that publishes every
+0.3 s with 0.7 s latency, a period that does not divide the 1 s inference
+period.
 """
 from __future__ import annotations
 
@@ -123,6 +133,16 @@ RUNS = (
      "1", "sim_offset_camera"),
     ("fuse-eval", {"camera": {"mount_left": 0.6, "mount_forward": -1.5, "mount_up": 2.2},
                    "fuse_eval": {"frames": 200}}, "3", "fuse_offset_camera"),
+    ("simulate", {**MODEL, "scenario": {"duration": 4.0},
+                  "channel": {"publish_period": 0.05, "latency": 0.25}}, "1", "sim_channel"),
+    ("simulate", {**MODEL, "scenario": {"duration": 2.0, "neighbor_count": 0,
+                                        "potential_changer_count": 0}}, "1", "sim_no_cars"),
+    ("predict-eval", {**MODEL, "scenario": {"duration": 5.0}, "channel": {"latency": 6.0}},
+     "1001", "pred_latency_beyond"),
+    ("predict-eval", {**MODEL, "channel": {"publish_period": 0.3, "latency": 0.7}},
+     "1001,1002", "pred_period_0_3"),
+    ("closed-loop", {**MODEL, "channel": {"publish_period": 0.3, "latency": 0.7}}, "1,7",
+     "loop_period_0_3"),
 )
 
 
